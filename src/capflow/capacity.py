@@ -11,13 +11,12 @@ the recorded energy history never increases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import Cube, DomainSpec, IndicatorField, contains, rasterize_obstacle
+from .geometry import Cube, DomainSpec, IndicatorField, rasterize_obstacle
 from .lattice import LatticeSystem
 from .params import StructureParams
 

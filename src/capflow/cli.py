@@ -883,6 +883,10 @@ def cmd_verify(cfg: ExperimentConfig) -> RunReport:
         stage("write", do_write)
     except PipelineError as exc:
         report.error = {"stage": exc.stage, "message": str(exc.cause)}
+        for attr in ("step_index", "last_energy"):
+            value = getattr(exc.cause, attr, None)
+            if value is not None:
+                report.error[attr] = value
         write_report(os.path.join(cfg.out_dir, "report.json"), report)
         raise
     return report

@@ -5,13 +5,84 @@ forward differences anchored at the cell's low corner.  At fixed weights the
 reweighted quadratic form is a weighted graph Laplacian, so the step matrices
 (plus any positive diagonal) are M-matrices; the maximum-principle guarantees
 elsewhere in the package lean on exactly this structure.
+
+The condenser and the time step share one Dirichlet solve.  The sparse
+pattern of the free-by-free block depends only on the fixed mask, so it is
+built once per mask and each solve scatters its cell weights into the stored
+slots.  With positive weights, and every group of free nodes joined to a
+fixed node or held by a mass term, the block is a diagonally dominant
+symmetric M-matrix and so positive definite: SuperLU factors it in symmetric
+mode, on a minimum-degree ordering of A + A^T and without pivoting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+
+
+def _sum_into(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of values[index == i]."""
+    # bincount returns integers when it is given no entries
+    return np.bincount(index, weights=values, minlength=size).astype(float, copy=False)
+
+
+class _DirichletPattern:
+    """The free-by-free CSC pattern of one fixed mask and its scatter maps.
+
+    Each edge adds its weight to the diagonal slots of its free ends and,
+    between two free ends, subtracts it from both off-diagonal slots; an edge
+    from a free node to a fixed node moves weight * value to the right-hand
+    side instead.
+    """
+
+    def __init__(self, system: LatticeSystem, fixed: np.ndarray):
+        self.free = np.flatnonzero(~fixed)
+        n_free = self.n_free = self.free.size
+        pos = np.full(system.n_nodes, -1, dtype=np.int64)
+        pos[self.free] = np.arange(n_free)
+        pa = pos[system.edges_a]
+        pb = pos[system.edges_b]
+        both = (pa >= 0) & (pb >= 0)
+        a_only = (pa >= 0) & (pb < 0)
+        b_only = (pa < 0) & (pb >= 0)
+        n_both = int(both.sum())
+        scale = system.h ** (system.ndim - 2)
+        cell = system.edge_cell
+
+        diag = np.arange(n_free)
+        rows = np.concatenate([diag, pa[both], pb[both], pa[both], pb[both],
+                               pa[a_only], pb[b_only]])
+        cols = np.concatenate([diag, pa[both], pb[both], pb[both], pa[both],
+                               pa[a_only], pb[b_only]])
+        self.entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
+        self.entry_coef = np.concatenate([np.full(2 * n_both, scale),
+                                          np.full(2 * n_both, -scale),
+                                          np.full(int(a_only.sum() + b_only.sum()), scale)])
+        # column-major keys give CSC order; every column holds its diagonal
+        keys, slot = np.unique(cols * n_free + rows, return_inverse=True)
+        self.diag_slot = slot[:n_free]
+        self.entry_slot = slot[n_free:]
+        self.nnz = keys.size
+        self.indices = (keys % n_free).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n_free, minlength=n_free))]).astype(np.int32)
+
+        self.rhs_row = np.concatenate([pa[a_only], pb[b_only]])
+        self.rhs_cell = np.concatenate([cell[a_only], cell[b_only]])
+        self.rhs_node = np.concatenate([system.edges_b[a_only], system.edges_a[b_only]])
+        self.rhs_coef = scale
+
+        # without a mass term, a group of free nodes joined to no fixed node
+        # has the constants in its null space
+        graph = sp.coo_matrix((np.ones(n_both), (pa[both], pb[both])),
+                              shape=(n_free, n_free))
+        n_groups, label = csgraph.connected_components(graph, directed=False)
+        grounded = np.zeros(n_groups, dtype=bool)
+        grounded[label[self.rhs_row]] = True
+        self.n_floating = int(np.count_nonzero(~grounded[label]))
 
 
 class LatticeSystem:
@@ -44,8 +115,8 @@ class LatticeSystem:
             self.edges_a = np.concatenate([corner, corner])
             self.edges_b = np.concatenate([corner + n1, corner + 1])
             self.edge_cell = np.concatenate([cell_ids, cell_ids])
-        self._rows = np.concatenate([self.edges_a, self.edges_b, self.edges_a, self.edges_b])
-        self._cols = np.concatenate([self.edges_a, self.edges_b, self.edges_b, self.edges_a])
+        # one pattern per fixed mask seen, keyed by the mask's bytes
+        self._patterns: dict[bytes, _DirichletPattern] = {}
 
     def cell_gradient_sq(self, u: np.ndarray) -> np.ndarray:
         """|grad u|^2 per cell (C-ordered over cell corners)."""
@@ -67,37 +138,46 @@ class LatticeSystem:
         g = np.sqrt(self.cell_gradient_sq(u))
         return np.maximum(g, floor) ** (p - 2.0)
 
-    def laplacian(self, cell_weights: np.ndarray) -> sp.csr_matrix:
-        """Graph Laplacian of the weighted form sum_cells h**N w_c |grad u|^2."""
-        w = np.asarray(cell_weights, dtype=float)[self.edge_cell] * self.h ** (self.ndim - 2)
-        data = np.concatenate([w, w, -w, -w])
-        lap = sp.csr_matrix((data, (self._rows, self._cols)),
-                            shape=(self.n_nodes, self.n_nodes))
-        lap.sum_duplicates()
-        return lap
-
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
                         boundary_values: np.ndarray, mass: float = 0.0,
                         previous: np.ndarray | None = None) -> np.ndarray:
-        """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`.
+        """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`,
+        where L(w) is the graph Laplacian of sum_cells h**N w_c |grad u|^2.
 
         `fixed` and `boundary_values` are full-length (flat) arrays; returns the
-        full flat solution with the fixed values imposed exactly.
+        full flat solution with the fixed values imposed exactly.  Raises
+        ValueError when the system is singular.
         """
         fixed = np.asarray(fixed, dtype=bool).ravel()
         g = np.asarray(boundary_values, dtype=float).ravel()
-        free = ~fixed
+        if mass > 0.0 and previous is None:
+            raise ValueError("mass term requires the previous field")
         out = g.copy()
-        n_free = int(free.sum())
-        if n_free == 0:
+        key = fixed.tobytes()
+        pat = self._patterns.get(key)
+        if pat is None:
+            pat = self._patterns[key] = _DirichletPattern(self, fixed)
+        if pat.n_free == 0:
             return out
-        lap = self.laplacian(cell_weights)
-        a_mat = lap[free][:, free]
-        rhs = -lap[free][:, fixed] @ g[fixed]
+        if mass <= 0.0 and pat.n_floating:
+            raise ValueError(self._singular(pat, f"{pat.n_floating} of them touch no "
+                                                 "fixed node and mass is 0"))
+        w = np.asarray(cell_weights, dtype=float)
+        data = _sum_into(pat.entry_slot, w[pat.entry_cell] * pat.entry_coef, pat.nnz)
+        rhs = _sum_into(pat.rhs_row, w[pat.rhs_cell] * pat.rhs_coef * g[pat.rhs_node],
+                        pat.n_free)
         if mass > 0.0:
-            if previous is None:
-                raise ValueError("mass term requires the previous field")
-            a_mat = a_mat + mass * sp.identity(n_free, format="csr")
-            rhs = rhs + mass * np.asarray(previous, dtype=float).ravel()[free]
-        out[free] = spla.spsolve(a_mat.tocsc(), rhs)
+            data[pat.diag_slot] += mass
+            rhs += mass * np.asarray(previous, dtype=float).ravel()[pat.free]
+        a_mat = sp.csc_matrix((data, pat.indices, pat.indptr), shape=(pat.n_free, pat.n_free))
+        try:
+            lu = spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise ValueError(self._singular(pat, str(exc))) from exc
+        out[pat.free] = lu.solve(rhs)
         return out
+
+    def _singular(self, pat: _DirichletPattern, why: str) -> str:
+        return (f"singular Dirichlet system on the {self.shape} lattice with "
+                f"{pat.n_free} free nodes: {why}")

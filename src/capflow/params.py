@@ -72,7 +72,6 @@ class StructureParams:
 
 OVERRIDABLE_CONSTANTS = ("gamma", "bar_gamma", "gamma_1", "gamma_2", "gamma_star",
                          "gamma_3", "nu")
-_OVERRIDABLE = OVERRIDABLE_CONSTANTS
 
 
 def make_params(p: float, N: int, **overrides: float) -> StructureParams:
@@ -82,7 +81,7 @@ def make_params(p: float, N: int, **overrides: float) -> StructureParams:
     gamma_star = gamma_1**(p-2), gamma_3 = 2*gamma_2*ln(1/c_bar) with
     c_bar = 2**-smallest_lambda(p, gamma_2), and gamma = 1/gamma_3.
     """
-    unknown = set(overrides) - set(_OVERRIDABLE)
+    unknown = set(overrides) - set(OVERRIDABLE_CONSTANTS)
     if unknown:
         raise ValueError(f"unknown constant overrides: {sorted(unknown)}")
     p = float(p)

@@ -78,6 +78,26 @@ def intrinsic_times(T: float, h: float, p: float, omega: float = 1.0) -> np.ndar
     return np.linspace(0.0, T, steps + 1)
 
 
+def _box_faces(shape: tuple[int, ...]) -> np.ndarray:
+    """Nodes on the faces of the lattice box."""
+    faces = np.zeros(shape, dtype=bool)
+    for k in range(len(shape)):
+        faces[(slice(None),) * k + (0,)] = True
+        faces[(slice(None),) * k + (-1,)] = True
+    return faces
+
+
+def _near(m: np.ndarray) -> np.ndarray:
+    """Nodes with at least one axis neighbor in the mask `m`."""
+    near = np.zeros_like(m)
+    for k in range(m.ndim):
+        lo = (slice(None),) * k + (slice(None, -1),)
+        hi = (slice(None),) * k + (slice(1, None),)
+        near[lo] |= m[hi]
+        near[hi] |= m[lo]
+    return near
+
+
 def make_grid(domain: DomainSpec, box: Cube, grid_h: float, times) -> SpaceTimeGrid:
     """Lattice on `box` with domain nodes marked inside; box faces are Dirichlet.
 
@@ -95,29 +115,11 @@ def make_grid(domain: DomainSpec, box: Cube, grid_h: float, times) -> SpaceTimeG
 
     n = lattice_nodes_per_axis(box.half_edge, grid_h)
     shape = (n,) * domain.ndim
-    grid_idx = domain_inside_mask(domain, box, grid_h).reshape(shape).copy()
-    if domain.ndim == 1:
-        grid_idx[0] = False
-        grid_idx[-1] = False
-    else:
-        grid_idx[0, :] = False
-        grid_idx[-1, :] = False
-        grid_idx[:, 0] = False
-        grid_idx[:, -1] = False
+    grid_idx = domain_inside_mask(domain, box, grid_h).reshape(shape) & ~_box_faces(shape)
     inside = grid_idx.ravel()
 
     if np.any(inside):
-        m = grid_idx
-        has_free_neighbor = np.zeros_like(m)
-        if domain.ndim == 1:
-            has_free_neighbor[:-1] |= m[1:]
-            has_free_neighbor[1:] |= m[:-1]
-        else:
-            has_free_neighbor[:-1, :] |= m[1:, :]
-            has_free_neighbor[1:, :] |= m[:-1, :]
-            has_free_neighbor[:, :-1] |= m[:, 1:]
-            has_free_neighbor[:, 1:] |= m[:, :-1]
-        isolated = m & ~has_free_neighbor
+        isolated = grid_idx & ~_near(grid_idx)
         if np.any(isolated):
             flat = int(np.argmax(isolated.ravel()))
             grid = SpaceTimeGrid(box, grid_h, inside, times, shape)
@@ -303,27 +305,7 @@ def lateral_mask(grid: SpaceTimeGrid, region: Cube) -> np.ndarray:
     """Obstacle-boundary nodes inside `region`: non-interior nodes off the box
     faces with at least one interior axis neighbor."""
     m = grid.inside.reshape(grid.shape)
-    ndim = len(grid.shape)
-    near = np.zeros_like(m)
-    if ndim == 1:
-        near[:-1] |= m[1:]
-        near[1:] |= m[:-1]
-    else:
-        near[:-1, :] |= m[1:, :]
-        near[1:, :] |= m[:-1, :]
-        near[:, :-1] |= m[:, 1:]
-        near[:, 1:] |= m[:, :-1]
-    lateral = near & ~m
-    on_face = np.zeros_like(m)
-    if ndim == 1:
-        on_face[0] = True
-        on_face[-1] = True
-    else:
-        on_face[0, :] = True
-        on_face[-1, :] = True
-        on_face[:, 0] = True
-        on_face[:, -1] = True
-    lateral &= ~on_face
+    lateral = _near(m) & ~m & ~_box_faces(grid.shape)
     flat = lateral.ravel()
     pts = grid.node_points()
     flat &= region.contains_points(pts, tol=1e-9 * grid.h)

@@ -531,3 +531,20 @@ def test_verify_probe_with_unresolvable_window_is_reported(tmp_path, capsys):
     assert report["error"]["stage"] == "probes"
     assert "no stored slices" in report["error"]["message"]
     assert "regression" in report  # stages before the failure are preserved
+
+
+def test_verify_convergence_failure_keeps_step_and_energy(tmp_path, capsys):
+    cfg = verify_cfg(0.36)
+    cfg["scheme"] = {"max_iter": 1}
+    rc, out = run(tmp_path, "verify", cfg)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'solve' failed: time step ")
+    report = read_report(out)
+    assert report["error"]["stage"] == "solve"
+    assert report["error"]["message"] in err
+    step = report["error"]["step_index"]
+    assert isinstance(step, int) and step >= 1
+    assert f"time step {step} did not converge" in report["error"]["message"]
+    assert math.isfinite(report["error"]["last_energy"])
+    assert report["error"]["last_energy"] >= 0.0

@@ -1,0 +1,134 @@
+"""The shared Dirichlet solve against a dense solve of the full weighted
+Laplacian, including the per-mask pattern cache and singular systems."""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+import pytest
+
+from capflow.lattice import LatticeSystem
+
+
+def dense_laplacian(shape, h, cell_weights):
+    """Matrix of sum_cells h**N w_c |grad u|^2, one forward difference per
+    axis, anchored at each cell's low corner."""
+    nodes = np.arange(int(np.prod(shape))).reshape(shape)
+    lap = np.zeros((nodes.size, nodes.size))
+    corners = nodes[tuple(slice(0, n - 1) for n in shape)].ravel()
+    scale = h ** (len(shape) - 2)
+    for c, a in enumerate(corners):
+        idx = np.unravel_index(a, shape)
+        for k in range(len(shape)):
+            nb = list(idx)
+            nb[k] += 1
+            b = nodes[tuple(nb)]
+            w = cell_weights[c] * scale
+            lap[a, a] += w
+            lap[b, b] += w
+            lap[a, b] -= w
+            lap[b, a] -= w
+    return lap
+
+
+def dense_dirichlet(shape, h, cell_weights, fixed, g, mass=0.0, previous=None):
+    lap = dense_laplacian(shape, h, cell_weights)
+    free = ~fixed
+    a_mat = lap[np.ix_(free, free)] + mass * np.eye(int(free.sum()))
+    rhs = -lap[np.ix_(free, fixed)] @ g[fixed]
+    if mass > 0.0:
+        rhs += mass * previous[free]
+    out = g.copy()
+    out[free] = np.linalg.solve(a_mat, rhs)
+    return out
+
+
+def boundary_mask(shape, rng, extra=0.15):
+    """Box faces plus a random sprinkle of interior nodes."""
+    fixed = np.ones(shape, dtype=bool)
+    fixed[tuple(slice(1, n - 1) for n in shape)] = False
+    fixed |= rng.random(shape) < extra
+    return fixed.ravel()
+
+
+def random_problem(shape, h, seed):
+    rng = np.random.default_rng(seed)
+    system = LatticeSystem(shape, h)
+    weights = 0.1 + rng.random(system.n_cells)
+    g = rng.normal(size=system.n_nodes)
+    previous = rng.normal(size=system.n_nodes)
+    return system, rng, weights, g, previous
+
+
+@pytest.mark.parametrize("shape, h", [((11,), 0.1), ((7, 6), 0.25)])
+@pytest.mark.parametrize("mass", [0.0, 2.5])
+def test_matches_dense_solve(shape, h, mass):
+    system, rng, weights, g, previous = random_problem(shape, h, seed=len(shape))
+    fixed = boundary_mask(shape, rng)
+    u = system.solve_dirichlet(weights, fixed, g, mass=mass, previous=previous)
+    ref = dense_dirichlet(shape, h, weights, fixed, g, mass, previous)
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(u[fixed], g[fixed])     # fixed values imposed exactly
+
+
+def test_alternating_masks_use_their_own_pattern():
+    shape, h = (8, 9), 0.125
+    system, rng, weights, g, previous = random_problem(shape, h, seed=7)
+    first = boundary_mask(shape, rng)
+    second = boundary_mask(shape, rng, extra=0.4)
+    assert not np.array_equal(first, second)
+    for fixed in (first, second, first, second):
+        for mass in (0.0, 1.5):
+            u = system.solve_dirichlet(weights, fixed, g, mass=mass, previous=previous)
+            ref = dense_dirichlet(shape, h, weights, fixed, g, mass, previous)
+            assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+            assert np.array_equal(u[fixed], g[fixed])
+
+
+def test_all_fixed_returns_the_boundary_values():
+    system = LatticeSystem((5, 5), 0.25)
+    g = np.arange(25.0)
+    u = system.solve_dirichlet(np.ones(system.n_cells), np.ones(25, dtype=bool), g)
+    assert np.array_equal(u, g)
+
+
+def test_mass_term_requires_previous():
+    system = LatticeSystem((9,), 0.125)
+    fixed = np.zeros(9, dtype=bool)
+    fixed[[0, -1]] = True
+    with pytest.raises(ValueError, match="previous field"):
+        system.solve_dirichlet(np.ones(system.n_cells), fixed, np.zeros(9), mass=1.0)
+
+
+@pytest.mark.parametrize("shape", [(9,), (5, 6)])
+def test_no_fixed_node_without_mass_is_singular(shape):
+    system = LatticeSystem(shape, 0.25)
+    n = system.n_nodes
+    with pytest.raises(ValueError, match=re.escape(f"{shape!r} lattice with {n} free nodes")):
+        system.solve_dirichlet(np.ones(system.n_cells), np.zeros(n, dtype=bool), np.zeros(n))
+    # a mass term makes the same system definite
+    previous = np.full(n, 0.75)
+    u = system.solve_dirichlet(np.ones(system.n_cells), np.zeros(n, dtype=bool),
+                               np.zeros(n), mass=2.0, previous=previous)
+    assert np.allclose(u, previous, rtol=0.0, atol=1e-14)
+
+
+def test_free_group_cut_off_from_fixed_nodes_is_singular():
+    # the high corner belongs to no cell, so with only the low faces fixed it
+    # floats on its own
+    shape = (5, 5)
+    system = LatticeSystem(shape, 0.25)
+    fixed = np.zeros(shape, dtype=bool)
+    fixed[0, :] = True
+    fixed[:, 0] = True
+    with pytest.raises(ValueError, match=r"16 free nodes: 1 of them touch no fixed node"):
+        system.solve_dirichlet(np.ones(system.n_cells), fixed.ravel(), np.zeros(25))
+
+
+def test_zero_weights_are_singular():
+    system = LatticeSystem((9,), 0.125)
+    fixed = np.zeros(9, dtype=bool)
+    fixed[[0, -1]] = True
+    with pytest.raises(ValueError, match=re.escape("(9,) lattice with 7 free nodes")):
+        system.solve_dirichlet(np.zeros(system.n_cells), fixed, np.ones(9))
