@@ -3,10 +3,9 @@ parabolic (sliced) capacity.
 
 The condenser value is the minimum of the discrete functional
 sum_cells h**N |grad psi|^p over node fields with psi = 1 on the obstacle and
-psi = 0 on and outside the boundary of the outer cube.  Minimization runs by
-iterated reweighted linear solves (Picard on the weighted 2-form with weights
-max(|grad psi|, weight_floor)**(p-2)), safeguarded by a backtracking step so
-the recorded energy history never increases.
+psi = 0 on and outside the boundary of the outer cube.  It starts from the
+p = 2 minimizer and runs `lattice.minimize` with no mass term, so the recorded
+energy history never increases.
 """
 
 from __future__ import annotations
@@ -17,26 +16,15 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import Cube, DomainSpec, IndicatorField, rasterize_obstacle
-from .lattice import LatticeSystem
+from .lattice import LatticeSystem, MinimizeConfig, minimize
 from .params import StructureParams
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the condenser minimization and the delta() lattice size."""
+class SolverConfig(MinimizeConfig):
+    """Condenser minimization settings and the delta() lattice size."""
 
-    max_iter: int = 500
-    tol_rel_energy: float = 1e-8
-    weight_floor: float = 1e-10
     nodes_across: int = 33   # lattice nodes spanning the inner cube in delta()
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if not 0.0 < self.tol_rel_energy < 1.0:
-            raise ValueError(f"tol_rel_energy must lie in (0, 1), got {self.tol_rel_energy}")
-        if not self.weight_floor > 0.0:
-            raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
 
 
 @dataclass(frozen=True)
@@ -123,34 +111,17 @@ def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarra
 
 
 def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[float]]:
-    """Run the reweighted minimization; return (minimizer, energy history)."""
+    """Minimize from the p = 2 solution; return (minimizer, energy history)."""
     system, fixed, bvals = _embed_obstacle(problem)
     cfg = problem.solver
-    p = problem.p
-    ones = np.ones(system.n_cells)
-    psi = system.solve_dirichlet(ones, fixed, bvals)   # p = 2 start
-    history = [system.energy(psi, p)]
-    for _ in range(cfg.max_iter):
-        w = system.weights(psi, p, cfg.weight_floor)
-        psi_hat = system.solve_dirichlet(w, fixed, bvals)
-        e_prev = history[-1]
-        cand = psi_hat
-        e_cand = system.energy(cand, p)
-        alpha = 1.0
-        while e_cand > e_prev and alpha > 1e-12:
-            alpha *= 0.5
-            cand = psi + alpha * (psi_hat - psi)
-            e_cand = system.energy(cand, p)
-        if e_cand > e_prev:
-            # no descent at floor scale: the iterate is converged
-            return psi.reshape(system.shape), history
-        psi = cand
-        history.append(e_cand)
-        if e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300):
-            return psi.reshape(system.shape), history
-    raise ConvergenceError(
-        f"condenser minimization did not converge in {cfg.max_iter} iterations",
-        last_energy=history[-1])
+    psi = system.solve_dirichlet(np.ones(system.n_cells), fixed, bvals)   # p = 2 start
+    try:
+        psi, history = minimize(system, fixed, psi, problem.p, cfg)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"condenser minimization did not converge in {cfg.max_iter} iterations",
+            last_energy=exc.last_energy) from None
+    return psi.reshape(system.shape), history
 
 
 def solve_condenser(problem: CondenserProblem) -> CapacityValue:

@@ -19,14 +19,15 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 import scipy
 
 from . import capacity, pde, probes, wiener
 from .errors import CapflowError, ConfigError, PipelineError
-from .geometry import Cube, DomainSpec, obstacle_distance
+from .geometry import DISTANCE_KINDS, Cube, DomainSpec, sup_distance_to_obstacle
 from .params import OVERRIDABLE_CONSTANTS, StructureParams, make_params
 
 _MISSING = object()
@@ -209,32 +210,19 @@ def parse_domain(raw: dict, ndim: int) -> DomainSpec:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
-def parse_solver(raw: dict) -> capacity.SolverConfig:
-    obj = _dict(raw, "solver", default={})
-    _no_unknown(obj, {"max_iter", "tol_rel_energy", "weight_floor", "nodes_across"},
-                "solver")
+def parse_section(raw: dict, name: str, cls):
+    """Read the optional object `name` into the config dataclass `cls`; each
+    key's type and default come from the dataclass fields."""
+    obj = _dict(raw, name, default={})
+    keys = fields(cls)
+    _no_unknown(obj, {f.name for f in keys}, name)
+    types = get_type_hints(cls)
+    read = {int: _int, float: _num}
     try:
-        return capacity.SolverConfig(
-            max_iter=_int(obj, "max_iter", "solver", 500),
-            tol_rel_energy=_num(obj, "tol_rel_energy", "solver", 1e-8),
-            weight_floor=_num(obj, "weight_floor", "solver", 1e-10),
-            nodes_across=_int(obj, "nodes_across", "solver", 33))
+        return cls(**{f.name: read[types[f.name]](obj, f.name, name, f.default)
+                      for f in keys})
     except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def parse_scheme(raw: dict) -> pde.SchemeConfig:
-    obj = _dict(raw, "scheme", default={})
-    _no_unknown(obj, {"max_iter", "tol_rel_energy", "weight_floor", "store_stride"},
-                "scheme")
-    try:
-        return pde.SchemeConfig(
-            max_iter=_int(obj, "max_iter", "scheme", 500),
-            tol_rel_energy=_num(obj, "tol_rel_energy", "scheme", 1e-8),
-            weight_floor=_num(obj, "weight_floor", "scheme", 1e-10),
-            store_stride=_int(obj, "store_stride", "scheme", 1))
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -260,9 +248,10 @@ def parse_experiment(raw: dict, command: str, out_dir: str, workers: int,
         domain = parse_domain(raw, params.N)
     if workers < 1:
         raise ConfigError(f"--workers must be positive, got {workers}")
-    return ExperimentConfig(raw=raw, params=params, solver=parse_solver(raw),
-                            scheme=parse_scheme(raw), domain=domain,
-                            out_dir=out_dir, workers=workers, seed=seed)
+    return ExperimentConfig(
+        raw=raw, params=params, solver=parse_section(raw, "solver", capacity.SolverConfig),
+        scheme=parse_section(raw, "scheme", pde.SchemeConfig), domain=domain,
+        out_dir=out_dir, workers=workers, seed=seed)
 
 
 # -- report assembly and atomic output ---------------------------------------
@@ -360,25 +349,6 @@ def write_report(path: str, report: RunReport) -> None:
 
 # -- boundary datum builders --------------------------------------------------
 
-def _sup_distance_to_obstacle(domain: DomainSpec, pts: np.ndarray,
-                              clip: Cube) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a = np.asarray(domain.anchor)
-    if domain.kind == "full_space":
-        return np.full(len(pts), np.inf)
-    if domain.kind == "half_space":
-        return np.maximum(a[0] - pts[:, 0], 0.0)
-    if domain.kind == "exterior_cube":
-        s = domain.params[0]
-        lo = np.maximum(a - pts, 0.0)
-        hi = np.maximum(pts - (a + 2.0 * s), 0.0)
-        return np.max(np.maximum(lo, hi), axis=1)
-    if domain.kind in ("slit", "cantor_obstacle"):
-        return obstacle_distance(domain, pts, clip)
-    raise ConfigError(f"datum kind 'ramped_distance' does not support domain "
-                      f"kind {domain.kind!r}")
-
-
 def build_datum(raw: dict, cfg: ExperimentConfig, box: Cube) -> pde.BoundaryDatum:
     obj = _dict(raw, "datum")
     kind = _str(obj, "kind", "datum")
@@ -415,9 +385,12 @@ def build_datum(raw: dict, cfg: ExperimentConfig, box: Cube) -> pde.BoundaryDatu
         if not 0.0 <= floor <= 1.0:
             raise ConfigError(f"datum.floor must lie in [0, 1], got {floor}")
         domain = cfg.domain
+        if domain.kind not in DISTANCE_KINDS:
+            raise ConfigError(f"datum kind 'ramped_distance' does not support domain "
+                              f"kind {domain.kind!r}")
 
         def ramped(pts, t):
-            dist = _sup_distance_to_obstacle(domain, pts, box)
+            dist = sup_distance_to_obstacle(domain, pts, box)
             profile = np.clip(dist / scale, 0.0, 1.0)
             return profile * (floor + (1.0 - floor) * min(t / ramp_time, 1.0))
 

@@ -15,6 +15,9 @@ KINDS = ("full_space", "half_space", "exterior_cube", "slit", "power_cusp",
 # by half a grid layer instead of testing nodes pointwise.
 LOWER_DIMENSIONAL_KINDS = ("slit", "cantor_obstacle")
 
+# Kinds with a closed-form distance to the complement of E.
+DISTANCE_KINDS = ("full_space", "half_space", "exterior_cube") + LOWER_DIMENSIONAL_KINDS
+
 
 def as_point(coords: Sequence[float]) -> tuple[float, ...]:
     """Coerce to a validated 1D or 2D point tuple."""
@@ -282,6 +285,25 @@ def obstacle_distance(domain: DomainSpec, pts: np.ndarray, inner: Cube) -> np.nd
             best = np.minimum(best, _segment_distance(pts, x0, x1, y))
         return best
     raise ValueError(f"kind {domain.kind!r} has no lower-dimensional obstacle")
+
+
+def sup_distance_to_obstacle(domain: DomainSpec, pts: np.ndarray, clip: Cube) -> np.ndarray:
+    """Distance from pts to the complement of E, a lower-dimensional one clipped
+    to `clip`; ValueError for kinds outside DISTANCE_KINDS."""
+    if domain.kind not in DISTANCE_KINDS:
+        raise ValueError(f"kind {domain.kind!r} has no distance to its complement")
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    a = np.asarray(domain.anchor)
+    if domain.kind == "full_space":
+        return np.full(len(pts), np.inf)
+    if domain.kind == "half_space":
+        return np.maximum(a[0] - pts[:, 0], 0.0)
+    if domain.kind == "exterior_cube":
+        s = domain.params[0]
+        lo = np.maximum(a - pts, 0.0)
+        hi = np.maximum(pts - (a + 2.0 * s), 0.0)
+        return np.max(np.maximum(lo, hi), axis=1)
+    return obstacle_distance(domain, pts, clip)
 
 
 @dataclass(frozen=True)

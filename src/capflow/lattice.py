@@ -6,21 +6,43 @@ reweighted quadratic form is a weighted graph Laplacian, so the step matrices
 (plus any positive diagonal) are M-matrices; the maximum-principle guarantees
 elsewhere in the package lean on exactly this structure.
 
-The condenser and the time step share one Dirichlet solve.  The sparse
-pattern of the free-by-free block depends only on the fixed mask, so it is
-built once per mask and each solve scatters its cell weights into the stored
-slots.  With positive weights, and every group of free nodes joined to a
-fixed node or held by a mass term, the block is a diagonally dominant
-symmetric M-matrix and so positive definite: SuperLU factors it in symmetric
-mode, on a minimum-degree ordering of A + A^T and without pivoting.
+The condenser and the time step are one minimization, `minimize`; the time
+step only adds a proximal mass term.  The pattern of the free-by-free block
+of its Dirichlet solves depends only on the fixed mask, so it is built once
+per mask and each solve scatters its cell weights into the stored slots.
+With positive weights, and every group of free nodes joined to a fixed node
+or held by a mass term, the block is a diagonally dominant symmetric
+M-matrix and so positive definite: SuperLU factors it in symmetric mode, on
+a minimum-degree ordering of A + A^T and without pivoting.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+
+from .errors import ConvergenceError
+
+
+@dataclass(frozen=True)
+class MinimizeConfig:
+    """Stopping rule and weight floor of the reweighted minimization."""
+
+    max_iter: int = 500
+    tol_rel_energy: float = 1e-8
+    weight_floor: float = 1e-10
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        if not 0.0 < self.tol_rel_energy < 1.0:
+            raise ValueError(f"tol_rel_energy must lie in (0, 1), got {self.tol_rel_energy}")
+        if not self.weight_floor > 0.0:
+            raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
 
 
 def _sum_into(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -181,3 +203,53 @@ class LatticeSystem:
     def _singular(self, pat: _DirichletPattern, why: str) -> str:
         return (f"singular Dirichlet system on the {self.shape} lattice with "
                 f"{pat.n_free} free nodes: {why}")
+
+
+def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: float,
+             cfg: MinimizeConfig, mass: float = 0.0,
+             previous: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+    """Minimize E(u) + (p mass / 2) sum_free (u - previous)^2, E the p-energy,
+    with u = start on `fixed`; return (flat minimizer, objective history).
+
+    Each iteration solves with the weights max(|grad u|, weight_floor)**(p-2)
+    frozen at u and halves the step toward that solution until the objective
+    does not increase.  It stops when no step down to 1e-12 descends or the
+    relative decrease is at most tol_rel_energy, and raises ConvergenceError
+    after cfg.max_iter iterations.
+    """
+    if mass > 0.0 and previous is None:
+        raise ValueError("mass term requires the previous field")
+    fixed = np.asarray(fixed, dtype=bool).ravel()
+    start = np.asarray(start, dtype=float).ravel()
+    free = ~fixed
+    if mass > 0.0:
+        anchor = np.asarray(previous, dtype=float).ravel()[free]
+
+    def objective(v: np.ndarray) -> float:
+        e = system.energy(v, p)
+        if mass > 0.0:
+            d = v[free] - anchor
+            e += 0.5 * p * mass * float(d @ d)
+        return e
+
+    u = start
+    history = [objective(u)]
+    for _ in range(cfg.max_iter):
+        w = system.weights(u, p, cfg.weight_floor)
+        u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous)
+        e_prev = history[-1]
+        cand, alpha = u_hat, 1.0
+        e_cand = objective(cand)
+        while e_cand > e_prev and alpha > 1e-12:
+            alpha *= 0.5
+            cand = u + alpha * (u_hat - u)
+            e_cand = objective(cand)
+        if e_cand > e_prev:
+            # no descent at floor scale: the iterate is stationary
+            return u, history
+        u = cand
+        history.append(e_cand)
+        if e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300):
+            return u, history
+    raise ConvergenceError(f"no convergence in {cfg.max_iter} reweighting iterations",
+                           last_energy=history[-1])

@@ -7,10 +7,10 @@ Each time step solves the proximal problem
     min_u  (1/p) sum_cells h^N |grad u|^p  +  (h^N / 2 tau) sum_free (u - v)^2
 
 with Dirichlet values imposed on every node outside the domain (obstacle
-nodes and box faces).  The inner iteration reweights the quadratic form and
-backtracks on the objective, so the per-step energy never increases across
-iterates.  A spatially constant state with unchanged boundary values is
-returned bitwise, without entering the iteration.
+nodes and box faces).  `lattice.minimize` solves it as p times this
+functional, so the per-step energy never increases across iterates.  A
+spatially constant state with unchanged boundary values is returned bitwise,
+without entering the iteration.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import Cube, DomainSpec, domain_inside_mask, lattice_nodes_per_axis
-from .lattice import LatticeSystem
+from .lattice import LatticeSystem, MinimizeConfig, minimize
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,13 @@ class BoundaryDatum:
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    max_iter: int = 500
-    tol_rel_energy: float = 1e-8
-    weight_floor: float = 1e-10
+class SchemeConfig(MinimizeConfig):
+    """Time-step minimization settings and the stride of stored time slices."""
+
     store_stride: int = 1
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if not self.tol_rel_energy > 0.0:
-            raise ValueError(f"tol_rel_energy must be positive, got {self.tol_rel_energy}")
-        if not self.weight_floor > 0.0:
-            raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
+        super().__post_init__()
         if self.store_stride < 1:
             raise ValueError(f"store_stride must be positive, got {self.store_stride}")
 
@@ -189,13 +183,6 @@ class SpaceTimeField:
         return self.values[row]
 
 
-def _step_objective(system: LatticeSystem, u: np.ndarray, p: float, mass: float,
-                    anchor_free: np.ndarray, free: np.ndarray) -> float:
-    grad_part = system.energy(u, p) / p
-    diff = u[free] - anchor_free
-    return grad_part + 0.5 * mass * float(diff @ diff)
-
-
 def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
           scheme: SchemeConfig = SchemeConfig()) -> SpaceTimeField:
     """March the implicit scheme over grid.times, starting from g(., 0).
@@ -207,9 +194,7 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
         raise ValueError(f"p must be at least 2, got {p}")
     system = LatticeSystem(grid.shape, grid.h)
     pts = grid.node_points()
-    free = grid.inside
-    fixed = ~free
-    mass_scale = grid.h ** len(grid.shape)
+    fixed = ~grid.inside
 
     u = datum(pts, 0.0)
     n_steps = grid.n_steps
@@ -224,41 +209,17 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
         start = u.copy()
         start[fixed] = bvals
 
-        if np.array_equal(start, u) and not np.any(system.cell_gradient_sq(u) > 0.0):
-            # constant-in-space state with unchanged boundary: already the
-            # exact minimizer, keep it bitwise
-            pass
-        else:
-            mass = mass_scale / tau
-            anchor_free = u[free]
-            cur = start
-            e_prev = _step_objective(system, cur, p, mass, anchor_free, free)
-            converged = False
-            for _ in range(scheme.max_iter):
-                w = system.weights(cur, p, scheme.weight_floor)
-                u_hat = system.solve_dirichlet(w, fixed, start, mass=mass,
-                                               previous=u)
-                alpha = 1.0
-                cand = cur + alpha * (u_hat - cur)
-                e_cand = _step_objective(system, cand, p, mass, anchor_free, free)
-                while e_cand > e_prev and alpha > 1e-12:
-                    alpha *= 0.5
-                    cand = cur + alpha * (u_hat - cur)
-                    e_cand = _step_objective(system, cand, p, mass, anchor_free, free)
-                if e_cand > e_prev:
-                    converged = True     # no descent direction left: stationary
-                    break
-                if e_prev - e_cand <= scheme.tol_rel_energy * max(abs(e_prev), 1e-300):
-                    cur = cand
-                    converged = True
-                    break
-                cur = cand
-                e_prev = e_cand
-            if not converged:
+        # a constant-in-space state with unchanged boundary is already the
+        # exact minimizer: keep it bitwise
+        if not np.array_equal(start, u) or np.any(system.cell_gradient_sq(u) > 0.0):
+            try:
+                u, _ = minimize(system, fixed, start, p, scheme,
+                                mass=grid.h ** len(grid.shape) / tau, previous=u)
+            except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"time step {k} did not converge within {scheme.max_iter} "
-                    "reweighting iterations", last_energy=e_prev, step_index=k)
-            u = cur
+                    "reweighting iterations", last_energy=exc.last_energy / p,
+                    step_index=k) from None
 
         if k in keep:
             stored_rows.append(u.copy())

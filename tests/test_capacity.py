@@ -51,6 +51,19 @@ def test_condenser_history_nonincreasing():
     assert cv.value == hist[-1]
 
 
+def test_condenser_convergence_error_carries_energy():
+    h = 2.0 / 16
+    obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
+    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0,
+                                        capacity.SolverConfig(nodes_across=17, max_iter=1))
+    with pytest.raises(cf.ConvergenceError,
+                       match="condenser minimization did not converge in 1 iterations"
+                       ) as err:
+        capacity.minimize_condenser(problem)
+    assert np.isfinite(err.value.last_energy)
+    assert err.value.step_index is None
+
+
 def test_condenser_potential_in_unit_range():
     h = 2.0 / 16
     obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)

@@ -172,6 +172,32 @@ def test_unknown_nested_key_uses_dotted_path(tmp_path, capsys):
     assert "unknown key 'solver.bogus'" in capsys.readouterr().err
 
 
+def test_scheme_tolerance_must_lie_below_one(tmp_path, capsys):
+    # a tolerance of 1 or more would stop every time step after its first
+    # decrease and report it converged
+    cfg = solve_cfg()
+    cfg["scheme"] = {"tol_rel_energy": 2.0}
+    rc, _ = run(tmp_path, "solve", cfg)
+    assert rc == 2
+    assert "scheme: tol_rel_energy must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_ramped_distance_rejects_power_cusp_before_the_grid(tmp_path, capsys,
+                                                            monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(pde, "make_grid", no_grid)
+    cfg = solve_cfg()
+    cfg["domain"] = {"kind": "power_cusp", "anchor": [0.0], "exponent": 2.0}
+    cfg["datum"] = {"kind": "ramped_distance", "scale": 0.05, "ramp_time": 0.002}
+    rc, _ = run(tmp_path, "solve", cfg)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: datum kind 'ramped_distance' does not support domain "
+        "kind 'power_cusp'\n")
+
+
 def test_wrong_value_type(tmp_path, capsys):
     cfg = capacity_cfg()
     cfg["p"] = "three"

@@ -175,6 +175,8 @@ def test_scheme_config_validation():
         cf.SchemeConfig(max_iter=0)
     with pytest.raises(ValueError):
         cf.SchemeConfig(tol_rel_energy=0.0)
+    with pytest.raises(ValueError, match=r"tol_rel_energy must lie in \(0, 1\)"):
+        cf.SchemeConfig(tol_rel_energy=1.0)
     with pytest.raises(ValueError):
         cf.SchemeConfig(store_stride=0)
 
