@@ -10,7 +10,7 @@ harness (cli).
 
 from .capacity import (CapacityValue, CondenserProblem, SolverConfig, delta,
                        delta_detailed, minimize_condenser, parabolic_capacity,
-                       solve_condenser)
+                       solve_condenser, unit_denominator)
 from .errors import (CapflowError, ConfigError, ConvergenceError, PipelineError)
 from .geometry import (Cube, DomainSpec, IndicatorField, contains, contains_many,
                        domain_inside_mask, lattice_nodes_per_axis,
@@ -49,6 +49,7 @@ __all__ = [
     "oscillation", "oscillation_cascade", "oscillation_over",
     "parabolic_capacity", "rasterize_obstacle", "realize_R_o_epsilon",
     "save_snapshot", "smallest_lambda", "solve", "solve_condenser",
-    "spatial_energy", "spreading_probe", "uniform_times", "weak_harnack_probe",
+    "spatial_energy", "spreading_probe", "uniform_times", "unit_denominator",
+    "weak_harnack_probe",
     "wiener_integral", "wiener_sum",
 ]

@@ -132,31 +132,68 @@ def solve_condenser(problem: CondenserProblem) -> CapacityValue:
     return CapacityValue(history[-1], tuple(history), problem.obstacle.h)
 
 
+def _check_nodes_across(na: int) -> None:
+    if na < 17 or (na - 1) % 4 != 0:
+        raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
+
+
+def unit_denominator(ndim: int, p: float, cfg: SolverConfig = SolverConfig()) -> CapacityValue:
+    """cap(K_1(0), K_{3/2}(0)) on delta()'s lattice, h = 2 / (nodes_across - 1).
+
+    At fixed nodes_across the full-cube condenser of delta() at any radius rho
+    and centre is this lattice problem with lengths scaled by rho: the same
+    iterates, and every energy scaled by rho**(N-p).
+    """
+    _check_nodes_across(cfg.nodes_across)
+    h = 2.0 / (cfg.nodes_across - 1)
+    center = (0.0,) * ndim
+    return solve_condenser(CondenserProblem(IndicatorField.all_true(Cube(center, 1.0), h),
+                                            Cube(center, 1.5), p, cfg))
+
+
 def delta(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-          cfg: SolverConfig = SolverConfig()) -> float:
+          cfg: SolverConfig = SolverConfig(), denominator: CapacityValue | None = None
+          ) -> float:
     """Relative capacity of K_rho(x_o) \\ E against the full cube K_rho(x_o).
 
     Both condensers are grounded at the boundary of K_{3 rho / 2}(x_o) on a
     shared lattice, so the ratio lies in [0, 1] up to solver noise.
+    `denominator`, the `unit_denominator` of the same dimension, p and cfg,
+    replaces the full-cube solve by a rescaling; see `delta_detailed`.
     """
-    return delta_detailed(domain, x_o, rho, params, cfg)[0]
+    return delta_detailed(domain, x_o, rho, params, cfg, denominator)[0]
 
 
 def delta_detailed(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-                   cfg: SolverConfig = SolverConfig()
+                   cfg: SolverConfig = SolverConfig(),
+                   denominator: CapacityValue | None = None
                    ) -> tuple[float, CapacityValue, CapacityValue]:
-    """delta() together with the numerator and denominator capacities."""
+    """delta() together with the numerator and denominator capacities.
+
+    Without `denominator` the full-cube condenser is solved at this radius.
+    With it, the returned denominator is its value and energy history times
+    rho**(N-p), on this radius's grid spacing: bitwise the direct solve's at
+    dyadic rho and integer p, and within a few units of round-off otherwise.
+    Callers that need many radii solve `unit_denominator` once and pass it.
+    """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     na = cfg.nodes_across
-    if na < 17 or (na - 1) % 4 != 0:
-        raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
+    _check_nodes_across(na)
     h = 2.0 * rho / (na - 1)
     inner = Cube(tuple(x_o), rho)
     outer = Cube(tuple(x_o), 1.5 * rho)
     obstacle = rasterize_obstacle(domain, inner, h)
-    cap_full = solve_condenser(CondenserProblem(IndicatorField.all_true(inner, h),
-                                                outer, params.p, cfg))
+    if denominator is None:
+        cap_full = solve_condenser(CondenserProblem(IndicatorField.all_true(inner, h),
+                                                    outer, params.p, cfg))
+    else:
+        if denominator.grid_h != 2.0 / (na - 1):
+            raise ValueError(f"denominator grid spacing {denominator.grid_h} does not "
+                             f"match nodes_across {na}")
+        scale = rho ** (inner.ndim - params.p)
+        cap_full = CapacityValue(denominator.value * scale,
+                                 tuple(e * scale for e in denominator.energy_history), h)
     if not obstacle.values.any():
         return 0.0, CapacityValue(0.0, (0.0,), h), cap_full
     cap_obs = solve_condenser(CondenserProblem(obstacle, outer, params.p, cfg))
@@ -175,7 +212,7 @@ def parabolic_capacity(time_slices, outer: Cube, p: float,
     """Sliced parabolic capacity: trapezoid in time of per-slice condenser values.
 
     `time_slices` is a sequence of (tau, IndicatorField) with uniformly spaced,
-    strictly increasing tau.
+    strictly increasing tau.  Equal slices are solved once.
     """
     slices = list(time_slices)
     if not slices:
@@ -188,7 +225,13 @@ def parabolic_capacity(time_slices, outer: Cube, p: float,
         raise ValueError("slice times must be strictly increasing")
     if np.max(dts) - np.min(dts) > 1e-9 * np.max(dts):
         raise ValueError("slice times must be uniformly spaced")
-    caps = np.array([solve_condenser(CondenserProblem(fld, outer, p, cfg)).value
-                     for _, fld in slices])
+    by_slice = {}
+    caps = []
+    for _, fld in slices:
+        key = (fld.cube, fld.h, fld.values.tobytes())
+        if key not in by_slice:
+            by_slice[key] = solve_condenser(CondenserProblem(fld, outer, p, cfg)).value
+        caps.append(by_slice[key])
+    caps = np.array(caps)
     dt = float(dts[0])
     return float(dt * (0.5 * caps[0] + caps[1:-1].sum() + 0.5 * caps[-1]))

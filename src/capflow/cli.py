@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import platform
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
@@ -461,9 +463,11 @@ def cmd_capacity(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError("radii must be positive")
     report = RunReport(raw, _versions())
     t0 = time.perf_counter()
+    denominator = capacity.unit_denominator(cfg.params.N, cfg.params.p, cfg.solver)
 
     def one(rho: float):
-        return capacity.delta_detailed(cfg.domain, x_o, rho, cfg.params, cfg.solver)
+        return capacity.delta_detailed(cfg.domain, x_o, rho, cfg.params, cfg.solver,
+                                       denominator)
 
     if cfg.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -672,6 +676,25 @@ def _parse_probe_requests(raw: dict) -> dict:
     return obj
 
 
+def _delta_memo(cfg: ExperimentConfig, x_o):
+    """rho -> delta(rho) at x_o for one run: each radius is solved once, over
+    one full-cube denominator solved on first use.  Safe to call from the
+    profile's worker threads."""
+    lock = threading.Lock()
+
+    @functools.cache
+    def denominator():
+        return capacity.unit_denominator(cfg.params.N, cfg.params.p, cfg.solver)
+
+    @functools.cache
+    def delta_at(rho: float) -> float:
+        with lock:
+            den = denominator()
+        return capacity.delta(cfg.domain, x_o, rho, cfg.params, cfg.solver, den)
+
+    return delta_at
+
+
 def cmd_verify(cfg: ExperimentConfig) -> RunReport:
     """End-to-end pipeline: capacity profile, PDE solve, oscillation
     measurements, cascade, and envelope regression at one boundary point.
@@ -696,6 +719,7 @@ def cmd_verify(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError("give exactly one of 'R_o' and 'realize'")
     probe_requests = _parse_probe_requests(raw)
     synthetic_fn = _parse_synthetic_delta(raw)
+    delta_fn = synthetic_fn or _delta_memo(cfg, x_o)
     report = RunReport(raw, _versions())
 
     def stage(name, fn):
@@ -724,7 +748,7 @@ def cmd_verify(cfg: ExperimentConfig) -> RunReport:
                 halvings = _int(robj, "max_halvings", "realize", 20)
                 r_o, eps = wiener.realize_R_o_epsilon(
                     t_o, cfg.domain, x_o, params, epsilon, cfg.solver,
-                    r_max=r_max, max_halvings=halvings, delta_fn=synthetic_fn)
+                    r_max=r_max, max_halvings=halvings, delta_fn=delta_fn)
                 return r_o, eps, "searched"
             r_o = _num(raw, "R_o")
             if not r_o > 0.0:
@@ -740,7 +764,7 @@ def cmd_verify(cfg: ExperimentConfig) -> RunReport:
                 deltas = [synthetic_fn(c_bar ** i * r_o) for i in range(depth)]
                 return wiener.CapacityProfile.from_deltas(r_o, c_bar, p, deltas)
             return wiener.build_profile(cfg.domain, x_o, r_o, c_bar, depth,
-                                        params, cfg.solver, cfg.workers)
+                                        params, cfg.solver, cfg.workers, delta_fn)
 
         profile = stage("profile", do_profile)
         prof_rows = [(e.index, e.rho, e.delta, e.A,

@@ -171,12 +171,16 @@ def choose_c_bar(params: StructureParams) -> tuple[int, float]:
 
 def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
                   params: StructureParams, cfg: capacity.SolverConfig = capacity.SolverConfig(),
-                  workers: int = 1) -> CapacityProfile:
+                  workers: int = 1, delta_fn=None) -> CapacityProfile:
     """Relative capacities of K_rho(x_o) \\ E down the geometric radius grid.
 
-    The per-radius condenser solves are independent and fan out over a thread
-    pool when workers > 1; assembly order is by index, so results do not
-    depend on scheduling.
+    The full-cube denominator is solved once, at the unit reference radius
+    and before the fan-out, and rescaled at every radius (see
+    `capacity.delta_detailed`).  The per-radius numerator solves are
+    independent and fan out over a thread pool when workers > 1; assembly
+    order is by index, so results do not depend on scheduling.  `delta_fn`
+    replaces the capacity computation (for example by a caller's memo of
+    delta by radius) and is then called from the pool's threads.
     """
     if contains(domain, x_o):
         raise ValueError(f"x_o {tuple(x_o)} lies inside E; profiles are built at "
@@ -186,16 +190,26 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
     if not 0.0 < c_bar < 1.0:
         raise ValueError(f"c_bar must lie in (0, 1), got {c_bar}")
     radii = [c_bar ** i * R_o for i in range(depth)]
-
-    def one(rho: float) -> float:
-        return capacity.delta(domain, x_o, rho, params, cfg)
+    if delta_fn is None:
+        delta_fn = _shared_denominator_delta(domain, x_o, params, cfg)
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(one, radii))
+            deltas = list(pool.map(delta_fn, radii))
     else:
-        deltas = [one(r) for r in radii]
+        deltas = [delta_fn(r) for r in radii]
     return CapacityProfile.from_deltas(R_o, c_bar, params.p, deltas)
+
+
+def _shared_denominator_delta(domain: DomainSpec, x_o, params: StructureParams,
+                              cfg: capacity.SolverConfig):
+    """rho -> delta(rho) over one `capacity.unit_denominator`, solved now."""
+    denominator = capacity.unit_denominator(len(tuple(x_o)), params.p, cfg)
+
+    def delta_at(rho: float) -> float:
+        return capacity.delta(domain, x_o, rho, params, cfg, denominator=denominator)
+
+    return delta_at
 
 
 def wiener_sum(profile: CapacityProfile, i_lo: int, i_hi: int) -> float:
@@ -274,15 +288,16 @@ def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructurePa
 
     Scans R = r_max, r_max/2, ... downward and returns the first admissible
     radius, so the result is the largest admissible one on the dyadic grid.
-    `delta_fn` overrides the capacity computation (used for synthetic runs).
+    `delta_fn` overrides the capacity computation (used for synthetic runs
+    and for a caller's memo of delta by radius); without it the full-cube
+    denominator is solved once for the whole scan.
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if delta_fn is None:
-        def delta_fn(rho):
-            return capacity.delta(domain, x_o, rho, params, cfg)
+        delta_fn = _shared_denominator_delta(domain, x_o, params, cfg)
     p = params.p
     g_star = params.constants.gamma_star
     for k in range(max_halvings + 1):

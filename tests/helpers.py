@@ -7,6 +7,20 @@ import math
 import numpy as np
 
 import capflow as cf
+from capflow import capacity
+
+
+def count_condensers(monkeypatch) -> list:
+    """Record the problem of every condenser solve from here on."""
+    solved = []
+    minimize = capacity.minimize_condenser
+
+    def counted(problem):
+        solved.append(problem)
+        return minimize(problem)
+
+    monkeypatch.setattr(capacity, "minimize_condenser", counted)
+    return solved
 
 
 def synthetic_field(values: np.ndarray, times, *, half_edge: float = 0.5,

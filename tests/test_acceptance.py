@@ -13,6 +13,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 import capflow as cf
 from capflow import capacity, cli
@@ -222,6 +223,7 @@ def test_criterion_08_max_principle_and_comparison(capsys):
              f"ordered-data min gap {min_gap:.2e} (tol -1e-9)")
 
 
+@pytest.mark.slow
 def test_criterion_09_decay_trend_corner_domain(tmp_path, capsys):
     # full pipeline at the corner of a square obstacle: slope of
     # log(osc - floor) against the capacity integral must be negative with a

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import capflow as cf
 from capflow import capacity
 from capflow.geometry import Cube, DomainSpec, IndicatorField
+from helpers import count_condensers
 
 
 P3N1 = cf.make_params(3.0, 1)
@@ -41,6 +45,35 @@ def test_condenser_2d_scaling_is_exact():
     caps = [_cube_condenser(2, rho, 2.0, 3.0, 33).value for rho in (1.0, 0.5, 0.25)]
     assert caps[1] == 2.0 * caps[0]
     assert caps[2] == 2.0 * caps[1]
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_unit_denominator_rescales_to_the_direct_solve(ndim, p):
+    # delta()'s full-cube condenser at any radius and centre is the unit one
+    # with lengths scaled by rho: the same iterates, energies times
+    # rho**(N-p).  At dyadic rho and integer p every operation scales by a
+    # power of two, so the rescaled values are bitwise the direct ones.
+    params = cf.make_params(p, ndim)
+    unit = capacity.unit_denominator(ndim, p, FAST)
+    empty = DomainSpec.full_space(ndim)    # no obstacle, so no numerator solve
+    x_o = (0.3125, -0.75)[:ndim]
+    for rho in (0.5, 0.3, 0.1, 0.0625):
+        _, _, direct = capacity.delta_detailed(empty, x_o, rho, params, FAST)
+        _, _, scaled = capacity.delta_detailed(empty, x_o, rho, params, FAST, unit)
+        assert scaled.iterations == direct.iterations == unit.iterations
+        assert scaled.grid_h == direct.grid_h
+        if p == round(p) and rho in (0.5, 0.0625):
+            assert scaled.energy_history == direct.energy_history
+        else:
+            assert np.allclose(scaled.energy_history, direct.energy_history,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_delta_rejects_a_denominator_of_another_lattice():
+    unit = capacity.unit_denominator(1, 3.0, capacity.SolverConfig(nodes_across=21))
+    with pytest.raises(ValueError, match="does not match nodes_across 17"):
+        capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), 0.5, P3N1, FAST, unit)
 
 
 def test_condenser_history_nonincreasing():
@@ -135,6 +168,27 @@ def test_parabolic_capacity_time_constant_slab():
     assert abs(val - exact) <= 1e-12 * exact
 
 
+def test_parabolic_capacity_solves_each_distinct_slice_once(monkeypatch):
+    h = 2.0 * 0.5 / 16
+    cube = Cube((0.0,), 0.5)
+    full = IndicatorField.all_true(cube, h)
+    half = IndicatorField(cube, h, np.arange(17) >= 8)
+    outer = Cube((0.0,), 1.0)
+    c_full, c_half = (capacity.solve_condenser(
+        capacity.CondenserProblem(f, outer, 3.0, FAST)).value for f in (full, half))
+    solved = count_condensers(monkeypatch)
+    taus = np.linspace(0.0, 1.2, 13)
+    assert capacity.parabolic_capacity([(t, full) for t in taus], outer, 3.0, FAST) \
+        == 1.2 * c_full
+    assert len(solved) == 1
+    # equal slices are matched by content, not by identity
+    fields = [full, half, IndicatorField(cube, h, half.values.copy()), full]
+    val = capacity.parabolic_capacity(list(zip([0.0, 0.5, 1.0, 1.5], fields)),
+                                      outer, 3.0, FAST)
+    assert len(solved) == 3
+    assert val == 0.5 * (0.5 * c_full + (c_half + c_half) + 0.5 * c_full)
+
+
 def test_parabolic_capacity_validation():
     h = 2.0 * 0.5 / 16
     obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
@@ -148,3 +202,61 @@ def test_parabolic_capacity_validation():
     with pytest.raises(ValueError, match="uniformly spaced"):
         capacity.parabolic_capacity(
             [(0.0, obstacle), (0.1, obstacle), (0.3, obstacle)], outer, 3.0, FAST)
+
+
+# -- properties on random obstacles ---------------------------------------------
+
+MASK_NODES = 17     # FAST's lattice: h = 2 rho / 16
+
+
+def _mask_domain(mask: np.ndarray, x_o, rho: float) -> DomainSpec:
+    """A domain whose obstacle in K_rho(x_o) is `mask` on FAST's lattice.
+
+    Outside the cube E is a half space, so the anchor, which must lie on the
+    boundary of E, is there, clear of the cube.
+    """
+    h = 2.0 * rho / (MASK_NODES - 1)
+    anchor = (x_o[0] + 4.0 * rho, *x_o[1:])
+
+    def in_e(pt):
+        idx = tuple(round((c - o + rho) / h) for c, o in zip(pt, x_o))
+        if all(0 <= i < MASK_NODES for i in idx):
+            return not mask[idx]
+        return pt[0] < anchor[0]
+
+    return DomainSpec.custom_mask(anchor, in_e)
+
+
+@st.composite
+def random_masks(draw):
+    ndim = draw(st.sampled_from([1, 2]))
+    return draw(hnp.arrays(bool, (MASK_NODES,) * ndim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_masks(), st.sampled_from([2.5, 3.0, 4.0]), st.sampled_from([1.0, 0.25]))
+def test_delta_of_random_obstacles_lies_in_unit_interval(mask, p, rho):
+    ndim = mask.ndim
+    params = cf.make_params(p, ndim)
+    x_o = (0.5,) * ndim
+    unit = capacity.unit_denominator(ndim, p, FAST)
+    val, cap_obs, cap_full = capacity.delta_detailed(
+        _mask_domain(mask, x_o, rho), x_o, rho, params, FAST, unit)
+    assert 0.0 <= val <= 1.0
+    assert (val == 0.0) == (not mask.any())
+    assert cap_obs.value <= cap_full.value * (1.0 + 1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_masks(), st.data(), st.sampled_from([2.5, 3.0, 4.0]))
+def test_capacity_is_monotone_under_obstacle_inclusion(small, data, p):
+    ndim = small.ndim
+    large = small | data.draw(hnp.arrays(bool, small.shape))
+    cube = Cube((0.0,) * ndim, 1.0)
+    outer = Cube((0.0,) * ndim, 1.5)
+    h = 2.0 / (MASK_NODES - 1)
+    cap_small, cap_large = (
+        capacity.solve_condenser(capacity.CondenserProblem(
+            IndicatorField(cube, h, m), outer, p, FAST)).value
+        for m in (small, large))
+    assert cap_small <= cap_large * (1.0 + 1e-8)

@@ -4,15 +4,19 @@ of everything except the timing block."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import json
 import math
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from capflow import cli, pde
+from capflow import capacity, cli, pde
+from helpers import count_condensers
 
 LN4 = math.log(4.0)
 DELTA_HALF_1D = 5.0 / 9.0  # ((1.5r)^{1-p} + (0.5r)^{1-p}) / (2 (0.5r)^{1-p}), p=3
@@ -320,6 +324,38 @@ def test_delta_profile_half_space(tmp_path):
     assert abs(diag["tail_slope"]) <= 0.05
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_delta_profile_solves_the_denominator_once(tmp_path, monkeypatch, workers):
+    # one full-cube solve for the run plus one numerator per radius; a second
+    # run in the same process repeats all of it, since nothing outlives a call
+    cfg = half_space_1d()
+    cfg.update({"x_o": [0.0], "R_o": 0.5, "depth": 4})
+    solved = count_condensers(monkeypatch)
+    counts = []
+    for tag in ("first", "second"):
+        before = len(solved)
+        rc, _ = run(tmp_path, "delta-profile", cfg, tag=tag, extra=("--workers", workers))
+        assert rc == 0
+        counts.append(len(solved) - before)
+    assert counts == [5, 5]
+    # the unit denominator, once per run
+    assert [p.outer.half_edge for p in solved].count(1.5) == 2
+
+
+def test_capacity_solves_the_denominator_once(tmp_path, monkeypatch):
+    cfg = capacity_cfg()
+    cfg["radii"] = [0.25, 0.375, 0.5]
+    solved = count_condensers(monkeypatch)
+    rc, out = run(tmp_path, "capacity", cfg)
+    assert rc == 0
+    # 1.5: the unit denominator
+    assert sorted(p.outer.half_edge for p in solved) == [0.375, 0.5625, 0.75, 1.5]
+    _, _, rows = read_csv(out / "capacity.csv")
+    for row, rho in zip(rows, cfg["radii"]):
+        cap_full = 2.0 * (0.5 * rho) ** -2.0
+        assert abs(float(row[2]) - cap_full) <= 1e-8 * cap_full
+
+
 def test_delta_profile_validation(tmp_path, capsys):
     cfg = half_space_1d()
     cfg.update({"x_o": [0.0], "R_o": -1.0, "depth": 4})
@@ -485,6 +521,62 @@ def test_verify_is_deterministic_outside_timings(tmp_path):
     assert r1["timings"].keys() == r2["timings"].keys()
     for name in ("envelope.csv", "profile.csv", "field_step10.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_verify_solves_each_radius_once(tmp_path, monkeypatch):
+    # realize and profile share one memo of delta by radius: one full-cube
+    # solve for the run, then one numerator per distinct radius, R_o included
+    cfg = verify_cfg(0.36)
+    del cfg["synthetic_delta"]
+    del cfg["R_o"]
+    cfg["realize"] = {"r_max": 0.5, "max_halvings": 6}
+    cfg["solver"] = {"nodes_across": 17}
+    solved = count_condensers(monkeypatch)
+    counts = []
+    for tag in ("first", "second"):
+        before = len(solved)
+        rc, out = run(tmp_path, "verify", cfg, tag=tag)
+        assert rc == 0
+        counts.append(len(solved) - before)
+    report = read_report(out)
+    r_o = report["realize"]["R_o"]
+    scanned = [0.5 * 2.0 ** -k for k in range(7) if 0.5 * 2.0 ** -k >= r_o]
+    profiled = [e["rho"] for e in report["profile"]["entries"]]
+    assert r_o < 0.5 and profiled[0] == r_o
+    radii = set(scanned) | set(profiled)
+    assert len(radii) == len(scanned) + len(profiled) - 1
+    assert counts == [1 + len(radii)] * 2
+    assert sorted(p.outer.half_edge for p in solved[:counts[0]]) == \
+        sorted([1.5] + [1.5 * r for r in radii])
+    assert all(abs(e["delta"] - DELTA_HALF_1D) <= 1e-12
+               for e in report["profile"]["entries"])
+
+
+def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a check-then-act
+    # race on the lazy denominator would solve it more than once
+    solved = []
+
+    def slow_unit(ndim, p, cfg):
+        solved.append(ndim)
+        time.sleep(0.01)
+        return "denominator"
+
+    monkeypatch.setattr(capacity, "unit_denominator", slow_unit)
+    monkeypatch.setattr(capacity, "delta",
+                        lambda domain, x_o, rho, params, cfg, den: (rho, den))
+    cfg = cli.parse_experiment(capacity_cfg(), "capacity", "unused", 1, 0)
+    delta_at = cli._delta_memo(cfg, (0.0,))
+    radii = [2.0 ** -k for k in range(64)] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(delta_at, radii, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert solved == [1]
+    assert results == [(r, "denominator") for r in radii]
 
 
 def test_verify_needs_exactly_one_radius_source(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import capflow as cf
-from capflow import wiener
+from capflow import capacity, wiener
 from capflow.capacity import SolverConfig
 from capflow.geometry import DomainSpec
 
@@ -277,3 +277,31 @@ def test_build_profile_validation():
         cf.build_profile(dom, (0.0,), 0.5, 0.25, 0, P3N1)
     with pytest.raises(ValueError, match="c_bar must lie in"):
         cf.build_profile(dom, (0.0,), 0.5, 1.0, 2, P3N1)
+
+
+def test_build_profile_2d_is_independent_of_workers_and_exact():
+    # the shared denominator is solved before the fan-out at a fixed radius,
+    # so the threaded build is bitwise the sequential one; at dyadic radii and
+    # p = 3 both are bitwise the per-radius direct solves
+    dom = DomainSpec.exterior_cube((0.0, 0.0), 0.5)
+    cfg = SolverConfig(nodes_across=17)
+    x_o = (0.0, 0.0)
+    seq = cf.build_profile(dom, x_o, 0.25, 0.5, 3, P3N2, cfg, workers=1)
+    par = cf.build_profile(dom, x_o, 0.25, 0.5, 3, P3N2, cfg, workers=2)
+    assert seq.deltas.tolist() == par.deltas.tolist()
+    direct = [capacity.delta(dom, x_o, rho, P3N2, cfg) for rho in seq.radii]
+    assert seq.deltas.tolist() == direct
+    assert all(0.0 < d < 1.0 for d in direct)
+
+
+def test_build_profile_uses_delta_fn():
+    seen = []
+
+    def fake(rho):
+        seen.append(rho)
+        return 0.25
+
+    prof = cf.build_profile(DomainSpec.half_space((0.0,)), (0.0,), 0.5, 0.25, 3, P3N1,
+                            delta_fn=fake, workers=2)
+    assert sorted(seen) == [0.5 * 0.25 ** 2, 0.5 * 0.25, 0.5]
+    assert prof.deltas.tolist() == [0.25] * 3
