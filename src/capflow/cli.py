@@ -1,126 +1,136 @@
 """Experiment orchestration: declarative JSON configs in, CSV/JSON reports and
 gnuplot-friendly plot data out.
 
-Subcommands: capacity | delta-profile | cascade | solve | verify.
-Exit codes: 0 success, 2 config error, 3 numeric failure.  All reports embed
-the config they were produced from, the library versions, and wall-clock
-timings per stage; everything except the timings is deterministic for a fixed
+Subcommands: capacity | delta-profile | cascade | solve | verify; `_COMMANDS`
+declares each one's config keys.  The whole config is checked before any
+computation, then the subcommand runs as named stages ending with `write`.
+Exit codes: 0 success, 2 config error, 3 numeric failure (named by its stage,
+with a partial report.json).  Reports embed the config, the library versions
+and per-stage wall-clock timings, the only nondeterministic part for a fixed
 config and seed.  Files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import functools
+import dataclasses
 import json
 import math
 import os
 import platform
 import sys
 import tempfile
-import threading
 import time
-from dataclasses import dataclass, field, fields
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 import scipy
 
 from . import capacity, pde, probes, wiener
-from .errors import CapflowError, ConfigError, PipelineError
+from .errors import ConfigError, PipelineError
 from .geometry import DISTANCE_KINDS, Cube, DomainSpec, sup_distance_to_obstacle
 from .params import OVERRIDABLE_CONSTANTS, StructureParams, make_params
 
 _MISSING = object()
 
 
-# -- config access with dotted-path error messages --------------------------
+# -- the declared schema ------------------------------------------------------
 
 def _path(parent: str, key: str) -> str:
     return f"{parent}.{key}" if parent else key
 
 
-def _fetch(obj: dict, key: str, default, parent: str):
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+# kind -> (accepts, what a rejected value must be, conversion)
+_KINDS = {
+    "number": (_is_number, "a number", float),
+    "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer", int),
+    "string": (lambda v: isinstance(v, str), "a string", str),
+    "object": (lambda v: isinstance(v, dict), "an object", dict),
+    "array": (lambda v: isinstance(v, list), "an array", list),
+    "length": (lambda v: _is_number(v) or v == "inf", 'a number or "inf"', float),
+}
+
+
+def _get(obj: dict, key: str, kind, parent: str = "", default=_MISSING):
+    """obj[key] checked and converted by `kind`, or `default` when it is absent.
+
+    `kind` names an entry of `_KINDS`, or is "numbers" (a nonempty array of
+    numbers), or is the dimension N of a point (an array of N numbers).
+    """
+    path = _path(parent, key)
     if key not in obj:
         if default is _MISSING:
-            raise ConfigError(f"missing required key '{_path(parent, key)}'")
+            raise ConfigError(f"missing required key '{path}'")
         return default
-    return obj[key]
-
-
-def _num(obj: dict, key: str, parent: str = "", default=_MISSING) -> float:
-    val = _fetch(obj, key, default, parent)
-    if val is default and key not in obj:
-        return val
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"key '{_path(parent, key)}' must be a number, "
-                          f"got {type(val).__name__}")
-    return float(val)
-
-
-def _int(obj: dict, key: str, parent: str = "", default=_MISSING) -> int:
-    val = _fetch(obj, key, default, parent)
-    if val is default and key not in obj:
-        return val
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"key '{_path(parent, key)}' must be an integer, "
-                          f"got {type(val).__name__}")
-    return val
-
-
-def _str(obj: dict, key: str, parent: str = "", default=_MISSING) -> str:
-    val = _fetch(obj, key, default, parent)
-    if val is default and key not in obj:
-        return val
-    if not isinstance(val, str):
-        raise ConfigError(f"key '{_path(parent, key)}' must be a string, "
-                          f"got {type(val).__name__}")
-    return val
-
-
-def _dict(obj: dict, key: str, parent: str = "", default=_MISSING) -> dict:
-    val = _fetch(obj, key, default, parent)
-    if val is default and key not in obj:
-        return val
-    if not isinstance(val, dict):
-        raise ConfigError(f"key '{_path(parent, key)}' must be an object, "
-                          f"got {type(val).__name__}")
-    return val
-
-
-def _list(obj: dict, key: str, parent: str = "", default=_MISSING) -> list:
-    val = _fetch(obj, key, default, parent)
-    if val is default and key not in obj:
-        return val
-    if not isinstance(val, list):
-        raise ConfigError(f"key '{_path(parent, key)}' must be an array, "
-                          f"got {type(val).__name__}")
-    return val
-
-
-def _point(obj: dict, key: str, ndim: int, parent: str = "") -> tuple[float, ...]:
-    val = _list(obj, key, parent)
-    if len(val) != ndim or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                               for v in val):
-        raise ConfigError(f"key '{_path(parent, key)}' must be an array of "
-                          f"{ndim} numbers, got {val!r}")
+    val = obj[key]
+    accepts, what, convert = _KINDS.get(kind, _KINDS["array"])
+    if not accepts(val):
+        raise ConfigError(f"key '{path}' must be {what}, got {type(val).__name__}")
+    if kind in _KINDS:
+        return convert(val)
+    if kind == "numbers" and (not val or not all(map(_is_number, val))):
+        raise ConfigError(f"key '{path}' must be a nonempty array of numbers")
+    if kind != "numbers" and (len(val) != kind or not all(map(_is_number, val))):
+        raise ConfigError(f"key '{path}' must be an array of {kind} numbers, "
+                          f"got {val!r}")
     return tuple(float(v) for v in val)
 
 
-def _num_list(obj: dict, key: str, parent: str = "") -> list[float]:
-    val = _list(obj, key, parent)
-    if not val or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                      for v in val):
-        raise ConfigError(f"key '{_path(parent, key)}' must be a nonempty "
-                          "array of numbers")
-    return [float(v) for v in val]
+class Key(NamedTuple):
+    """A declared config key: its kind (see `_get`; "point" is a point in
+    R^N), its default, and a (test, "must ...") bound on a given value."""
+
+    kind: str
+    default: object = _MISSING
+    bound: tuple | None = None
+
+
+_POSITIVE = (lambda v: v > 0, "be positive")
+_FRACTION = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_OPEN_FRACTION = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_POSITIVE_NUMBER = Key("number", bound=_POSITIVE)
+
+
+def _field(obj: dict, key: str, spec, parent: str, ndim: int):
+    """obj[key] read by `spec`, a Key or a bare kind."""
+    spec = spec if isinstance(spec, Key) else Key(spec)
+    val = _get(obj, key, ndim if spec.kind == "point" else spec.kind, parent,
+               spec.default)
+    if key in obj and spec.bound and not spec.bound[0](val):
+        raise ConfigError(f"{_path(parent, key)} must {spec.bound[1]}, got {val}")
+    return val
 
 
 def _no_unknown(obj: dict, allowed, parent: str = "") -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{_path(parent, key)}'")
+
+
+def _build(obj: dict, path: str, keys: dict, build: Callable, ndim: int = 0,
+           tag: str | None = None):
+    """build(**values of the declared `keys` of obj), after rejecting any other
+    key but `tag`; a ValueError from `build` becomes a ConfigError."""
+    _no_unknown(obj, set(keys) | {tag}, path)
+    values = {key: _field(obj, key, spec, path, ndim) for key, spec in keys.items()}
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _union(raw: dict, name: str, tag: str, variants: dict, ndim: int):
+    """The tagged object raw[name]; `variants` maps each value of its `tag`
+    key to the (keys, build) pair that `_build` reads it with."""
+    obj = _get(raw, name, "object")
+    value = _get(obj, tag, "string", name)
+    if value not in variants:
+        raise ConfigError(f"unknown {name} {tag} {value!r}")
+    return _build(obj, name, *variants[value], ndim, tag)
 
 
 def load_config(path: str) -> dict:
@@ -135,168 +145,238 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    version = _int(raw, "schema_version")
+    version = _get(raw, "schema_version", "integer")
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}; this build reads 1")
     return raw
 
 
-# -- shared sections ---------------------------------------------------------
-
-_COMMON_KEYS = {"schema_version", "p", "N", "constants", "solver", "scheme", "domain"}
-
-_CMD_KEYS = {
-    "capacity": {"x_o", "radii"},
-    "delta-profile": {"x_o", "R_o", "depth", "c_bar"},
-    "cascade": {"mu_o", "epsilon", "profile", "c_bar"},
-    "solve": {"box", "grid_h", "time", "datum", "snapshot_steps"},
-    "verify": {"x_o", "t_o", "epsilon", "R_o", "realize", "depth", "probe_radii",
-               "synthetic_delta", "box", "grid_h", "time", "datum",
-               "snapshot_steps", "probes", "c_bar"},
-}
-
-_DOMAIN_FREE = {"cascade"}
+_COMMON_KEYS = {"schema_version", "p", "N", "constants", "solver", "scheme"}
 
 
 def parse_params(raw: dict) -> StructureParams:
-    p = _num(raw, "p")
-    n = _int(raw, "N")
-    overrides = {}
-    cobj = _dict(raw, "constants", default={})
+    p, n = _get(raw, "p", "number"), _get(raw, "N", "integer")
+    cobj = _get(raw, "constants", "object", default={})
     _no_unknown(cobj, OVERRIDABLE_CONSTANTS, "constants")
-    for key in cobj:
-        overrides[key] = _num(cobj, key, "constants")
     try:
-        return make_params(p, n, **overrides)
+        return make_params(p, n, **{k: _get(cobj, k, "number", "constants") for k in cobj})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def parse_domain(raw: dict, ndim: int) -> DomainSpec:
-    obj = _dict(raw, "domain")
-    kind = _str(obj, "kind", "domain")
-    try:
-        if kind == "full_space":
-            _no_unknown(obj, {"kind"}, "domain")
-            return DomainSpec.full_space(ndim)
-        if kind == "half_space":
-            _no_unknown(obj, {"kind", "anchor"}, "domain")
-            return DomainSpec.half_space(_point(obj, "anchor", ndim, "domain"))
-        if kind == "exterior_cube":
-            _no_unknown(obj, {"kind", "anchor", "half_edge"}, "domain")
-            return DomainSpec.exterior_cube(_point(obj, "anchor", ndim, "domain"),
-                                            _num(obj, "half_edge", "domain"))
-        if kind == "slit":
-            _no_unknown(obj, {"kind", "anchor", "length"}, "domain")
-            length = obj.get("length", math.inf)
-            if isinstance(length, str):
-                if length != "inf":
-                    raise ConfigError(f"key 'domain.length' must be a number or "
-                                      f"\"inf\", got {length!r}")
-                length = math.inf
-            return DomainSpec.slit(_point(obj, "anchor", ndim, "domain"), float(length))
-        if kind == "power_cusp":
-            _no_unknown(obj, {"kind", "anchor", "exponent"}, "domain")
-            return DomainSpec.power_cusp(_point(obj, "anchor", ndim, "domain"),
-                                         _num(obj, "exponent", "domain"))
-        if kind == "cantor_obstacle":
-            _no_unknown(obj, {"kind", "anchor", "level", "ratio"}, "domain")
-            return DomainSpec.cantor_obstacle(_point(obj, "anchor", ndim, "domain"),
-                                              _int(obj, "level", "domain"),
-                                              _num(obj, "ratio", "domain"))
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
-    if kind == "custom_mask":
-        raise ConfigError("domain kind 'custom_mask' is programmatic only; "
-                          "configs must use a named kind")
-    raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def parse_section(raw: dict, name: str, cls):
     """Read the optional object `name` into the config dataclass `cls`; each
     key's type and default come from the dataclass fields."""
-    obj = _dict(raw, name, default={})
-    keys = fields(cls)
-    _no_unknown(obj, {f.name for f in keys}, name)
-    types = get_type_hints(cls)
-    read = {int: _int, float: _num}
-    try:
-        return cls(**{f.name: read[types[f.name]](obj, f.name, name, f.default)
-                      for f in keys})
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    kinds, types = {int: "integer", float: "number"}, get_type_hints(cls)
+    keys = {f.name: Key(kinds[types[f.name]], f.default) for f in dataclasses.fields(cls)}
+    return _build(_get(raw, name, "object", default={}), name, keys, cls)
 
 
-@dataclass(frozen=True)
+def _parse_domain(raw: dict, cfg) -> DomainSpec:
+    def programmatic():
+        raise ConfigError("domain kind 'custom_mask' is programmatic only; "
+                          "configs must use a named kind")
+
+    ndim = cfg.params.N
+    return _union(raw, "domain", "kind", {
+        "full_space": ({}, lambda: DomainSpec.full_space(ndim)),
+        "half_space": ({"anchor": "point"}, DomainSpec.half_space),
+        "exterior_cube": ({"anchor": "point", "half_edge": "number"},
+                          DomainSpec.exterior_cube),
+        "slit": ({"anchor": "point", "length": Key("length", math.inf)}, DomainSpec.slit),
+        "power_cusp": ({"anchor": "point", "exponent": "number"}, DomainSpec.power_cusp),
+        "cantor_obstacle": ({"anchor": "point", "level": "integer", "ratio": "number"},
+                            DomainSpec.cantor_obstacle),
+        "custom_mask": ({}, programmatic),
+    }, ndim)
+
+
+def _parse_times(raw: dict, cfg) -> np.ndarray:
+    grid_h, p = cfg.values["grid_h"], cfg.params.p
+    return _union(raw, "time", "mode", {
+        "uniform": ({"T": "number", "steps": "integer"}, pde.uniform_times),
+        "intrinsic": ({"T": "number", "omega": Key("number", 1.0)},
+                      lambda T, omega: pde.intrinsic_times(T, grid_h, p, omega)),
+    }, cfg.params.N)
+
+
+def _parse_datum(raw: dict, cfg) -> pde.BoundaryDatum:
+    params, domain, box = cfg.params, cfg.values["domain"], cfg.values["box"]
+
+    def ramped_distance(scale, floor, ramp_time):
+        if domain.kind not in DISTANCE_KINDS:
+            raise ConfigError(f"datum kind 'ramped_distance' does not support domain "
+                              f"kind {domain.kind!r}")
+
+        def ramped(pts, t):
+            dist = sup_distance_to_obstacle(domain, pts, box)
+            profile = np.clip(dist / scale, 0.0, 1.0)
+            return profile * (floor + (1.0 - floor) * min(t / ramp_time, 1.0))
+
+        return pde.BoundaryDatum("ramped_distance", ramped, modulus="lipschitz in x and t")
+
+    def barenblatt(t_offset, mass_scale):
+        if params.N != 1:
+            raise ConfigError("datum kind 'barenblatt' needs N=1")
+        return pde.BoundaryDatum(
+            "barenblatt", lambda pts, t: pde.barenblatt(pts, t + t_offset, params.p,
+                                                        mass_scale),
+            modulus="self-similar source profile")
+
+    axis = (lambda v: 0 <= v < params.N, f"lie in [0, {params.N - 1}]")
+    return _union(raw, "datum", "kind", {
+        "constant": ({"value": "number"}, lambda value: pde.BoundaryDatum(
+            "constant", lambda pts, t: np.full(len(pts), value), modulus="constant")),
+        "linear": ({"axis": Key("integer", 0, axis), "slope": Key("number", 1.0),
+                    "offset": Key("number", 0.0)},
+                   lambda axis, slope, offset: pde.BoundaryDatum(
+                       "linear", lambda pts, t: offset + slope * pts[:, axis],
+                       modulus="lipschitz in x, constant in t")),
+        "time_linear": ({"rate": Key("number", 1.0), "offset": Key("number", 0.0)},
+                        lambda rate, offset: pde.BoundaryDatum(
+                            "time_linear",
+                            lambda pts, t: np.full(len(pts), offset + rate * t),
+                            modulus="constant in x, lipschitz in t")),
+        "ramped_distance": ({"scale": _POSITIVE_NUMBER, "ramp_time": _POSITIVE_NUMBER,
+                             "floor": Key("number", 0.0, _FRACTION)}, ramped_distance),
+        "barenblatt": ({"t_offset": Key("number", 1.0, _POSITIVE),
+                        "mass_scale": Key("number", 1.0, _POSITIVE)}, barenblatt),
+    }, params.N)
+
+
+def _parse_snapshot_steps(raw: dict, cfg) -> list[int]:
+    n_steps, stride = len(cfg.values["time"]) - 1, cfg.scheme.store_stride
+    kept = pde.kept_steps(n_steps, stride)
+    steps = _get(raw, "snapshot_steps", "array", default=[n_steps])
+    for step in steps:
+        if isinstance(step, bool) or not isinstance(step, int):
+            raise ConfigError("snapshot_steps must be an array of integers")
+        if step not in kept:
+            raise ConfigError(f"snapshot_steps: step {step} is not stored; a run stores "
+                              f"0, {n_steps} and the multiples of {stride}")
+    return steps
+
+
+def _parse_c_bar(raw: dict, cfg) -> tuple[int | None, float]:
+    """(lambda, c_bar): the grid ratio given, or the smallest admissible one."""
+    c_bar = _field(raw, "c_bar", Key("number", None, _OPEN_FRACTION), "", 0)
+    if c_bar is None:
+        return wiener.choose_c_bar(cfg.params)
+    lam = -math.log2(c_bar)
+    return (round(lam) if abs(lam - round(lam)) < 1e-12 else None), c_bar
+
+
+def _parse_profile(raw: dict, cfg) -> wiener.CapacityProfile:
+    def from_deltas(R_o, deltas):
+        return wiener.CapacityProfile.from_deltas(R_o, cfg.values["c_bar"][1],
+                                                  cfg.params.p, deltas)
+
+    def seeded(R_o, depth, low, high, seed):
+        if not 0.0 < low <= high <= 1.0:
+            raise ConfigError(f"profile bounds need 0 < low <= high <= 1, "
+                              f"got [{low}, {high}]")
+        return from_deltas(R_o, np.random.default_rng(seed).uniform(low, high, depth))
+
+    depth = Key("integer", bound=_POSITIVE)
+    return _union(raw, "profile", "mode", {
+        "constant": ({"R_o": "number", "depth": depth,
+                      "value": Key("number", bound=_FRACTION)},
+                     lambda R_o, depth, value: from_deltas(R_o, [value] * depth)),
+        "list": ({"R_o": "number", "deltas": "numbers"}, from_deltas),
+        "seeded": ({"R_o": "number", "depth": depth, "low": "number", "high": "number",
+                    "seed": Key("integer", cfg.seed)}, seeded),
+    }, cfg.params.N)
+
+
+def _parse_t_o(raw: dict, cfg) -> float:
+    final = float(cfg.values["time"][-1])
+    within = (lambda v: 0.0 < v <= final * (1.0 + 1e-12), f"lie in (0, {final}]")
+    return _field(raw, "t_o", Key("number", bound=within), "", 0)
+
+
+def _parse_realize(raw: dict, cfg) -> dict | None:
+    """The keyword arguments of the R_o search, or None for a given R_o."""
+    if ("R_o" in raw) == ("realize" in raw):
+        raise ConfigError("give exactly one of 'R_o' and 'realize'")
+    if "realize" not in raw:
+        return None
+    return _build(_get(raw, "realize", "object"), "realize",
+                  {"r_max": Key("number", 1.0), "max_halvings": Key("integer", 20)}, dict)
+
+
+def _parse_synthetic_delta(raw: dict, cfg):
+    """rho -> delta(rho) in place of the capacity computation, or None."""
+    if "synthetic_delta" not in raw:
+        return None
+    return _union(raw, "synthetic_delta", "mode", {
+        "constant": ({"value": Key("number", bound=_FRACTION)},
+                     lambda value: lambda rho: value),
+        "power": ({"coeff": _POSITIVE_NUMBER, "exponent": _POSITIVE_NUMBER},
+                  lambda coeff, exponent: lambda rho: min(1.0, coeff * rho ** exponent)),
+    }, cfg.params.N)
+
+
+# probe request -> (function, its arguments after the field as declared keys)
+_PROBES = {
+    "harnack": (probes.weak_harnack_probe, {"y": "point", "s": "number",
+                                            "rho": "number", "c": Key("number", 1.0)}),
+    "spreading": (probes.spreading_probe, {"y": "point", "rho": "number",
+                                           "t_bar": "number", "k": "number"}),
+}
+
+
+def _parse_probes(raw: dict, cfg) -> dict:
+    """probe name -> its arguments after the field, for each requested probe."""
+    obj = _get(raw, "probes", "object", default={})
+    _no_unknown(obj, _PROBES, "probes")
+    return {name: _build(_get(obj, name, "object", "probes"), f"probes.{name}", keys,
+                         lambda **kw: tuple(kw.values()), cfg.params.N)
+            for name, (_, keys) in _PROBES.items() if name in obj}
+
+
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed common sections of a config file, ready for the handlers."""
+    """A parsed config, ready for the handlers: the common sections, the
+    command-line settings, and `values`, the command's own keys by name."""
 
     raw: dict
     params: StructureParams
     solver: capacity.SolverConfig
     scheme: pde.SchemeConfig
-    domain: DomainSpec | None
     out_dir: str
     workers: int
     seed: int
+    values: dict
 
 
 def parse_experiment(raw: dict, command: str, out_dir: str, workers: int,
                      seed: int) -> ExperimentConfig:
-    _no_unknown(raw, _COMMON_KEYS | _CMD_KEYS[command])
+    """Read and check the whole config of `command`; runs no computation."""
+    keys = _COMMANDS[command].keys
+    _no_unknown(raw, _COMMON_KEYS | set(keys))
     params = parse_params(raw)
-    domain = None
-    if command not in _DOMAIN_FREE:
-        domain = parse_domain(raw, params.N)
     if workers < 1:
         raise ConfigError(f"--workers must be positive, got {workers}")
-    return ExperimentConfig(
-        raw=raw, params=params, solver=parse_section(raw, "solver", capacity.SolverConfig),
-        scheme=parse_section(raw, "scheme", pde.SchemeConfig), domain=domain,
-        out_dir=out_dir, workers=workers, seed=seed)
-
-
-# -- report assembly and atomic output ---------------------------------------
-
-@dataclass
-class RunReport:
-    """Self-contained run record: echoed config, versions, result sections,
-    and wall-clock timings (the only nondeterministic part)."""
-
-    config: dict
-    versions: dict
-    sections: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    error: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {"config": self.config, "versions": self.versions,
-               "timings": self.timings}
-        out.update(self.sections)
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
-def _versions() -> dict:
-    import capflow
-    return {"package": capflow.__version__, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    solver = parse_section(raw, "solver", capacity.SolverConfig)
+    scheme = parse_section(raw, "scheme", pde.SchemeConfig)
+    cfg = ExperimentConfig(raw, params, solver, scheme, out_dir, workers, seed, {})
+    for key, spec in keys.items():
+        cfg.values[key] = spec(raw, cfg) if callable(spec) else \
+            _field(raw, key, spec, "", params.N)
+    return cfg
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
     return obj
 
 
@@ -315,586 +395,284 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
-    return str(value)
+    return str(int(value)) if isinstance(value, np.integer) else str(value)
 
 
-def _config_echo_line(raw: dict) -> str:
-    return "# config: " + json.dumps(_jsonable(raw), sort_keys=True,
-                                     separators=(",", ":"))
+def _write_rows(path: str, raw: dict, header_line: str, sep: str, rows) -> None:
+    echo = "# config: " + json.dumps(_jsonable(raw), sort_keys=True, separators=(",", ":"))
+    lines = [echo, header_line] + [sep.join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_csv(path: str, raw: dict, header: list[str], rows) -> None:
-    lines = [_config_echo_line(raw), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_rows(path, raw, ",".join(header), ",", rows)
 
 
 def write_plot_data(path: str, raw: dict, header: list[str], rows) -> None:
     """Whitespace-separated columns with '#' comments; gnuplot reads it as is."""
-    lines = [_config_echo_line(raw), "# " + " ".join(header)]
-    for row in rows:
-        lines.append(" ".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_rows(path, raw, "# " + " ".join(header), " ", rows)
 
 
-def write_report(path: str, report: RunReport) -> None:
-    _atomic_write(path, json.dumps(_jsonable(report.to_dict()), sort_keys=True,
-                                   indent=2) + "\n")
+def write_report(path: str, report: dict) -> None:
+    """The run record: echoed config, versions, wall-clock timings (the only
+    nondeterministic part) and the result sections."""
+    _atomic_write(path, json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
 
 
-# -- boundary datum builders --------------------------------------------------
+# -- the stage runner and the subcommand handlers -----------------------------
 
-def build_datum(raw: dict, cfg: ExperimentConfig, box: Cube) -> pde.BoundaryDatum:
-    obj = _dict(raw, "datum")
-    kind = _str(obj, "kind", "datum")
-    if kind == "constant":
-        _no_unknown(obj, {"kind", "value"}, "datum")
-        value = _num(obj, "value", "datum")
-        return pde.BoundaryDatum("constant", lambda pts, t: np.full(len(pts), value),
-                                 modulus="constant")
-    if kind == "linear":
-        _no_unknown(obj, {"kind", "axis", "slope", "offset"}, "datum")
-        axis = _int(obj, "axis", "datum", 0)
-        if not 0 <= axis < cfg.params.N:
-            raise ConfigError(f"datum.axis must lie in [0, {cfg.params.N - 1}], "
-                              f"got {axis}")
-        slope = _num(obj, "slope", "datum", 1.0)
-        offset = _num(obj, "offset", "datum", 0.0)
-        return pde.BoundaryDatum(
-            "linear", lambda pts, t: offset + slope * pts[:, axis],
-            modulus="lipschitz in x, constant in t")
-    if kind == "time_linear":
-        _no_unknown(obj, {"kind", "rate", "offset"}, "datum")
-        rate = _num(obj, "rate", "datum", 1.0)
-        offset = _num(obj, "offset", "datum", 0.0)
-        return pde.BoundaryDatum(
-            "time_linear", lambda pts, t: np.full(len(pts), offset + rate * t),
-            modulus="constant in x, lipschitz in t")
-    if kind == "ramped_distance":
-        _no_unknown(obj, {"kind", "scale", "floor", "ramp_time"}, "datum")
-        scale = _num(obj, "scale", "datum")
-        floor = _num(obj, "floor", "datum", 0.0)
-        ramp_time = _num(obj, "ramp_time", "datum")
-        if not scale > 0.0 or not ramp_time > 0.0:
-            raise ConfigError("datum.scale and datum.ramp_time must be positive")
-        if not 0.0 <= floor <= 1.0:
-            raise ConfigError(f"datum.floor must lie in [0, 1], got {floor}")
-        domain = cfg.domain
-        if domain.kind not in DISTANCE_KINDS:
-            raise ConfigError(f"datum kind 'ramped_distance' does not support domain "
-                              f"kind {domain.kind!r}")
+def run_stages(handler: Callable, cfg: ExperimentConfig) -> dict:
+    """Run `handler(cfg, stage, report)`, then the `write` stage.
 
-        def ramped(pts, t):
-            dist = sup_distance_to_obstacle(domain, pts, box)
-            profile = np.clip(dist / scale, 0.0, 1.0)
-            return profile * (floor + (1.0 - floor) * min(t / ramp_time, 1.0))
-
-        return pde.BoundaryDatum("ramped_distance", ramped,
-                                 modulus="lipschitz in x and t")
-    if kind == "barenblatt":
-        _no_unknown(obj, {"kind", "t_offset", "mass_scale"}, "datum")
-        if cfg.params.N != 1:
-            raise ConfigError("datum kind 'barenblatt' needs N=1")
-        t_offset = _num(obj, "t_offset", "datum", 1.0)
-        mass_scale = _num(obj, "mass_scale", "datum", 1.0)
-        if not t_offset > 0.0 or not mass_scale > 0.0:
-            raise ConfigError("datum.t_offset and datum.mass_scale must be positive")
-        p = cfg.params.p
-        return pde.BoundaryDatum(
-            "barenblatt",
-            lambda pts, t: pde.barenblatt(pts, t + t_offset, p, mass_scale),
-            modulus="self-similar source profile")
-    raise ConfigError(f"unknown datum kind {kind!r}")
-
-
-def parse_box(raw: dict, ndim: int) -> Cube:
-    obj = _dict(raw, "box")
-    _no_unknown(obj, {"center", "half_edge"}, "box")
-    try:
-        return Cube(_point(obj, "center", ndim, "box"), _num(obj, "half_edge", "box"))
-    except ValueError as exc:
-        raise ConfigError(f"box: {exc}") from exc
-
-
-def parse_times(raw: dict, grid_h: float, p: float) -> np.ndarray:
-    obj = _dict(raw, "time")
-    mode = _str(obj, "mode", "time")
-    if mode == "uniform":
-        _no_unknown(obj, {"mode", "T", "steps"}, "time")
-        try:
-            return pde.uniform_times(_num(obj, "T", "time"), _int(obj, "steps", "time"))
-        except ValueError as exc:
-            raise ConfigError(f"time: {exc}") from exc
-    if mode == "intrinsic":
-        _no_unknown(obj, {"mode", "T", "omega"}, "time")
-        try:
-            return pde.intrinsic_times(_num(obj, "T", "time"), grid_h, p,
-                                       _num(obj, "omega", "time", 1.0))
-        except ValueError as exc:
-            raise ConfigError(f"time: {exc}") from exc
-    raise ConfigError(f"unknown time mode {mode!r}")
-
-
-def _resolve_c_bar(raw: dict, params: StructureParams) -> tuple[int | None, float]:
-    by_hand = _num(raw, "c_bar", default=None)
-    if by_hand is None:
-        return wiener.choose_c_bar(params)
-    if not 0.0 < by_hand < 1.0:
-        raise ConfigError(f"c_bar must lie in (0, 1), got {by_hand}")
-    lam = -math.log2(by_hand)
-    return (round(lam) if abs(lam - round(lam)) < 1e-12 else None), by_hand
-
-
-# -- subcommand handlers ------------------------------------------------------
-
-def cmd_capacity(cfg: ExperimentConfig) -> RunReport:
-    """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
-    raw = cfg.raw
-    x_o = _point(raw, "x_o", cfg.params.N)
-    radii = _num_list(raw, "radii")
-    if any(r <= 0.0 for r in radii):
-        raise ConfigError("radii must be positive")
-    report = RunReport(raw, _versions())
-    t0 = time.perf_counter()
-    denominator = capacity.unit_denominator(cfg.params.N, cfg.params.p, cfg.solver)
-
-    def one(rho: float):
-        return capacity.delta_detailed(cfg.domain, x_o, rho, cfg.params, cfg.solver,
-                                       denominator)
-
-    if cfg.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(one, radii))
-    else:
-        results = [one(r) for r in radii]
-    rows = []
-    for rho, (val, cap_obs, cap_full) in zip(radii, results):
-        rows.append((rho, cap_obs.value, cap_full.value, val,
-                     cap_obs.iterations + cap_full.iterations))
-    report.timings["capacity"] = time.perf_counter() - t0
-    header = ["rho", "cap_obstacle", "cap_full", "delta", "iters"]
-    write_csv(os.path.join(cfg.out_dir, "capacity.csv"), raw, header, rows)
-    write_plot_data(os.path.join(cfg.out_dir, "capacity.dat"), raw, header, rows)
-    report.sections["capacity_table"] = [dict(zip(header, row)) for row in rows]
-    write_report(os.path.join(cfg.out_dir, "report.json"), report)
-    return report
-
-
-def cmd_delta_profile(cfg: ExperimentConfig) -> RunReport:
-    """Relative capacity profile down the geometric radius grid, plus the
-    finite-sample divergence diagnostic."""
-    raw = cfg.raw
-    x_o = _point(raw, "x_o", cfg.params.N)
-    r_o = _num(raw, "R_o")
-    depth = _int(raw, "depth")
-    if not r_o > 0.0:
-        raise ConfigError(f"R_o must be positive, got {r_o}")
-    if depth < 1:
-        raise ConfigError(f"depth must be positive, got {depth}")
-    lam, c_bar = _resolve_c_bar(raw, cfg.params)
-    report = RunReport(raw, _versions())
-    t0 = time.perf_counter()
-    profile = wiener.build_profile(cfg.domain, x_o, r_o, c_bar, depth, cfg.params,
-                                   cfg.solver, cfg.workers)
-    report.timings["profile"] = time.perf_counter() - t0
-    rows = []
-    for e in profile.entries:
-        rows.append((e.index, e.rho, e.delta, e.A, wiener.wiener_sum(profile, 0, e.index)))
-    header = ["index", "rho", "delta", "A", "wiener_partial"]
-    write_csv(os.path.join(cfg.out_dir, "profile.csv"), raw, header, rows)
-    write_plot_data(os.path.join(cfg.out_dir, "profile.dat"), raw, header, rows)
-    diag = None
-    if depth >= 4:
-        d = wiener.is_wiener_point(profile)
-        diag = {"verdict": d.verdict, "tail_slope": d.tail_slope,
-                "window": list(d.window), "note": d.note}
-    report.sections["profile"] = {
-        "R_o": r_o, "c_bar": c_bar, "lambda": lam,
-        "entries": [dict(zip(header, row)) for row in rows],
-        "wiener_diagnostic": diag,
-    }
-    write_report(os.path.join(cfg.out_dir, "report.json"), report)
-    return report
-
-
-def _parse_synthetic_profile(raw: dict, params: StructureParams,
-                             seed: int) -> wiener.CapacityProfile:
-    obj = _dict(raw, "profile")
-    mode = _str(obj, "mode", "profile")
-    r_o = _num(obj, "R_o", "profile")
-    if not r_o > 0.0:
-        raise ConfigError(f"profile.R_o must be positive, got {r_o}")
-    _, c_bar = _resolve_c_bar(raw, params)
-    if mode == "constant":
-        _no_unknown(obj, {"mode", "R_o", "depth", "value"}, "profile")
-        depth = _int(obj, "depth", "profile")
-        if depth < 1:
-            raise ConfigError(f"profile.depth must be positive, got {depth}")
-        value = _num(obj, "value", "profile")
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"profile.value must lie in [0, 1], got {value}")
-        deltas = [value] * depth
-    elif mode == "list":
-        _no_unknown(obj, {"mode", "R_o", "deltas"}, "profile")
-        deltas = _num_list(obj, "deltas", "profile")
-        if any(not 0.0 <= d <= 1.0 for d in deltas):
-            raise ConfigError("profile.deltas entries must lie in [0, 1]")
-    elif mode == "seeded":
-        _no_unknown(obj, {"mode", "R_o", "depth", "low", "high", "seed"}, "profile")
-        depth = _int(obj, "depth", "profile")
-        if depth < 1:
-            raise ConfigError(f"profile.depth must be positive, got {depth}")
-        low = _num(obj, "low", "profile")
-        high = _num(obj, "high", "profile")
-        if not 0.0 < low <= high <= 1.0:
-            raise ConfigError(f"profile bounds need 0 < low <= high <= 1, "
-                              f"got [{low}, {high}]")
-        rng = np.random.default_rng(_int(obj, "seed", "profile", seed))
-        deltas = rng.uniform(low, high, depth).tolist()
-    else:
-        raise ConfigError(f"unknown profile mode {mode!r}")
-    try:
-        return wiener.CapacityProfile.from_deltas(r_o, c_bar, params.p, deltas)
-    except ValueError as exc:
-        raise ConfigError(f"profile: {exc}") from exc
-
-
-def cmd_cascade(cfg: ExperimentConfig) -> RunReport:
-    """Symbolic oscillation cascade over a synthetic capacity profile."""
-    raw = cfg.raw
-    mu_o = _num(raw, "mu_o")
-    epsilon = _num(raw, "epsilon")
-    profile = _parse_synthetic_profile(raw, cfg.params, cfg.seed)
-    report = RunReport(raw, _versions())
-    t0 = time.perf_counter()
-    casc = wiener.oscillation_cascade(mu_o, profile, cfg.params, epsilon)
-    report.timings["cascade"] = time.perf_counter() - t0
-    rows = []
-    for rho, bound in casc.envelope_at:
-        rows.append((rho, wiener.wiener_integral(profile, rho), bound,
-                     casc.branch, casc.truncated))
-    header = ["rho", "wiener_sum", "envelope", "branch", "truncated"]
-    write_csv(os.path.join(cfg.out_dir, "envelope.csv"), raw, header, rows)
-    write_plot_data(os.path.join(cfg.out_dir, "envelope.dat"), raw, header, rows)
-    report.sections["cascade"] = casc.to_dict()
-    report.sections["profile"] = {
-        "R_o": profile.R_o, "c_bar": profile.c_bar,
-        "deltas": [e.delta for e in profile.entries],
-    }
-    write_report(os.path.join(cfg.out_dir, "report.json"), report)
-    return report
-
-
-def _build_grid_and_datum(cfg: ExperimentConfig):
-    raw = cfg.raw
-    box = parse_box(raw, cfg.params.N)
-    grid_h = _num(raw, "grid_h")
-    if not grid_h > 0.0:
-        raise ConfigError(f"grid_h must be positive, got {grid_h}")
-    times = parse_times(raw, grid_h, cfg.params.p)
-    datum = build_datum(raw, cfg, box)
-    grid = pde.make_grid(cfg.domain, box, grid_h, times)
-    return grid, datum
-
-
-def _snapshot_steps(raw: dict, field_obj: pde.SpaceTimeField) -> list[int]:
-    steps = _list(raw, "snapshot_steps", default=None)
-    if steps is None:
-        return [field_obj.stored_steps[-1]]
-    out = []
-    for v in steps:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError("snapshot_steps must be an array of integers")
-        out.append(v)
-    return out
-
-
-def cmd_solve(cfg: ExperimentConfig) -> RunReport:
-    """One forward run of the degenerate diffusion, with energy table and
-    snapshot output."""
-    raw = cfg.raw
-    report = RunReport(raw, _versions())
-    t0 = time.perf_counter()
-    grid, datum = _build_grid_and_datum(cfg)
-    report.timings["grid"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    field_obj = pde.solve(grid, datum, cfg.params.p, cfg.scheme)
-    report.timings["solve"] = time.perf_counter() - t0
-    energies = pde.spatial_energy(field_obj)
-    rows = [(step, float(grid.times[step]), float(en))
-            for step, en in zip(field_obj.stored_steps, energies)]
-    header = ["step", "time", "energy"]
-    write_csv(os.path.join(cfg.out_dir, "energy.csv"), raw, header, rows)
-    write_plot_data(os.path.join(cfg.out_dir, "energy.dat"), raw, header, rows)
-    snaps = []
-    for step in _snapshot_steps(raw, field_obj):
-        path = os.path.join(cfg.out_dir, f"field_step{step}.csv")
-        pde.save_snapshot(field_obj, step, path)
-        snaps.append(path)
-    report.sections["solve"] = {
-        "shape": list(grid.shape), "h": grid.h, "n_steps": grid.n_steps,
-        "datum": {"name": datum.name, "modulus": datum.modulus},
-        "inside_nodes": int(grid.inside.sum()),
-        "energy_table": [dict(zip(header, row)) for row in rows],
-        "snapshots": [os.path.basename(s) for s in snaps],
-    }
-    write_report(os.path.join(cfg.out_dir, "report.json"), report)
-    return report
-
-
-def _parse_synthetic_delta(raw: dict):
-    obj = _dict(raw, "synthetic_delta", default=None)
-    if obj is None:
-        return None
-    mode = _str(obj, "mode", "synthetic_delta")
-    if mode == "constant":
-        _no_unknown(obj, {"mode", "value"}, "synthetic_delta")
-        value = _num(obj, "value", "synthetic_delta")
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"synthetic_delta.value must lie in [0, 1], got {value}")
-        return lambda rho: value
-    if mode == "power":
-        _no_unknown(obj, {"mode", "coeff", "exponent"}, "synthetic_delta")
-        coeff = _num(obj, "coeff", "synthetic_delta")
-        exponent = _num(obj, "exponent", "synthetic_delta")
-        if not coeff > 0.0 or not exponent > 0.0:
-            raise ConfigError("synthetic_delta coeff and exponent must be positive")
-        return lambda rho: min(1.0, coeff * rho ** exponent)
-    raise ConfigError(f"unknown synthetic_delta mode {mode!r}")
-
-
-def _parse_probe_requests(raw: dict) -> dict:
-    obj = _dict(raw, "probes", default={})
-    _no_unknown(obj, {"harnack", "spreading"}, "probes")
-    return obj
-
-
-def _delta_memo(cfg: ExperimentConfig, x_o):
-    """rho -> delta(rho) at x_o for one run: each radius is solved once, over
-    one full-cube denominator solved on first use.  Safe to call from the
-    profile's worker threads."""
-    lock = threading.Lock()
-
-    @functools.cache
-    def denominator():
-        return capacity.unit_denominator(cfg.params.N, cfg.params.p, cfg.solver)
-
-    @functools.cache
-    def delta_at(rho: float) -> float:
-        with lock:
-            den = denominator()
-        return capacity.delta(cfg.domain, x_o, rho, cfg.params, cfg.solver, den)
-
-    return delta_at
-
-
-def cmd_verify(cfg: ExperimentConfig) -> RunReport:
-    """End-to-end pipeline: capacity profile, PDE solve, oscillation
-    measurements, cascade, and envelope regression at one boundary point.
-
-    Any stage failure aborts with the stage name; sections finished before
-    the failure are preserved in the partial report.
+    `stage(name, fn)` times fn() and turns its exceptions into a PipelineError
+    naming the stage; the report is then written with the sections finished so
+    far and `error`.  The handler returns its tables, each (name, header,
+    rows, plot) for name.csv and, with plot, name.dat, and the solved field
+    whose `snapshot_steps` the stage saves, or None.
     """
-    raw = cfg.raw
-    params = cfg.params
-    p = params.p
-    x_o = _point(raw, "x_o", params.N)
-    t_o = _num(raw, "t_o")
-    epsilon = _num(raw, "epsilon")
-    depth = _int(raw, "depth")
-    if not t_o > 0.0:
-        raise ConfigError(f"t_o must be positive, got {t_o}")
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if depth < 2:
-        raise ConfigError(f"depth must be at least 2, got {depth}")
-    if ("R_o" in raw) == ("realize" in raw):
-        raise ConfigError("give exactly one of 'R_o' and 'realize'")
-    probe_requests = _parse_probe_requests(raw)
-    synthetic_fn = _parse_synthetic_delta(raw)
-    delta_fn = synthetic_fn or _delta_memo(cfg, x_o)
-    report = RunReport(raw, _versions())
+    import capflow
+    report = {"config": cfg.raw, "timings": {}, "versions": {
+        "package": capflow.__version__, "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__}}
+    path = os.path.join(cfg.out_dir, "report.json")
 
-    def stage(name, fn):
+    def stage(name: str, fn: Callable):
         t0 = time.perf_counter()
         try:
             return fn()
-        except PipelineError:
-            raise
         except Exception as exc:
             raise PipelineError(name, exc) from exc
         finally:
-            report.timings[name] = time.perf_counter() - t0
+            report["timings"][name] = time.perf_counter() - t0
+
+    def write(tables: list, field_obj: pde.SpaceTimeField | None) -> None:
+        for name, header, rows, plot in tables:
+            out = os.path.join(cfg.out_dir, name)
+            write_csv(out + ".csv", cfg.raw, header, rows)
+            if plot:
+                write_plot_data(out + ".dat", cfg.raw, header, rows)
+        for step in cfg.values["snapshot_steps"] if field_obj else ():
+            pde.save_snapshot(field_obj, step,
+                              os.path.join(cfg.out_dir, f"field_step{step}.csv"))
+        write_report(path, report)
 
     try:
-        lam, c_bar = stage("constants", lambda: _resolve_c_bar(raw, params))
-        report.sections["constants"] = {
-            "lambda": lam, "c_bar": c_bar,
-            "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS},
-        }
-
-        def do_realize():
-            if "realize" in raw:
-                robj = _dict(raw, "realize")
-                _no_unknown(robj, {"r_max", "max_halvings"}, "realize")
-                r_max = _num(robj, "r_max", "realize", 1.0)
-                halvings = _int(robj, "max_halvings", "realize", 20)
-                r_o, eps = wiener.realize_R_o_epsilon(
-                    t_o, cfg.domain, x_o, params, epsilon, cfg.solver,
-                    r_max=r_max, max_halvings=halvings, delta_fn=delta_fn)
-                return r_o, eps, "searched"
-            r_o = _num(raw, "R_o")
-            if not r_o > 0.0:
-                raise ConfigError(f"R_o must be positive, got {r_o}")
-            return r_o, epsilon, "explicit"
-
-        r_o, epsilon, realize_mode = stage("realize", do_realize)
-        report.sections["realize"] = {"R_o": r_o, "epsilon": epsilon,
-                                      "mode": realize_mode}
-
-        def do_profile():
-            if synthetic_fn is not None:
-                deltas = [synthetic_fn(c_bar ** i * r_o) for i in range(depth)]
-                return wiener.CapacityProfile.from_deltas(r_o, c_bar, p, deltas)
-            return wiener.build_profile(cfg.domain, x_o, r_o, c_bar, depth,
-                                        params, cfg.solver, cfg.workers, delta_fn)
-
-        profile = stage("profile", do_profile)
-        prof_rows = [(e.index, e.rho, e.delta, e.A,
-                      wiener.wiener_sum(profile, 0, e.index))
-                     for e in profile.entries]
-        prof_header = ["index", "rho", "delta", "A", "wiener_partial"]
-        report.sections["profile"] = {
-            "R_o": r_o, "c_bar": c_bar,
-            "entries": [dict(zip(prof_header, row)) for row in prof_rows],
-        }
-
-        def do_solve():
-            grid, datum = _build_grid_and_datum(cfg)
-            if t_o > float(grid.times[-1]) * (1.0 + 1e-12):
-                raise ValueError(f"t_o={t_o} exceeds the final grid time "
-                                 f"{float(grid.times[-1])}")
-            return grid, datum, pde.solve(grid, datum, p, cfg.scheme)
-
-        grid, datum, field_obj = stage("solve", do_solve)
-
-        def do_measure():
-            delta_ro = float(profile.deltas[0])
-            if delta_ro > 0.0:
-                window_depth = (3.0 * params.constants.gamma_star
-                                * delta_ro ** ((2.0 - p) / (p - 1.0))
-                                * r_o ** (p - epsilon))
-            else:
-                window_depth = math.inf
-            feasible = window_depth <= t_o
-            omega_o = pde.oscillation_over(
-                field_obj, Cube(x_o, 2.0 * r_o),
-                t_o - window_depth if math.isfinite(window_depth) else 0.0, t_o)
-            if omega_o <= 0.0:
-                raise ValueError("solution has zero oscillation on the reference "
-                                 "cylinder; the envelope comparison is vacuous")
-            osc_g = pde.osc_g_on_lateral(grid, datum, x_o, t_o, r_o, params,
-                                         epsilon, delta_ro)
-            radii = _num_list(raw, "probe_radii") if "probe_radii" in raw else \
-                [r_o * 0.5 ** (j + 1) for j in range(4)]
-            deepest = profile.radii[-1]
-            for rho in radii:
-                if not deepest * (1.0 - 1e-12) <= rho < r_o:
-                    raise ValueError(f"probe radius {rho} outside the profile "
-                                     f"range [{deepest}, {r_o}); adjust depth "
-                                     "or probe_radii")
-            measured = [(rho, pde.oscillation(field_obj, x_o, t_o, rho, omega_o))
-                        for rho in radii]
-            return delta_ro, window_depth, feasible, omega_o, osc_g, measured
-
-        delta_ro, window_depth, feasible, omega_o, osc_g, measured = \
-            stage("measure", do_measure)
-        report.sections["measure"] = {
-            "delta_Ro": delta_ro, "window_depth": window_depth,
-            "depth_feasible_at_t_o": feasible, "omega_o": omega_o, "osc_g": osc_g,
-            "measured": [{"rho": r, "osc": o} for r, o in measured],
-        }
-
-        casc = stage("cascade", lambda: wiener.oscillation_cascade(
-            omega_o, profile, params, epsilon))
-        report.sections["cascade"] = casc.to_dict()
-
-        def do_regression():
-            env = wiener.EnvelopeParams(omega_o, osc_g, epsilon, r_o, params)
-            fit = probes.envelope_regression(measured, profile, env)
-            rows = []
-            for rho, osc in measured:
-                w = wiener.wiener_integral(profile, rho)
-                bound = wiener.decay_envelope(env, profile, rho)
-                rows.append((rho, w, osc, bound))
-            return fit, rows
-
-        fit, env_rows = stage("regression", do_regression)
-        report.sections["regression"] = fit.to_dict()
-
-        def do_probes():
-            out = {}
-            if "harnack" in probe_requests:
-                hobj = _dict(probe_requests, "harnack", "probes")
-                _no_unknown(hobj, {"y", "s", "rho", "c"}, "probes.harnack")
-                res = probes.weak_harnack_probe(
-                    field_obj, _point(hobj, "y", params.N, "probes.harnack"),
-                    _num(hobj, "s", "probes.harnack"),
-                    _num(hobj, "rho", "probes.harnack"),
-                    _num(hobj, "c", "probes.harnack", 1.0))
-                out["harnack"] = res.to_dict()
-            if "spreading" in probe_requests:
-                sobj = _dict(probe_requests, "spreading", "probes")
-                _no_unknown(sobj, {"y", "rho", "t_bar", "k"}, "probes.spreading")
-                res = probes.spreading_probe(
-                    field_obj, _point(sobj, "y", params.N, "probes.spreading"),
-                    _num(sobj, "rho", "probes.spreading"),
-                    _num(sobj, "t_bar", "probes.spreading"),
-                    _num(sobj, "k", "probes.spreading"))
-                out["spreading"] = res.to_dict()
-            return out
-
-        if probe_requests:
-            report.sections["probes"] = stage("probes", do_probes)
-
-        def do_write():
-            write_csv(os.path.join(cfg.out_dir, "profile.csv"), raw, prof_header,
-                      prof_rows)
-            env_header = ["rho", "wiener_sum", "osc", "envelope"]
-            write_csv(os.path.join(cfg.out_dir, "envelope.csv"), raw, env_header,
-                      env_rows)
-            write_plot_data(os.path.join(cfg.out_dir, "envelope.dat"), raw,
-                            env_header, env_rows)
-            for step in _snapshot_steps(raw, field_obj):
-                pde.save_snapshot(field_obj, step,
-                                  os.path.join(cfg.out_dir, f"field_step{step}.csv"))
-            write_report(os.path.join(cfg.out_dir, "report.json"), report)
-
-        stage("write", do_write)
+        outputs = handler(cfg, stage, report)
+        stage("write", lambda: write(*outputs))
     except PipelineError as exc:
-        report.error = {"stage": exc.stage, "message": str(exc.cause)}
+        report["error"] = {"stage": exc.stage, "message": str(exc.cause)}
         for attr in ("step_index", "last_energy"):
-            value = getattr(exc.cause, attr, None)
-            if value is not None:
-                report.error[attr] = value
-        write_report(os.path.join(cfg.out_dir, "report.json"), report)
+            if getattr(exc.cause, attr, None) is not None:
+                report["error"][attr] = getattr(exc.cause, attr)
+        write_report(path, report)
         raise
     return report
 
 
-_HANDLERS = {
-    "capacity": cmd_capacity,
-    "delta-profile": cmd_delta_profile,
-    "cascade": cmd_cascade,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
+_PROFILE_HEADER = ["index", "rho", "delta", "A", "wiener_partial"]
+
+
+def _profile_rows(profile: wiener.CapacityProfile) -> list[tuple]:
+    return [(e.index, e.rho, e.delta, e.A, wiener.wiener_sum(profile, 0, e.index))
+            for e in profile.entries]
+
+
+def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
+    """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
+    radii = cfg.values["radii"]
+
+    def compute():
+        denominator = capacity.unit_denominator(cfg.params.N, cfg.params.p, cfg.solver)
+        return wiener.fan_out(lambda rho: capacity.delta_detailed(
+            cfg.values["domain"], cfg.values["x_o"], rho, cfg.params, cfg.solver,
+            denominator), radii, cfg.workers)
+
+    rows = [(rho, cap_obs.value, cap_full.value, val,
+             cap_obs.iterations + cap_full.iterations)
+            for rho, (val, cap_obs, cap_full) in zip(radii, stage("capacity", compute))]
+    header = ["rho", "cap_obstacle", "cap_full", "delta", "iters"]
+    report["capacity_table"] = [dict(zip(header, row)) for row in rows]
+    return [("capacity", header, rows, True)], None
+
+
+def cmd_delta_profile(cfg: ExperimentConfig, stage: Callable, report: dict):
+    """Relative capacity profile down the geometric radius grid, plus the
+    finite-sample divergence diagnostic."""
+    values = cfg.values
+    lam, c_bar = values["c_bar"]
+    profile = stage("profile", lambda: wiener.build_profile(
+        values["domain"], values["x_o"], values["R_o"], c_bar, values["depth"],
+        cfg.params, cfg.solver, cfg.workers))
+    rows = _profile_rows(profile)
+    diag = wiener.is_wiener_point(profile) if values["depth"] >= 4 else None
+    report["profile"] = {
+        "R_o": values["R_o"], "c_bar": c_bar, "lambda": lam,
+        "entries": [dict(zip(_PROFILE_HEADER, row)) for row in rows],
+        "wiener_diagnostic": diag and dataclasses.asdict(diag),
+    }
+    return [("profile", _PROFILE_HEADER, rows, True)], None
+
+
+def cmd_cascade(cfg: ExperimentConfig, stage: Callable, report: dict):
+    """Symbolic oscillation cascade over a synthetic capacity profile."""
+    profile = cfg.values["profile"]
+    casc = stage("cascade", lambda: wiener.oscillation_cascade(
+        cfg.values["mu_o"], profile, cfg.params, cfg.values["epsilon"]))
+    rows = [(rho, wiener.wiener_integral(profile, rho), bound, casc.branch,
+             casc.truncated) for rho, bound in casc.envelope_at]
+    report["cascade"] = casc.to_dict()
+    report["profile"] = {"R_o": profile.R_o, "c_bar": profile.c_bar,
+                         "deltas": [e.delta for e in profile.entries]}
+    header = ["rho", "wiener_sum", "envelope", "branch", "truncated"]
+    return [("envelope", header, rows, True)], None
+
+
+def cmd_solve(cfg: ExperimentConfig, stage: Callable, report: dict):
+    """One forward run of the degenerate diffusion, with energy table and
+    snapshot output."""
+    values = cfg.values
+    grid = stage("grid", lambda: pde.make_grid(values["domain"], values["box"],
+                                               values["grid_h"], values["time"]))
+    field_obj = stage("solve", lambda: pde.solve(grid, values["datum"], cfg.params.p,
+                                                 cfg.scheme))
+    rows = [(step, float(grid.times[step]), float(en))
+            for step, en in zip(field_obj.stored_steps, pde.spatial_energy(field_obj))]
+    header = ["step", "time", "energy"]
+    report["solve"] = {
+        "shape": list(grid.shape), "h": grid.h, "n_steps": grid.n_steps,
+        "datum": {"name": values["datum"].name, "modulus": values["datum"].modulus},
+        "inside_nodes": int(grid.inside.sum()),
+        "energy_table": [dict(zip(header, row)) for row in rows],
+        "snapshots": [f"field_step{step}.csv" for step in values["snapshot_steps"]],
+    }
+    return [("energy", header, rows, True)], field_obj
+
+
+def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
+    """End-to-end pipeline: capacity profile, PDE solve, oscillation
+    measurements, cascade, and envelope regression at one boundary point."""
+    values, params, p = cfg.values, cfg.params, cfg.params.p
+    domain, x_o, t_o = values["domain"], values["x_o"], values["t_o"]
+    lam, c_bar = values["c_bar"]
+    delta_fn = values["synthetic_delta"] or wiener.delta_memo(domain, x_o, params,
+                                                              cfg.solver)
+    report["constants"] = stage("constants", lambda: {
+        "lambda": lam, "c_bar": c_bar,
+        "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS}})
+
+    def realize():
+        if values["realize"] is None:
+            return values["R_o"], values["epsilon"], "explicit"
+        return (*wiener.realize_R_o_epsilon(t_o, domain, x_o, params, values["epsilon"],
+                                            cfg.solver, delta_fn=delta_fn,
+                                            **values["realize"]), "searched")
+
+    r_o, epsilon, realize_mode = stage("realize", realize)
+    report["realize"] = {"R_o": r_o, "epsilon": epsilon, "mode": realize_mode}
+    profile = stage("profile", lambda: wiener.build_profile(
+        domain, x_o, r_o, c_bar, values["depth"], params, cfg.solver, cfg.workers,
+        delta_fn))
+    prof_rows = _profile_rows(profile)
+    report["profile"] = {"R_o": r_o, "c_bar": c_bar, "entries": [
+        dict(zip(_PROFILE_HEADER, row)) for row in prof_rows]}
+
+    def solve():
+        grid = pde.make_grid(domain, values["box"], values["grid_h"], values["time"])
+        return grid, pde.solve(grid, values["datum"], p, cfg.scheme)
+
+    grid, field_obj = stage("solve", solve)
+
+    def measure():
+        delta_ro = float(profile.deltas[0])
+        window_depth = (3.0 * params.constants.gamma_star
+                        * delta_ro ** ((2.0 - p) / (p - 1.0))
+                        * r_o ** (p - epsilon)) if delta_ro > 0.0 else math.inf
+        omega_o = pde.oscillation_over(
+            field_obj, Cube(x_o, 2.0 * r_o),
+            t_o - window_depth if math.isfinite(window_depth) else 0.0, t_o)
+        if omega_o <= 0.0:
+            raise ValueError("solution has zero oscillation on the reference "
+                             "cylinder; the envelope comparison is vacuous")
+        osc_g = pde.osc_g_on_lateral(grid, values["datum"], x_o, t_o, r_o, params,
+                                     epsilon, delta_ro)
+        radii = values["probe_radii"] or [r_o * 0.5 ** (j + 1) for j in range(4)]
+        deepest = profile.radii[-1]
+        for rho in radii:
+            if not deepest * (1.0 - 1e-12) <= rho < r_o:
+                raise ValueError(f"probe radius {rho} outside the profile "
+                                 f"range [{deepest}, {r_o}); adjust depth "
+                                 "or probe_radii")
+        return {"delta_Ro": delta_ro, "window_depth": window_depth,
+                "depth_feasible_at_t_o": window_depth <= t_o, "omega_o": omega_o,
+                "osc_g": osc_g, "measured": [
+                    {"rho": rho, "osc": pde.oscillation(field_obj, x_o, t_o, rho, omega_o)}
+                    for rho in radii]}
+
+    report["measure"] = stage("measure", measure)
+    omega_o, osc_g = report["measure"]["omega_o"], report["measure"]["osc_g"]
+    measured = [(m["rho"], m["osc"]) for m in report["measure"]["measured"]]
+    casc = stage("cascade", lambda: wiener.oscillation_cascade(
+        omega_o, profile, params, epsilon))
+    report["cascade"] = casc.to_dict()
+
+    def regression():
+        env = wiener.EnvelopeParams(omega_o, osc_g, epsilon, r_o, params)
+        fit = probes.envelope_regression(measured, profile, env)
+        return fit, [(rho, wiener.wiener_integral(profile, rho), osc,
+                      wiener.decay_envelope(env, profile, rho)) for rho, osc in measured]
+
+    fit, env_rows = stage("regression", regression)
+    report["regression"] = fit.to_dict()
+    if values["probes"]:
+        report["probes"] = stage("probes", lambda: {
+            name: _PROBES[name][0](field_obj, *args).to_dict()
+            for name, args in values["probes"].items()})
+    env_header = ["rho", "wiener_sum", "osc", "envelope"]
+    return [("profile", _PROFILE_HEADER, prof_rows, False),
+            ("envelope", env_header, env_rows, True)], field_obj
+
+
+class Command(NamedTuple):
+    help: str
+    keys: dict      # config key -> Key, or a reader(raw, cfg) of the keys read so far
+    handler: Callable
+
+
+_SOLVE_KEYS = {
+    "domain": _parse_domain,
+    "box": lambda raw, cfg: _build(_get(raw, "box", "object"), "box", {
+        "center": "point", "half_edge": "number"}, Cube, cfg.params.N),
+    "grid_h": _POSITIVE_NUMBER,
+    "time": _parse_times, "datum": _parse_datum, "snapshot_steps": _parse_snapshot_steps,
+}
+
+_COMMANDS = {
+    "capacity": Command(
+        "condenser capacities and relative capacity over radii",
+        {"domain": _parse_domain, "x_o": "point",
+         "radii": Key("numbers", bound=(lambda v: min(v) > 0.0, "be positive"))},
+        cmd_capacity),
+    "delta-profile": Command(
+        "capacity profile down a geometric radius grid",
+        {"domain": _parse_domain, "x_o": "point", "R_o": _POSITIVE_NUMBER,
+         "depth": Key("integer", bound=_POSITIVE), "c_bar": _parse_c_bar},
+        cmd_delta_profile),
+    "cascade": Command("oscillation cascade over a synthetic profile", {
+        "mu_o": "number", "epsilon": "number", "c_bar": _parse_c_bar,
+        "profile": _parse_profile}, cmd_cascade),
+    "solve": Command("one forward run of the degenerate diffusion", _SOLVE_KEYS,
+                     cmd_solve),
+    "verify": Command(
+        "end-to-end envelope verification at a boundary point",
+        {**_SOLVE_KEYS, "x_o": "point", "t_o": _parse_t_o,
+         "epsilon": Key("number", bound=_OPEN_FRACTION),
+         "depth": Key("integer", bound=(lambda v: v >= 2, "be at least 2")),
+         "c_bar": _parse_c_bar, "R_o": Key("number", None, _POSITIVE),
+         "realize": _parse_realize, "probe_radii": Key("numbers", None),
+         "synthetic_delta": _parse_synthetic_delta, "probes": _parse_probes},
+        cmd_verify),
 }
 
 
@@ -904,15 +682,8 @@ def main(argv=None) -> int:
         description="Capacity profiles, decay envelopes, and degenerate "
                     "diffusion experiments on rough domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "capacity": "condenser capacities and relative capacity over radii",
-        "delta-profile": "capacity profile down a geometric radius grid",
-        "cascade": "oscillation cascade over a synthetic profile",
-        "solve": "one forward run of the degenerate diffusion",
-        "verify": "end-to-end envelope verification at a boundary point",
-    }
-    for name, desc in descriptions.items():
-        cmd = sub.add_parser(name, help=desc)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--workers", type=int, default=1,
@@ -924,18 +695,11 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         cfg = parse_experiment(raw, args.command, args.out, args.workers, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _HANDLERS[args.command](cfg)
+        run_stages(_COMMANDS[args.command].handler, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CapflowError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

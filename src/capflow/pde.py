@@ -183,6 +183,11 @@ class SpaceTimeField:
         return self.values[row]
 
 
+def kept_steps(n_steps: int, stride: int) -> list[int]:
+    """The steps `solve` stores: 0, n_steps and every multiple of stride."""
+    return sorted({0, n_steps, *range(stride, n_steps, stride)})
+
+
 def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
           scheme: SchemeConfig = SchemeConfig()) -> SpaceTimeField:
     """March the implicit scheme over grid.times, starting from g(., 0).
@@ -198,8 +203,7 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
 
     u = datum(pts, 0.0)
     n_steps = grid.n_steps
-    keep = sorted({0, n_steps} | {k for k in range(1, n_steps)
-                                  if k % scheme.store_stride == 0})
+    keep = kept_steps(n_steps, scheme.store_stride)
     stored_rows = [u.copy()] if 0 in keep else []
     stored_steps = [0] if 0 in keep else []
 

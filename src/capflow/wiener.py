@@ -10,7 +10,9 @@ discretization of the dyadic integral of A(s) ds/s, exact for constant A.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +176,12 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
                   workers: int = 1, delta_fn=None) -> CapacityProfile:
     """Relative capacities of K_rho(x_o) \\ E down the geometric radius grid.
 
-    The full-cube denominator is solved once, at the unit reference radius
-    and before the fan-out, and rescaled at every radius (see
-    `capacity.delta_detailed`).  The per-radius numerator solves are
-    independent and fan out over a thread pool when workers > 1; assembly
-    order is by index, so results do not depend on scheduling.  `delta_fn`
-    replaces the capacity computation (for example by a caller's memo of
-    delta by radius) and is then called from the pool's threads.
+    The full-cube denominator is solved once, at the unit reference radius,
+    and rescaled at every radius (see `delta_memo`).  The per-radius
+    numerator solves are independent and fan out over a thread pool when
+    workers > 1; assembly order is by index, so results do not depend on
+    scheduling.  `delta_fn` replaces the capacity computation (for example by
+    a caller's `delta_memo`) and is then called from the pool's threads.
     """
     if contains(domain, x_o):
         raise ValueError(f"x_o {tuple(x_o)} lies inside E; profiles are built at "
@@ -191,23 +192,35 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
         raise ValueError(f"c_bar must lie in (0, 1), got {c_bar}")
     radii = [c_bar ** i * R_o for i in range(depth)]
     if delta_fn is None:
-        delta_fn = _shared_denominator_delta(domain, x_o, params, cfg)
+        delta_fn = delta_memo(domain, x_o, params, cfg)
+    return CapacityProfile.from_deltas(R_o, c_bar, params.p,
+                                       fan_out(delta_fn, radii, workers))
 
+
+def fan_out(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], over a pool of `workers` threads when it is > 1."""
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(delta_fn, radii))
-    else:
-        deltas = [delta_fn(r) for r in radii]
-    return CapacityProfile.from_deltas(R_o, c_bar, params.p, deltas)
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
-def _shared_denominator_delta(domain: DomainSpec, x_o, params: StructureParams,
-                              cfg: capacity.SolverConfig):
-    """rho -> delta(rho) over one `capacity.unit_denominator`, solved now."""
-    denominator = capacity.unit_denominator(len(tuple(x_o)), params.p, cfg)
+def delta_memo(domain: DomainSpec, x_o, params: StructureParams,
+               cfg: capacity.SolverConfig = capacity.SolverConfig()):
+    """rho -> delta(rho) at x_o, each radius solved once, over one
+    `capacity.unit_denominator` that the first call solves.  Safe to call
+    from worker threads."""
+    lock = threading.Lock()
 
+    @functools.cache
+    def denominator():
+        return capacity.unit_denominator(params.N, params.p, cfg)
+
+    @functools.cache
     def delta_at(rho: float) -> float:
-        return capacity.delta(domain, x_o, rho, params, cfg, denominator=denominator)
+        with lock:
+            den = denominator()
+        return capacity.delta(domain, x_o, rho, params, cfg, den)
 
     return delta_at
 
@@ -289,15 +302,15 @@ def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructurePa
     Scans R = r_max, r_max/2, ... downward and returns the first admissible
     radius, so the result is the largest admissible one on the dyadic grid.
     `delta_fn` overrides the capacity computation (used for synthetic runs
-    and for a caller's memo of delta by radius); without it the full-cube
-    denominator is solved once for the whole scan.
+    and for a caller's `delta_memo`); without it the full-cube denominator is
+    solved once for the whole scan.
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if delta_fn is None:
-        delta_fn = _shared_denominator_delta(domain, x_o, params, cfg)
+        delta_fn = delta_memo(domain, x_o, params, cfg)
     p = params.p
     g_star = params.constants.gamma_star
     for k in range(max_halvings + 1):

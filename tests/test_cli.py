@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from capflow import capacity, cli, pde
+from capflow import capacity, cli, pde, wiener
 from helpers import count_condensers
 
 LN4 = math.log(4.0)
@@ -240,6 +240,37 @@ def test_unknown_time_mode(tmp_path, capsys):
     rc, _ = run(tmp_path, "solve", cfg)
     assert rc == 2
     assert "unknown time mode 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [[1], True])
+def test_slit_length_must_be_a_number_or_inf(tmp_path, capsys, length):
+    cfg = capacity_cfg()
+    cfg["N"] = 2
+    cfg["x_o"] = [0.0, 0.0]
+    cfg["domain"] = {"kind": "slit", "anchor": [0.0, 0.0], "length": length}
+    rc, _ = run(tmp_path, "capacity", cfg)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: key 'domain.length' must be a number or \"inf\"")
+
+
+@pytest.mark.parametrize("path", sorted(
+    os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    for name in os.listdir(os.path.join(os.path.dirname(__file__), "..", "configs"))),
+    ids=os.path.basename)
+def test_shipped_configs_parse(path, monkeypatch):
+    # the command is the one the file name starts with
+    def no_solve(*args, **kwargs):
+        raise AssertionError("parsing solved something")
+
+    monkeypatch.setattr(pde, "solve", no_solve)
+    monkeypatch.setattr(pde, "make_grid", no_solve)
+    monkeypatch.setattr(capacity, "minimize_condenser", no_solve)
+    stem = os.path.basename(path)[:-len(".json")].replace("_", "-")
+    command = max((c for c in cli._COMMANDS if stem.startswith(c)), key=len)
+    cfg = cli.parse_experiment(cli.load_config(path), command, "unused", 1, 0)
+    assert cfg.raw["schema_version"] == 1
+    assert set(cfg.values) == set(cli._COMMANDS[command].keys)
 
 
 def test_unknown_datum_kind(tmp_path, capsys):
@@ -473,6 +504,25 @@ def test_solve_source_solution_run(tmp_path):
     assert report["solve"]["snapshots"] == ["field_step0.csv", "field_step16.csv"]
 
 
+def test_solve_rejects_an_unstored_snapshot_step_before_solving(tmp_path, capsys,
+                                                                monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(pde, "solve", no_solve)
+    cfg = solve_cfg()
+    cfg["snapshot_steps"] = [0, 999]
+    rc, _ = run(tmp_path, "solve", cfg, tag="range")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: snapshot_steps: step 999 is not stored")
+    cfg["snapshot_steps"] = [16, 3]
+    cfg["scheme"] = {"store_stride": 2}
+    rc, _ = run(tmp_path, "solve", cfg, tag="stride")
+    assert rc == 2
+    assert "step 3 is not stored" in capsys.readouterr().err
+
+
 def test_solve_snapshot_steps_must_be_integers(tmp_path, capsys):
     cfg = solve_cfg()
     cfg["snapshot_steps"] = [0, "last"]
@@ -566,7 +616,7 @@ def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
     monkeypatch.setattr(capacity, "delta",
                         lambda domain, x_o, rho, params, cfg, den: (rho, den))
     cfg = cli.parse_experiment(capacity_cfg(), "capacity", "unused", 1, 0)
-    delta_at = cli._delta_memo(cfg, (0.0,))
+    delta_at = wiener.delta_memo(cfg.values["domain"], (0.0,), cfg.params, cfg.solver)
     radii = [2.0 ** -k for k in range(64)] * 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -608,6 +658,54 @@ def test_verify_validation(tmp_path, capsys):
     rc, _ = run(tmp_path, "verify", cfg, tag="probes")
     assert rc == 2
     assert "unknown key 'probes.bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("datum", {"kind": "bogus"}), ("grid_h", "x"), ("R_o", -1), ("c_bar", 2),
+    ("probe_radii", []), ("snapshot_steps", [1.5])])
+def test_verify_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      key, value):
+    solves = []
+    monkeypatch.setattr(pde, "solve", lambda *args: solves.append(args))
+    cfg = verify_cfg(0.36)
+    del cfg["synthetic_delta"]
+    cfg["solver"] = {"nodes_across": 17}
+    cfg[key] = value
+    solved = count_condensers(monkeypatch)
+    rc, out = run(tmp_path, "verify", cfg)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert solved == [] and solves == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "delta-profile", "cascade", "solve",
+                                     "verify"])
+def test_numeric_failure_leaves_a_partial_report(tmp_path, capsys, command):
+    corner = {"schema_version": 1, "p": 3.0, "N": 2, "x_o": [0.0, 0.0],
+              "domain": {"kind": "exterior_cube", "anchor": [0.0, 0.0], "half_edge": 0.5}}
+    cfg = {"capacity": dict(corner, radii=[0.25]),
+           "delta-profile": dict(corner, R_o=0.25, depth=2),
+           "cascade": cascade_cfg(), "solve": solve_cfg(),
+           "verify": verify_cfg(0.36)}[command]
+    if command == "cascade":
+        cfg["profile"]["value"] = 0.0   # A = 0: the cascade has no subsequence
+    else:
+        cfg["solver"] = {"nodes_across": 17, "max_iter": 1}
+        cfg["scheme"] = {"max_iter": 1}
+    stage = {"capacity": "capacity", "delta-profile": "profile", "cascade": "cascade",
+             "solve": "solve", "verify": "solve"}[command]
+    rc, out = run(tmp_path, command, cfg)
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: stage '{stage}' failed: ")
+    report = read_report(out)
+    assert report["error"]["stage"] == stage
+    assert report["error"]["message"]
+    assert stage in report["timings"]
+    if command == "solve":
+        assert report["error"]["step_index"] >= 1
+        assert math.isfinite(report["error"]["last_energy"])
+    assert "write" not in report["timings"]
 
 
 def test_verify_zero_capacity_fails_in_cascade_stage(tmp_path, capsys):
