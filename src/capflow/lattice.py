@@ -213,7 +213,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
 
     Each iteration solves with the weights max(|grad u|, weight_floor)**(p-2)
     frozen at u and halves the step toward that solution until the objective
-    does not increase.  It stops when no step down to 1e-12 descends or the
+    does not increase, then on while it still decreases.  It stops when no step down to 1e-12 descends or the
     relative decrease is at most tol_rel_energy, and raises ConvergenceError
     after cfg.max_iter iterations.
     """
@@ -247,6 +247,17 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         if e_cand > e_prev:
             # no descent at floor scale: the iterate is stationary
             return u, history
+        # The frozen-weight model underestimates the curvature along the
+        # gradient by up to a factor p - 1, so the full step can overshoot to
+        # nearly the starting level and zigzag with a tiny decrease per
+        # iteration.  The objective is convex along the segment: keep halving
+        # while that still lowers it.
+        while alpha > 1e-12:
+            half = u + 0.5 * alpha * (u_hat - u)
+            e_half = objective(half)
+            if e_half >= e_cand:
+                break
+            cand, alpha, e_cand = half, 0.5 * alpha, e_half
         u = cand
         history.append(e_cand)
         if e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300):

@@ -97,6 +97,26 @@ def test_condenser_convergence_error_carries_energy():
     assert err.value.step_index is None
 
 
+def test_condenser_of_scattered_points_converges_to_its_minimum():
+    # isolated plate nodes at p = 3: the full reweighted step overshoots by
+    # about a factor p - 1 = 2, and accepting it zigzagged for 700 iterations
+    # to a stop 1e-4 above the minimum
+    points = [(0, 2), (0, 4), (0, 6), (0, 8), (2, 3), (3, 11), (6, 14), (10, 16),
+              (12, 10), (14, 12), (15, 16), (16, 14)]
+    mask = np.zeros((17, 17), dtype=bool)
+    mask[tuple(np.transpose(points))] = True
+    obstacle = IndicatorField(Cube((0.0, 0.0), 1.0), 2.0 / 16, mask)
+
+    def solve(cfg):
+        return capacity.solve_condenser(
+            capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0, cfg))
+
+    cv = solve(FAST)
+    tight = solve(capacity.SolverConfig(nodes_across=17, tol_rel_energy=1e-14))
+    assert cv.iterations <= 20
+    assert abs(cv.value - tight.value) <= 1e-8 * tight.value
+
+
 def test_condenser_potential_in_unit_range():
     h = 2.0 / 16
     obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
