@@ -24,11 +24,11 @@ from .pde import (BoundaryDatum, SchemeConfig, SpaceTimeField, SpaceTimeGrid,
 from .probes import (FitReport, HarnackProbeResult, SpreadingProbeResult,
                      envelope_regression, spreading_probe, weak_harnack_probe)
 from .wiener import (CapacityProfile, CascadeReport, Cylinder, EnvelopeParams,
-                     ProfileEntry, SubsequenceResult, WienerDiagnostic,
-                     build_profile, build_subsequence, choose_c_bar,
-                     decay_envelope, holder_exponent, is_wiener_point,
-                     oscillation_cascade, realize_R_o_epsilon, wiener_integral,
-                     wiener_sum)
+                     SubsequenceResult, WienerDiagnostic, build_profile,
+                     build_subsequence, choose_c_bar, decay_envelope,
+                     holder_exponent, is_wiener_point, oscillation_cascade,
+                     realize_R_o_epsilon, wiener_integral, wiener_sum,
+                     window_depth)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "CascadeReport", "ConfigError", "CondenserProblem", "ConvergenceError",
     "Cube", "Cylinder", "DomainSpec", "EnvelopeParams", "FitReport",
     "HarnackProbeResult", "IndicatorField", "OVERRIDABLE_CONSTANTS",
-    "PipelineError", "ProfileEntry", "SchemeConfig", "SolverConfig",
+    "PipelineError", "SchemeConfig", "SolverConfig",
     "SpaceTimeField", "SpaceTimeGrid", "SpreadingProbeResult",
     "StructuralConstants", "StructureParams", "SubsequenceResult",
     "WienerDiagnostic", "barenblatt", "build_profile", "build_subsequence",
@@ -51,5 +51,5 @@ __all__ = [
     "save_snapshot", "smallest_lambda", "solve", "solve_condenser",
     "spatial_energy", "spreading_probe", "uniform_times", "unit_denominator",
     "weak_harnack_probe",
-    "wiener_integral", "wiener_sum",
+    "wiener_integral", "wiener_sum", "window_depth",
 ]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import Cube, DomainSpec, IndicatorField, rasterize_obstacle
+from .geometry import (Cube, DomainSpec, IndicatorField, box_faces, lattice_nodes_per_axis,
+                       rasterize_obstacle)
 from .lattice import LatticeSystem, MinimizeConfig, minimize
 from .params import StructureParams
 
@@ -69,11 +70,8 @@ def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarra
     obs = problem.obstacle
     h = obs.h
     ndim = obs.cube.ndim
-    big_m = round(problem.outer.half_edge / h)
-    if big_m < 1 or abs(big_m * h - problem.outer.half_edge) > 1e-9 * problem.outer.half_edge:
-        raise ValueError(f"grid spacing {h} does not divide the outer half-edge "
-                         f"{problem.outer.half_edge}")
-    n = 2 * big_m + 1
+    n = lattice_nodes_per_axis(problem.outer.half_edge, h)
+    big_m = (n - 1) // 2
     small_m = (obs.nodes_per_axis - 1) // 2
     offsets = []
     for k in range(ndim):
@@ -87,16 +85,8 @@ def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarra
     if lo < 0 or hi > 2 * big_m:
         raise ValueError("obstacle grid is not contained in the outer cube")
 
-    fixed = np.zeros((n,) * ndim, dtype=bool)
+    fixed = box_faces((n,) * ndim)      # the outer boundary is grounded
     values = np.zeros((n,) * ndim, dtype=float)
-    # ground the outer boundary
-    for k in range(ndim):
-        idx_lo = [slice(None)] * ndim
-        idx_lo[k] = 0
-        idx_hi = [slice(None)] * ndim
-        idx_hi[k] = n - 1
-        fixed[tuple(idx_lo)] = True
-        fixed[tuple(idx_hi)] = True
     # plate at 1 on the obstacle nodes
     sub = tuple(slice(o, o + 2 * small_m + 1) for o in offsets)
     plate = np.zeros((n,) * ndim, dtype=bool)

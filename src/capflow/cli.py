@@ -19,7 +19,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -28,6 +27,7 @@ import scipy
 
 from . import capacity, pde, probes, wiener
 from .errors import ConfigError, PipelineError
+from .fileio import atomic_write
 from .geometry import DISTANCE_KINDS, Cube, DomainSpec, sup_distance_to_obstacle
 from .params import OVERRIDABLE_CONSTANTS, StructureParams, make_params
 
@@ -262,27 +262,25 @@ def _parse_c_bar(raw: dict, cfg) -> tuple[int | None, float]:
     c_bar = _field(raw, "c_bar", Key("number", None, _OPEN_FRACTION), "", 0)
     if c_bar is None:
         return wiener.choose_c_bar(cfg.params)
-    lam = -math.log2(c_bar)
-    return (round(lam) if abs(lam - round(lam)) < 1e-12 else None), c_bar
+    return wiener.grid_lambda(c_bar), c_bar
 
 
 def _parse_profile(raw: dict, cfg) -> wiener.CapacityProfile:
-    def from_deltas(R_o, deltas):
-        return wiener.CapacityProfile.from_deltas(R_o, cfg.values["c_bar"][1],
-                                                  cfg.params.p, deltas)
+    def of_deltas(R_o, deltas):
+        return wiener.CapacityProfile(R_o, cfg.values["c_bar"][1], cfg.params.p, deltas)
 
     def seeded(R_o, depth, low, high, seed):
         if not 0.0 < low <= high <= 1.0:
             raise ConfigError(f"profile bounds need 0 < low <= high <= 1, "
                               f"got [{low}, {high}]")
-        return from_deltas(R_o, np.random.default_rng(seed).uniform(low, high, depth))
+        return of_deltas(R_o, np.random.default_rng(seed).uniform(low, high, depth))
 
     depth = Key("integer", bound=_POSITIVE)
     return _union(raw, "profile", "mode", {
         "constant": ({"R_o": "number", "depth": depth,
                       "value": Key("number", bound=_FRACTION)},
-                     lambda R_o, depth, value: from_deltas(R_o, [value] * depth)),
-        "list": ({"R_o": "number", "deltas": "numbers"}, from_deltas),
+                     lambda R_o, depth, value: of_deltas(R_o, [value] * depth)),
+        "list": ({"R_o": "number", "deltas": "numbers"}, of_deltas),
         "seeded": ({"R_o": "number", "depth": depth, "low": "number", "high": "number",
                     "seed": Key("integer", cfg.seed)}, seeded),
     }, cfg.params.N)
@@ -302,6 +300,27 @@ def _parse_realize(raw: dict, cfg) -> dict | None:
         return None
     return _build(_get(raw, "realize", "object"), "realize",
                   {"r_max": Key("number", 1.0), "max_halvings": Key("integer", 20)}, dict)
+
+
+def _probe_radii(given, r_o: float, c_bar: float, depth: int) -> list[float]:
+    """The given probe radii, or R_o/2 ... R_o/16, each checked to lie in the
+    profile's range [c_bar**(depth-1) R_o, R_o)."""
+    radii = given or [r_o * 0.5 ** (j + 1) for j in range(4)]
+    deepest = c_bar ** (depth - 1) * r_o
+    for rho in radii:
+        if not deepest * (1.0 - 1e-12) <= rho < r_o:
+            raise ConfigError(f"probe radius {rho} outside the profile range "
+                              f"[{deepest}, {r_o}); adjust depth or probe_radii")
+    return radii
+
+
+def _parse_probe_radii(raw: dict, cfg):
+    """The given probe radii or None, checked here when R_o is given and by
+    the `realize` stage when it is searched."""
+    given = _get(raw, "probe_radii", "numbers", default=None)
+    if cfg.values["R_o"] is not None:
+        _probe_radii(given, cfg.values["R_o"], cfg.values["c_bar"][1], cfg.values["depth"])
+    return given
 
 
 def _parse_synthetic_delta(raw: dict, cfg):
@@ -380,20 +399,6 @@ def _jsonable(obj):
     return obj
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
@@ -403,7 +408,7 @@ def _fmt(value) -> str:
 def _write_rows(path: str, raw: dict, header_line: str, sep: str, rows) -> None:
     echo = "# config: " + json.dumps(_jsonable(raw), sort_keys=True, separators=(",", ":"))
     lines = [echo, header_line] + [sep.join(_fmt(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lines)
 
 
 def write_csv(path: str, raw: dict, header: list[str], rows) -> None:
@@ -418,7 +423,7 @@ def write_plot_data(path: str, raw: dict, header: list[str], rows) -> None:
 def write_report(path: str, report: dict) -> None:
     """The run record: echoed config, versions, wall-clock timings (the only
     nondeterministic part) and the result sections."""
-    _atomic_write(path, json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
+    atomic_write(path, [json.dumps(_jsonable(report), sort_keys=True, indent=2)])
 
 
 # -- the stage runner and the subcommand handlers -----------------------------
@@ -475,8 +480,8 @@ _PROFILE_HEADER = ["index", "rho", "delta", "A", "wiener_partial"]
 
 
 def _profile_rows(profile: wiener.CapacityProfile) -> list[tuple]:
-    return [(e.index, e.rho, e.delta, e.A, wiener.wiener_sum(profile, 0, e.index))
-            for e in profile.entries]
+    return [(i, rho, d, a, wiener.wiener_sum(profile, 0, i))
+            for i, (rho, d, a) in enumerate(zip(profile.radii, profile.deltas, profile.A))]
 
 
 def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
@@ -524,7 +529,7 @@ def cmd_cascade(cfg: ExperimentConfig, stage: Callable, report: dict):
              casc.truncated) for rho, bound in casc.envelope_at]
     report["cascade"] = casc.to_dict()
     report["profile"] = {"R_o": profile.R_o, "c_bar": profile.c_bar,
-                         "deltas": [e.delta for e in profile.entries]}
+                         "deltas": profile.deltas}
     header = ["rho", "wiener_sum", "envelope", "branch", "truncated"]
     return [("envelope", header, rows, True)], None
 
@@ -554,7 +559,7 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     """End-to-end pipeline: capacity profile, PDE solve, oscillation
     measurements, cascade, and envelope regression at one boundary point."""
     values, params, p = cfg.values, cfg.params, cfg.params.p
-    domain, x_o, t_o = values["domain"], values["x_o"], values["t_o"]
+    domain, x_o, t_o, epsilon = values["domain"], values["x_o"], values["t_o"], values["epsilon"]
     lam, c_bar = values["c_bar"]
     delta_fn = values["synthetic_delta"] or wiener.delta_memo(domain, x_o, params,
                                                               cfg.solver)
@@ -563,14 +568,15 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
         "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS}})
 
     def realize():
-        if values["realize"] is None:
-            return values["R_o"], values["epsilon"], "explicit"
-        return (*wiener.realize_R_o_epsilon(t_o, domain, x_o, params, values["epsilon"],
-                                            cfg.solver, delta_fn=delta_fn,
-                                            **values["realize"]), "searched")
+        r_o = values["R_o"]
+        if values["realize"] is not None:
+            r_o = wiener.realize_R_o_epsilon(t_o, domain, x_o, params, epsilon, cfg.solver,
+                                             delta_fn=delta_fn, **values["realize"])
+        return r_o, _probe_radii(values["probe_radii"], r_o, c_bar, values["depth"])
 
-    r_o, epsilon, realize_mode = stage("realize", realize)
-    report["realize"] = {"R_o": r_o, "epsilon": epsilon, "mode": realize_mode}
+    r_o, radii = stage("realize", realize)
+    report["realize"] = {"R_o": r_o, "epsilon": epsilon,
+                         "mode": "explicit" if values["realize"] is None else "searched"}
     profile = stage("profile", lambda: wiener.build_profile(
         domain, x_o, r_o, c_bar, values["depth"], params, cfg.solver, cfg.workers,
         delta_fn))
@@ -586,24 +592,13 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
 
     def measure():
         delta_ro = float(profile.deltas[0])
-        window_depth = (3.0 * params.constants.gamma_star
-                        * delta_ro ** ((2.0 - p) / (p - 1.0))
-                        * r_o ** (p - epsilon)) if delta_ro > 0.0 else math.inf
-        omega_o = pde.oscillation_over(
-            field_obj, Cube(x_o, 2.0 * r_o),
-            t_o - window_depth if math.isfinite(window_depth) else 0.0, t_o)
+        window_depth = wiener.window_depth(params, delta_ro, r_o, epsilon)
+        region, t_lo = Cube(x_o, 2.0 * r_o), t_o - window_depth
+        omega_o = pde.oscillation_over(field_obj, region, t_lo, t_o)
         if omega_o <= 0.0:
             raise ValueError("solution has zero oscillation on the reference "
                              "cylinder; the envelope comparison is vacuous")
-        osc_g = pde.osc_g_on_lateral(grid, values["datum"], x_o, t_o, r_o, params,
-                                     epsilon, delta_ro)
-        radii = values["probe_radii"] or [r_o * 0.5 ** (j + 1) for j in range(4)]
-        deepest = profile.radii[-1]
-        for rho in radii:
-            if not deepest * (1.0 - 1e-12) <= rho < r_o:
-                raise ValueError(f"probe radius {rho} outside the profile "
-                                 f"range [{deepest}, {r_o}); adjust depth "
-                                 "or probe_radii")
+        osc_g = pde.osc_g_on_lateral(grid, values["datum"], region, t_lo, t_o)
         return {"delta_Ro": delta_ro, "window_depth": window_depth,
                 "depth_feasible_at_t_o": window_depth <= t_o, "omega_o": omega_o,
                 "osc_g": osc_g, "measured": [
@@ -624,10 +619,10 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
                       wiener.decay_envelope(env, profile, rho)) for rho, osc in measured]
 
     fit, env_rows = stage("regression", regression)
-    report["regression"] = fit.to_dict()
+    report["regression"] = dataclasses.asdict(fit)
     if values["probes"]:
         report["probes"] = stage("probes", lambda: {
-            name: _PROBES[name][0](field_obj, *args).to_dict()
+            name: dataclasses.asdict(_PROBES[name][0](field_obj, *args))
             for name, args in values["probes"].items()})
     env_header = ["rho", "wiener_sum", "osc", "envelope"]
     return [("profile", _PROFILE_HEADER, prof_rows, False),
@@ -660,8 +655,8 @@ _COMMANDS = {
          "depth": Key("integer", bound=_POSITIVE), "c_bar": _parse_c_bar},
         cmd_delta_profile),
     "cascade": Command("oscillation cascade over a synthetic profile", {
-        "mu_o": "number", "epsilon": "number", "c_bar": _parse_c_bar,
-        "profile": _parse_profile}, cmd_cascade),
+        "mu_o": _POSITIVE_NUMBER, "epsilon": Key("number", bound=_OPEN_FRACTION),
+        "c_bar": _parse_c_bar, "profile": _parse_profile}, cmd_cascade),
     "solve": Command("one forward run of the degenerate diffusion", _SOLVE_KEYS,
                      cmd_solve),
     "verify": Command(
@@ -670,7 +665,7 @@ _COMMANDS = {
          "epsilon": Key("number", bound=_OPEN_FRACTION),
          "depth": Key("integer", bound=(lambda v: v >= 2, "be at least 2")),
          "c_bar": _parse_c_bar, "R_o": Key("number", None, _POSITIVE),
-         "realize": _parse_realize, "probe_radii": Key("numbers", None),
+         "realize": _parse_realize, "probe_radii": _parse_probe_radii,
          "synthetic_delta": _parse_synthetic_delta, "probes": _parse_probes},
         cmd_verify),
 }

@@ -361,6 +361,15 @@ def lattice_nodes_per_axis(half_edge: float, h: float) -> int:
     return 2 * m + 1
 
 
+def box_faces(shape: tuple[int, ...]) -> np.ndarray:
+    """Nodes on the faces of a lattice box of the given shape."""
+    faces = np.zeros(shape, dtype=bool)
+    for k in range(len(shape)):
+        faces[(slice(None),) * k + (0,)] = True
+        faces[(slice(None),) * k + (-1,)] = True
+    return faces
+
+
 def rasterize_obstacle(domain: DomainSpec, inner: Cube, grid_h: float) -> IndicatorField:
     """Mark the lattice nodes of `inner` lying in the obstacle inner \\ E.
 

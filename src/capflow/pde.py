@@ -1,6 +1,7 @@
 """Backward-Euler solver for u_t = div(|Du|^{p-2} Du) on a box with a removed
 obstacle, plus the oscillation measurements used to compare solutions against
-capacity-based decay envelopes.
+capacity-based decay envelopes.  Every measurement, here and in `probes`, picks
+its times with `in_window` and its nodes with `SpaceTimeGrid.nodes_in`.
 
 Each time step solves the proximal problem
 
@@ -22,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import Cube, DomainSpec, domain_inside_mask, lattice_nodes_per_axis
+from .fileio import atomic_write
+from .geometry import Cube, DomainSpec, box_faces, domain_inside_mask, lattice_nodes_per_axis
 from .lattice import LatticeSystem, MinimizeConfig, minimize
 
 
@@ -47,6 +49,10 @@ class SpaceTimeGrid:
             return axs[0][:, None]
         mesh = np.meshgrid(*axs, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def nodes_in(self, cube: Cube) -> np.ndarray:
+        """Flat mask of the nodes in `cube`, up to a 1e-9 h tolerance."""
+        return cube.contains_points(self.node_points(), tol=1e-9 * self.h)
 
     @property
     def n_nodes(self) -> int:
@@ -78,15 +84,6 @@ def intrinsic_times(T: float, h: float, p: float, omega: float = 1.0) -> np.ndar
     return np.linspace(0.0, T, steps + 1)
 
 
-def _box_faces(shape: tuple[int, ...]) -> np.ndarray:
-    """Nodes on the faces of the lattice box."""
-    faces = np.zeros(shape, dtype=bool)
-    for k in range(len(shape)):
-        faces[(slice(None),) * k + (0,)] = True
-        faces[(slice(None),) * k + (-1,)] = True
-    return faces
-
-
 def _near(m: np.ndarray) -> np.ndarray:
     """Nodes with at least one axis neighbor in the mask `m`."""
     near = np.zeros_like(m)
@@ -115,7 +112,7 @@ def make_grid(domain: DomainSpec, box: Cube, grid_h: float, times) -> SpaceTimeG
 
     n = lattice_nodes_per_axis(box.half_edge, grid_h)
     shape = (n,) * domain.ndim
-    grid_idx = domain_inside_mask(domain, box, grid_h).reshape(shape) & ~_box_faces(shape)
+    grid_idx = domain_inside_mask(domain, box, grid_h).reshape(shape) & ~box_faces(shape)
     inside = grid_idx.ravel()
 
     if np.any(inside):
@@ -233,19 +230,22 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
                           np.array(stored_rows))
 
 
+def in_window(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """Mask of `times` in [t_lo, t_hi], widened by 1e-12 * max(|t_hi|, 1)."""
+    span = max(abs(t_hi), 1.0)
+    return (times >= t_lo - 1e-12 * span) & (times <= t_hi + 1e-12 * span)
+
+
 def oscillation_over(field: SpaceTimeField, region: Cube, t_lo: float,
                      t_hi: float) -> float:
     """sup - inf of the stored solution over interior nodes of `region` and
     stored times in [max(t_lo, 0), t_hi]."""
     t_lo = max(t_lo, 0.0)
-    times = field.stored_times
-    span = max(abs(t_hi), 1.0)
-    rows = (times >= t_lo - 1e-12 * span) & (times <= t_hi + 1e-12 * span)
+    rows = in_window(field.stored_times, t_lo, t_hi)
     if not np.any(rows):
         raise ValueError(f"no stored time slices in [{t_lo}, {t_hi}]; "
                          "lower the store stride or widen the window")
-    pts = field.grid.node_points()
-    mask = field.grid.inside & region.contains_points(pts, tol=1e-9 * field.grid.h)
+    mask = field.grid.inside & field.grid.nodes_in(region)
     if not np.any(mask):
         raise ValueError("region contains no interior nodes")
     sub = field.values[rows][:, mask]
@@ -270,53 +270,28 @@ def lateral_mask(grid: SpaceTimeGrid, region: Cube) -> np.ndarray:
     """Obstacle-boundary nodes inside `region`: non-interior nodes off the box
     faces with at least one interior axis neighbor."""
     m = grid.inside.reshape(grid.shape)
-    lateral = _near(m) & ~m & ~_box_faces(grid.shape)
-    flat = lateral.ravel()
-    pts = grid.node_points()
-    flat &= region.contains_points(pts, tol=1e-9 * grid.h)
-    return flat
+    lateral = _near(m) & ~m & ~box_faces(grid.shape)
+    return lateral.ravel() & grid.nodes_in(region)
 
 
-def osc_g_on_lateral(grid: SpaceTimeGrid, datum: BoundaryDatum, x_o, t_o: float,
-                     R_o: float, params, epsilon: float, delta_Ro: float) -> float:
-    """Oscillation of the boundary datum over obstacle nodes in K_{2 R_o}(x_o)
-    and the backward window of depth
-    3 gamma_star delta(R_o)**((2-p)/(p-1)) R_o**(p-epsilon), clipped at [0, T].
+def osc_g_on_lateral(grid: SpaceTimeGrid, datum: BoundaryDatum, region: Cube,
+                     t_lo: float, t_hi: float) -> float:
+    """Oscillation of the boundary datum over the obstacle nodes in `region`
+    and the time window [t_lo, t_hi], clipped at [0, T].
 
     Samples the grid times inside the window plus its clipped endpoints, so a
     datum linear in time oscillates by exactly the window length.
-    delta_Ro = 0 is read as an unbounded depth (window [0, t_o]).
     """
-    if not 0.0 <= delta_Ro <= 1.0:
-        raise ValueError(f"delta(R_o) must lie in [0, 1], got {delta_Ro}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    p = params.p
-    if delta_Ro == 0.0:
-        t_lo = 0.0
-    else:
-        depth = (3.0 * params.constants.gamma_star
-                 * delta_Ro ** ((2.0 - p) / (p - 1.0)) * R_o ** (p - epsilon))
-        t_lo = max(t_o - depth, 0.0)
-    t_hi = min(t_o, float(grid.times[-1]))
+    t_lo, t_hi = max(t_lo, 0.0), min(t_hi, float(grid.times[-1]))
     if t_hi < t_lo:
-        raise ValueError(f"window [{t_lo}, {t_o}] lies outside the grid times")
-    region = Cube(x_o, 2.0 * R_o)
+        raise ValueError(f"window [{t_lo}, {t_hi}] lies outside the grid times")
     mask = lateral_mask(grid, region)
     if not np.any(mask):
         raise ValueError("region contains no lateral boundary nodes")
-    span = max(abs(t_hi), 1.0)
-    sel = {float(t) for t in grid.times
-           if t >= t_lo - 1e-12 * span and t <= t_hi + 1e-12 * span}
-    sel.update((t_lo, t_hi))
+    sel = {*grid.times[in_window(grid.times, t_lo, t_hi)].tolist(), t_lo, t_hi}
     pts = grid.node_points()[mask]
-    lo = math.inf
-    hi = -math.inf
-    for t in sorted(sel):
-        vals = datum(pts, t)
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    return hi - lo
+    vals = np.concatenate([datum(pts, t) for t in sorted(sel)])
+    return float(vals.max()) - float(vals.min())
 
 
 def spatial_energy(field: SpaceTimeField) -> np.ndarray:
@@ -358,16 +333,19 @@ def save_snapshot(field: SpaceTimeField, step: int, path: str) -> None:
     pts = grid.node_points()
     ndim = len(grid.shape)
     cols = [f"x{i}" for i in range(ndim)] + ["inside", "value"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# capflow field snapshot\n")
-        center = ",".join("%.17g" % c for c in grid.box.center)
-        fh.write(f"# h={grid.h:.17g} p={field.p:.17g} step={step} "
-                 f"time={float(grid.times[step]):.17g}\n")
-        fh.write(f"# box_center={center} box_half_edge={grid.box.half_edge:.17g}\n")
-        fh.write(",".join(cols) + "\n")
+    center = ",".join("%.17g" % c for c in grid.box.center)
+
+    def lines():
+        yield "# capflow field snapshot"
+        yield (f"# h={grid.h:.17g} p={field.p:.17g} step={step} "
+               f"time={float(grid.times[step]):.17g}")
+        yield f"# box_center={center} box_half_edge={grid.box.half_edge:.17g}"
+        yield ",".join(cols)
         for i in range(len(pts)):
             coords = ",".join("%.17g" % c for c in pts[i])
-            fh.write(f"{coords},{int(grid.inside[i])},{row[i]:.17g}\n")
+            yield f"{coords},{int(grid.inside[i])},{row[i]:.17g}"
+
+    atomic_write(path, lines())
 
 
 def load_snapshot(path: str) -> dict:

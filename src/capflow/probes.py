@@ -1,6 +1,7 @@
 """Empirical verification instruments run against discrete solutions: a weak
 Harnack ratio at intrinsic waiting times, a positivity-spreading fit, and
-regression of measured oscillations against a capacity decay envelope.
+regression of measured oscillations against a capacity decay envelope
+(`wiener.decay_envelope`, whose flat part is `EnvelopeParams.floor`).
 
 Averages use compensated summation and infima are plain node scans, so an
 exhaustive loop over the same nodes reproduces every number exactly.  Probes
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Cube
-from .pde import SpaceTimeField
-from .wiener import CapacityProfile, EnvelopeParams, wiener_integral
+from .pde import SpaceTimeField, in_window
+from .wiener import CapacityProfile, EnvelopeParams, decay_envelope, wiener_integral
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,6 @@ class HarnackProbeResult:
     ratio: float                # avg / inf_later; inf when inf_later == 0
     remark_applies: bool        # doubled intrinsic window fits before the horizon
 
-    def to_dict(self) -> dict:
-        return {
-            "y": list(self.y), "rho": self.rho, "s": self.s,
-            "harnack_c": self.harnack_c, "avg": self.avg, "theta": self.theta,
-            "branch": self.branch, "window": list(self.window),
-            "inf_later": self.inf_later, "ratio": self.ratio,
-            "remark_applies": self.remark_applies,
-        }
-
 
 @dataclass(frozen=True)
 class SpreadingProbeResult:
@@ -57,13 +49,6 @@ class SpreadingProbeResult:
     fitted_nu: float
     holds: bool
     capped: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "y": list(self.y), "rho": self.rho, "t_bar": self.t_bar, "k": self.k,
-            "samples": [list(s) for s in self.samples],
-            "fitted_nu": self.fitted_nu, "holds": self.holds, "capped": self.capped,
-        }
 
 
 @dataclass(frozen=True)
@@ -83,19 +68,10 @@ class FitReport:
     def all_below(self) -> bool:
         return all(self.envelope_ok)
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [list(pt) for pt in self.points],
-            "slope": self.slope, "intercept": self.intercept,
-            "correlation": self.correlation, "n_used": self.n_used,
-            "dropped": list(self.dropped), "envelope_ok": list(self.envelope_ok),
-        }
-
 
 def _ball_nodes(field: SpaceTimeField, center, half_edge: float) -> np.ndarray:
     cube = Cube(center, half_edge)
-    pts = field.grid.node_points()
-    mask = field.grid.inside & cube.contains_points(pts, tol=1e-9 * field.grid.h)
+    mask = field.grid.inside & field.grid.nodes_in(cube)
     if not np.any(mask):
         raise ValueError(f"no interior nodes in the cube of half-edge {half_edge} "
                          f"at {tuple(float(c) for c in cube.center)}")
@@ -160,9 +136,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     t_hi = s_used + theta * rho ** p
     remark = s_used + 2.0 * harnack_c ** (p - 2.0) * avg ** (2.0 - p) * rho ** p < T
 
-    times = field.stored_times
-    span = max(abs(t_hi), 1.0)
-    rows = (times >= t_lo - 1e-12 * span) & (times <= t_hi + 1e-12 * span)
+    rows = in_window(field.stored_times, t_lo, t_hi)
     if not np.any(rows):
         raise ValueError(f"no stored slices in the waiting window [{t_lo}, {t_hi}]; "
                          "reduce the store stride or the time step")
@@ -237,44 +211,32 @@ def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float, k: float
         capped=bool(fitted >= 1.0))
 
 
-def envelope_floor(env: EnvelopeParams) -> float:
-    """Additive part of the decay envelope: osc_g plus the depth tail."""
-    c = env.params.constants
-    return env.osc_g + c.bar_gamma * env.R_o ** (env.epsilon / (env.params.p - 2.0))
-
-
 def envelope_regression(measurements, profile: CapacityProfile,
                         env: EnvelopeParams) -> FitReport:
     """Regress log(osc - floor) against the dyadic capacity integral W(rho).
 
-    measurements: iterable of (rho, osc).  The floor is the envelope's flat
-    part (osc_g plus the tail term); subtracting it isolates the exponential
+    measurements: iterable of (rho, osc) with rho < R_o.  The floor is the
+    envelope's flat part, `env.floor`; subtracting it isolates the exponential
     factor, whose log is -gamma * W(rho) up to an intercept, so the slope is
     an empirical -gamma.  Measurements at or below the floor cannot enter the
-    fit and are flagged dropped; their envelope check still runs.
+    fit and are flagged dropped; their check against `decay_envelope` still
+    runs.
     """
     pairs = [(float(r), float(o)) for r, o in measurements]
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 radii, got {len(pairs)}")
-    floor = envelope_floor(env)
-    gamma = env.params.constants.gamma
+    floor = env.floor
     points = []
     dropped = []
     ok = []
-    xs = []
-    ys = []
     for rho, osc in pairs:
-        w = wiener_integral(profile, rho)
-        bound = env.omega_o * math.exp(-gamma * w) + floor
-        ok.append(bool(osc <= bound * (1.0 + 1e-12)))
+        ok.append(bool(osc <= decay_envelope(env, profile, rho) * (1.0 + 1e-12)))
         excess = osc - floor
-        if excess <= 0.0:
-            dropped.append(True)
-            continue
-        dropped.append(False)
-        points.append((w, math.log(excess)))
-        xs.append(w)
-        ys.append(math.log(excess))
+        dropped.append(bool(excess <= 0.0))
+        if not dropped[-1]:
+            points.append((wiener_integral(profile, rho), math.log(excess)))
+    xs = [w for w, _ in points]
+    ys = [y for _, y in points]
     if len(xs) < 3:
         raise ValueError(f"need at least 3 measurements above the floor {floor} "
                          f"for a fit, got {len(xs)}")

@@ -1,10 +1,11 @@
 """Capacity profiles on geometric radius grids and the oscillation-decay
-machinery built on them: Wiener sums, working-subsequence selection, the
-intrinsic-cylinder cascade, and closed-form decay envelopes.
+machinery built on them: Wiener sums, the backward-window depth, working-
+subsequence selection, the intrinsic-cylinder cascade, and decay envelopes.
 
-Radii live on the geometric grid rho_i = c_bar**i * R_o.  With A_i =
-delta_i**(1/(p-1)), the quadrature ln(1/c_bar) * sum A_i is the left-endpoint
-discretization of the dyadic integral of A(s) ds/s, exact for constant A.
+Radii live on the geometric grid rho_i = c_bar**i * R_o; a profile stores only
+its delta_i and derives rho_i and A_i = delta_i**(1/(p-1)).  The quadrature
+ln(1/c_bar) * sum A_i is the left-endpoint discretization of the dyadic
+integral of A(s) ds/s, exact for constant A.
 """
 
 from __future__ import annotations
@@ -22,67 +23,43 @@ from .geometry import DomainSpec, contains
 from .params import StructureParams, smallest_lambda
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    index: int
-    rho: float
-    delta: float
-    A: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacityProfile:
-    """Relative capacities delta_i and their roots A_i on rho_i = c_bar**i * R_o."""
+    """Relative capacities delta_i on rho_i = c_bar**i * R_o, with their roots
+    A_i = delta_i**(1/(p-1)).  `deltas` is stored as a read-only array."""
 
     R_o: float
     c_bar: float
     p: float
-    entries: tuple[ProfileEntry, ...]
+    deltas: np.ndarray
 
     def __post_init__(self):
+        deltas = np.array(self.deltas, dtype=float)
+        deltas.flags.writeable = False
+        object.__setattr__(self, "deltas", deltas)
         if not self.R_o > 0.0:
             raise ValueError(f"R_o must be positive, got {self.R_o}")
         if not 0.0 < self.c_bar < 1.0:
             raise ValueError(f"c_bar must lie in (0, 1), got {self.c_bar}")
         if self.p <= 2.0:
             raise ValueError(f"p must exceed 2, got {self.p}")
-        if not self.entries:
-            raise ValueError("profile needs at least one entry")
-        for i, e in enumerate(self.entries):
-            if e.index != i:
-                raise ValueError(f"entry {i} has index {e.index}; indices must be 0..depth-1")
-            rho_exp = self.c_bar ** i * self.R_o
-            if abs(e.rho - rho_exp) > 1e-12 * rho_exp:
-                raise ValueError(f"entry {i} radius {e.rho} is off the geometric grid "
-                                 f"(expected {rho_exp})")
-            if not 0.0 <= e.delta <= 1.0:
-                raise ValueError(f"entry {i} has delta {e.delta} outside [0, 1]")
-            a_exp = e.delta ** (1.0 / (self.p - 1.0))
-            if abs(e.A - a_exp) > 1e-12 * max(a_exp, 1e-300):
-                raise ValueError(f"entry {i} has inconsistent A (got {e.A}, expected {a_exp})")
+        if not len(deltas):
+            raise ValueError("profile needs at least one delta")
+        for i, d in enumerate(deltas.tolist()):
+            if not 0.0 <= d <= 1.0:
+                raise ValueError(f"delta_{i} = {d} lies outside [0, 1]")
 
     @property
     def depth(self) -> int:
-        return len(self.entries)
+        return len(self.deltas)
 
     @property
     def radii(self) -> np.ndarray:
-        return np.array([e.rho for e in self.entries])
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([e.delta for e in self.entries])
+        return np.array([self.c_bar ** i * self.R_o for i in range(self.depth)])
 
     @property
     def A(self) -> np.ndarray:
-        return np.array([e.A for e in self.entries])
-
-    @classmethod
-    def from_deltas(cls, R_o: float, c_bar: float, p: float, deltas) -> "CapacityProfile":
-        entries = tuple(
-            ProfileEntry(i, c_bar ** i * R_o, float(d), float(d) ** (1.0 / (p - 1.0)))
-            for i, d in enumerate(deltas))
-        return cls(R_o, c_bar, p, entries)
+        return np.array([d ** (1.0 / (self.p - 1.0)) for d in self.deltas.tolist()])
 
 
 @dataclass(frozen=True)
@@ -125,6 +102,12 @@ class EnvelopeParams:
         if not self.R_o > 0.0:
             raise ValueError(f"R_o must be positive, got {self.R_o}")
 
+    @property
+    def floor(self) -> float:
+        """Flat part of the envelope: osc_g plus the tail bar_gamma R_o**(eps/(p-2))."""
+        c = self.params.constants
+        return self.osc_g + c.bar_gamma * self.R_o ** (self.epsilon / (self.params.p - 2.0))
+
 
 @dataclass(frozen=True)
 class CascadeReport:
@@ -165,6 +148,12 @@ class CascadeReport:
         }
 
 
+def grid_lambda(c_bar: float) -> int | None:
+    """lambda with c_bar = 2**-lambda, or None when it is not an integer."""
+    lam = -math.log2(c_bar)
+    return round(lam) if abs(lam - round(lam)) < 1e-12 else None
+
+
 def choose_c_bar(params: StructureParams) -> tuple[int, float]:
     """Grid ratio c_bar = 2**-lambda with the smallest admissible lambda."""
     lam = smallest_lambda(params.p, params.constants.gamma_2)
@@ -193,8 +182,7 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
     radii = [c_bar ** i * R_o for i in range(depth)]
     if delta_fn is None:
         delta_fn = delta_memo(domain, x_o, params, cfg)
-    return CapacityProfile.from_deltas(R_o, c_bar, params.p,
-                                       fan_out(delta_fn, radii, workers))
+    return CapacityProfile(R_o, c_bar, params.p, fan_out(delta_fn, radii, workers))
 
 
 def fan_out(fn, items, workers: int) -> list:
@@ -293,11 +281,26 @@ def is_wiener_point(profile: CapacityProfile, threshold_window: int = 8) -> Wien
     return WienerDiagnostic("inconclusive", slope, window, note)
 
 
+def window_depth(params: StructureParams, delta: float, R_o: float,
+                 epsilon: float) -> float:
+    """Depth 3 gamma_star delta**((2-p)/(p-1)) R_o**(p-epsilon) of the backward
+    cylinder on which the envelope at scale R_o holds; infinite at delta = 0."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta(R_o) must lie in [0, 1], got {delta}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if delta == 0.0:
+        return math.inf
+    p = params.p
+    return (3.0 * params.constants.gamma_star * delta ** ((2.0 - p) / (p - 1.0))
+            * R_o ** (p - epsilon))
+
+
 def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructureParams,
                         epsilon: float, cfg: capacity.SolverConfig = capacity.SolverConfig(),
                         r_max: float = 1.0, max_halvings: int = 20,
-                        delta_fn=None) -> tuple[float, float]:
-    """Largest dyadic R_o with 3 gamma_star delta(R_o)**((2-p)/(p-1)) R_o**(p-eps) <= t_o.
+                        delta_fn=None) -> float:
+    """Largest dyadic R_o whose `window_depth` at epsilon is at most t_o.
 
     Scans R = r_max, r_max/2, ... downward and returns the first admissible
     radius, so the result is the largest admissible one on the dyadic grid.
@@ -307,20 +310,12 @@ def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructurePa
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if delta_fn is None:
         delta_fn = delta_memo(domain, x_o, params, cfg)
-    p = params.p
-    g_star = params.constants.gamma_star
     for k in range(max_halvings + 1):
         radius = r_max * 2.0 ** -k
-        d = float(delta_fn(radius))
-        if d <= 0.0:
-            continue
-        lhs = 3.0 * g_star * d ** ((2.0 - p) / (p - 1.0)) * radius ** (p - epsilon)
-        if lhs <= t_o:
-            return radius, epsilon
+        if window_depth(params, float(delta_fn(radius)), radius, epsilon) <= t_o:
+            return radius
     raise ValueError(
         f"no admissible R_o in [{r_max * 2.0 ** -max_halvings}, {r_max}] for t_o={t_o}, "
         f"epsilon={epsilon}; decrease epsilon, increase t_o, or extend the search range")
@@ -377,8 +372,7 @@ def oscillation_cascade(mu_o: float, profile: CapacityProfile, params: Structure
     g2 = params.constants.gamma_2
     g_star = params.constants.gamma_star
     r_o = profile.R_o
-    lam_f = -math.log2(profile.c_bar)
-    lam = round(lam_f) if abs(lam_f - round(lam_f)) < 1e-12 else None
+    lam = grid_lambda(profile.c_bar)
 
     if mu_o ** (2.0 - p) * r_o ** p > r_o ** (p - epsilon):
         bound = r_o ** (epsilon / (p - 2.0))
@@ -452,11 +446,8 @@ def decay_envelope(env: EnvelopeParams, profile: CapacityProfile, rho: float) ->
         raise ValueError(f"rho must be below R_o, got rho={rho}, R_o={env.R_o}")
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    c = env.params.constants
-    p = env.params.p
     w = wiener_integral(profile, rho)
-    tail = c.bar_gamma * env.R_o ** (env.epsilon / (p - 2.0))
-    return env.omega_o * math.exp(-c.gamma * w) + env.osc_g + tail
+    return env.omega_o * math.exp(-env.params.constants.gamma * w) + env.floor
 
 
 def holder_exponent(gamma_o: float, params: StructureParams) -> float:

@@ -93,7 +93,7 @@ def test_criterion_04_subsequence_inequalities(capsys):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         deltas = rng.uniform(0.05, 1.0, 12)
-        profile = cf.CapacityProfile.from_deltas(0.5, c_bar, p, deltas)
+        profile = cf.CapacityProfile(0.5, c_bar, p, deltas)
         casc = cf.oscillation_cascade(1.0, profile, params, 0.5)
         assert casc.branch == "cascade"
         assert all(casc.nesting_ok) and all(casc.sub_bd_ok)
@@ -137,7 +137,7 @@ def test_criterion_06_holder_specialization(capsys):
     # the envelope to a pure power of rho with exponent gamma*gamma_o^{1/(p-1)}
     params = cf.make_params(3.0, 2, bar_gamma=0.0)
     g_o = 0.25
-    profile = cf.CapacityProfile.from_deltas(1.0, 0.25, 3.0, [g_o] * 24)
+    profile = cf.CapacityProfile(1.0, 0.25, 3.0, [g_o] * 24)
     env = cf.EnvelopeParams(1.0, 0.0, 0.5, 1.0, params)
     rhos = np.array([0.25 ** k for k in range(1, 13)])
     logs = np.log([cf.decay_envelope(env, profile, r) for r in rhos])

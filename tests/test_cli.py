@@ -469,6 +469,18 @@ def test_cascade_profile_validation(tmp_path, capsys):
     assert "c_bar must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("mu_o", -1, "mu_o must be positive, got -1.0"),
+    ("epsilon", 1.5, "epsilon must lie in (0, 1), got 1.5")], ids=["mu_o", "epsilon"])
+def test_cascade_range_errors_exit_2(tmp_path, capsys, key, value, message):
+    cfg = cascade_cfg()
+    cfg[key] = value
+    rc, out = run(tmp_path, "cascade", cfg)
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # -- solve ---------------------------------------------------------------------
 
 def test_solve_source_solution_run(tmp_path):
@@ -629,6 +641,66 @@ def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
     assert results == [(r, "denominator") for r in radii]
 
 
+def test_verify_report_shape_with_probes(tmp_path):
+    # a box wide enough that the front from the left face is still moving at
+    # t_o, so both probes find their windows and hypotheses
+    cfg = verify_cfg(0.36)
+    cfg.update({
+        "R_o": 0.5, "probe_radii": [0.25, 0.125, 0.0625],
+        "box": {"center": [0.0], "half_edge": 1.0}, "grid_h": 0.0625,
+        "datum": {"kind": "ramped_distance", "scale": 0.5, "ramp_time": 0.002},
+        "probes": {"harnack": {"y": [-0.75], "s": 0.004, "rho": 0.0625},
+                   "spreading": {"y": [-0.875], "rho": 0.0625, "t_bar": 0.004,
+                                 "k": 0.1}}})
+    rc, out = run(tmp_path, "verify", cfg)
+    assert rc == 0
+    report = read_report(out)
+    harnack, spreading = report["probes"]["harnack"], report["probes"]["spreading"]
+    assert set(harnack) == {"y", "rho", "s", "harnack_c", "avg", "theta", "branch",
+                            "window", "inf_later", "ratio", "remark_applies"}
+    assert set(spreading) == {"y", "rho", "t_bar", "k", "samples", "fitted_nu",
+                              "holds", "capped"}
+    assert set(report["regression"]) == {"points", "slope", "intercept", "correlation",
+                                         "n_used", "dropped", "envelope_ok"}
+    assert harnack["y"] == [-0.75] and len(harnack["window"]) == 2
+    assert harnack["branch"] == "intrinsic" and harnack["ratio"] > 1.0
+    assert spreading["holds"] is True
+    assert all(len(sample) == 3 for sample in spreading["samples"])
+    assert all(len(point) == 2 for point in report["regression"]["points"])
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("pde.solve must not run")
+
+
+def test_verify_default_probe_radii_are_checked_before_the_solve(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(pde, "solve", _no_solve)
+    cfg = verify_cfg(0.36)
+    del cfg["probe_radii"]
+    cfg["depth"] = 2    # the default R_o/16 lies below the deepest radius R_o/4
+    rc, out = run(tmp_path, "verify", cfg)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: probe radius ")
+    assert not out.exists()
+
+
+def test_verify_searched_R_o_checks_probe_radii_before_the_profile(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(pde, "solve", _no_solve)
+    cfg = verify_cfg(0.36)
+    del cfg["R_o"]
+    cfg["realize"] = {"r_max": 0.5, "max_halvings": 5}
+    cfg["probe_radii"] = [0.5]
+    rc, out = run(tmp_path, "verify", cfg)
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "error: stage 'realize' failed: probe radius 0.5 outside the profile range")
+    report = read_report(out)
+    assert report["error"]["stage"] == "realize"
+    assert "profile" not in report and "solve" not in report["timings"]
+
+
 def test_verify_needs_exactly_one_radius_source(tmp_path, capsys):
     cfg = verify_cfg(0.36)
     cfg["realize"] = {"r_max": 0.5}
@@ -662,7 +734,7 @@ def test_verify_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("datum", {"kind": "bogus"}), ("grid_h", "x"), ("R_o", -1), ("c_bar", 2),
-    ("probe_radii", []), ("snapshot_steps", [1.5])])
+    ("probe_radii", []), ("snapshot_steps", [1.5]), ("probe_radii", [0.5])])
 def test_verify_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
                                                       key, value):
     solves = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -274,10 +275,14 @@ def test_osc_g_time_linear_datum_gives_window_length():
     R_o, eps, d_ro, t_o = 0.1, 0.5, 0.36, 0.04
     depth = 3.0 * P3N2.constants.gamma_star * d_ro ** -0.5 * R_o ** 2.5
     assert depth < t_o    # no clipping in this configuration
-    got = cf.osc_g_on_lateral(grid, datum, (0.0, 0.0), t_o, R_o, P3N2, eps, d_ro)
+    assert cf.window_depth(P3N2, d_ro, R_o, eps) == depth
+    region = Cube((0.0, 0.0), 2.0 * R_o)
+    got = cf.osc_g_on_lateral(grid, datum, region, t_o - depth, t_o)
     assert got == pytest.approx(depth, abs=1e-15)
     # delta = 0 reads as unbounded depth: the window is [0, t_o]
-    got0 = cf.osc_g_on_lateral(grid, datum, (0.0, 0.0), t_o, R_o, P3N2, eps, 0.0)
+    depth0 = cf.window_depth(P3N2, 0.0, R_o, eps)
+    assert depth0 == math.inf
+    got0 = cf.osc_g_on_lateral(grid, datum, region, t_o - depth0, t_o)
     assert got0 == t_o
 
 
@@ -287,11 +292,15 @@ def test_osc_g_validation():
                         cf.uniform_times(0.05, 5))
     datum = cf.BoundaryDatum("z", lambda pts, t: np.zeros(len(pts)))
     with pytest.raises(ValueError, match=r"delta\(R_o\) must lie in"):
-        cf.osc_g_on_lateral(grid, datum, (0.0, 0.0), 0.04, 0.1, P3N2, 0.5, 1.5)
+        cf.window_depth(P3N2, 1.5, 0.1, 0.5)
+    with pytest.raises(ValueError, match=r"epsilon must lie in"):
+        cf.window_depth(P3N2, 0.5, 0.1, 1.0)
+    with pytest.raises(ValueError, match="outside the grid times"):
+        cf.osc_g_on_lateral(grid, datum, Cube((0.0, 0.0), 0.2), 0.06, 0.08)
     plain = cf.make_grid(DomainSpec.full_space(2), Cube((0.0, 0.0), 0.25),
                          0.0625, cf.uniform_times(0.05, 5))
     with pytest.raises(ValueError, match="no lateral boundary nodes"):
-        cf.osc_g_on_lateral(plain, datum, (0.0, 0.0), 0.04, 0.1, P3N2, 0.5, 0.5)
+        cf.osc_g_on_lateral(plain, datum, Cube((0.0, 0.0), 0.2), 0.0, 0.04)
 
 
 def test_spatial_energy_of_linear_slice():
@@ -346,3 +355,23 @@ def test_snapshot_roundtrip(tmp_path):
     assert loaded["meta"]["p"] == 3.0
     assert loaded["meta"]["step"] == 2
     assert loaded["meta"]["time"] == float(grid.times[2])
+
+
+@pytest.mark.parametrize("failure", ["format", "rename"])
+def test_snapshot_write_failure_leaves_no_file(tmp_path, monkeypatch, failure):
+    # a row that cannot be formatted mid-table, or a failed final rename:
+    # neither a partial snapshot nor the temp file may remain
+    grid = _grid_1d(steps=3)
+    field = cf.solve(grid, cf.BoundaryDatum("lin", lambda pts, t: pts[:, 0] + 0.1 * t), 3.0)
+    values = field.values
+    if failure == "format":
+        values = values.astype(object)
+        values[2, grid.n_nodes // 2] = "not a number"
+    else:
+        def replace(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(os, "replace", replace)
+    field = cf.SpaceTimeField(grid, field.p, field.stored_steps, values)
+    with pytest.raises((ValueError, OSError)):
+        cf.save_snapshot(field, 2, str(tmp_path / "field_step2.csv"))
+    assert os.listdir(tmp_path) == []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import capflow as cf
-from capflow import probes
 from helpers import brute_harnack as _brute_harnack, synthetic_field
 
 
@@ -136,13 +135,13 @@ def test_spreading_sample_times_dedup():
 def test_envelope_floor():
     env = cf.EnvelopeParams(1.0, 0.3, 0.5, 0.25, P3N2)
     expected = 0.3 + P3N2.constants.bar_gamma * 0.25 ** 0.5
-    assert probes.envelope_floor(env) == pytest.approx(expected, abs=1e-15)
+    assert env.floor == pytest.approx(expected, abs=1e-15)
     flat = cf.make_params(3.0, 2, bar_gamma=0.0)
-    assert probes.envelope_floor(cf.EnvelopeParams(1.0, 0.3, 0.5, 0.25, flat)) == 0.3
+    assert cf.EnvelopeParams(1.0, 0.3, 0.5, 0.25, flat).floor == 0.3
 
 
 def _constant_profile(depth=8, delta=0.25, R_o=1.0):
-    return cf.CapacityProfile.from_deltas(R_o, 0.25, 3.0, [delta] * depth)
+    return cf.CapacityProfile(R_o, 0.25, 3.0, [delta] * depth)
 
 
 def _flat_env(omega_o=1.0, osc_g=0.0):

@@ -16,7 +16,7 @@ P3N1 = cf.make_params(3.0, 1)
 
 
 def _profile(deltas, R_o=1.0, c_bar=0.25, p=3.0):
-    return cf.CapacityProfile.from_deltas(R_o, c_bar, p, deltas)
+    return cf.CapacityProfile(R_o, c_bar, p, deltas)
 
 
 def test_choose_c_bar_oracles():
@@ -24,7 +24,7 @@ def test_choose_c_bar_oracles():
     assert cf.choose_c_bar(cf.make_params(4.0, 2, gamma_2=1e6)) == (1, 0.5)
 
 
-def test_from_deltas_computes_A():
+def test_profile_computes_radii_and_A():
     prof = _profile([0.25, 1.0, 0.0])
     assert prof.depth == 3
     assert np.allclose(prof.radii, [1.0, 0.25, 0.0625])
@@ -38,13 +38,6 @@ def test_profile_validation():
         _profile([-0.1])
     with pytest.raises(ValueError):
         cf.CapacityProfile(1.0, 1.5, 3.0, ())   # c_bar outside (0, 1)
-    good = _profile([0.5, 0.5])
-    bad_entry = wiener.ProfileEntry(1, 0.30, 0.5, good.entries[1].A)
-    with pytest.raises(ValueError):             # radius off the geometric grid
-        cf.CapacityProfile(1.0, 0.25, 3.0, (good.entries[0], bad_entry))
-    bad_a = wiener.ProfileEntry(1, 0.25, 0.5, 0.9)
-    with pytest.raises(ValueError):             # A inconsistent with delta
-        cf.CapacityProfile(1.0, 0.25, 3.0, (good.entries[0], bad_a))
 
 
 def test_wiener_sum():
@@ -98,10 +91,10 @@ def test_is_wiener_point_classification():
 def test_realize_R_o_epsilon_closed_form():
     # delta == 1 kills the delta factor: need 3 gamma_star R**(p-eps) <= t_o;
     # p=3, gamma_star=2, eps=0.5 -> 6 R**2.5, first dyadic hit below 0.2 is 1/4
-    r_o, eps = wiener.realize_R_o_epsilon(
+    r_o = wiener.realize_R_o_epsilon(
         0.2, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
         delta_fn=lambda rho: 1.0)
-    assert (r_o, eps) == (0.25, 0.5)
+    assert r_o == 0.25
 
 
 def test_realize_R_o_epsilon_exhausted():
@@ -232,7 +225,7 @@ def test_decay_envelope_power_law_specialization():
     # pure power law with exponent gamma * gamma_o**(1/(p-1))
     params = cf.make_params(3.0, 2, bar_gamma=0.0)
     gamma_o = 0.25
-    prof = cf.CapacityProfile.from_deltas(1.0, 0.25, 3.0, [gamma_o] * 12)
+    prof = cf.CapacityProfile(1.0, 0.25, 3.0, [gamma_o] * 12)
     env = cf.EnvelopeParams(1.0, 0.0, 0.5, 1.0, params)
     alpha = cf.holder_exponent(gamma_o, params)
     rhos = np.geomspace(prof.radii[-1], 0.9, 25)
