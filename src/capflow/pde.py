@@ -201,8 +201,10 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
     u = datum(pts, 0.0)
     n_steps = grid.n_steps
     keep = kept_steps(n_steps, scheme.store_stride)
-    stored_rows = [u.copy()] if 0 in keep else []
-    stored_steps = [0] if 0 in keep else []
+    row = {step: i for i, step in enumerate(keep)}
+    # one preallocated array: the field is never held twice
+    stored = np.empty((len(keep), u.size))
+    stored[0] = u
 
     for k in range(1, n_steps + 1):
         tau = float(grid.times[k] - grid.times[k - 1])
@@ -222,12 +224,10 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
                     "reweighting iterations", last_energy=exc.last_energy / p,
                     step_index=k) from None
 
-        if k in keep:
-            stored_rows.append(u.copy())
-            stored_steps.append(k)
+        if k in row:
+            stored[row[k]] = u
 
-    return SpaceTimeField(grid, float(p), tuple(stored_steps),
-                          np.array(stored_rows))
+    return SpaceTimeField(grid, float(p), tuple(keep), stored)
 
 
 def in_window(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:

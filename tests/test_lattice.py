@@ -1,6 +1,6 @@
 """The shared Dirichlet solve against a dense solve of the full weighted
-Laplacian, including the per-mask pattern cache and singular systems, and
-property tests of the shared reweighted minimizer."""
+Laplacian, including the per-mask pattern cache, the lagged factor and
+singular systems, and property tests of the shared reweighted minimizer."""
 
 from __future__ import annotations
 
@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import capflow as cf
+from capflow import lattice
+from capflow.geometry import Cube, DomainSpec
 from capflow.lattice import LatticeSystem, MinimizeConfig, minimize
 
 
@@ -136,6 +139,96 @@ def test_zero_weights_are_singular():
     fixed[[0, -1]] = True
     with pytest.raises(ValueError, match=re.escape("(9,) lattice with 7 free nodes")):
         system.solve_dirichlet(np.zeros(system.n_cells), fixed, np.ones(9))
+
+
+def test_zero_weights_after_a_lagged_factor_are_singular():
+    # the second solve of a 2D mask would run CG on the first one's factor
+    system = LatticeSystem((6, 7), 0.25)
+    fixed = np.ones((6, 7), dtype=bool)
+    fixed[1:-1, 1:-1] = False
+    g = np.linspace(0.0, 1.0, 42)
+    system.solve_dirichlet(np.ones(system.n_cells), fixed.ravel(), g)
+    with pytest.raises(ValueError, match=re.escape("(6, 7) lattice with 20 free nodes")):
+        system.solve_dirichlet(np.zeros(system.n_cells), fixed.ravel(), g)
+
+
+# -- the lagged factor ---------------------------------------------------------
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The SuperLU factorizations made during the test, one entry each."""
+    made = []
+    splu = lattice.spla.splu
+
+    def counting(*args, **kwargs):
+        made.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(lattice.spla, "splu", counting)
+    return made
+
+
+def test_lagged_factor_solves_match_dense_solves(factorizations):
+    # slowly varying weights on one 2D mask, as in consecutive reweighted
+    # steps, with mass switched on and off and one jump in the weights
+    shape, h = (13, 12), 0.1
+    system, rng, weights, g, previous = random_problem(shape, h, seed=11)
+    fixed = boundary_mask(shape, rng)
+    jump = 10.0 ** rng.uniform(-2.0, 2.0, system.n_cells)
+    # (weights, mass, whether the solve must factor; None: either)
+    plan = [(weights, 0.0, True), (weights, 0.0, False)]
+    for mass in (0.0, 0.0, 0.5, 0.5, 0.0):
+        plan.append((plan[-1][0] * (1.0 + 0.01 * rng.uniform(-1, 1, system.n_cells)),
+                     mass, None if mass != plan[-1][1] else False))
+    plan.append((weights * jump, 0.0, True))
+    plan.append((weights * jump * (1.0 + 0.01 * rng.uniform(-1, 1, system.n_cells)),
+                 0.0, False))
+    plan.append((weights * jump, 0.5, None))
+    for w, mass, factors in plan:
+        before = len(factorizations)
+        u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
+        ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
+        assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        assert np.array_equal(u[fixed], g[fixed])
+        if factors is not None:
+            assert (len(factorizations) > before) == factors
+    assert len(factorizations) < len(plan)
+
+
+def test_lagged_solve_converged_on_its_last_iteration_is_kept(factorizations, monkeypatch):
+    # on the factor of the same matrix one CG iteration is exact, and cg
+    # reports a solve that converges on its last allowed iteration as failed
+    monkeypatch.setattr(lattice, "_CG_MAXITER", 1)
+    shape, h = (9, 8), 0.125
+    system, rng, weights, g, previous = random_problem(shape, h, seed=5)
+    fixed = boundary_mask(shape, rng)
+    system.solve_dirichlet(weights, fixed, g)
+    g = rng.normal(size=system.n_nodes)
+    u = system.solve_dirichlet(weights, fixed, g)
+    assert len(factorizations) == 1
+    ref = dense_dirichlet(shape, h, weights, fixed, g)
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_time_loop_factors_every_solve_only_in_1d(ndim, factorizations, monkeypatch):
+    solves = []
+    solve_dirichlet = LatticeSystem.solve_dirichlet
+
+    def counting(self, *args, **kwargs):
+        solves.append(self.shape)
+        return solve_dirichlet(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeSystem, "solve_dirichlet", counting)
+    grid = cf.make_grid(DomainSpec.full_space(ndim), Cube((0.0,) * ndim, 0.5), 1.0 / 16,
+                        cf.uniform_times(0.05, 8))
+    datum = cf.BoundaryDatum(
+        "osc", lambda pts, t: np.sin(3.0 * pts[:, 0]) * np.cos(2.0 * pts[:, -1]) + t)
+    cf.solve(grid, datum, 3.0)
+    if ndim == 1:
+        assert len(factorizations) == len(solves) > 0
+    else:
+        assert 0 < len(factorizations) < len(solves)
 
 
 # -- the shared minimizer ------------------------------------------------------
