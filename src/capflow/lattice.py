@@ -63,6 +63,13 @@ class MinimizeConfig:
 _CG_RTOL = 1e-12
 _CG_MAXITER = 8
 
+# Round-off level of a computed objective, relative to its size.  It is a
+# pairwise sum of at most ~2**17 nonnegative cell terms (plus the mass term),
+# each rounded a few times, so each value carries a relative error of up to
+# about (log2(2**17) + 8) eps = 25 eps.  Two values closer than twice that,
+# 64 eps ~ 1.4e-14 relative, may differ by round-off alone.
+_ROUNDOFF_REL = 64.0 * np.finfo(float).eps
+
 
 def _sum_into(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """out[i] = sum of values[index == i]."""
@@ -256,16 +263,21 @@ class LatticeSystem:
 
 
 def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: float,
-             cfg: MinimizeConfig, mass: float = 0.0,
-             previous: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+             cfg: MinimizeConfig, mass: float = 0.0, previous: np.ndarray | None = None,
+             guess: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Minimize E(u) + (p mass / 2) sum_free (u - previous)^2, E the p-energy,
     with u = start on `fixed`; return (flat minimizer, objective history).
 
-    Each iteration solves with the weights max(|grad u|, weight_floor)**(p-2)
-    frozen at u and halves the step toward that solution until the objective
-    does not increase, then on while it still decreases.  It stops when no step down to 1e-12 descends or the
-    relative decrease is at most tol_rel_energy, and raises ConvergenceError
-    after cfg.max_iter iterations.
+    The iteration starts from `guess` on the free nodes when that has a
+    strictly lower objective than `start`, and from `start` otherwise; the
+    history begins at the objective of the chosen start.  Each iteration
+    solves with the weights max(|grad u|, weight_floor)**(p-2) frozen at u
+    and halves the step toward that solution until the objective does not
+    increase, then on while it still decreases by more than round-off.  It
+    stops when no step down to 1e-12 descends, when a rising step and its
+    half both leave the objective level up to round-off, or when the relative
+    decrease is at most tol_rel_energy; it raises ConvergenceError after
+    cfg.max_iter iterations.
     """
     if mass > 0.0 and previous is None:
         raise ValueError("mass term requires the previous field")
@@ -284,16 +296,29 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
 
     u = start
     history = [objective(u)]
+    if guess is not None:
+        trial = start.copy()
+        trial[free] = np.asarray(guess, dtype=float).ravel()[free]
+        e_trial = objective(trial)
+        if e_trial < history[0]:
+            u, history = trial, [e_trial]
     for _ in range(cfg.max_iter):
         w = system.weights(u, p, cfg.weight_floor)
         u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous)
         e_prev = history[-1]
+        noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0
         e_cand = objective(cand)
         while e_cand > e_prev and alpha > 1e-12:
+            level = e_cand - e_prev <= noise
             alpha *= 0.5
             cand = u + alpha * (u_hat - u)
             e_cand = objective(cand)
+            if level and e_cand > e_prev - noise:
+                # the objective is convex along the segment and level with
+                # e_prev up to round-off at alpha and 2 alpha, so nowhere
+                # on the segment is it lower by more than 3 noise
+                return u, history
         if e_cand > e_prev:
             # no descent at floor scale: the iterate is stationary
             return u, history
@@ -301,11 +326,11 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         # gradient by up to a factor p - 1, so the full step can overshoot to
         # nearly the starting level and zigzag with a tiny decrease per
         # iteration.  The objective is convex along the segment: keep halving
-        # while that still lowers it.
+        # while that still lowers it by more than round-off.
         while alpha > 1e-12:
             half = u + 0.5 * alpha * (u_hat - u)
             e_half = objective(half)
-            if e_half >= e_cand:
+            if e_cand - e_half <= _ROUNDOFF_REL * abs(e_cand):
                 break
             cand, alpha, e_cand = half, 0.5 * alpha, e_half
         u = cand

@@ -12,6 +12,17 @@ nodes and box faces).  `lattice.minimize` solves it as p times this
 functional, so the per-step energy never increases across iterates.  A
 spatially constant state with unchanged boundary values is returned bitwise,
 without entering the iteration.
+
+From the second step on, each step also offers the minimizer a guess: the
+linear extrapolation u_{k-1} + (tau_k / tau_{k-1}) (u_{k-1} - u_{k-2}) on free
+nodes, clipped to the range of the new boundary values and u_{k-1}.  Clipping
+acts node by node and is 1-Lipschitz, so it raises no cell gradient and no
+mass term, and it keeps every iterate inside the maximum-principle range.
+The minimizer starts from the guess only when its objective is strictly
+lower than that of the previous field with the new boundary values; this
+rejects the guess where the data bend, such as the end of a boundary ramp, where the energy-drop stop would
+otherwise fire early.  A step taken by the constant-state shortcut counts
+as history too, so the step after it extrapolates zero motion.
 """
 
 from __future__ import annotations
@@ -196,9 +207,11 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
         raise ValueError(f"p must be at least 2, got {p}")
     system = LatticeSystem(grid.shape, grid.h)
     pts = grid.node_points()
-    fixed = ~grid.inside
+    free = grid.inside
+    fixed = ~free
 
     u = datum(pts, 0.0)
+    u_old, tau_old = None, None     # the step before u, once there is one
     n_steps = grid.n_steps
     keep = kept_steps(n_steps, scheme.store_stride)
     row = {step: i for i, step in enumerate(keep)}
@@ -214,15 +227,25 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
 
         # a constant-in-space state with unchanged boundary is already the
         # exact minimizer: keep it bitwise
+        u_new = u
         if not np.array_equal(start, u) or np.any(system.cell_gradient_sq(u) > 0.0):
+            guess = None
+            if u_old is not None:
+                # the clipped extrapolation of the module docstring
+                guess = start.copy()
+                guess[free] += (tau / tau_old) * (u - u_old)[free]
+                np.clip(guess, min(bvals.min(), u.min()), max(bvals.max(), u.max()),
+                        out=guess)
             try:
-                u, _ = minimize(system, fixed, start, p, scheme,
-                                mass=grid.h ** len(grid.shape) / tau, previous=u)
+                u_new, _ = minimize(system, fixed, start, p, scheme,
+                                    mass=grid.h ** len(grid.shape) / tau, previous=u,
+                                    guess=guess)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"time step {k} did not converge within {scheme.max_iter} "
                     "reweighting iterations", last_energy=exc.last_energy / p,
                     step_index=k) from None
+        u_old, u, tau_old = u, u_new, tau
 
         if k in row:
             stored[row[k]] = u

@@ -8,19 +8,66 @@ import numpy as np
 
 import capflow as cf
 from capflow import capacity
+from capflow.lattice import LatticeSystem
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the first argument (`self` for a method) of every call of
+    owner.name from here on."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def count_condensers(monkeypatch) -> list:
     """Record the problem of every condenser solve from here on."""
-    solved = []
-    minimize = capacity.minimize_condenser
+    return count_calls(monkeypatch, capacity, "minimize_condenser")
 
-    def counted(problem):
-        solved.append(problem)
-        return minimize(problem)
 
-    monkeypatch.setattr(capacity, "minimize_condenser", counted)
-    return solved
+def count_solves(monkeypatch) -> list:
+    """Record the LatticeSystem of every linear Dirichlet solve from here on."""
+    return count_calls(monkeypatch, LatticeSystem, "solve_dirichlet")
+
+
+def step_error_bounds(field: cf.SpaceTimeField) -> np.ndarray:
+    """Certified l2 distance of every stored step to the exact minimizer of
+    its time step, from the stored step before it (store_stride 1).
+
+    Step k minimizes F_k(u) = (1/p) E(u) + (m_k / 2) |u - u_{k-1}|^2 over the
+    free nodes, with m_k = h**N / tau_k; F_k is m_k-strongly convex there, so
+    |u_k - u_k*| <= |grad F_k(u_k)| / m_k.  Each cell adds
+    h**(N-1) |g|**(p-2) g_i to its far node along axis i and subtracts it at
+    its low corner, g the cell's forward differences over h.
+    """
+    grid, p = field.grid, field.p
+    ndim, h = len(grid.shape), grid.h
+    assert field.stored_steps == tuple(range(grid.n_steps + 1))
+    bounds = []
+    for k in range(1, grid.n_steps + 1):
+        u = field.values[k].reshape(grid.shape)
+        low = u[(slice(0, -1),) * ndim]
+        diffs = []
+        for axis in range(ndim):
+            far = [slice(0, -1)] * ndim
+            far[axis] = slice(1, None)
+            diffs.append((u[tuple(far)] - low) / h)
+        scale = h ** (ndim - 1) * sum(d * d for d in diffs) ** ((p - 2.0) / 2.0)
+        grad = np.zeros(grid.shape)
+        for axis, d in enumerate(diffs):
+            far = [slice(0, -1)] * ndim
+            far[axis] = slice(1, None)
+            grad[tuple(far)] += scale * d
+            grad[(slice(0, -1),) * ndim] -= scale * d
+        mass = h ** ndim / float(grid.times[k] - grid.times[k - 1])
+        resid = grad.ravel() + mass * (field.values[k] - field.values[k - 1])
+        bounds.append(float(np.linalg.norm(resid[grid.inside])) / mass)
+    return np.array(bounds)
 
 
 def synthetic_field(values: np.ndarray, times, *, half_edge: float = 0.5,

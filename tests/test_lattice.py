@@ -16,6 +16,7 @@ import capflow as cf
 from capflow import lattice
 from capflow.geometry import Cube, DomainSpec
 from capflow.lattice import LatticeSystem, MinimizeConfig, minimize
+from helpers import count_solves
 
 
 def dense_laplacian(shape, h, cell_weights):
@@ -212,14 +213,7 @@ def test_lagged_solve_converged_on_its_last_iteration_is_kept(factorizations, mo
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_time_loop_factors_every_solve_only_in_1d(ndim, factorizations, monkeypatch):
-    solves = []
-    solve_dirichlet = LatticeSystem.solve_dirichlet
-
-    def counting(self, *args, **kwargs):
-        solves.append(self.shape)
-        return solve_dirichlet(self, *args, **kwargs)
-
-    monkeypatch.setattr(LatticeSystem, "solve_dirichlet", counting)
+    solves = count_solves(monkeypatch)
     grid = cf.make_grid(DomainSpec.full_space(ndim), Cube((0.0,) * ndim, 0.5), 1.0 / 16,
                         cf.uniform_times(0.05, 8))
     datum = cf.BoundaryDatum(
@@ -283,3 +277,57 @@ def test_minimize_at_p2_is_one_unit_weight_solve(problem):
     u, _ = minimize(system, fixed, start, p, MinimizeConfig())
     ref = system.solve_dirichlet(np.ones(system.n_cells), fixed, start)
     assert np.max(np.abs(u - ref)) <= 1e-12
+
+
+# -- the guess of the minimizer -------------------------------------------------
+
+def time_step_problem():
+    """One p = 3 time step on a 9 x 9 lattice: box faces fixed at new values,
+    `start` holding the previous field on the free nodes."""
+    rng = np.random.default_rng(13)
+    system = LatticeSystem((9, 9), 0.125)
+    fixed = np.ones((9, 9), dtype=bool)
+    fixed[1:-1, 1:-1] = False
+    fixed = fixed.ravel()
+    previous = rng.random(system.n_nodes)
+    start = np.where(fixed, rng.random(system.n_nodes), previous)
+    return system, fixed, start, dict(mass=2.0, previous=previous)
+
+
+def test_minimize_ignores_a_guess_with_a_higher_objective(monkeypatch):
+    system, fixed, start, step = time_step_problem()
+    cfg = MinimizeConfig()
+    ref, ref_history = minimize(system, fixed, start, 3.0, cfg, **step)
+    solves = count_solves(monkeypatch)
+    guess = start + 5.0 * np.random.default_rng(2).standard_normal(start.size)
+    u, history = minimize(system, fixed, start, 3.0, cfg, **step, guess=guess)
+    assert history[0] == ref_history[0]
+    assert np.array_equal(u, ref)
+    assert history == ref_history
+    assert len(solves) == len(ref_history) - 1
+
+
+def test_minimize_starts_from_a_guess_with_a_lower_objective(monkeypatch):
+    # the minimizer itself as the guess: one solve confirms it
+    system, fixed, start, step = time_step_problem()
+    cfg = MinimizeConfig()
+    ref, ref_history = minimize(system, fixed, start, 3.0, cfg, **step)
+    assert len(ref_history) > 3
+    solves = count_solves(monkeypatch)
+    u, history = minimize(system, fixed, start, 3.0, cfg, **step, guess=ref)
+    assert history[0] == ref_history[-1] < ref_history[0]
+    assert len(solves) == 1
+    assert history[-1] <= ref_history[-1]
+
+
+def test_minimize_takes_the_boundary_values_from_start_not_the_guess():
+    system, fixed, start, step = time_step_problem()
+    cfg = MinimizeConfig()
+    ref, _ = minimize(system, fixed, start, 3.0, cfg, **step)
+    guess = ref.copy()
+    guess[fixed] = 1e3
+    with_guess, history = minimize(system, fixed, start, 3.0, cfg, **step, guess=ref)
+    u, bad_history = minimize(system, fixed, start, 3.0, cfg, **step, guess=guess)
+    assert np.array_equal(u, with_guess)
+    assert bad_history == history
+    assert np.array_equal(u[fixed], start[fixed])

@@ -3,13 +3,17 @@ from __future__ import annotations
 import math
 import os
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import capflow as cf
 from capflow import pde
-from capflow.geometry import Cube, DomainSpec
-from helpers import brute_oscillation, synthetic_field
+from capflow.geometry import Cube, DomainSpec, sup_distance_to_obstacle
+from capflow.lattice import LatticeSystem, MinimizeConfig, minimize
+from helpers import (brute_oscillation, count_calls, count_solves, step_error_bounds,
+                     synthetic_field)
 
 
 P3N2 = cf.make_params(3.0, 2)
@@ -159,6 +163,183 @@ def test_solve_convergence_error_carries_step():
         cf.solve(grid, datum, 4.0, cf.SchemeConfig(max_iter=1))
     assert err.value.step_index == 1
     assert err.value.last_energy is not None
+
+
+# -- the warm start -------------------------------------------------------------
+
+def reference_step_errors(field, datum, p):
+    """Max-norm distance of every returned step to a tight minimization of
+    that step from the returned previous step."""
+    grid = field.grid
+    system = LatticeSystem(grid.shape, grid.h)
+    fixed = ~grid.inside
+    pts = grid.node_points()
+    tight = MinimizeConfig(tol_rel_energy=1e-14)
+    errors = []
+    for k in range(1, grid.n_steps + 1):
+        previous = field.slice_at_step(k - 1)
+        start = previous.copy()
+        start[fixed] = datum(pts[fixed], float(grid.times[k]))
+        tau = float(grid.times[k] - grid.times[k - 1])
+        ref, _ = minimize(system, fixed, start, p, tight,
+                          mass=grid.h ** len(grid.shape) / tau, previous=previous)
+        errors.append(float(np.max(np.abs(field.slice_at_step(k) - ref))))
+    return np.array(errors)
+
+
+def corner_ramp_problem(half_edge, h, steps, ramp_steps, scale):
+    """A grid at the corner of the exterior of K_{0.5}, T = 0.02, and the
+    ramped-distance datum of `verify`: the distance to the obstacle over
+    `scale`, capped at 1, times min(t / ramp_time, 1), the ramp ending at
+    step `ramp_steps`."""
+    domain = DomainSpec.exterior_cube((0.0, 0.0), 0.5)
+    box = Cube((0.0, 0.0), half_edge)
+    grid = cf.make_grid(domain, box, h, cf.uniform_times(0.02, steps))
+    ramp_time = float(grid.times[ramp_steps])
+
+    def ramped(pts, t):
+        profile = np.clip(sup_distance_to_obstacle(domain, pts, box) / scale, 0.0, 1.0)
+        return profile * min(t / ramp_time, 1.0)
+
+    return grid, cf.BoundaryDatum("ramped", ramped)
+
+
+def test_warm_started_steps_match_tight_solves_across_the_ramp_end():
+    # the boundary ramp stops at step 5, where the extrapolated guess
+    # overshoots; every step must stay close to a tight solve of that step
+    grid, datum = corner_ramp_problem(0.25, 1.0 / 64, 12, 5, 0.1)
+    field = cf.solve(grid, datum, 3.0)
+    assert reference_step_errors(field, datum, 3.0).max() <= 5e-5
+
+
+@pytest.fixture(scope="module")
+def corner_ramp():
+    """corner_verify's datum on a 65 x 65 lattice with the ramp ending at step
+    20 of 100; returns the field and its numbers of linear solves and of
+    objective evaluations."""
+    grid, datum = corner_ramp_problem(0.125, 1.0 / 256, 100, 20, 0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        solves = count_solves(mp)
+        energies = count_calls(mp, LatticeSystem, "energy")
+        field = cf.solve(grid, datum, 3.0)
+    return field, len(solves), len(energies)
+
+
+def test_warm_start_keeps_the_certified_step_error_across_the_ramp_end(corner_ramp):
+    # an extrapolation taken at the ramp end unchecked ends step 21 with a
+    # certified error near 1e-2, against 4e-3 for a start from the previous
+    # step and 1e-3 with the check
+    field, _, _ = corner_ramp
+    assert step_error_bounds(field).max() <= 5e-3
+
+
+def test_level_steps_end_after_the_full_step_and_its_half(corner_ramp):
+    # after the ramp the field barely moves: a step whose full and half
+    # steps leave the objective level up to round-off stops there, instead of
+    # halving about 16 more times toward a decrease below round-off
+    _, solves, energies = corner_ramp
+    assert energies <= 4.5 * solves
+
+
+def test_smooth_source_solution_takes_under_two_solves_per_step(monkeypatch):
+    # the time step of the source_1d benchmark, for a quarter of its run
+    grid = cf.make_grid(DomainSpec.full_space(1), Cube((0.0,), 2.5), 0.01953125,
+                        cf.uniform_times(0.25, 256))
+    datum = cf.BoundaryDatum("source", lambda pts, t: cf.barenblatt(pts, t + 1.0, 3.0))
+    solves = count_solves(monkeypatch)
+    cf.solve(grid, datum, 3.0)
+    assert len(solves) < 2 * grid.n_steps
+
+
+def test_constant_steps_stay_bitwise_before_the_datum_moves():
+    # the shortcut steps count as history: the first moving step extrapolates
+    # zero motion
+    grid = _grid_2d(h=1.0 / 16, T=0.05, steps=8)
+    t_move = float(grid.times[3])
+
+    def g(pts, t):
+        return 0.4 + max(t - t_move, 0.0) * 20.0 * np.sin(3.0 * pts[:, 0] + pts[:, 1])
+
+    datum = cf.BoundaryDatum("late", g)
+    field = cf.solve(grid, datum, 3.0)
+    assert np.all(field.values[:4] == 0.4)
+    assert np.any(field.values[-1] != 0.4)
+    assert reference_step_errors(field, datum, 3.0)[3:].max() <= 5e-5
+
+
+@st.composite
+def wave_data(draw):
+    """A small 1D or 2D grid, p in [2, 4], and the coefficients of a datum
+    c + sum_j a_j sin(k_j . x + w_j t + phi_j) with up to three waves."""
+    ndim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([9, 17] if ndim == 1 else [5, 9]))
+    steps = draw(st.integers(2, 6))
+    T = draw(st.floats(0.01, 0.5))
+    grid = cf.make_grid(DomainSpec.full_space(ndim), Cube((0.0,) * ndim, 0.5),
+                        1.0 / (n - 1), cf.uniform_times(T, steps))
+    p = draw(st.floats(2.0, 4.0))
+    coef = st.floats(-1.0, 1.0)
+    waves = draw(st.lists(st.tuples(coef, st.lists(st.floats(-8.0, 8.0), min_size=ndim,
+                                                   max_size=ndim),
+                                    st.floats(-20.0, 20.0), st.floats(0.0, 6.3)),
+                          min_size=1, max_size=3))
+    return grid, p, draw(coef), waves
+
+
+def wave(c, waves):
+    def g(pts, t):
+        out = np.full(len(pts), c)
+        for a, k, w, phi in waves:
+            out += a * np.sin(pts @ np.asarray(k) + w * t + phi)
+        return out
+    return g
+
+
+@settings(max_examples=30, deadline=None)
+@given(wave_data())
+def test_solve_keeps_the_maximum_principle(data):
+    # the warm start extrapolates past the data unless it is clipped; the
+    # guesses it hands to the minimizer are checked as well as the steps
+    grid, p, c, waves = data
+    g = wave(c, waves)
+    guesses = []
+    minimize_step = pde.minimize
+
+    def spy(*args, guess=None, **kwargs):
+        if guess is not None:
+            guesses.append(guess)
+        return minimize_step(*args, guess=guess, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "minimize", spy)
+        field = cf.solve(grid, cf.BoundaryDatum("waves", g), p)
+    pts = grid.node_points()
+    data_values = np.concatenate([g(pts, 0.0)] + [g(pts[~grid.inside], float(t))
+                                                  for t in grid.times[1:]])
+    for values in [field.values, *guesses]:
+        assert values.min() >= data_values.min() - 1e-9
+        assert values.max() <= data_values.max() + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(wave_data(), st.floats(0.0, 0.5), st.floats(-8.0, 8.0), st.floats(-20.0, 20.0))
+def test_solve_keeps_the_order_of_ordered_data(data, b, k, w):
+    # g2 - g1 = b (1 + sin(k x_0 + w t)) >= 0.  Each returned step lies
+    # within its certified error of the exact step, and the exact step is
+    # order preserving and shifts by no more than its previous field does, so
+    # the order can be lost only by the errors summed over the steps.
+    grid, p, c, waves = data
+    g1 = wave(c, waves)
+
+    def g2(pts, t):
+        return g1(pts, t) + b * (1.0 + np.sin(k * pts[:, 0] + w * t))
+
+    u1 = cf.solve(grid, cf.BoundaryDatum("low", g1), p)
+    u2 = cf.solve(grid, cf.BoundaryDatum("high", g2), p)
+    slack = np.cumsum(step_error_bounds(u1) + step_error_bounds(u2))
+    gap = (u2.values - u1.values).min(axis=1)
+    assert gap[0] >= 0.0
+    assert np.all(gap[1:] >= -(slack + 1e-9))
 
 
 def test_store_stride_keeps_ends():
