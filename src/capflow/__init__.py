@@ -8,9 +8,9 @@ capacity profiles and the oscillation cascade with its decay envelopes
 harness (cli).
 """
 
-from .capacity import (CapacityValue, CondenserProblem, SolverConfig, delta,
-                       delta_detailed, minimize_condenser, parabolic_capacity,
-                       solve_condenser, unit_denominator)
+from .capacity import (CapacityValue, CondenserMemo, CondenserProblem, SolverConfig,
+                       delta, delta_detailed, delta_table, minimize_condenser,
+                       parabolic_capacity, solve_condenser)
 from .errors import (CapflowError, ConfigError, ConvergenceError, PipelineError)
 from .geometry import (Cube, DomainSpec, IndicatorField, contains, contains_many,
                        domain_inside_mask, lattice_nodes_per_axis,
@@ -34,22 +34,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryDatum", "CapacityProfile", "CapacityValue", "CapflowError",
-    "CascadeReport", "ConfigError", "CondenserProblem", "ConvergenceError",
-    "Cube", "Cylinder", "DomainSpec", "EnvelopeParams", "FitReport",
+    "CascadeReport", "ConfigError", "CondenserMemo", "CondenserProblem",
+    "ConvergenceError", "Cube", "Cylinder", "DomainSpec", "EnvelopeParams", "FitReport",
     "HarnackProbeResult", "IndicatorField", "OVERRIDABLE_CONSTANTS",
     "PipelineError", "SchemeConfig", "SolverConfig",
     "SpaceTimeField", "SpaceTimeGrid", "SpreadingProbeResult",
     "StructuralConstants", "StructureParams", "SubsequenceResult",
     "WienerDiagnostic", "barenblatt", "build_profile", "build_subsequence",
     "choose_c_bar", "contains", "contains_many", "decay_envelope", "delta",
-    "delta_detailed", "domain_inside_mask", "envelope_regression",
+    "delta_detailed", "delta_table", "domain_inside_mask", "envelope_regression",
     "holder_exponent", "intrinsic_times", "is_wiener_point",
     "lattice_nodes_per_axis", "load_snapshot", "make_grid", "make_params",
     "minimize_condenser", "obstacle_distance", "osc_g_on_lateral",
     "oscillation", "oscillation_cascade", "oscillation_over",
     "parabolic_capacity", "rasterize_obstacle", "realize_R_o_epsilon",
     "save_snapshot", "smallest_lambda", "solve", "solve_condenser",
-    "spatial_energy", "spreading_probe", "uniform_times", "unit_denominator",
-    "weak_harnack_probe",
+    "spatial_energy", "spreading_probe", "uniform_times", "weak_harnack_probe",
     "wiener_integral", "wiener_sum", "window_depth",
 ]

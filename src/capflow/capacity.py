@@ -10,6 +10,8 @@ energy history never increases.
 
 from __future__ import annotations
 
+import concurrent.futures
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,74 +129,136 @@ def _check_nodes_across(na: int) -> None:
         raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
 
 
-def unit_denominator(ndim: int, p: float, cfg: SolverConfig = SolverConfig()) -> CapacityValue:
-    """cap(K_1(0), K_{3/2}(0)) on delta()'s lattice, h = 2 / (nodes_across - 1).
+class CondenserMemo:
+    """Condenser capacities on delta()'s unit lattice, one solve per distinct mask.
 
-    At fixed nodes_across the full-cube condenser of delta() at any radius rho
-    and centre is this lattice problem with lengths scaled by rho: the same
-    iterates, and every energy scaled by rho**(N-p).
+    At fixed nodes_across the condenser of delta() at any radius rho and
+    centre depends only on its obstacle mask: it is the lattice problem with
+    inner half-edge 1 at the origin, outer half-edge 1.5 and
+    h = 2 / (nodes_across - 1), with lengths scaled by rho, so it has the same
+    iterates and every energy scaled by rho**(N-p).  The memo solves each
+    distinct mask once on that unit lattice; the all-true mask is the
+    full-cube denominator.  The first caller of a mask solves it and
+    concurrent callers wait for its value, or its exception.  Only the
+    CapacityValues are kept; make one per run.
     """
-    _check_nodes_across(cfg.nodes_across)
-    h = 2.0 / (cfg.nodes_across - 1)
-    center = (0.0,) * ndim
-    return solve_condenser(CondenserProblem(IndicatorField.all_true(Cube(center, 1.0), h),
-                                            Cube(center, 1.5), p, cfg))
+
+    def __init__(self, ndim: int, p: float, cfg: SolverConfig = SolverConfig()):
+        _check_nodes_across(cfg.nodes_across)
+        self.ndim, self.p, self.cfg = ndim, p, cfg
+        self.h = 2.0 / (cfg.nodes_across - 1)
+        self.full = np.ones((cfg.nodes_across,) * ndim, dtype=bool)
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, concurrent.futures.Future] = {}
+
+    def __call__(self, mask: np.ndarray) -> CapacityValue:
+        """Unit-lattice capacity of the obstacle `mask`, solved on first request."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.full.shape:
+            raise ValueError(f"mask shape {mask.shape} is not the memo's lattice "
+                             f"{self.full.shape}")
+        key = (mask.shape, mask.tobytes())
+        with self._lock:
+            entry = self._entries.get(key)
+            first = entry is None
+            if first:
+                entry = self._entries[key] = concurrent.futures.Future()
+        if first:
+            center = (0.0,) * self.ndim
+            try:
+                entry.set_result(solve_condenser(CondenserProblem(
+                    IndicatorField(Cube(center, 1.0), self.h, mask), Cube(center, 1.5),
+                    self.p, self.cfg)))
+            except BaseException as exc:
+                entry.set_exception(exc)    # for every waiting caller
+                raise
+        return entry.result()
+
+    def solve_all(self, masks, workers: int = 1) -> None:
+        """Solve each distinct mask of `masks`, and the all-true one, over a pool
+        of `workers` threads, so no thread waits on another's solve."""
+        distinct = list({m.tobytes(): m for m in (self.full, *masks)}.values())
+        if workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(self, distinct))
+        else:
+            for mask in distinct:
+                self(mask)
+
+    def relative(self, obstacle: IndicatorField
+                 ) -> tuple[float, CapacityValue, CapacityValue]:
+        """delta() of an obstacle rasterized on its lattice, with both capacities.
+
+        delta is the ratio of the unit-lattice values, so radii that share a
+        mask give the same delta; the capacities are the unit ones with value
+        and energy history times rho**(N-p), on the obstacle's grid spacing.
+        """
+        cap_obs, cap_full = self(obstacle.values), self(self.full)
+        if cap_full.value <= 0.0:
+            raise ValueError("degenerate denominator capacity")
+        val = cap_obs.value / cap_full.value
+        if val > 1.0:
+            if val > 1.0 + 1e-8:
+                raise ValueError(f"relative capacity {val} exceeds 1 beyond "
+                                 "discretization noise")
+            val = 1.0
+        scale = obstacle.cube.half_edge ** (self.ndim - self.p)
+
+        def rescaled(cap: CapacityValue) -> CapacityValue:
+            return CapacityValue(cap.value * scale,
+                                 tuple(e * scale for e in cap.energy_history), obstacle.h)
+
+        return val, rescaled(cap_obs), rescaled(cap_full)
+
+
+def delta_table(domain: DomainSpec, x_o, radii, params: StructureParams,
+                cfg: SolverConfig = SolverConfig(), memo: CondenserMemo | None = None,
+                workers: int = 1) -> list[tuple[float, CapacityValue, CapacityValue]]:
+    """`delta_detailed` at each radius, in order.
+
+    Each K_rho(x_o) \\ E is rasterized once, nodes_across nodes per axis;
+    then each distinct mask, the all-true one included, is solved once
+    through `memo` (a new one when None) over a pool of `workers` threads.
+    Rows are assembled by index, so they do not depend on the number of
+    workers.
+    """
+    if memo is None:
+        memo = CondenserMemo(params.N, params.p, cfg)
+    elif (memo.ndim, memo.p, memo.cfg) != (params.N, params.p, cfg):
+        raise ValueError(
+            f"condenser memo of N={memo.ndim}, p={memo.p}, nodes_across "
+            f"{memo.cfg.nodes_across} does not match N={params.N}, p={params.p}, "
+            f"nodes_across {cfg.nodes_across} and its solver settings")
+    for rho in radii:
+        if not rho > 0.0:
+            raise ValueError(f"rho must be positive, got {rho}")
+    obstacles = [rasterize_obstacle(domain, Cube(tuple(x_o), rho),
+                                    2.0 * rho / (cfg.nodes_across - 1)) for rho in radii]
+    memo.solve_all([o.values for o in obstacles], workers)
+    return [memo.relative(o) for o in obstacles]
 
 
 def delta(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-          cfg: SolverConfig = SolverConfig(), denominator: CapacityValue | None = None
-          ) -> float:
+          cfg: SolverConfig = SolverConfig(), memo: CondenserMemo | None = None) -> float:
     """Relative capacity of K_rho(x_o) \\ E against the full cube K_rho(x_o).
 
     Both condensers are grounded at the boundary of K_{3 rho / 2}(x_o) on a
-    shared lattice, so the ratio lies in [0, 1] up to solver noise.
-    `denominator`, the `unit_denominator` of the same dimension, p and cfg,
-    replaces the full-cube solve by a rescaling; see `delta_detailed`.
+    shared lattice, so the ratio lies in [0, 1] up to solver noise.  Both
+    come from `memo` (see `CondenserMemo`), a new one when None.
     """
-    return delta_detailed(domain, x_o, rho, params, cfg, denominator)[0]
+    return delta_detailed(domain, x_o, rho, params, cfg, memo)[0]
 
 
 def delta_detailed(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-                   cfg: SolverConfig = SolverConfig(),
-                   denominator: CapacityValue | None = None
+                   cfg: SolverConfig = SolverConfig(), memo: CondenserMemo | None = None
                    ) -> tuple[float, CapacityValue, CapacityValue]:
-    """delta() together with the numerator and denominator capacities.
+    """delta() together with the numerator and denominator capacities at rho.
 
-    Without `denominator` the full-cube condenser is solved at this radius.
-    With it, the returned denominator is its value and energy history times
-    rho**(N-p), on this radius's grid spacing: bitwise the direct solve's at
-    dyadic rho and integer p, and within a few units of round-off otherwise.
-    Callers that need many radii solve `unit_denominator` once and pass it.
+    The capacities are `memo`'s unit-lattice values times rho**(N-p): bitwise
+    the direct solves at rho at dyadic rho and integer p, and within a few
+    units of round-off otherwise.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    na = cfg.nodes_across
-    _check_nodes_across(na)
-    h = 2.0 * rho / (na - 1)
-    inner = Cube(tuple(x_o), rho)
-    outer = Cube(tuple(x_o), 1.5 * rho)
-    obstacle = rasterize_obstacle(domain, inner, h)
-    if denominator is None:
-        cap_full = solve_condenser(CondenserProblem(IndicatorField.all_true(inner, h),
-                                                    outer, params.p, cfg))
-    else:
-        if denominator.grid_h != 2.0 / (na - 1):
-            raise ValueError(f"denominator grid spacing {denominator.grid_h} does not "
-                             f"match nodes_across {na}")
-        scale = rho ** (inner.ndim - params.p)
-        cap_full = CapacityValue(denominator.value * scale,
-                                 tuple(e * scale for e in denominator.energy_history), h)
-    if not obstacle.values.any():
-        return 0.0, CapacityValue(0.0, (0.0,), h), cap_full
-    cap_obs = solve_condenser(CondenserProblem(obstacle, outer, params.p, cfg))
-    if cap_full.value <= 0.0:
-        raise ValueError("degenerate denominator capacity")
-    val = cap_obs.value / cap_full.value
-    if val > 1.0:
-        if val > 1.0 + 1e-8:
-            raise ValueError(f"relative capacity {val} exceeds 1 beyond discretization noise")
-        val = 1.0
-    return val, cap_obs, cap_full
+    return delta_table(domain, x_o, [rho], params, cfg, memo)[0]
 
 
 def parabolic_capacity(time_slices, outer: Cube, p: float,

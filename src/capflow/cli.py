@@ -487,16 +487,12 @@ def _profile_rows(profile: wiener.CapacityProfile) -> list[tuple]:
 def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
     """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
     radii = cfg.values["radii"]
-
-    def compute():
-        denominator = capacity.unit_denominator(cfg.params.N, cfg.params.p, cfg.solver)
-        return wiener.fan_out(lambda rho: capacity.delta_detailed(
-            cfg.values["domain"], cfg.values["x_o"], rho, cfg.params, cfg.solver,
-            denominator), radii, cfg.workers)
-
+    table = stage("capacity", lambda: capacity.delta_table(
+        cfg.values["domain"], cfg.values["x_o"], radii, cfg.params, cfg.solver,
+        workers=cfg.workers))
     rows = [(rho, cap_obs.value, cap_full.value, val,
              cap_obs.iterations + cap_full.iterations)
-            for rho, (val, cap_obs, cap_full) in zip(radii, stage("capacity", compute))]
+            for rho, (val, cap_obs, cap_full) in zip(radii, table)]
     header = ["rho", "cap_obstacle", "cap_full", "delta", "iters"]
     report["capacity_table"] = [dict(zip(header, row)) for row in rows]
     return [("capacity", header, rows, True)], None
@@ -561,8 +557,8 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     values, params, p = cfg.values, cfg.params, cfg.params.p
     domain, x_o, t_o, epsilon = values["domain"], values["x_o"], values["t_o"], values["epsilon"]
     lam, c_bar = values["c_bar"]
-    delta_fn = values["synthetic_delta"] or wiener.delta_memo(domain, x_o, params,
-                                                              cfg.solver)
+    delta_fn = values["synthetic_delta"] or wiener.DeltaMemo(domain, x_o, params,
+                                                             cfg.solver)
     report["constants"] = stage("constants", lambda: {
         "lambda": lam, "c_bar": c_bar,
         "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS}})

@@ -10,10 +10,7 @@ integral of A(s) ds/s, exact for constant A.
 
 from __future__ import annotations
 
-import concurrent.futures
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,12 +162,13 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
                   workers: int = 1, delta_fn=None) -> CapacityProfile:
     """Relative capacities of K_rho(x_o) \\ E down the geometric radius grid.
 
-    The full-cube denominator is solved once, at the unit reference radius,
-    and rescaled at every radius (see `delta_memo`).  The per-radius
-    numerator solves are independent and fan out over a thread pool when
-    workers > 1; assembly order is by index, so results do not depend on
-    scheduling.  `delta_fn` replaces the capacity computation (for example by
-    a caller's `delta_memo`) and is then called from the pool's threads.
+    Each radius is rasterized once; the distinct masks, the full cube's
+    included, are then solved once each on the unit lattice, fanned out over
+    a pool of `workers` threads, and the deltas are assembled by index, so
+    results do not depend on the number of workers (see `DeltaMemo`).
+    `delta_fn` replaces the capacity computation: a caller's `DeltaMemo`
+    prefetches the radii it lacks the same way, any other function is
+    called once per radius.
     """
     if contains(domain, x_o):
         raise ValueError(f"x_o {tuple(x_o)} lies inside E; profiles are built at "
@@ -181,36 +179,38 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
         raise ValueError(f"c_bar must lie in (0, 1), got {c_bar}")
     radii = [c_bar ** i * R_o for i in range(depth)]
     if delta_fn is None:
-        delta_fn = delta_memo(domain, x_o, params, cfg)
-    return CapacityProfile(R_o, c_bar, params.p, fan_out(delta_fn, radii, workers))
+        delta_fn = DeltaMemo(domain, x_o, params, cfg)
+    if isinstance(delta_fn, DeltaMemo):
+        delta_fn.prefetch(radii, workers)
+    return CapacityProfile(R_o, c_bar, params.p, [delta_fn(rho) for rho in radii])
 
 
-def fan_out(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], over a pool of `workers` threads when it is > 1."""
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+class DeltaMemo:
+    """rho -> delta(rho) at x_o for one run: each radius is rasterized once and
+    each distinct mask solved once, through one `capacity.CondenserMemo`.
 
+    `prefetch` fans a batch of radii out over their distinct masks (see
+    `capacity.delta_table`); a call with a radius not yet seen computes it
+    alone.  Concurrent calls never solve a mask twice.
+    """
 
-def delta_memo(domain: DomainSpec, x_o, params: StructureParams,
-               cfg: capacity.SolverConfig = capacity.SolverConfig()):
-    """rho -> delta(rho) at x_o, each radius solved once, over one
-    `capacity.unit_denominator` that the first call solves.  Safe to call
-    from worker threads."""
-    lock = threading.Lock()
+    def __init__(self, domain: DomainSpec, x_o, params: StructureParams,
+                 cfg: capacity.SolverConfig = capacity.SolverConfig()):
+        self.domain, self.x_o, self.params, self.cfg = domain, x_o, params, cfg
+        self.condensers = capacity.CondenserMemo(params.N, params.p, cfg)
+        self._deltas: dict[float, float] = {}
 
-    @functools.cache
-    def denominator():
-        return capacity.unit_denominator(params.N, params.p, cfg)
+    def prefetch(self, radii, workers: int = 1) -> None:
+        new = [rho for rho in dict.fromkeys(radii) if rho not in self._deltas]
+        rows = capacity.delta_table(self.domain, self.x_o, new, self.params, self.cfg,
+                                    self.condensers, workers)
+        self._deltas.update((rho, row[0]) for rho, row in zip(new, rows))
 
-    @functools.cache
-    def delta_at(rho: float) -> float:
-        with lock:
-            den = denominator()
-        return capacity.delta(domain, x_o, rho, params, cfg, den)
-
-    return delta_at
+    def __call__(self, rho: float) -> float:
+        if rho not in self._deltas:
+            self._deltas[rho] = capacity.delta(self.domain, self.x_o, rho, self.params,
+                                               self.cfg, self.condensers)
+        return self._deltas[rho]
 
 
 def wiener_sum(profile: CapacityProfile, i_lo: int, i_hi: int) -> float:
@@ -305,13 +305,13 @@ def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructurePa
     Scans R = r_max, r_max/2, ... downward and returns the first admissible
     radius, so the result is the largest admissible one on the dyadic grid.
     `delta_fn` overrides the capacity computation (used for synthetic runs
-    and for a caller's `delta_memo`); without it the full-cube denominator is
-    solved once for the whole scan.
+    and for a caller's `DeltaMemo`); without it one `DeltaMemo` serves the
+    whole scan.
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
     if delta_fn is None:
-        delta_fn = delta_memo(domain, x_o, params, cfg)
+        delta_fn = DeltaMemo(domain, x_o, params, cfg)
     for k in range(max_halvings + 1):
         radius = r_max * 2.0 ** -k
         if window_depth(params, float(delta_fn(radius)), radius, epsilon) <= t_o:

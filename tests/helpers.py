@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -11,23 +12,40 @@ from capflow import capacity
 from capflow.lattice import LatticeSystem
 
 
-def count_calls(monkeypatch, owner, name: str) -> list:
+def count_calls(monkeypatch, owner, name: str, calls: list | None = None,
+                delay: float = 0.0) -> list:
     """Record the first argument (`self` for a method) of every call of
-    owner.name from here on."""
-    calls = []
+    owner.name from here on, in `calls` (a new list when None); each call
+    then sleeps `delay` seconds before it runs."""
+    calls = [] if calls is None else calls
     fn = getattr(owner, name)
 
     def counted(first, *args, **kwargs):
         calls.append(first)
+        if delay:
+            time.sleep(delay)
         return fn(first, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def count_condensers(monkeypatch) -> list:
-    """Record the problem of every condenser solve from here on."""
-    return count_calls(monkeypatch, capacity, "minimize_condenser")
+class CondenserLog(list):
+    """The CondenserProblem of every condenser solve, in call order."""
+
+    @property
+    def masks(self) -> list[tuple]:
+        """(shape, bytes) of each solved obstacle mask."""
+        return [(p.obstacle.values.shape, p.obstacle.values.tobytes()) for p in self]
+
+    def distinct_masks(self, start: int = 0) -> int:
+        return len(set(self.masks[start:]))
+
+
+def count_condensers(monkeypatch, delay: float = 0.0) -> CondenserLog:
+    """Record the problem, and so the mask, of every condenser solve from here
+    on; `delay` slows each solve down (see `count_calls`)."""
+    return count_calls(monkeypatch, capacity, "minimize_condenser", CondenserLog(), delay)
 
 
 def count_solves(monkeypatch) -> list:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import concurrent.futures
+import weakref
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 
 import capflow as cf
 from capflow import capacity
-from capflow.geometry import Cube, DomainSpec, IndicatorField
+from capflow.geometry import Cube, DomainSpec, IndicatorField, rasterize_obstacle
 from helpers import count_condensers
 
 
@@ -47,33 +50,109 @@ def test_condenser_2d_scaling_is_exact():
     assert caps[2] == 2.0 * caps[1]
 
 
+def _direct_condenser(obstacle: IndicatorField, p: float) -> capacity.CapacityValue:
+    """One of delta()'s condensers solved at its own radius and centre."""
+    cube = obstacle.cube
+    return capacity.solve_condenser(capacity.CondenserProblem(
+        obstacle, Cube(cube.center, 1.5 * cube.half_edge), p, FAST))
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
-def test_unit_denominator_rescales_to_the_direct_solve(ndim, p):
-    # delta()'s full-cube condenser at any radius and centre is the unit one
-    # with lengths scaled by rho: the same iterates, energies times
+def test_unit_denominator_rescales_to_the_direct_solve(ndim, p, monkeypatch):
+    # delta()'s condensers at any radius and centre are the memo's unit-lattice
+    # ones with lengths scaled by rho: the same iterates, energies times
     # rho**(N-p).  At dyadic rho and integer p every operation scales by a
     # power of two, so the rescaled values are bitwise the direct ones.
     params = cf.make_params(p, ndim)
-    unit = capacity.unit_denominator(ndim, p, FAST)
-    empty = DomainSpec.full_space(ndim)    # no obstacle, so no numerator solve
     x_o = (0.3125, -0.75)[:ndim]
-    for rho in (0.5, 0.3, 0.1, 0.0625):
-        _, _, direct = capacity.delta_detailed(empty, x_o, rho, params, FAST)
-        _, _, scaled = capacity.delta_detailed(empty, x_o, rho, params, FAST, unit)
-        assert scaled.iterations == direct.iterations == unit.iterations
-        assert scaled.grid_h == direct.grid_h
-        if p == round(p) and rho in (0.5, 0.0625):
-            assert scaled.energy_history == direct.energy_history
-        else:
-            assert np.allclose(scaled.energy_history, direct.energy_history,
-                               rtol=1e-14, atol=0.0)
+    dom = DomainSpec.half_space(x_o)       # the same mask at every radius
+    radii = (0.5, 0.3, 0.1, 0.0625)
+    memo = capacity.CondenserMemo(ndim, p, FAST)
+    solved = count_condensers(monkeypatch)
+    rows = [capacity.delta_detailed(dom, x_o, rho, params, FAST, memo) for rho in radii]
+    # the half-space mask and the full cube, once each for all four radii
+    assert len(solved) == solved.distinct_masks() == 2
+    # radii that share a mask share delta bitwise
+    assert len({val for val, _, _ in rows}) == 1
+    for rho, (_, cap_obs, cap_full) in zip(radii, rows):
+        h = 2.0 * rho / (FAST.nodes_across - 1)
+        inner = Cube(x_o, rho)
+        for cap, obstacle in ((cap_obs, rasterize_obstacle(dom, inner, h)),
+                              (cap_full, IndicatorField.all_true(inner, h))):
+            direct = _direct_condenser(obstacle, p)
+            assert cap.iterations == direct.iterations
+            assert cap.grid_h == direct.grid_h
+            if p == round(p) and rho in (0.5, 0.0625):
+                assert cap.energy_history == direct.energy_history
+            else:
+                assert np.allclose(cap.energy_history, direct.energy_history,
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_a_mask_that_changes_with_the_radius_is_solved_per_radius(monkeypatch):
+    # a small removed cube at the corner x_o covers a growing share of
+    # K_rho(x_o) as rho shrinks: a new mask at every radius, plus the full cube
+    dom = DomainSpec.exterior_cube((0.0, 0.0), 0.05)
+    solved = count_condensers(monkeypatch)
+    prof = cf.build_profile(dom, (0.0, 0.0), 0.5, 0.5, 3, P3N2, FAST, workers=2)
+    assert len(solved) == solved.distinct_masks() == 1 + prof.depth
+    assert len(set(prof.deltas.tolist())) == prof.depth
+    rows = capacity.delta_table(dom, (0.0, 0.0), prof.radii, P3N2, FAST)
+    assert [val for val, _, _ in rows] == prof.deltas.tolist()
+    for rho, (_, cap_obs, _) in zip(prof.radii, rows):
+        obstacle = rasterize_obstacle(dom, Cube((0.0, 0.0), rho), cap_obs.grid_h)
+        # p = 3, N = 2 and dyadic radii: bitwise the direct solve
+        assert cap_obs.value == _direct_condenser(obstacle, 3.0).value
 
 
 def test_delta_rejects_a_denominator_of_another_lattice():
-    unit = capacity.unit_denominator(1, 3.0, capacity.SolverConfig(nodes_across=21))
-    with pytest.raises(ValueError, match="does not match nodes_across 17"):
-        capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), 0.5, P3N1, FAST, unit)
+    # a memo of another nodes_across, dimension or p
+    for ndim, p, nodes_across in ((1, 3.0, 21), (2, 3.0, 17), (1, 4.0, 17)):
+        memo = capacity.CondenserMemo(ndim, p, capacity.SolverConfig(nodes_across=nodes_across))
+        with pytest.raises(ValueError, match="does not match N=1, p=3.0, nodes_across 17"):
+            capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), 0.5, P3N1, FAST, memo)
+    with pytest.raises(ValueError, match="mask shape"):
+        capacity.CondenserMemo(1, 3.0, FAST)(np.ones(21, dtype=bool))
+
+
+def test_memo_failure_reaches_every_waiting_thread(monkeypatch):
+    # the first thread's ConvergenceError is every waiter's, without a hang
+    # and without a second solve
+    memo = capacity.CondenserMemo(2, 3.0, capacity.SolverConfig(nodes_across=17, max_iter=1))
+    solved = count_condensers(monkeypatch, delay=0.05)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(memo, memo.full) for _ in range(8)]
+        for fut in futures:
+            with pytest.raises(cf.ConvergenceError, match="did not converge") as err:
+                fut.result(timeout=60)
+            assert np.isfinite(err.value.last_energy)
+    assert len(solved) == 1
+
+
+def test_memo_keeps_no_condenser_field_or_lattice_system(monkeypatch):
+    # every field and LatticeSystem of a memo solve dies with the solve; the
+    # memo keeps only CapacityValues
+    refs = []
+    minimize, system = capacity.minimize_condenser, capacity.LatticeSystem
+
+    def kept_minimize(problem):
+        psi, history = minimize(problem)
+        refs.append(weakref.ref(psi))
+        return psi, history
+
+    def kept_system(*args):
+        out = system(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(capacity, "minimize_condenser", kept_minimize)
+    monkeypatch.setattr(capacity, "LatticeSystem", kept_system)
+    memo = capacity.CondenserMemo(2, 3.0, FAST)
+    dom = DomainSpec.exterior_cube((0.0, 0.0), 0.05)
+    capacity.delta_table(dom, (0.0, 0.0), [0.5, 0.25, 0.25], P3N2, FAST, memo, workers=2)
+    assert len(refs) == 2 * 3         # three distinct masks, the full cube included
+    assert all(ref() is None for ref in refs)
 
 
 def test_condenser_history_nonincreasing():
@@ -259,9 +338,9 @@ def test_delta_of_random_obstacles_lies_in_unit_interval(mask, p, rho):
     ndim = mask.ndim
     params = cf.make_params(p, ndim)
     x_o = (0.5,) * ndim
-    unit = capacity.unit_denominator(ndim, p, FAST)
+    memo = capacity.CondenserMemo(ndim, p, FAST)
     val, cap_obs, cap_full = capacity.delta_detailed(
-        _mask_domain(mask, x_o, rho), x_o, rho, params, FAST, unit)
+        _mask_domain(mask, x_o, rho), x_o, rho, params, FAST, memo)
     assert 0.0 <= val <= 1.0
     assert (val == 0.0) == (not mask.any())
     assert cap_obs.value <= cap_full.value * (1.0 + 1e-8)

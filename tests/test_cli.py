@@ -10,12 +10,12 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from capflow import capacity, cli, pde, wiener
+from capflow.geometry import DomainSpec
 from helpers import count_condensers
 
 LN4 = math.log(4.0)
@@ -357,8 +357,9 @@ def test_delta_profile_half_space(tmp_path):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_delta_profile_solves_the_denominator_once(tmp_path, monkeypatch, workers):
-    # one full-cube solve for the run plus one numerator per radius; a second
-    # run in the same process repeats all of it, since nothing outlives a call
+    # the half-space mask repeats at every radius: one full-cube and one
+    # obstacle solve for the run; a second run in the same process repeats
+    # both, since nothing outlives a call
     cfg = half_space_1d()
     cfg.update({"x_o": [0.0], "R_o": 0.5, "depth": 4})
     solved = count_condensers(monkeypatch)
@@ -368,9 +369,10 @@ def test_delta_profile_solves_the_denominator_once(tmp_path, monkeypatch, worker
         rc, _ = run(tmp_path, "delta-profile", cfg, tag=tag, extra=("--workers", workers))
         assert rc == 0
         counts.append(len(solved) - before)
-    assert counts == [5, 5]
-    # the unit denominator, once per run
-    assert [p.outer.half_edge for p in solved].count(1.5) == 2
+        assert solved.distinct_masks(before) == 2
+    assert counts == [2, 2]
+    # every solve is on the unit lattice
+    assert [p.outer.half_edge for p in solved] == [1.5] * 4
 
 
 def test_capacity_solves_the_denominator_once(tmp_path, monkeypatch):
@@ -379,8 +381,9 @@ def test_capacity_solves_the_denominator_once(tmp_path, monkeypatch):
     solved = count_condensers(monkeypatch)
     rc, out = run(tmp_path, "capacity", cfg)
     assert rc == 0
-    # 1.5: the unit denominator
-    assert sorted(p.outer.half_edge for p in solved) == [0.375, 0.5625, 0.75, 1.5]
+    # one unit-lattice solve of the shared half-space mask, one of the full cube
+    assert [p.outer.half_edge for p in solved] == [1.5, 1.5]
+    assert solved.distinct_masks() == 2
     _, _, rows = read_csv(out / "capacity.csv")
     for row, rho in zip(rows, cfg["radii"]):
         cap_full = 2.0 * (0.5 * rho) ** -2.0
@@ -586,8 +589,9 @@ def test_verify_is_deterministic_outside_timings(tmp_path):
 
 
 def test_verify_solves_each_radius_once(tmp_path, monkeypatch):
-    # realize and profile share one memo of delta by radius: one full-cube
-    # solve for the run, then one numerator per distinct radius, R_o included
+    # realize and profile share one memo: each radius, R_o included, is
+    # rasterized once, and the half-space mask that every radius shares is
+    # solved once, as is the full cube
     cfg = verify_cfg(0.36)
     del cfg["synthetic_delta"]
     del cfg["R_o"]
@@ -607,29 +611,21 @@ def test_verify_solves_each_radius_once(tmp_path, monkeypatch):
     assert r_o < 0.5 and profiled[0] == r_o
     radii = set(scanned) | set(profiled)
     assert len(radii) == len(scanned) + len(profiled) - 1
-    assert counts == [1 + len(radii)] * 2
-    assert sorted(p.outer.half_edge for p in solved[:counts[0]]) == \
-        sorted([1.5] + [1.5 * r for r in radii])
+    assert counts == [2, 2]
+    assert solved.distinct_masks(counts[0]) == 2
+    assert [p.outer.half_edge for p in solved] == [1.5] * 4
     assert all(abs(e["delta"] - DELTA_HALF_1D) <= 1e-12
                for e in report["profile"]["entries"])
 
 
 def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
-    # more threads than cores and a short switch interval: a check-then-act
-    # race on the lazy denominator would solve it more than once
-    solved = []
-
-    def slow_unit(ndim, p, cfg):
-        solved.append(ndim)
-        time.sleep(0.01)
-        return "denominator"
-
-    monkeypatch.setattr(capacity, "unit_denominator", slow_unit)
-    monkeypatch.setattr(capacity, "delta",
-                        lambda domain, x_o, rho, params, cfg, den: (rho, den))
+    # more threads than cores, a short switch interval and slow solves: a
+    # check-then-act race on a mask would solve it more than once
+    solved = count_condensers(monkeypatch, delay=0.01)
     cfg = cli.parse_experiment(capacity_cfg(), "capacity", "unused", 1, 0)
-    delta_at = wiener.delta_memo(cfg.values["domain"], (0.0,), cfg.params, cfg.solver)
-    radii = [2.0 ** -k for k in range(64)] * 2
+    dom = DomainSpec.exterior_cube((0.0,), 0.05)    # a new mask at every radius
+    delta_at = wiener.DeltaMemo(dom, (0.0,), cfg.params, cfg.solver)
+    radii = [2.0 ** -k for k in range(1, 5)] * 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -637,8 +633,9 @@ def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
             results = list(pool.map(delta_at, radii, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert solved == [1]
-    assert results == [(r, "denominator") for r in radii]
+    assert len(solved) == solved.distinct_masks() == 5
+    assert results == [delta_at(r) for r in radii]
+    assert len(set(results)) == 4
 
 
 def test_verify_report_shape_with_probes(tmp_path):
@@ -778,6 +775,22 @@ def test_numeric_failure_leaves_a_partial_report(tmp_path, capsys, command):
         assert report["error"]["step_index"] >= 1
         assert math.isfinite(report["error"]["last_energy"])
     assert "write" not in report["timings"]
+
+
+def test_profile_failure_in_a_fanned_out_solve_leaves_a_partial_report(tmp_path, capsys):
+    # distinct masks at every radius, solved over two workers; the first
+    # ConvergenceError ends the stage
+    cfg = {"schema_version": 1, "p": 3.0, "N": 2, "x_o": [0.0, 0.0],
+           "domain": {"kind": "exterior_cube", "anchor": [0.0, 0.0], "half_edge": 0.05},
+           "R_o": 0.25, "depth": 3, "solver": {"nodes_across": 17, "max_iter": 1}}
+    rc, out = run(tmp_path, "delta-profile", cfg, extra=("--workers", "2"))
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "error: stage 'profile' failed: condenser minimization did not converge")
+    report = read_report(out)
+    assert report["error"]["stage"] == "profile"
+    assert math.isfinite(report["error"]["last_energy"])
+    assert "profile" in report["timings"] and "write" not in report["timings"]
 
 
 def test_verify_zero_capacity_fails_in_cascade_stage(tmp_path, capsys):
