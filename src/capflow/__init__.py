@@ -8,9 +8,9 @@ capacity profiles and the oscillation cascade with its decay envelopes
 harness (cli).
 """
 
-from .capacity import (CapacityValue, CondenserMemo, CondenserProblem, SolverConfig,
-                       delta, delta_detailed, delta_table, minimize_condenser,
-                       parabolic_capacity, solve_condenser)
+from .capacity import (CapacityValue, CondenserProblem, DeltaMemo, SolverConfig,
+                       delta, delta_detailed, minimize_condenser, parabolic_capacity,
+                       solve_condenser)
 from .errors import (CapflowError, ConfigError, ConvergenceError, PipelineError)
 from .geometry import (Cube, DomainSpec, IndicatorField, contains, contains_many,
                        domain_inside_mask, lattice_nodes_per_axis,
@@ -34,15 +34,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryDatum", "CapacityProfile", "CapacityValue", "CapflowError",
-    "CascadeReport", "ConfigError", "CondenserMemo", "CondenserProblem",
-    "ConvergenceError", "Cube", "Cylinder", "DomainSpec", "EnvelopeParams", "FitReport",
+    "CascadeReport", "ConfigError", "CondenserProblem", "ConvergenceError", "Cube",
+    "Cylinder", "DeltaMemo", "DomainSpec", "EnvelopeParams", "FitReport",
     "HarnackProbeResult", "IndicatorField", "OVERRIDABLE_CONSTANTS",
     "PipelineError", "SchemeConfig", "SolverConfig",
     "SpaceTimeField", "SpaceTimeGrid", "SpreadingProbeResult",
     "StructuralConstants", "StructureParams", "SubsequenceResult",
     "WienerDiagnostic", "barenblatt", "build_profile", "build_subsequence",
     "choose_c_bar", "contains", "contains_many", "decay_envelope", "delta",
-    "delta_detailed", "delta_table", "domain_inside_mask", "envelope_regression",
+    "delta_detailed", "domain_inside_mask", "envelope_regression",
     "holder_exponent", "intrinsic_times", "is_wiener_point",
     "lattice_nodes_per_axis", "load_snapshot", "make_grid", "make_params",
     "minimize_condenser", "obstacle_distance", "osc_g_on_lateral",

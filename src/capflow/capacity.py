@@ -124,13 +124,9 @@ def solve_condenser(problem: CondenserProblem) -> CapacityValue:
     return CapacityValue(history[-1], tuple(history), problem.obstacle.h)
 
 
-def _check_nodes_across(na: int) -> None:
-    if na < 17 or (na - 1) % 4 != 0:
-        raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
-
-
-class CondenserMemo:
-    """Condenser capacities on delta()'s unit lattice, one solve per distinct mask.
+class DeltaMemo:
+    """radii -> delta() at x_o for one run: each radius is rasterized once and
+    each distinct condenser mask solved once.
 
     At fixed nodes_across the condenser of delta() at any radius rho and
     centre depends only on its obstacle mask: it is the lattice problem with
@@ -140,60 +136,84 @@ class CondenserMemo:
     distinct mask once on that unit lattice; the all-true mask is the
     full-cube denominator.  The first caller of a mask solves it and
     concurrent callers wait for its value, or its exception.  Only the
-    CapacityValues are kept; make one per run.
+    rasterized obstacles and the CapacityValues are kept; make one per run.
     """
 
-    def __init__(self, ndim: int, p: float, cfg: SolverConfig = SolverConfig()):
-        _check_nodes_across(cfg.nodes_across)
-        self.ndim, self.p, self.cfg = ndim, p, cfg
-        self.h = 2.0 / (cfg.nodes_across - 1)
-        self.full = np.ones((cfg.nodes_across,) * ndim, dtype=bool)
+    def __init__(self, domain: DomainSpec, x_o, params: StructureParams,
+                 cfg: SolverConfig = SolverConfig(), workers: int = 1):
+        na = cfg.nodes_across
+        if na < 17 or (na - 1) % 4 != 0:
+            raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
+        self.domain, self.x_o, self.params, self.cfg = domain, tuple(x_o), params, cfg
+        self.workers = workers
+        self.h = 2.0 / (na - 1)
+        self.full = np.ones((na,) * params.N, dtype=bool)
         self._lock = threading.Lock()
-        self._entries: dict[tuple, concurrent.futures.Future] = {}
+        self._obstacles: dict[float, IndicatorField] = {}
+        self._capacities: dict[bytes, concurrent.futures.Future] = {}
 
-    def __call__(self, mask: np.ndarray) -> CapacityValue:
-        """Unit-lattice capacity of the obstacle `mask`, solved on first request."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.full.shape:
-            raise ValueError(f"mask shape {mask.shape} is not the memo's lattice "
-                             f"{self.full.shape}")
-        key = (mask.shape, mask.tobytes())
+    def __call__(self, radii) -> list[float]:
+        """delta() at each radius, in order."""
+        return [row[0] for row in self.rows(radii)]
+
+    def rows(self, radii) -> list[tuple[float, CapacityValue, CapacityValue]]:
+        """(delta, obstacle capacity, full-cube capacity) at each radius, in order.
+
+        Each new K_rho(x_o) \\ E is rasterized, nodes_across nodes per axis;
+        then each distinct mask, the all-true one included, is solved once
+        over a pool of `workers` threads, so no thread waits on another's
+        solve.  Rows are assembled by index, so they do not depend on the
+        number of workers.
+        """
+        radii = list(radii)
+        for rho in radii:
+            if not rho > 0.0:
+                raise ValueError(f"rho must be positive, got {rho}")
         with self._lock:
-            entry = self._entries.get(key)
+            for rho in radii:
+                if rho not in self._obstacles:
+                    self._obstacles[rho] = rasterize_obstacle(
+                        self.domain, Cube(self.x_o, rho),
+                        2.0 * rho / (self.cfg.nodes_across - 1))
+            obstacles = [self._obstacles[rho] for rho in radii]
+        distinct = list({m.tobytes(): m for m in (self.full, *(o.values for o in obstacles))
+                         }.values())
+        if self.workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=self.workers) as pool:
+                list(pool.map(self._capacity, distinct))
+        else:
+            for mask in distinct:
+                self._capacity(mask)
+        return [self._relative(o) for o in obstacles]
+
+    def _capacity(self, mask: np.ndarray) -> CapacityValue:
+        """Unit-lattice capacity of the obstacle `mask`, solved on first request."""
+        key = mask.tobytes()
+        with self._lock:
+            entry = self._capacities.get(key)
             first = entry is None
             if first:
-                entry = self._entries[key] = concurrent.futures.Future()
+                entry = self._capacities[key] = concurrent.futures.Future()
         if first:
-            center = (0.0,) * self.ndim
+            center = (0.0,) * mask.ndim
             try:
                 entry.set_result(solve_condenser(CondenserProblem(
                     IndicatorField(Cube(center, 1.0), self.h, mask), Cube(center, 1.5),
-                    self.p, self.cfg)))
+                    self.params.p, self.cfg)))
             except BaseException as exc:
                 entry.set_exception(exc)    # for every waiting caller
                 raise
         return entry.result()
 
-    def solve_all(self, masks, workers: int = 1) -> None:
-        """Solve each distinct mask of `masks`, and the all-true one, over a pool
-        of `workers` threads, so no thread waits on another's solve."""
-        distinct = list({m.tobytes(): m for m in (self.full, *masks)}.values())
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(self, distinct))
-        else:
-            for mask in distinct:
-                self(mask)
-
-    def relative(self, obstacle: IndicatorField
-                 ) -> tuple[float, CapacityValue, CapacityValue]:
-        """delta() of an obstacle rasterized on its lattice, with both capacities.
+    def _relative(self, obstacle: IndicatorField
+                  ) -> tuple[float, CapacityValue, CapacityValue]:
+        """delta() of a rasterized obstacle, with both capacities.
 
         delta is the ratio of the unit-lattice values, so radii that share a
         mask give the same delta; the capacities are the unit ones with value
         and energy history times rho**(N-p), on the obstacle's grid spacing.
         """
-        cap_obs, cap_full = self(obstacle.values), self(self.full)
+        cap_obs, cap_full = self._capacity(obstacle.values), self._capacity(self.full)
         if cap_full.value <= 0.0:
             raise ValueError("degenerate denominator capacity")
         val = cap_obs.value / cap_full.value
@@ -202,7 +222,7 @@ class CondenserMemo:
                 raise ValueError(f"relative capacity {val} exceeds 1 beyond "
                                  "discretization noise")
             val = 1.0
-        scale = obstacle.cube.half_edge ** (self.ndim - self.p)
+        scale = obstacle.cube.half_edge ** (self.params.N - self.params.p)
 
         def rescaled(cap: CapacityValue) -> CapacityValue:
             return CapacityValue(cap.value * scale,
@@ -211,54 +231,26 @@ class CondenserMemo:
         return val, rescaled(cap_obs), rescaled(cap_full)
 
 
-def delta_table(domain: DomainSpec, x_o, radii, params: StructureParams,
-                cfg: SolverConfig = SolverConfig(), memo: CondenserMemo | None = None,
-                workers: int = 1) -> list[tuple[float, CapacityValue, CapacityValue]]:
-    """`delta_detailed` at each radius, in order.
-
-    Each K_rho(x_o) \\ E is rasterized once, nodes_across nodes per axis;
-    then each distinct mask, the all-true one included, is solved once
-    through `memo` (a new one when None) over a pool of `workers` threads.
-    Rows are assembled by index, so they do not depend on the number of
-    workers.
-    """
-    if memo is None:
-        memo = CondenserMemo(params.N, params.p, cfg)
-    elif (memo.ndim, memo.p, memo.cfg) != (params.N, params.p, cfg):
-        raise ValueError(
-            f"condenser memo of N={memo.ndim}, p={memo.p}, nodes_across "
-            f"{memo.cfg.nodes_across} does not match N={params.N}, p={params.p}, "
-            f"nodes_across {cfg.nodes_across} and its solver settings")
-    for rho in radii:
-        if not rho > 0.0:
-            raise ValueError(f"rho must be positive, got {rho}")
-    obstacles = [rasterize_obstacle(domain, Cube(tuple(x_o), rho),
-                                    2.0 * rho / (cfg.nodes_across - 1)) for rho in radii]
-    memo.solve_all([o.values for o in obstacles], workers)
-    return [memo.relative(o) for o in obstacles]
-
-
 def delta(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-          cfg: SolverConfig = SolverConfig(), memo: CondenserMemo | None = None) -> float:
+          cfg: SolverConfig = SolverConfig()) -> float:
     """Relative capacity of K_rho(x_o) \\ E against the full cube K_rho(x_o).
 
     Both condensers are grounded at the boundary of K_{3 rho / 2}(x_o) on a
-    shared lattice, so the ratio lies in [0, 1] up to solver noise.  Both
-    come from `memo` (see `CondenserMemo`), a new one when None.
+    shared lattice, so the ratio lies in [0, 1] up to solver noise.
     """
-    return delta_detailed(domain, x_o, rho, params, cfg, memo)[0]
+    return delta_detailed(domain, x_o, rho, params, cfg)[0]
 
 
 def delta_detailed(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-                   cfg: SolverConfig = SolverConfig(), memo: CondenserMemo | None = None
+                   cfg: SolverConfig = SolverConfig()
                    ) -> tuple[float, CapacityValue, CapacityValue]:
     """delta() together with the numerator and denominator capacities at rho.
 
-    The capacities are `memo`'s unit-lattice values times rho**(N-p): bitwise
-    the direct solves at rho at dyadic rho and integer p, and within a few
-    units of round-off otherwise.
+    The capacities are a new `DeltaMemo`'s unit-lattice values times
+    rho**(N-p): bitwise the direct solves at rho at dyadic rho and integer p,
+    and within a few units of round-off otherwise.
     """
-    return delta_table(domain, x_o, [rho], params, cfg, memo)[0]
+    return DeltaMemo(domain, x_o, params, cfg).rows([rho])[0]
 
 
 def parabolic_capacity(time_slices, outer: Cube, p: float,

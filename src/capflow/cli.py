@@ -324,14 +324,15 @@ def _parse_probe_radii(raw: dict, cfg):
 
 
 def _parse_synthetic_delta(raw: dict, cfg):
-    """rho -> delta(rho) in place of the capacity computation, or None."""
+    """radii -> deltas in place of the capacity computation, or None."""
     if "synthetic_delta" not in raw:
         return None
     return _union(raw, "synthetic_delta", "mode", {
         "constant": ({"value": Key("number", bound=_FRACTION)},
-                     lambda value: lambda rho: value),
+                     lambda value: lambda radii: [value] * len(radii)),
         "power": ({"coeff": _POSITIVE_NUMBER, "exponent": _POSITIVE_NUMBER},
-                  lambda coeff, exponent: lambda rho: min(1.0, coeff * rho ** exponent)),
+                  lambda coeff, exponent: lambda radii: [min(1.0, coeff * rho ** exponent)
+                                                         for rho in radii]),
     }, cfg.params.N)
 
 
@@ -487,9 +488,9 @@ def _profile_rows(profile: wiener.CapacityProfile) -> list[tuple]:
 def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
     """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
     radii = cfg.values["radii"]
-    table = stage("capacity", lambda: capacity.delta_table(
-        cfg.values["domain"], cfg.values["x_o"], radii, cfg.params, cfg.solver,
-        workers=cfg.workers))
+    table = stage("capacity", lambda: capacity.DeltaMemo(
+        cfg.values["domain"], cfg.values["x_o"], cfg.params, cfg.solver,
+        cfg.workers).rows(radii))
     rows = [(rho, cap_obs.value, cap_full.value, val,
              cap_obs.iterations + cap_full.iterations)
             for rho, (val, cap_obs, cap_full) in zip(radii, table)]
@@ -557,8 +558,8 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     values, params, p = cfg.values, cfg.params, cfg.params.p
     domain, x_o, t_o, epsilon = values["domain"], values["x_o"], values["t_o"], values["epsilon"]
     lam, c_bar = values["c_bar"]
-    delta_fn = values["synthetic_delta"] or wiener.DeltaMemo(domain, x_o, params,
-                                                             cfg.solver)
+    delta_fn = values["synthetic_delta"] or capacity.DeltaMemo(domain, x_o, params,
+                                                               cfg.solver, cfg.workers)
     report["constants"] = stage("constants", lambda: {
         "lambda": lam, "c_bar": c_bar,
         "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS}})

@@ -20,9 +20,10 @@ acts node by node and is 1-Lipschitz, so it raises no cell gradient and no
 mass term, and it keeps every iterate inside the maximum-principle range.
 The minimizer starts from the guess only when its objective is strictly
 lower than that of the previous field with the new boundary values; this
-rejects the guess where the data bend, such as the end of a boundary ramp, where the energy-drop stop would
-otherwise fire early.  A step taken by the constant-state shortcut counts
-as history too, so the step after it extrapolates zero motion.
+rejects the guess where the data bend, such as the end of a boundary ramp,
+where the energy-drop stop would otherwise fire early.  A step taken by the
+constant-state shortcut counts as history too, so the step after it
+extrapolates zero motion.
 """
 
 from __future__ import annotations
@@ -275,17 +276,16 @@ def oscillation_over(field: SpaceTimeField, region: Cube, t_lo: float,
     return float(sub.max() - sub.min())
 
 
-def oscillation(field: SpaceTimeField, x_o, t_o: float, rho: float, omega_o: float,
-                p: float | None = None) -> float:
+def oscillation(field: SpaceTimeField, x_o, t_o: float, rho: float, omega_o: float) -> float:
     """Oscillation over the backward intrinsic cylinder
-    K_{2 rho}(x_o) x [t_o - omega_o**(2-p) rho**p, t_o], window clipped at 0.
-    `p` defaults to the exponent the field was solved with."""
+    K_{2 rho}(x_o) x [t_o - omega_o**(2-p) rho**p, t_o], window clipped at 0,
+    with p the exponent the field was solved with."""
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not omega_o > 0.0:
         raise ValueError(f"omega_o must be positive, got {omega_o}")
-    pp = field.p if p is None else float(p)
-    t_lo = t_o - omega_o ** (2.0 - pp) * rho ** pp
+    p = field.p
+    t_lo = t_o - omega_o ** (2.0 - p) * rho ** p
     return oscillation_over(field, Cube(x_o, 2.0 * rho), t_lo, t_o)
 
 

@@ -162,13 +162,9 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
                   workers: int = 1, delta_fn=None) -> CapacityProfile:
     """Relative capacities of K_rho(x_o) \\ E down the geometric radius grid.
 
-    Each radius is rasterized once; the distinct masks, the full cube's
-    included, are then solved once each on the unit lattice, fanned out over
-    a pool of `workers` threads, and the deltas are assembled by index, so
-    results do not depend on the number of workers (see `DeltaMemo`).
-    `delta_fn` replaces the capacity computation: a caller's `DeltaMemo`
-    prefetches the radii it lacks the same way, any other function is
-    called once per radius.
+    `delta_fn(radii) -> deltas` computes them, all radii in one call; without
+    it a new `capacity.DeltaMemo` does, fanning its distinct masks out over
+    `workers` threads, with results independent of the number of workers.
     """
     if contains(domain, x_o):
         raise ValueError(f"x_o {tuple(x_o)} lies inside E; profiles are built at "
@@ -177,40 +173,10 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
         raise ValueError(f"depth must be positive, got {depth}")
     if not 0.0 < c_bar < 1.0:
         raise ValueError(f"c_bar must lie in (0, 1), got {c_bar}")
-    radii = [c_bar ** i * R_o for i in range(depth)]
     if delta_fn is None:
-        delta_fn = DeltaMemo(domain, x_o, params, cfg)
-    if isinstance(delta_fn, DeltaMemo):
-        delta_fn.prefetch(radii, workers)
-    return CapacityProfile(R_o, c_bar, params.p, [delta_fn(rho) for rho in radii])
-
-
-class DeltaMemo:
-    """rho -> delta(rho) at x_o for one run: each radius is rasterized once and
-    each distinct mask solved once, through one `capacity.CondenserMemo`.
-
-    `prefetch` fans a batch of radii out over their distinct masks (see
-    `capacity.delta_table`); a call with a radius not yet seen computes it
-    alone.  Concurrent calls never solve a mask twice.
-    """
-
-    def __init__(self, domain: DomainSpec, x_o, params: StructureParams,
-                 cfg: capacity.SolverConfig = capacity.SolverConfig()):
-        self.domain, self.x_o, self.params, self.cfg = domain, x_o, params, cfg
-        self.condensers = capacity.CondenserMemo(params.N, params.p, cfg)
-        self._deltas: dict[float, float] = {}
-
-    def prefetch(self, radii, workers: int = 1) -> None:
-        new = [rho for rho in dict.fromkeys(radii) if rho not in self._deltas]
-        rows = capacity.delta_table(self.domain, self.x_o, new, self.params, self.cfg,
-                                    self.condensers, workers)
-        self._deltas.update((rho, row[0]) for rho, row in zip(new, rows))
-
-    def __call__(self, rho: float) -> float:
-        if rho not in self._deltas:
-            self._deltas[rho] = capacity.delta(self.domain, self.x_o, rho, self.params,
-                                               self.cfg, self.condensers)
-        return self._deltas[rho]
+        delta_fn = capacity.DeltaMemo(domain, x_o, params, cfg, workers)
+    return CapacityProfile(R_o, c_bar, params.p,
+                           delta_fn([c_bar ** i * R_o for i in range(depth)]))
 
 
 def wiener_sum(profile: CapacityProfile, i_lo: int, i_hi: int) -> float:
@@ -249,8 +215,12 @@ def wiener_integral(profile: CapacityProfile, rho: float) -> float:
     return total
 
 
-def is_wiener_point(profile: CapacityProfile, threshold_window: int = 8) -> WienerDiagnostic:
-    """Finite-sample divergence heuristic: fit log A_i against i over the tail.
+_TAIL_WINDOW = 8    # profile indices is_wiener_point fits
+
+
+def is_wiener_point(profile: CapacityProfile) -> WienerDiagnostic:
+    """Finite-sample divergence heuristic: fit log A_i against i over the last
+    `_TAIL_WINDOW` indices, or the whole profile when it is shorter.
 
     A near-zero slope means A is bounded below, so the Wiener sum diverges;
     a clearly negative slope with a credible fit means geometric decay and a
@@ -259,7 +229,7 @@ def is_wiener_point(profile: CapacityProfile, threshold_window: int = 8) -> Wien
     """
     if profile.depth < 4:
         raise ValueError(f"need depth >= 4 to classify, got {profile.depth}")
-    w = max(2, min(int(threshold_window), profile.depth))
+    w = min(_TAIL_WINDOW, profile.depth)
     lo = profile.depth - w
     tail = profile.A[lo:]
     window = (lo, profile.depth - 1)
@@ -304,17 +274,16 @@ def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructurePa
 
     Scans R = r_max, r_max/2, ... downward and returns the first admissible
     radius, so the result is the largest admissible one on the dyadic grid.
-    `delta_fn` overrides the capacity computation (used for synthetic runs
-    and for a caller's `DeltaMemo`); without it one `DeltaMemo` serves the
-    whole scan.
+    `delta_fn(radii) -> deltas` computes delta, one radius at a time;
+    without it one `capacity.DeltaMemo` serves the whole scan.
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
     if delta_fn is None:
-        delta_fn = DeltaMemo(domain, x_o, params, cfg)
+        delta_fn = capacity.DeltaMemo(domain, x_o, params, cfg)
     for k in range(max_halvings + 1):
         radius = r_max * 2.0 ** -k
-        if window_depth(params, float(delta_fn(radius)), radius, epsilon) <= t_o:
+        if window_depth(params, float(delta_fn([radius])[0]), radius, epsilon) <= t_o:
             return radius
     raise ValueError(
         f"no admissible R_o in [{r_max * 2.0 ** -max_halvings}, {r_max}] for t_o={t_o}, "

@@ -68,9 +68,9 @@ def test_unit_denominator_rescales_to_the_direct_solve(ndim, p, monkeypatch):
     x_o = (0.3125, -0.75)[:ndim]
     dom = DomainSpec.half_space(x_o)       # the same mask at every radius
     radii = (0.5, 0.3, 0.1, 0.0625)
-    memo = capacity.CondenserMemo(ndim, p, FAST)
+    memo = capacity.DeltaMemo(dom, x_o, params, FAST)
     solved = count_condensers(monkeypatch)
-    rows = [capacity.delta_detailed(dom, x_o, rho, params, FAST, memo) for rho in radii]
+    rows = [memo.rows([rho])[0] for rho in radii]
     # the half-space mask and the full cube, once each for all four radii
     assert len(solved) == solved.distinct_masks() == 2
     # radii that share a mask share delta bitwise
@@ -98,7 +98,7 @@ def test_a_mask_that_changes_with_the_radius_is_solved_per_radius(monkeypatch):
     prof = cf.build_profile(dom, (0.0, 0.0), 0.5, 0.5, 3, P3N2, FAST, workers=2)
     assert len(solved) == solved.distinct_masks() == 1 + prof.depth
     assert len(set(prof.deltas.tolist())) == prof.depth
-    rows = capacity.delta_table(dom, (0.0, 0.0), prof.radii, P3N2, FAST)
+    rows = capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST).rows(prof.radii)
     assert [val for val, _, _ in rows] == prof.deltas.tolist()
     for rho, (_, cap_obs, _) in zip(prof.radii, rows):
         obstacle = rasterize_obstacle(dom, Cube((0.0, 0.0), rho), cap_obs.grid_h)
@@ -106,23 +106,14 @@ def test_a_mask_that_changes_with_the_radius_is_solved_per_radius(monkeypatch):
         assert cap_obs.value == _direct_condenser(obstacle, 3.0).value
 
 
-def test_delta_rejects_a_denominator_of_another_lattice():
-    # a memo of another nodes_across, dimension or p
-    for ndim, p, nodes_across in ((1, 3.0, 21), (2, 3.0, 17), (1, 4.0, 17)):
-        memo = capacity.CondenserMemo(ndim, p, capacity.SolverConfig(nodes_across=nodes_across))
-        with pytest.raises(ValueError, match="does not match N=1, p=3.0, nodes_across 17"):
-            capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), 0.5, P3N1, FAST, memo)
-    with pytest.raises(ValueError, match="mask shape"):
-        capacity.CondenserMemo(1, 3.0, FAST)(np.ones(21, dtype=bool))
-
-
 def test_memo_failure_reaches_every_waiting_thread(monkeypatch):
-    # the first thread's ConvergenceError is every waiter's, without a hang
-    # and without a second solve
-    memo = capacity.CondenserMemo(2, 3.0, capacity.SolverConfig(nodes_across=17, max_iter=1))
+    # the first thread's ConvergenceError on the full cube, the first mask
+    # solved, is every waiter's, without a hang and without a second solve
+    memo = capacity.DeltaMemo(DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2,
+                              capacity.SolverConfig(nodes_across=17, max_iter=1))
     solved = count_condensers(monkeypatch, delay=0.05)
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        futures = [pool.submit(memo, memo.full) for _ in range(8)]
+        futures = [pool.submit(memo, [0.5]) for _ in range(8)]
         for fut in futures:
             with pytest.raises(cf.ConvergenceError, match="did not converge") as err:
                 fut.result(timeout=60)
@@ -132,7 +123,7 @@ def test_memo_failure_reaches_every_waiting_thread(monkeypatch):
 
 def test_memo_keeps_no_condenser_field_or_lattice_system(monkeypatch):
     # every field and LatticeSystem of a memo solve dies with the solve; the
-    # memo keeps only CapacityValues
+    # memo keeps only its rasterized obstacles and CapacityValues
     refs = []
     minimize, system = capacity.minimize_condenser, capacity.LatticeSystem
 
@@ -148,9 +139,8 @@ def test_memo_keeps_no_condenser_field_or_lattice_system(monkeypatch):
 
     monkeypatch.setattr(capacity, "minimize_condenser", kept_minimize)
     monkeypatch.setattr(capacity, "LatticeSystem", kept_system)
-    memo = capacity.CondenserMemo(2, 3.0, FAST)
     dom = DomainSpec.exterior_cube((0.0, 0.0), 0.05)
-    capacity.delta_table(dom, (0.0, 0.0), [0.5, 0.25, 0.25], P3N2, FAST, memo, workers=2)
+    capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST, workers=2).rows([0.5, 0.25, 0.25])
     assert len(refs) == 2 * 3         # three distinct masks, the full cube included
     assert all(ref() is None for ref in refs)
 
@@ -338,9 +328,8 @@ def test_delta_of_random_obstacles_lies_in_unit_interval(mask, p, rho):
     ndim = mask.ndim
     params = cf.make_params(p, ndim)
     x_o = (0.5,) * ndim
-    memo = capacity.CondenserMemo(ndim, p, FAST)
     val, cap_obs, cap_full = capacity.delta_detailed(
-        _mask_domain(mask, x_o, rho), x_o, rho, params, FAST, memo)
+        _mask_domain(mask, x_o, rho), x_o, rho, params, FAST)
     assert 0.0 <= val <= 1.0
     assert (val == 0.0) == (not mask.any())
     assert cap_obs.value <= cap_full.value * (1.0 + 1e-8)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from capflow import capacity, cli, pde, wiener
+from capflow import capacity, cli, pde
 from capflow.geometry import DomainSpec
 from helpers import count_condensers
 
@@ -598,12 +598,20 @@ def test_verify_solves_each_radius_once(tmp_path, monkeypatch):
     cfg["realize"] = {"r_max": 0.5, "max_halvings": 6}
     cfg["solver"] = {"nodes_across": 17}
     solved = count_condensers(monkeypatch)
-    counts = []
+    rasterize, rasterized = capacity.rasterize_obstacle, []
+
+    def counted(domain, inner, grid_h):
+        rasterized.append(inner.half_edge)
+        return rasterize(domain, inner, grid_h)
+
+    monkeypatch.setattr(capacity, "rasterize_obstacle", counted)
+    counts, runs = [], []
     for tag in ("first", "second"):
-        before = len(solved)
+        before, before_radii = len(solved), len(rasterized)
         rc, out = run(tmp_path, "verify", cfg, tag=tag)
         assert rc == 0
         counts.append(len(solved) - before)
+        runs.append(rasterized[before_radii:])
     report = read_report(out)
     r_o = report["realize"]["R_o"]
     scanned = [0.5 * 2.0 ** -k for k in range(7) if 0.5 * 2.0 ** -k >= r_o]
@@ -611,6 +619,7 @@ def test_verify_solves_each_radius_once(tmp_path, monkeypatch):
     assert r_o < 0.5 and profiled[0] == r_o
     radii = set(scanned) | set(profiled)
     assert len(radii) == len(scanned) + len(profiled) - 1
+    assert [sorted(run_radii) for run_radii in runs] == [sorted(radii)] * 2
     assert counts == [2, 2]
     assert solved.distinct_masks(counts[0]) == 2
     assert [p.outer.half_edge for p in solved] == [1.5] * 4
@@ -624,17 +633,17 @@ def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
     solved = count_condensers(monkeypatch, delay=0.01)
     cfg = cli.parse_experiment(capacity_cfg(), "capacity", "unused", 1, 0)
     dom = DomainSpec.exterior_cube((0.0,), 0.05)    # a new mask at every radius
-    delta_at = wiener.DeltaMemo(dom, (0.0,), cfg.params, cfg.solver)
+    delta_at = capacity.DeltaMemo(dom, (0.0,), cfg.params, cfg.solver)
     radii = [2.0 ** -k for k in range(1, 5)] * 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(delta_at, radii, timeout=60))
+            results = list(pool.map(lambda rho: delta_at([rho])[0], radii, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert len(solved) == solved.distinct_masks() == 5
-    assert results == [delta_at(r) for r in radii]
+    assert results == delta_at(radii)
     assert len(set(results)) == 4
 
 

@@ -93,7 +93,7 @@ def test_realize_R_o_epsilon_closed_form():
     # p=3, gamma_star=2, eps=0.5 -> 6 R**2.5, first dyadic hit below 0.2 is 1/4
     r_o = wiener.realize_R_o_epsilon(
         0.2, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
-        delta_fn=lambda rho: 1.0)
+        delta_fn=lambda radii: [1.0] * len(radii))
     assert r_o == 0.25
 
 
@@ -101,12 +101,12 @@ def test_realize_R_o_epsilon_exhausted():
     with pytest.raises(ValueError, match="decrease epsilon, increase t_o"):
         wiener.realize_R_o_epsilon(
             1e-30, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
-            max_halvings=5, delta_fn=lambda rho: 1.0)
+            max_halvings=5, delta_fn=lambda radii: [1.0] * len(radii))
     # zero-delta radii are skipped rather than accepted
     with pytest.raises(ValueError, match="no admissible R_o"):
         wiener.realize_R_o_epsilon(
             0.2, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
-            max_halvings=5, delta_fn=lambda rho: 0.0)
+            max_halvings=5, delta_fn=lambda radii: [0.0] * len(radii))
 
 
 def test_build_subsequence_constant_A_takes_every_index():
@@ -273,8 +273,9 @@ def test_build_profile_validation():
 
 
 def test_build_profile_2d_is_independent_of_workers_and_exact():
-    # the shared denominator is solved before the fan-out at a fixed radius,
-    # so the threaded build is bitwise the sequential one; at dyadic radii and
+    # each distinct mask, the full cube's included, is one unit-lattice solve
+    # fanned out with the others and the deltas are assembled by index, so
+    # the threaded build is bitwise the sequential one; at dyadic radii and
     # p = 3 both are bitwise the per-radius direct solves
     dom = DomainSpec.exterior_cube((0.0, 0.0), 0.5)
     cfg = SolverConfig(nodes_across=17)
@@ -290,11 +291,11 @@ def test_build_profile_2d_is_independent_of_workers_and_exact():
 def test_build_profile_uses_delta_fn():
     seen = []
 
-    def fake(rho):
-        seen.append(rho)
-        return 0.25
+    def fake(radii):
+        seen.append(list(radii))
+        return [0.25] * len(radii)
 
     prof = cf.build_profile(DomainSpec.half_space((0.0,)), (0.0,), 0.5, 0.25, 3, P3N1,
                             delta_fn=fake, workers=2)
-    assert sorted(seen) == [0.5 * 0.25 ** 2, 0.5 * 0.25, 0.5]
+    assert seen == [[0.5, 0.5 * 0.25, 0.5 * 0.25 ** 2]]
     assert prof.deltas.tolist() == [0.25] * 3
