@@ -9,8 +9,7 @@ harness (cli).
 """
 
 from .capacity import (CapacityValue, CondenserProblem, DeltaMemo, SolverConfig,
-                       delta, delta_detailed, minimize_condenser, parabolic_capacity,
-                       solve_condenser)
+                       minimize_condenser, parabolic_capacity, solve_condenser)
 from .errors import (CapflowError, ConfigError, ConvergenceError, PipelineError)
 from .geometry import (Cube, DomainSpec, IndicatorField, contains, contains_many,
                        domain_inside_mask, lattice_nodes_per_axis,
@@ -41,8 +40,8 @@ __all__ = [
     "SpaceTimeField", "SpaceTimeGrid", "SpreadingProbeResult",
     "StructuralConstants", "StructureParams", "SubsequenceResult",
     "WienerDiagnostic", "barenblatt", "build_profile", "build_subsequence",
-    "choose_c_bar", "contains", "contains_many", "decay_envelope", "delta",
-    "delta_detailed", "domain_inside_mask", "envelope_regression",
+    "choose_c_bar", "contains", "contains_many", "decay_envelope",
+    "domain_inside_mask", "envelope_regression",
     "holder_exponent", "intrinsic_times", "is_wiener_point",
     "lattice_nodes_per_axis", "load_snapshot", "make_grid", "make_params",
     "minimize_condenser", "obstacle_distance", "osc_g_on_lateral",

@@ -25,9 +25,15 @@ from .params import StructureParams
 
 @dataclass(frozen=True)
 class SolverConfig(MinimizeConfig):
-    """Condenser minimization settings and the delta() lattice size."""
+    """Condenser minimization settings and the `DeltaMemo` lattice size."""
 
-    nodes_across: int = 33   # lattice nodes spanning the inner cube in delta()
+    nodes_across: int = 33   # lattice nodes spanning the inner cube of a delta
+
+    def __post_init__(self):
+        super().__post_init__()
+        na = self.nodes_across
+        if na < 17 or (na - 1) % 4 != 0:
+            raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,15 @@ def solve_condenser(problem: CondenserProblem) -> CapacityValue:
 
 
 class DeltaMemo:
-    """radii -> delta() at x_o for one run: each radius is rasterized once and
+    """radii -> delta at x_o for one run: each radius is rasterized once and
     each distinct condenser mask solved once.
 
-    At fixed nodes_across the condenser of delta() at any radius rho and
+    delta(rho) is the relative capacity of K_rho(x_o) \\ E against the full
+    cube K_rho(x_o), both condensers grounded at the boundary of
+    K_{3 rho / 2}(x_o), so it lies in [0, 1] up to solver noise.  This memo is
+    the library's one way to compute it.
+
+    At fixed nodes_across the condenser of delta at any radius rho and
     centre depends only on its obstacle mask: it is the lattice problem with
     inner half-edge 1 at the origin, outer half-edge 1.5 and
     h = 2 / (nodes_across - 1), with lengths scaled by rho, so it has the same
@@ -141,19 +152,16 @@ class DeltaMemo:
 
     def __init__(self, domain: DomainSpec, x_o, params: StructureParams,
                  cfg: SolverConfig = SolverConfig(), workers: int = 1):
-        na = cfg.nodes_across
-        if na < 17 or (na - 1) % 4 != 0:
-            raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
         self.domain, self.x_o, self.params, self.cfg = domain, tuple(x_o), params, cfg
         self.workers = workers
-        self.h = 2.0 / (na - 1)
-        self.full = np.ones((na,) * params.N, dtype=bool)
+        self.h = 2.0 / (cfg.nodes_across - 1)
+        self.full = np.ones((cfg.nodes_across,) * params.N, dtype=bool)
         self._lock = threading.Lock()
         self._obstacles: dict[float, IndicatorField] = {}
         self._capacities: dict[bytes, concurrent.futures.Future] = {}
 
     def __call__(self, radii) -> list[float]:
-        """delta() at each radius, in order."""
+        """delta at each radius, in order."""
         return [row[0] for row in self.rows(radii)]
 
     def rows(self, radii) -> list[tuple[float, CapacityValue, CapacityValue]]:
@@ -207,7 +215,7 @@ class DeltaMemo:
 
     def _relative(self, obstacle: IndicatorField
                   ) -> tuple[float, CapacityValue, CapacityValue]:
-        """delta() of a rasterized obstacle, with both capacities.
+        """delta of a rasterized obstacle, with both capacities.
 
         delta is the ratio of the unit-lattice values, so radii that share a
         mask give the same delta; the capacities are the unit ones with value
@@ -229,28 +237,6 @@ class DeltaMemo:
                                  tuple(e * scale for e in cap.energy_history), obstacle.h)
 
         return val, rescaled(cap_obs), rescaled(cap_full)
-
-
-def delta(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-          cfg: SolverConfig = SolverConfig()) -> float:
-    """Relative capacity of K_rho(x_o) \\ E against the full cube K_rho(x_o).
-
-    Both condensers are grounded at the boundary of K_{3 rho / 2}(x_o) on a
-    shared lattice, so the ratio lies in [0, 1] up to solver noise.
-    """
-    return delta_detailed(domain, x_o, rho, params, cfg)[0]
-
-
-def delta_detailed(domain: DomainSpec, x_o, rho: float, params: StructureParams,
-                   cfg: SolverConfig = SolverConfig()
-                   ) -> tuple[float, CapacityValue, CapacityValue]:
-    """delta() together with the numerator and denominator capacities at rho.
-
-    The capacities are a new `DeltaMemo`'s unit-lattice values times
-    rho**(N-p): bitwise the direct solves at rho at dyadic rho and integer p,
-    and within a few units of round-off otherwise.
-    """
-    return DeltaMemo(domain, x_o, params, cfg).rows([rho])[0]
 
 
 def parabolic_capacity(time_slices, outer: Cube, p: float,

@@ -504,9 +504,10 @@ def cmd_delta_profile(cfg: ExperimentConfig, stage: Callable, report: dict):
     finite-sample divergence diagnostic."""
     values = cfg.values
     lam, c_bar = values["c_bar"]
+    domain, x_o = values["domain"], values["x_o"]
     profile = stage("profile", lambda: wiener.build_profile(
-        values["domain"], values["x_o"], values["R_o"], c_bar, values["depth"],
-        cfg.params, cfg.solver, cfg.workers))
+        domain, x_o, values["R_o"], c_bar, values["depth"], cfg.params,
+        capacity.DeltaMemo(domain, x_o, cfg.params, cfg.solver, cfg.workers)))
     rows = _profile_rows(profile)
     diag = wiener.is_wiener_point(profile) if values["depth"] >= 4 else None
     report["profile"] = {
@@ -567,16 +568,15 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     def realize():
         r_o = values["R_o"]
         if values["realize"] is not None:
-            r_o = wiener.realize_R_o_epsilon(t_o, domain, x_o, params, epsilon, cfg.solver,
-                                             delta_fn=delta_fn, **values["realize"])
+            r_o = wiener.realize_R_o_epsilon(t_o, params, epsilon, delta_fn,
+                                             **values["realize"])
         return r_o, _probe_radii(values["probe_radii"], r_o, c_bar, values["depth"])
 
     r_o, radii = stage("realize", realize)
     report["realize"] = {"R_o": r_o, "epsilon": epsilon,
                          "mode": "explicit" if values["realize"] is None else "searched"}
     profile = stage("profile", lambda: wiener.build_profile(
-        domain, x_o, r_o, c_bar, values["depth"], params, cfg.solver, cfg.workers,
-        delta_fn))
+        domain, x_o, r_o, c_bar, values["depth"], params, delta_fn))
     prof_rows = _profile_rows(profile)
     report["profile"] = {"R_o": r_o, "c_bar": c_bar, "entries": [
         dict(zip(_PROFILE_HEADER, row)) for row in prof_rows]}

@@ -332,14 +332,8 @@ class IndicatorField:
     def nodes_per_axis(self) -> int:
         return self.values.shape[0]
 
-    def axes(self) -> list[np.ndarray]:
-        m = (self.nodes_per_axis - 1) // 2
-        return [c + self.h * np.arange(-m, m + 1) for c in self.cube.center]
-
     def node_points(self) -> np.ndarray:
-        """All node coordinates, shape (n**N, N), C-ordered."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return lattice_points(self.cube, self.h)
 
     @property
     def count(self) -> int:
@@ -359,6 +353,15 @@ def lattice_nodes_per_axis(half_edge: float, h: float) -> int:
     if m < 1 or abs(m * h - half_edge) > 1e-9 * half_edge:
         raise ValueError(f"grid spacing {h} does not divide half-edge {half_edge}")
     return 2 * m + 1
+
+
+def lattice_points(cube: Cube, h: float) -> np.ndarray:
+    """Coordinates c + h*k, |k| <= m, of the lattice of spacing h spanning
+    `cube`: shape (n**N, N), C-ordered.  Every node coordinate in the library
+    comes from here."""
+    m = (lattice_nodes_per_axis(cube.half_edge, h) - 1) // 2
+    grids = np.meshgrid(*(c + h * np.arange(-m, m + 1) for c in cube.center), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def box_faces(shape: tuple[int, ...]) -> np.ndarray:
@@ -383,13 +386,12 @@ def rasterize_obstacle(domain: DomainSpec, inner: Cube, grid_h: float) -> Indica
     n = lattice_nodes_per_axis(inner.half_edge, grid_h)
     if n < 3:
         raise ValueError("degenerate grid: fewer than 3 nodes per axis")
-    probe = IndicatorField.all_true(inner, grid_h)
-    pts = probe.node_points()
+    pts = lattice_points(inner, grid_h)
     if domain.kind in LOWER_DIMENSIONAL_KINDS:
         marked = obstacle_distance(domain, pts, inner) < grid_h / 2.0
     else:
         marked = ~contains_many(domain, pts)
-    return IndicatorField(inner, grid_h, marked.reshape(probe.values.shape))
+    return IndicatorField(inner, grid_h, marked.reshape((n,) * inner.ndim))
 
 
 def domain_inside_mask(domain: DomainSpec, box: Cube, grid_h: float) -> np.ndarray:

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .fileio import atomic_write
-from .geometry import Cube, DomainSpec, box_faces, domain_inside_mask, lattice_nodes_per_axis
+from .geometry import (Cube, DomainSpec, box_faces, domain_inside_mask, lattice_nodes_per_axis,
+                       lattice_points)
 from .lattice import LatticeSystem, MinimizeConfig, minimize
 
 
@@ -50,17 +51,8 @@ class SpaceTimeGrid:
     times: np.ndarray           # strictly increasing, times[0] == 0
     shape: tuple[int, ...]
 
-    def axes(self) -> tuple[np.ndarray, ...]:
-        n = self.shape[0]
-        return tuple(
-            c - self.box.half_edge + self.h * np.arange(n) for c in self.box.center)
-
     def node_points(self) -> np.ndarray:
-        axs = self.axes()
-        if len(axs) == 1:
-            return axs[0][:, None]
-        mesh = np.meshgrid(*axs, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return lattice_points(self.box, self.h)
 
     def nodes_in(self, cube: Cube) -> np.ndarray:
         """Flat mask of the nodes in `cube`, up to a 1e-9 h tolerance."""
@@ -130,9 +122,7 @@ def make_grid(domain: DomainSpec, box: Cube, grid_h: float, times) -> SpaceTimeG
     if np.any(inside):
         isolated = grid_idx & ~_near(grid_idx)
         if np.any(isolated):
-            flat = int(np.argmax(isolated.ravel()))
-            grid = SpaceTimeGrid(box, grid_h, inside, times, shape)
-            pt = grid.node_points()[flat]
+            pt = lattice_points(box, grid_h)[int(np.argmax(isolated.ravel()))]
             raise ValueError(f"isolated interior node at {tuple(float(c) for c in pt)}; "
                              "refine the grid or adjust the obstacle")
 

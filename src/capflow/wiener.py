@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity
 from .geometry import DomainSpec, contains
 from .params import StructureParams, smallest_lambda
 
@@ -158,13 +157,11 @@ def choose_c_bar(params: StructureParams) -> tuple[int, float]:
 
 
 def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
-                  params: StructureParams, cfg: capacity.SolverConfig = capacity.SolverConfig(),
-                  workers: int = 1, delta_fn=None) -> CapacityProfile:
+                  params: StructureParams, delta_fn) -> CapacityProfile:
     """Relative capacities of K_rho(x_o) \\ E down the geometric radius grid.
 
-    `delta_fn(radii) -> deltas` computes them, all radii in one call; without
-    it a new `capacity.DeltaMemo` does, fanning its distinct masks out over
-    `workers` threads, with results independent of the number of workers.
+    `delta_fn(radii) -> deltas`, such as a `capacity.DeltaMemo` at x_o,
+    computes them, all radii in one call.
     """
     if contains(domain, x_o):
         raise ValueError(f"x_o {tuple(x_o)} lies inside E; profiles are built at "
@@ -173,8 +170,6 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
         raise ValueError(f"depth must be positive, got {depth}")
     if not 0.0 < c_bar < 1.0:
         raise ValueError(f"c_bar must lie in (0, 1), got {c_bar}")
-    if delta_fn is None:
-        delta_fn = capacity.DeltaMemo(domain, x_o, params, cfg, workers)
     return CapacityProfile(R_o, c_bar, params.p,
                            delta_fn([c_bar ** i * R_o for i in range(depth)]))
 
@@ -266,21 +261,16 @@ def window_depth(params: StructureParams, delta: float, R_o: float,
             * R_o ** (p - epsilon))
 
 
-def realize_R_o_epsilon(t_o: float, domain: DomainSpec, x_o, params: StructureParams,
-                        epsilon: float, cfg: capacity.SolverConfig = capacity.SolverConfig(),
-                        r_max: float = 1.0, max_halvings: int = 20,
-                        delta_fn=None) -> float:
+def realize_R_o_epsilon(t_o: float, params: StructureParams, epsilon: float, delta_fn,
+                        r_max: float = 1.0, max_halvings: int = 20) -> float:
     """Largest dyadic R_o whose `window_depth` at epsilon is at most t_o.
 
     Scans R = r_max, r_max/2, ... downward and returns the first admissible
     radius, so the result is the largest admissible one on the dyadic grid.
-    `delta_fn(radii) -> deltas` computes delta, one radius at a time;
-    without it one `capacity.DeltaMemo` serves the whole scan.
+    `delta_fn(radii) -> deltas` computes delta, one radius at a time.
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
-    if delta_fn is None:
-        delta_fn = capacity.DeltaMemo(domain, x_o, params, cfg)
     for k in range(max_halvings + 1):
         radius = r_max * 2.0 ** -k
         if window_depth(params, float(delta_fn([radius])[0]), radius, epsilon) <= t_o:

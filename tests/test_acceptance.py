@@ -71,9 +71,9 @@ def test_criterion_02_condenser_1d_oracle(capsys):
 def test_criterion_03_relative_capacity_extremes(capsys):
     params = cf.make_params(3.0, 2)
     fast = capacity.SolverConfig(nodes_across=17)
-    empty = capacity.delta(DomainSpec.full_space(2), (0.0, 0.0), 0.5, params, fast)
-    full = capacity.delta(DomainSpec.exterior_cube((-10.0, -10.0), 10.0),
-                          (0.0, 0.0), 0.5, params, fast)
+    empty = capacity.DeltaMemo(DomainSpec.full_space(2), (0.0, 0.0), params, fast)([0.5])[0]
+    full = capacity.DeltaMemo(DomainSpec.exterior_cube((-10.0, -10.0), 10.0),
+                              (0.0, 0.0), params, fast)([0.5])[0]
     ok = empty == 0.0 and abs(full - 1.0) <= 1e-10
     _verdict(capsys, 3, ok,
              f"empty obstacle delta = {empty!r} (exact 0), full obstacle "

@@ -51,7 +51,7 @@ def test_condenser_2d_scaling_is_exact():
 
 
 def _direct_condenser(obstacle: IndicatorField, p: float) -> capacity.CapacityValue:
-    """One of delta()'s condensers solved at its own radius and centre."""
+    """One of delta's condensers solved at its own radius and centre."""
     cube = obstacle.cube
     return capacity.solve_condenser(capacity.CondenserProblem(
         obstacle, Cube(cube.center, 1.5 * cube.half_edge), p, FAST))
@@ -60,7 +60,7 @@ def _direct_condenser(obstacle: IndicatorField, p: float) -> capacity.CapacityVa
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_unit_denominator_rescales_to_the_direct_solve(ndim, p, monkeypatch):
-    # delta()'s condensers at any radius and centre are the memo's unit-lattice
+    # delta's condensers at any radius and centre are the memo's unit-lattice
     # ones with lengths scaled by rho: the same iterates, energies times
     # rho**(N-p).  At dyadic rho and integer p every operation scales by a
     # power of two, so the rescaled values are bitwise the direct ones.
@@ -95,7 +95,8 @@ def test_a_mask_that_changes_with_the_radius_is_solved_per_radius(monkeypatch):
     # K_rho(x_o) as rho shrinks: a new mask at every radius, plus the full cube
     dom = DomainSpec.exterior_cube((0.0, 0.0), 0.05)
     solved = count_condensers(monkeypatch)
-    prof = cf.build_profile(dom, (0.0, 0.0), 0.5, 0.5, 3, P3N2, FAST, workers=2)
+    prof = cf.build_profile(dom, (0.0, 0.0), 0.5, 0.5, 3, P3N2,
+                            capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST, workers=2))
     assert len(solved) == solved.distinct_masks() == 1 + prof.depth
     assert len(set(prof.deltas.tolist())) == prof.depth
     rows = capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST).rows(prof.radii)
@@ -197,8 +198,8 @@ def test_condenser_potential_in_unit_range():
 
 
 def test_delta_empty_obstacle_is_exact_zero():
-    val, cap_obs, cap_full = capacity.delta_detailed(
-        DomainSpec.full_space(2), (0.0, 0.0), 0.5, P3N2, FAST)
+    val, cap_obs, cap_full = capacity.DeltaMemo(
+        DomainSpec.full_space(2), (0.0, 0.0), P3N2, FAST).rows([0.5])[0]
     assert val == 0.0
     assert cap_obs.value == 0.0
     assert cap_full.value > 0.0
@@ -208,7 +209,7 @@ def test_delta_full_obstacle_is_one():
     # the probe cube sits deep inside the removed cube, so the obstacle marks
     # every node and both condensers are the same problem
     dom = DomainSpec.exterior_cube((-10.0, -10.0), 10.0)
-    val = capacity.delta(dom, (0.0, 0.0), 0.5, P3N2, FAST)
+    val = capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST)([0.5])[0]
     assert abs(val - 1.0) <= 1e-10
 
 
@@ -217,8 +218,8 @@ def test_delta_half_space_1d_closed_form():
     # 0.5 rho against a full-cube value of 2 (0.5 rho)**(1-p); for p = 3 the
     # ratio collapses to (3**-2 + 1) / 2 = 5/9 independent of rho
     for rho in (0.5, 0.25):
-        val = capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), rho, P3N1,
-                             capacity.SolverConfig(nodes_across=33))
+        val = capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1,
+                                 capacity.SolverConfig(nodes_across=33))([rho])[0]
         assert abs(val - 5.0 / 9.0) <= 1e-13
 
 
@@ -230,16 +231,16 @@ def test_delta_lies_in_unit_interval():
     for k in range(10):
         dom = doms[k % len(doms)]
         rho = float(rng.uniform(0.1, 1.0))
-        val = capacity.delta(dom, (0.0, 0.0), rho, P3N2, FAST)
+        val = capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST)([rho])[0]
         assert 0.0 <= val <= 1.0, (dom.kind, rho, val)
 
 
 def test_delta_validation():
     with pytest.raises(ValueError, match="rho must be positive"):
-        capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), 0.0, P3N1, FAST)
+        capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1, FAST)([0.0])
     with pytest.raises(ValueError, match="nodes_across"):
-        capacity.delta(DomainSpec.half_space((0.0,)), (0.0,), 0.5, P3N1,
-                       capacity.SolverConfig(nodes_across=18))
+        capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1,
+                           capacity.SolverConfig(nodes_across=18))([0.5])
 
 
 def test_parabolic_capacity_time_constant_slab():
@@ -328,8 +329,8 @@ def test_delta_of_random_obstacles_lies_in_unit_interval(mask, p, rho):
     ndim = mask.ndim
     params = cf.make_params(p, ndim)
     x_o = (0.5,) * ndim
-    val, cap_obs, cap_full = capacity.delta_detailed(
-        _mask_domain(mask, x_o, rho), x_o, rho, params, FAST)
+    val, cap_obs, cap_full = capacity.DeltaMemo(
+        _mask_domain(mask, x_o, rho), x_o, params, FAST).rows([rho])[0]
     assert 0.0 <= val <= 1.0
     assert (val == 0.0) == (not mask.any())
     assert cap_obs.value <= cap_full.value * (1.0 + 1e-8)

@@ -186,6 +186,18 @@ def test_scheme_tolerance_must_lie_below_one(tmp_path, capsys):
     assert "scheme: tol_rel_energy must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, make_cfg", [("capacity", capacity_cfg),
+                                               ("solve", solve_cfg)])
+def test_solver_nodes_across_is_checked_at_parse_time(tmp_path, capsys, command, make_cfg):
+    # a config error, whether or not the command computes a delta
+    cfg = make_cfg()
+    cfg["solver"] = {"nodes_across": 18}
+    rc, _ = run(tmp_path, command, cfg)
+    assert rc == 2
+    assert ("config error: solver: nodes_across must be >= 17 and congruent to 1 mod 4, "
+            "got 18") in capsys.readouterr().err
+
+
 def test_ramped_distance_rejects_power_cusp_before_the_grid(tmp_path, capsys,
                                                             monkeypatch):
     def no_grid(*args):

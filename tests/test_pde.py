@@ -69,6 +69,16 @@ def test_make_grid_excludes_obstacle_nodes():
     assert np.array_equal(grid.inside, in_e & ~faces)
 
 
+def test_make_grid_nodes_are_the_rasterized_nodes_on_a_non_dyadic_lattice():
+    # make_grid classifies the nodes rasterize_obstacle places; the datum, the
+    # measurements and the snapshots must see those same points, bit for bit
+    dom = DomainSpec.exterior_cube((0.15, 0.15), 1.0)
+    box = Cube((0.1, 0.1), 0.3)
+    grid = cf.make_grid(dom, box, 0.1, cf.uniform_times(0.1, 2))
+    assert np.array_equal(grid.node_points(),
+                          cf.rasterize_obstacle(dom, box, 0.1).node_points())
+
+
 def test_make_grid_time_validation():
     with pytest.raises(ValueError, match="start at 0"):
         cf.make_grid(DomainSpec.full_space(1), Cube((0.0,), 0.5), 0.125,

@@ -91,22 +91,18 @@ def test_is_wiener_point_classification():
 def test_realize_R_o_epsilon_closed_form():
     # delta == 1 kills the delta factor: need 3 gamma_star R**(p-eps) <= t_o;
     # p=3, gamma_star=2, eps=0.5 -> 6 R**2.5, first dyadic hit below 0.2 is 1/4
-    r_o = wiener.realize_R_o_epsilon(
-        0.2, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
-        delta_fn=lambda radii: [1.0] * len(radii))
+    r_o = wiener.realize_R_o_epsilon(0.2, P3N2, 0.5, lambda radii: [1.0] * len(radii))
     assert r_o == 0.25
 
 
 def test_realize_R_o_epsilon_exhausted():
     with pytest.raises(ValueError, match="decrease epsilon, increase t_o"):
-        wiener.realize_R_o_epsilon(
-            1e-30, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
-            max_halvings=5, delta_fn=lambda radii: [1.0] * len(radii))
+        wiener.realize_R_o_epsilon(1e-30, P3N2, 0.5, lambda radii: [1.0] * len(radii),
+                                   max_halvings=5)
     # zero-delta radii are skipped rather than accepted
     with pytest.raises(ValueError, match="no admissible R_o"):
-        wiener.realize_R_o_epsilon(
-            0.2, DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, 0.5,
-            max_halvings=5, delta_fn=lambda radii: [0.0] * len(radii))
+        wiener.realize_R_o_epsilon(0.2, P3N2, 0.5, lambda radii: [0.0] * len(radii),
+                                   max_halvings=5)
 
 
 def test_build_subsequence_constant_A_takes_every_index():
@@ -256,20 +252,25 @@ def test_build_profile_halfspace_and_workers():
     # is constant; the threaded build must agree with the sequential one
     dom = DomainSpec.half_space((0.0,))
     cfg = SolverConfig(nodes_across=17)
-    seq = cf.build_profile(dom, (0.0,), 0.5, 0.25, 3, P3N1, cfg, workers=1)
-    par = cf.build_profile(dom, (0.0,), 0.5, 0.25, 3, P3N1, cfg, workers=3)
+    seq, par = (cf.build_profile(dom, (0.0,), 0.5, 0.25, 3, P3N1,
+                                 capacity.DeltaMemo(dom, (0.0,), P3N1, cfg, workers))
+                for workers in (1, 3))
     assert seq.deltas.tolist() == par.deltas.tolist()
     assert np.allclose(seq.deltas, 5.0 / 9.0, atol=1e-12)
 
 
 def test_build_profile_validation():
     dom = DomainSpec.half_space((0.0,))
+
+    def unused(radii):
+        raise AssertionError("delta_fn called on invalid input")
+
     with pytest.raises(ValueError, match="lies inside E"):
-        cf.build_profile(dom, (-1.0,), 0.5, 0.25, 2, P3N1)
+        cf.build_profile(dom, (-1.0,), 0.5, 0.25, 2, P3N1, unused)
     with pytest.raises(ValueError, match="depth must be positive"):
-        cf.build_profile(dom, (0.0,), 0.5, 0.25, 0, P3N1)
+        cf.build_profile(dom, (0.0,), 0.5, 0.25, 0, P3N1, unused)
     with pytest.raises(ValueError, match="c_bar must lie in"):
-        cf.build_profile(dom, (0.0,), 0.5, 1.0, 2, P3N1)
+        cf.build_profile(dom, (0.0,), 0.5, 1.0, 2, P3N1, unused)
 
 
 def test_build_profile_2d_is_independent_of_workers_and_exact():
@@ -280,10 +281,11 @@ def test_build_profile_2d_is_independent_of_workers_and_exact():
     dom = DomainSpec.exterior_cube((0.0, 0.0), 0.5)
     cfg = SolverConfig(nodes_across=17)
     x_o = (0.0, 0.0)
-    seq = cf.build_profile(dom, x_o, 0.25, 0.5, 3, P3N2, cfg, workers=1)
-    par = cf.build_profile(dom, x_o, 0.25, 0.5, 3, P3N2, cfg, workers=2)
+    seq, par = (cf.build_profile(dom, x_o, 0.25, 0.5, 3, P3N2,
+                                 capacity.DeltaMemo(dom, x_o, P3N2, cfg, workers))
+                for workers in (1, 2))
     assert seq.deltas.tolist() == par.deltas.tolist()
-    direct = [capacity.delta(dom, x_o, rho, P3N2, cfg) for rho in seq.radii]
+    direct = [capacity.DeltaMemo(dom, x_o, P3N2, cfg)([rho])[0] for rho in seq.radii]
     assert seq.deltas.tolist() == direct
     assert all(0.0 < d < 1.0 for d in direct)
 
@@ -295,7 +297,6 @@ def test_build_profile_uses_delta_fn():
         seen.append(list(radii))
         return [0.25] * len(radii)
 
-    prof = cf.build_profile(DomainSpec.half_space((0.0,)), (0.0,), 0.5, 0.25, 3, P3N1,
-                            delta_fn=fake, workers=2)
+    prof = cf.build_profile(DomainSpec.half_space((0.0,)), (0.0,), 0.5, 0.25, 3, P3N1, fake)
     assert seen == [[0.5, 0.5 * 0.25, 0.5 * 0.25 ** 2]]
     assert prof.deltas.tolist() == [0.25] * 3
