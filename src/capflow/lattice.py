@@ -7,13 +7,22 @@ reweighted quadratic form is a weighted graph Laplacian, so the step matrices
 elsewhere in the package lean on exactly this structure.
 
 The condenser and the time step are one minimization, `minimize`; the time
-step only adds a proximal mass term.  The pattern of the free-by-free block
-of its Dirichlet solves depends only on the fixed mask, so it is built once
-per mask and each solve scatters its cell weights into the stored slots.
-With positive weights, and every group of free nodes joined to a fixed node
-or held by a mass term, the block is a diagonally dominant symmetric
-M-matrix and so positive definite: SuperLU factors it in symmetric mode, on
-a minimum-degree ordering of A + A^T and without pivoting.
+step only adds a proximal mass term.  It reweights at max(|grad u|, floor)
+and ends in a stage at the configured weight floor, which alone counts
+against `max_iter` and decides convergence.  When p > 2 and a cell with a
+free node is flat at the start, as in a first time step from u = 0, short
+stages at floors taken from the start's largest cell gradient run first: at
+the configured floor alone each solve would spread the data by about one
+lattice ring, and a floor weight that rounds away against unit weights can
+make the solve singular.
+
+The pattern of the free-by-free block of the Dirichlet solves depends only
+on the fixed mask, so it is built once per mask and each solve scatters its
+cell weights into the stored slots.  With positive weights, and every group
+of free nodes joined to a fixed node or held by a mass term, the block is a
+diagonally dominant symmetric M-matrix and so positive definite: SuperLU
+factors it in symmetric mode, on a minimum-degree ordering of A + A^T and
+without pivoting.
 
 Consecutive reweighted matrices of one mask differ only through slowly
 varying weights.  On a 2D lattice the mask's last factor therefore
@@ -27,6 +36,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +67,23 @@ class MinimizeConfig:
 # Lagged-factor CG.  At 12k unknowns one iteration (a matrix product and two
 # triangular solves) costs about 1 ms, against 25-45 ms for one
 # factorization, so a failed attempt of 8 iterations wastes at most about a
-# quarter of a factorization.  On corner_verify's time loop the lagged
-# solves took 3.8 iterations on average and stayed within 1e-10 of the
-# direct solution at this tolerance.
+# quarter of a factorization.  On corner_verify's time loop (seed 3) the 176
+# accepted lagged solves took 3.3 iterations on average and stayed within
+# 5e-10 of a direct solution, relative to its largest value.
 _CG_RTOL = 1e-12
 _CG_MAXITER = 8
+
+# Floor continuation, after the relaxed Kacanov iteration of Diening,
+# Fornasier, Tomasi & Wank (Numer. Math. 2020), which shrinks the range the
+# weights are cut to.  Chosen on corner_verify's first time step from u = 0
+# (seed 3), 30 solves at the configured floor alone: stages at 1e-2 and 1e-3
+# of the largest cell gradient, 3 iterations each, take 11 solves (2 per
+# stage: 11; 4: 11; 10: 14, with more solves in later steps).  A 1e-3 stage
+# alone takes 14, and 24-38 instead of 12-21 on flat 65^2 steps at p = 4 and
+# 5.  A 1e-2 stage alone did as well as both on these problems; the 1e-3
+# stage, at most 3 iterations, keeps the shrink geometric, as in that method.
+_RELAX = (1e-2, 1e-3)
+_STAGE_ITERS = 3
 
 # Round-off level of a computed objective, relative to its size.  It is a
 # pairwise sum of at most ~2**17 nonnegative cell terms (plus the mass term),
@@ -220,10 +242,7 @@ class LatticeSystem:
         if mass > 0.0 and previous is None:
             raise ValueError("mass term requires the previous field")
         out = g.copy()
-        key = fixed.tobytes()
-        pat = self._patterns.get(key)
-        if pat is None:
-            pat = self._patterns[key] = _DirichletPattern(self, fixed)
+        pat = self.pattern(fixed)
         if pat.n_free == 0:
             return out
         if mass <= 0.0 and pat.n_floating:
@@ -257,9 +276,34 @@ class LatticeSystem:
         out[pat.free] = x
         return out
 
+    def pattern(self, fixed: np.ndarray) -> _DirichletPattern:
+        """The Dirichlet pattern of the flat bool mask `fixed`, built on first use."""
+        key = fixed.tobytes()
+        pat = self._patterns.get(key)
+        if pat is None:
+            pat = self._patterns[key] = _DirichletPattern(self, fixed)
+        return pat
+
     def _singular(self, pat: _DirichletPattern, why: str) -> str:
         return (f"singular Dirichlet system on the {self.shape} lattice with "
                 f"{pat.n_free} free nodes: {why}")
+
+
+def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, u: np.ndarray, p: float,
+                    floor: float) -> list[float]:
+    """Floors of the continuation stages from `u`: r * g_max for r in _RELAX
+    above `floor`, g_max the largest cell gradient of `u`; none unless p > 2
+    and some cell with a free node has |grad u| <= floor."""
+    if p <= 2.0:
+        return []
+    gsq = system.cell_gradient_sq(u)
+    # this runs before every minimization: look up the mask's cells only
+    # when some cell is floored
+    floored = gsq <= floor * floor
+    if not floored.any() or not floored[system.pattern(fixed).entry_cell].any():
+        return []
+    g_max = math.sqrt(gsq.max())
+    return [r * g_max for r in _RELAX if r * g_max > floor]
 
 
 def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: float,
@@ -271,13 +315,19 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     The iteration starts from `guess` on the free nodes when that has a
     strictly lower objective than `start`, and from `start` otherwise; the
     history begins at the objective of the chosen start.  Each iteration
-    solves with the weights max(|grad u|, weight_floor)**(p-2) frozen at u
-    and halves the step toward that solution until the objective does not
-    increase, then on while it still decreases by more than round-off.  It
-    stops when no step down to 1e-12 descends, when a rising step and its
+    solves with the weights max(|grad u|, floor)**(p-2) frozen at u and halves
+    the step toward that solution until the objective does not increase, then
+    on while it still decreases by more than round-off.  An iteration stops
+    its stage when no step down to 1e-12 descends, when a rising step and its
     half both leave the objective level up to round-off, or when the relative
-    decrease is at most tol_rel_energy; it raises ConvergenceError after
-    cfg.max_iter iterations.
+    decrease is at most tol_rel_energy.
+
+    The last stage runs at floor = cfg.weight_floor; it returns when it stops
+    and raises ConvergenceError after cfg.max_iter iterations.  When p > 2 and
+    some cell with a free node is floored at the chosen start, stages of at
+    most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and g_max
+    the start's largest cell gradient, run first.  They do not count against
+    max_iter, and a stage that does not stop just hands on to the next.
     """
     if mass > 0.0 and previous is None:
         raise ValueError("mass term requires the previous field")
@@ -302,8 +352,12 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         e_trial = objective(trial)
         if e_trial < history[0]:
             u, history = trial, [e_trial]
-    for _ in range(cfg.max_iter):
-        w = system.weights(u, p, cfg.weight_floor)
+
+    def iterate(floor: float) -> bool:
+        """One reweighted iteration at `floor`, which advances u and history;
+        True when its stage stops."""
+        nonlocal u
+        w = system.weights(u, p, floor)
         u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous)
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
@@ -318,10 +372,10 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
                 # the objective is convex along the segment and level with
                 # e_prev up to round-off at alpha and 2 alpha, so nowhere
                 # on the segment is it lower by more than 3 noise
-                return u, history
+                return True
         if e_cand > e_prev:
             # no descent at floor scale: the iterate is stationary
-            return u, history
+            return True
         # The frozen-weight model underestimates the curvature along the
         # gradient by up to a factor p - 1, so the full step can overshoot to
         # nearly the starting level and zigzag with a tiny decrease per
@@ -335,7 +389,14 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             cand, alpha, e_cand = half, 0.5 * alpha, e_half
         u = cand
         history.append(e_cand)
-        if e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300):
+        return e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300)
+
+    for floor in _relaxed_floors(system, fixed, u, p, cfg.weight_floor):
+        for _ in range(_STAGE_ITERS):
+            if iterate(floor):
+                break
+    for _ in range(cfg.max_iter):
+        if iterate(cfg.weight_floor):
             return u, history
     raise ConvergenceError(f"no convergence in {cfg.max_iter} reweighting iterations",
                            last_energy=history[-1])

@@ -1,6 +1,7 @@
 """The shared Dirichlet solve against a dense solve of the full weighted
 Laplacian, including the per-mask pattern cache, the lagged factor and
-singular systems, and property tests of the shared reweighted minimizer."""
+singular systems, and property tests of the shared reweighted minimizer and
+its floor continuation."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import capflow as cf
 from capflow import lattice
 from capflow.geometry import Cube, DomainSpec
 from capflow.lattice import LatticeSystem, MinimizeConfig, minimize
-from helpers import count_solves
+from helpers import count_solves, step_error_bounds
 
 
 def dense_laplacian(shape, h, cell_weights):
@@ -257,11 +258,6 @@ def test_minimize_keeps_maximum_principle_and_descends(problem):
     # every linear solve is an M-matrix solve and every backtrack a convex
     # combination, so no iterate leaves the range of the data
     system, fixed, start, p, mass, previous = problem
-    if mass == 0.0:
-        # start as the condenser does, from the p = 2 minimizer: from a start
-        # with flat cells, a weight floor**(p-2) can round away the only links
-        # of some free nodes to fixed nodes and make the solve singular
-        start = system.solve_dirichlet(np.ones(system.n_cells), fixed, start)
     u, history = minimize(system, fixed, start, p, MinimizeConfig(), mass, previous)
     data = np.concatenate([start[fixed], previous])
     assert float(u.min()) >= float(data.min()) - 1e-12
@@ -331,3 +327,76 @@ def test_minimize_takes_the_boundary_values_from_start_not_the_guess():
     assert np.array_equal(u, with_guess)
     assert bad_history == history
     assert np.array_equal(u[fixed], start[fixed])
+
+
+# -- the floor continuation ----------------------------------------------------
+
+@pytest.fixture
+def floors(monkeypatch):
+    """The `floor` argument of every weight evaluation during the test."""
+    seen = []
+    weights = LatticeSystem.weights
+
+    def recording(self, u, p, floor):
+        seen.append(floor)
+        return weights(self, u, p, floor)
+
+    monkeypatch.setattr(LatticeSystem, "weights", recording)
+    return seen
+
+
+def test_flat_start_without_mass_converges_to_its_minimizer():
+    # at the configured floor alone the floored end cells weigh 1e-20 against
+    # 1 and round away, and the first solve is singular
+    system = LatticeSystem((5,), 1.0)
+    fixed = np.array([True, False, False, False, True])
+    u, history = minimize(system, fixed, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 4.0,
+                          MinimizeConfig())
+    assert np.array_equal(u, np.zeros(5))
+    assert history[-1] == 0.0
+
+
+def test_start_without_floored_free_cells_runs_at_the_configured_floor(floors):
+    system, fixed, start, step = time_step_problem()
+    cfg = MinimizeConfig()
+    minimize(system, fixed, start, 3.0, cfg, **step)
+    assert floors and set(floors) == {cfg.weight_floor}
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_flat_start_at_p2_runs_at_the_configured_floor(ndim, floors):
+    system = LatticeSystem((9,) * ndim, 0.125)
+    fixed = np.ones((9,) * ndim, dtype=bool)
+    fixed[(slice(1, -1),) * ndim] = False
+    fixed = fixed.ravel()
+    start = np.where(fixed, np.linspace(0.0, 1.0, system.n_nodes), 0.0)
+    cfg = MinimizeConfig()
+    minimize(system, fixed, start, 2.0, cfg, mass=1.0, previous=np.zeros(system.n_nodes))
+    assert floors and set(floors) == {cfg.weight_floor}
+
+
+def flat_start_step():
+    """One p = 3 time step from u = 0 on a 65 x 65 lattice, the box faces
+    ramped to x + 1/2 over tau = 0.01, as at the first step of `verify`."""
+    grid = cf.make_grid(DomainSpec.full_space(2), Cube((0.0, 0.0), 0.5), 1.0 / 64,
+                        cf.uniform_times(0.01, 1))
+    datum = cf.BoundaryDatum("ramp", lambda pts, t: (t / 0.01) * (pts[:, 0] + 0.5))
+    return cf.solve(grid, datum, 3.0)
+
+
+def test_flat_start_step_continues_the_floor_down_to_the_configured_one(floors):
+    flat_start_step()
+    cfg = cf.SchemeConfig()
+    assert max(floors) > cfg.weight_floor
+    assert floors[-1] == cfg.weight_floor
+    assert np.all(np.diff(floors) <= 0.0)
+
+
+def test_flat_start_step_halves_its_solves_at_no_loss_of_accuracy(monkeypatch):
+    # from the flat start, at the configured floor alone, each solve spreads
+    # the data by about one lattice ring: so run, this step takes 31 solves
+    # and ends 3.97e-3 from its minimizer
+    solves = count_solves(monkeypatch)
+    field = flat_start_step()
+    assert len(solves) <= 15
+    assert step_error_bounds(field).max() <= 3.97e-3
