@@ -4,15 +4,15 @@ parabolic (sliced) capacity.
 The condenser value is the minimum of the discrete functional
 sum_cells h**N |grad psi|^p over node fields with psi = 1 on the obstacle and
 psi = 0 on and outside the boundary of the outer cube.  It starts from the
-p = 2 minimizer and runs `lattice.minimize` with no mass term, so the recorded
-energy history never increases.
+p = 2 minimizer and runs `lattice.minimize` with no mass term; a capacity is
+that minimum and the number of iterations it took.  `DeltaMemo` computes the
+relative capacity delta for one run, from one thread.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,23 +54,14 @@ class CondenserProblem:
 
 @dataclass(frozen=True)
 class CapacityValue:
-    """Condenser capacity with its solve diagnostics; value has units length**(N-p)."""
+    """Condenser capacity, in units length**(N-p), and the minimizer's iterations."""
 
     value: float
-    energy_history: tuple[float, ...]
-    grid_h: float
+    iterations: int
 
     def __post_init__(self):
         if self.value < 0.0:
             raise ValueError(f"capacity must be nonnegative, got {self.value}")
-        hist = tuple(float(e) for e in self.energy_history)
-        object.__setattr__(self, "energy_history", hist)
-        if any(b > a for a, b in zip(hist, hist[1:])):
-            raise ValueError("energy history must be nonincreasing")
-
-    @property
-    def iterations(self) -> int:
-        return len(self.energy_history) - 1
 
 
 def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarray, np.ndarray]:
@@ -125,9 +116,9 @@ def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[floa
 def solve_condenser(problem: CondenserProblem) -> CapacityValue:
     """Discrete condenser p-capacity of the marked obstacle in the outer cube."""
     if not problem.obstacle.values.any():
-        return CapacityValue(0.0, (0.0,), problem.obstacle.h)
+        return CapacityValue(0.0, 0)
     _, history = minimize_condenser(problem)
-    return CapacityValue(history[-1], tuple(history), problem.obstacle.h)
+    return CapacityValue(history[-1], len(history) - 1)
 
 
 class DeltaMemo:
@@ -145,9 +136,9 @@ class DeltaMemo:
     h = 2 / (nodes_across - 1), with lengths scaled by rho, so it has the same
     iterates and every energy scaled by rho**(N-p).  The memo solves each
     distinct mask once on that unit lattice; the all-true mask is the
-    full-cube denominator.  The first caller of a mask solves it and
-    concurrent callers wait for its value, or its exception.  Only the
-    rasterized obstacles and the CapacityValues are kept; make one per run.
+    full-cube denominator.  Only the rasterized obstacles and the
+    CapacityValues are kept.  Like a `LatticeSystem`, a memo serves one run
+    from one thread; make one per run.
     """
 
     def __init__(self, domain: DomainSpec, x_o, params: StructureParams,
@@ -156,9 +147,8 @@ class DeltaMemo:
         self.workers = workers
         self.h = 2.0 / (cfg.nodes_across - 1)
         self.full = np.ones((cfg.nodes_across,) * params.N, dtype=bool)
-        self._lock = threading.Lock()
         self._obstacles: dict[float, IndicatorField] = {}
-        self._capacities: dict[bytes, concurrent.futures.Future] = {}
+        self._capacities: dict[bytes, CapacityValue] = {}
 
     def __call__(self, radii) -> list[float]:
         """delta at each radius, in order."""
@@ -168,60 +158,46 @@ class DeltaMemo:
         """(delta, obstacle capacity, full-cube capacity) at each radius, in order.
 
         Each new K_rho(x_o) \\ E is rasterized, nodes_across nodes per axis;
-        then each distinct mask, the all-true one included, is solved once
-        over a pool of `workers` threads, so no thread waits on another's
-        solve.  Rows are assembled by index, so they do not depend on the
-        number of workers.
+        then each distinct mask not solved yet, the all-true one included, is
+        solved over a pool of `workers` threads.  Rows are assembled by
+        index, so they do not depend on the number of workers.
         """
         radii = list(radii)
         for rho in radii:
             if not rho > 0.0:
                 raise ValueError(f"rho must be positive, got {rho}")
-        with self._lock:
-            for rho in radii:
-                if rho not in self._obstacles:
-                    self._obstacles[rho] = rasterize_obstacle(
-                        self.domain, Cube(self.x_o, rho),
-                        2.0 * rho / (self.cfg.nodes_across - 1))
-            obstacles = [self._obstacles[rho] for rho in radii]
-        distinct = list({m.tobytes(): m for m in (self.full, *(o.values for o in obstacles))
-                         }.values())
+        for rho in radii:
+            if rho not in self._obstacles:
+                self._obstacles[rho] = rasterize_obstacle(
+                    self.domain, Cube(self.x_o, rho), 2.0 * rho / (self.cfg.nodes_across - 1))
+        obstacles = [self._obstacles[rho] for rho in radii]
+        masks = {m.tobytes(): m for m in (self.full, *(o.values for o in obstacles))}
+        new = {key: m for key, m in masks.items() if key not in self._capacities}
         if self.workers > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(self._capacity, distinct))
+                solved = list(pool.map(self._solve, new.values()))
         else:
-            for mask in distinct:
-                self._capacity(mask)
+            solved = [self._solve(mask) for mask in new.values()]
+        self._capacities.update(zip(new, solved))
         return [self._relative(o) for o in obstacles]
 
-    def _capacity(self, mask: np.ndarray) -> CapacityValue:
-        """Unit-lattice capacity of the obstacle `mask`, solved on first request."""
-        key = mask.tobytes()
-        with self._lock:
-            entry = self._capacities.get(key)
-            first = entry is None
-            if first:
-                entry = self._capacities[key] = concurrent.futures.Future()
-        if first:
-            center = (0.0,) * mask.ndim
-            try:
-                entry.set_result(solve_condenser(CondenserProblem(
-                    IndicatorField(Cube(center, 1.0), self.h, mask), Cube(center, 1.5),
-                    self.params.p, self.cfg)))
-            except BaseException as exc:
-                entry.set_exception(exc)    # for every waiting caller
-                raise
-        return entry.result()
+    def _solve(self, mask: np.ndarray) -> CapacityValue:
+        """Unit-lattice capacity of the obstacle `mask`."""
+        center = (0.0,) * mask.ndim
+        return solve_condenser(CondenserProblem(
+            IndicatorField(Cube(center, 1.0), self.h, mask), Cube(center, 1.5),
+            self.params.p, self.cfg))
 
     def _relative(self, obstacle: IndicatorField
                   ) -> tuple[float, CapacityValue, CapacityValue]:
         """delta of a rasterized obstacle, with both capacities.
 
         delta is the ratio of the unit-lattice values, so radii that share a
-        mask give the same delta; the capacities are the unit ones with value
-        and energy history times rho**(N-p), on the obstacle's grid spacing.
+        mask give the same delta; the capacities are the unit ones with their
+        values times rho**(N-p).
         """
-        cap_obs, cap_full = self._capacity(obstacle.values), self._capacity(self.full)
+        cap_obs = self._capacities[obstacle.values.tobytes()]
+        cap_full = self._capacities[self.full.tobytes()]
         if cap_full.value <= 0.0:
             raise ValueError("degenerate denominator capacity")
         val = cap_obs.value / cap_full.value
@@ -231,12 +207,8 @@ class DeltaMemo:
                                  "discretization noise")
             val = 1.0
         scale = obstacle.cube.half_edge ** (self.params.N - self.params.p)
-
-        def rescaled(cap: CapacityValue) -> CapacityValue:
-            return CapacityValue(cap.value * scale,
-                                 tuple(e * scale for e in cap.energy_history), obstacle.h)
-
-        return val, rescaled(cap_obs), rescaled(cap_full)
+        return (val, replace(cap_obs, value=cap_obs.value * scale),
+                replace(cap_full, value=cap_full.value * scale))
 
 
 def parabolic_capacity(time_slices, outer: Cube, p: float,

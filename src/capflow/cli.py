@@ -299,7 +299,9 @@ def _parse_realize(raw: dict, cfg) -> dict | None:
     if "realize" not in raw:
         return None
     return _build(_get(raw, "realize", "object"), "realize",
-                  {"r_max": Key("number", 1.0), "max_halvings": Key("integer", 20)}, dict)
+                  {"r_max": Key("number", 1.0, _POSITIVE),
+                   "max_halvings": Key("integer", 20, (lambda v: v >= 0, "be nonnegative"))},
+                  dict)
 
 
 def _probe_radii(given, r_o: float, c_bar: float, depth: int) -> list[float]:
@@ -338,10 +340,11 @@ def _parse_synthetic_delta(raw: dict, cfg):
 
 # probe request -> (function, its arguments after the field as declared keys)
 _PROBES = {
-    "harnack": (probes.weak_harnack_probe, {"y": "point", "s": "number",
-                                            "rho": "number", "c": Key("number", 1.0)}),
-    "spreading": (probes.spreading_probe, {"y": "point", "rho": "number",
-                                           "t_bar": "number", "k": "number"}),
+    "harnack": (probes.weak_harnack_probe, {
+        "y": "point", "s": "number", "rho": _POSITIVE_NUMBER,
+        "c": Key("number", 1.0, (lambda v: v >= 1.0, "be at least 1"))}),
+    "spreading": (probes.spreading_probe, {"y": "point", "rho": _POSITIVE_NUMBER,
+                                           "t_bar": "number", "k": _POSITIVE_NUMBER}),
 }
 
 

@@ -271,6 +271,10 @@ def realize_R_o_epsilon(t_o: float, params: StructureParams, epsilon: float, del
     """
     if not t_o > 0.0:
         raise ValueError(f"t_o must be positive, got {t_o}")
+    if not r_max > 0.0:
+        raise ValueError(f"r_max must be positive, got {r_max}")
+    if max_halvings < 0:
+        raise ValueError(f"max_halvings must be nonnegative, got {max_halvings}")
     for k in range(max_halvings + 1):
         radius = r_max * 2.0 ** -k
         if window_depth(params, float(delta_fn([radius])[0]), radius, epsilon) <= t_o:

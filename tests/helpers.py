@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -12,18 +11,14 @@ from capflow import capacity
 from capflow.lattice import LatticeSystem
 
 
-def count_calls(monkeypatch, owner, name: str, calls: list | None = None,
-                delay: float = 0.0) -> list:
+def count_calls(monkeypatch, owner, name: str, calls: list | None = None) -> list:
     """Record the first argument (`self` for a method) of every call of
-    owner.name from here on, in `calls` (a new list when None); each call
-    then sleeps `delay` seconds before it runs."""
+    owner.name from here on, in `calls` (a new list when None)."""
     calls = [] if calls is None else calls
     fn = getattr(owner, name)
 
     def counted(first, *args, **kwargs):
         calls.append(first)
-        if delay:
-            time.sleep(delay)
         return fn(first, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -42,10 +37,9 @@ class CondenserLog(list):
         return len(set(self.masks[start:]))
 
 
-def count_condensers(monkeypatch, delay: float = 0.0) -> CondenserLog:
-    """Record the problem, and so the mask, of every condenser solve from here
-    on; `delay` slows each solve down (see `count_calls`)."""
-    return count_calls(monkeypatch, capacity, "minimize_condenser", CondenserLog(), delay)
+def count_condensers(monkeypatch) -> CondenserLog:
+    """Record the problem, and so the mask, of every condenser solve from here on."""
+    return count_calls(monkeypatch, capacity, "minimize_condenser", CondenserLog())
 
 
 def count_solves(monkeypatch) -> list:

@@ -4,18 +4,15 @@ of everything except the timing block."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import json
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
 
 from capflow import capacity, cli, pde
-from capflow.geometry import DomainSpec
 from helpers import count_condensers
 
 LN4 = math.log(4.0)
@@ -639,26 +636,6 @@ def test_verify_solves_each_radius_once(tmp_path, monkeypatch):
                for e in report["profile"]["entries"])
 
 
-def test_delta_memo_solves_one_denominator_under_thread_contention(monkeypatch):
-    # more threads than cores, a short switch interval and slow solves: a
-    # check-then-act race on a mask would solve it more than once
-    solved = count_condensers(monkeypatch, delay=0.01)
-    cfg = cli.parse_experiment(capacity_cfg(), "capacity", "unused", 1, 0)
-    dom = DomainSpec.exterior_cube((0.0,), 0.05)    # a new mask at every radius
-    delta_at = capacity.DeltaMemo(dom, (0.0,), cfg.params, cfg.solver)
-    radii = [2.0 ** -k for k in range(1, 5)] * 8
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda rho: delta_at([rho])[0], radii, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(solved) == solved.distinct_masks() == 5
-    assert results == delta_at(radii)
-    assert len(set(results)) == 4
-
-
 def test_verify_report_shape_with_probes(tmp_path):
     # a box wide enough that the front from the left face is still moving at
     # t_o, so both probes find their windows and hypotheses
@@ -752,7 +729,12 @@ def test_verify_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("datum", {"kind": "bogus"}), ("grid_h", "x"), ("R_o", -1), ("c_bar", 2),
-    ("probe_radii", []), ("snapshot_steps", [1.5]), ("probe_radii", [0.5])])
+    ("probe_radii", []), ("snapshot_steps", [1.5]), ("probe_radii", [0.5]),
+    ("realize", {"r_max": -1}), ("realize", {"r_max": 0}), ("realize", {"max_halvings": -1}),
+    ("probes", {"harnack": {"y": [-0.0625], "s": 0.004, "rho": 0}}),
+    ("probes", {"harnack": {"y": [-0.0625], "s": 0.004, "rho": 0.01, "c": 0.5}}),
+    ("probes", {"spreading": {"y": [-0.0625], "rho": -1, "t_bar": 0.004, "k": 0.1}}),
+    ("probes", {"spreading": {"y": [-0.0625], "rho": 0.01, "t_bar": 0.004, "k": 0}})])
 def test_verify_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
                                                       key, value):
     solves = []
@@ -761,6 +743,8 @@ def test_verify_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypa
     del cfg["synthetic_delta"]
     cfg["solver"] = {"nodes_across": 17}
     cfg[key] = value
+    if key == "realize":
+        del cfg["R_o"]      # the search replaces the given radius
     solved = count_condensers(monkeypatch)
     rc, out = run(tmp_path, "verify", cfg)
     assert rc == 2

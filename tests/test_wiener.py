@@ -105,6 +105,18 @@ def test_realize_R_o_epsilon_exhausted():
                                    max_halvings=5)
 
 
+def test_realize_R_o_epsilon_validation():
+    def delta_fn(radii):
+        raise AssertionError("no delta before the range checks")
+
+    with pytest.raises(ValueError, match="r_max must be positive"):
+        wiener.realize_R_o_epsilon(0.2, P3N2, 0.5, delta_fn, r_max=-1.0)
+    with pytest.raises(ValueError, match="r_max must be positive"):
+        wiener.realize_R_o_epsilon(0.2, P3N2, 0.5, delta_fn, r_max=0.0)
+    with pytest.raises(ValueError, match="max_halvings must be nonnegative"):
+        wiener.realize_R_o_epsilon(0.2, P3N2, 0.5, delta_fn, max_halvings=-1)
+
+
 def test_build_subsequence_constant_A_takes_every_index():
     prof = _profile([0.25] * 6)
     sub = cf.build_subsequence(prof, P3N2)
