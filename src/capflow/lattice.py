@@ -20,17 +20,18 @@ The pattern of the free-by-free block of the Dirichlet solves depends only
 on the fixed mask, so it is built once per mask and each solve scatters its
 cell weights into the stored slots.  With positive weights, and every group
 of free nodes joined to a fixed node or held by a mass term, the block is a
-diagonally dominant symmetric M-matrix and so positive definite: SuperLU
-factors it in symmetric mode, on a minimum-degree ordering of A + A^T and
-without pivoting.
+diagonally dominant symmetric M-matrix and so positive definite.
 
-Consecutive reweighted matrices of one mask differ only through slowly
-varying weights.  On a 2D lattice the mask's last factor therefore
-preconditions conjugate gradients on the next matrix, started from the last
-solution, for at most `_CG_MAXITER` iterations; the mask is factored afresh
-only when that does not converge.  A 1D chain is tridiagonal: factoring it
-costs about one triangular solve, so there every solve factors.  Because of
-this per-mask solver state, a `LatticeSystem` must not be shared across
+On a 1D chain the block, with the free nodes in index order, is tridiagonal:
+LAPACK's dptsv solves it by an LDL^T factorization straight from the
+assembled diagonal and upper off-diagonal, and no solver state is kept.  On
+a 2D lattice SuperLU factors it in symmetric mode, on a minimum-degree
+ordering of A + A^T and without pivoting.  Consecutive reweighted matrices
+of one mask differ only through slowly varying weights, so the mask's last
+factor preconditions conjugate gradients on the next matrix, started from
+the last solution, for at most `_CG_MAXITER` iterations; the mask is
+factored afresh only when that does not converge.  Because of this per-mask
+solver state, a `LatticeSystem` on a 2D lattice must not be shared across
 threads.
 """
 
@@ -43,6 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceError
 
@@ -100,12 +102,16 @@ def _sum_into(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 class _DirichletPattern:
-    """The free-by-free CSC pattern of one fixed mask and its scatter maps.
+    """The free-by-free pattern of one fixed mask and its scatter maps.
 
     Each edge adds its weight to the diagonal slots of its free ends and,
     between two free ends, subtracts it from both off-diagonal slots; an edge
     from a free node to a fixed node moves weight * value to the right-hand
-    side instead.
+    side instead.  The slots are in CSC order.  On a 2D lattice `indices` and
+    `indptr` complete the CSC matrix.  On a 1D lattice the block is
+    tridiagonal, and the slot upper_slot[k] holds its entry
+    (upper_row[k], upper_row[k] + 1); the upper off-diagonal is 0 between
+    consecutive free nodes that a fixed node separates.
     """
 
     def __init__(self, system: LatticeSystem, fixed: np.ndarray):
@@ -136,9 +142,14 @@ class _DirichletPattern:
         self.diag_slot = slot[:n_free]
         self.entry_slot = slot[n_free:]
         self.nnz = keys.size
-        self.indices = (keys % n_free).astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // n_free, minlength=n_free))]).astype(np.int32)
+        row, col = keys % n_free, keys // n_free
+        if system.ndim == 1:
+            self.upper_slot = np.flatnonzero(row == col - 1)
+            self.upper_row = row[self.upper_slot]
+        else:
+            self.indices = row.astype(np.int32)
+            self.indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(col, minlength=n_free))]).astype(np.int32)
 
         self.rhs_row = np.concatenate([pa[a_only], pb[b_only]])
         self.rhs_cell = np.concatenate([cell[a_only], cell[b_only]])
@@ -255,6 +266,16 @@ class LatticeSystem:
         if mass > 0.0:
             data[pat.diag_slot] += mass
             rhs += mass * np.asarray(previous, dtype=float).ravel()[pat.free]
+        if self.ndim == 1:
+            # f2py wants one off-diagonal entry even when there is one unknown
+            e = np.zeros(max(pat.n_free - 1, 1))
+            e[pat.upper_row] = data[pat.upper_slot]
+            _, _, x, info = dptsv(data[pat.diag_slot], e, rhs, overwrite_d=True,
+                                  overwrite_e=True, overwrite_b=True)
+            if info != 0:
+                raise ValueError(self._singular(pat, f"not positive definite (dptsv info {info})"))
+            out[pat.free] = x
+            return out
         a_mat = sp.csc_matrix((data, pat.indices, pat.indptr), shape=(pat.n_free, pat.n_free))
         x = None
         # a non-positive diagonal may make the system singular: leave it to
@@ -269,10 +290,8 @@ class LatticeSystem:
             except RuntimeError as exc:
                 raise ValueError(self._singular(pat, str(exc))) from exc
             x = lu.solve(rhs)
-            if self.ndim >= 2:
-                pat.lu = lu
-        if self.ndim >= 2:
-            pat.last = x
+            pat.lu = lu
+        pat.last = x
         out[pat.free] = x
         return out
 
@@ -320,7 +339,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     on while it still decreases by more than round-off.  An iteration stops
     its stage when no step down to 1e-12 descends, when a rising step and its
     half both leave the objective level up to round-off, or when the relative
-    decrease is at most tol_rel_energy.
+    decrease is at most tol_rel_energy.  A step that leaves the objective
+    level up to round-off, falling or rising, is not taken.
 
     The last stage runs at floor = cfg.weight_floor; it returns when it stops
     and raises ConvergenceError after cfg.max_iter iterations.  When p > 2 and
@@ -354,8 +374,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             u, history = trial, [e_trial]
 
     def iterate(floor: float) -> bool:
-        """One reweighted iteration at `floor`, which advances u and history;
-        True when its stage stops."""
+        """One reweighted iteration at `floor`, which advances u and history
+        unless it finds u stationary; True when its stage stops."""
         nonlocal u
         w = system.weights(u, p, floor)
         u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous)
@@ -373,9 +393,6 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
                 # e_prev up to round-off at alpha and 2 alpha, so nowhere
                 # on the segment is it lower by more than 3 noise
                 return True
-        if e_cand > e_prev:
-            # no descent at floor scale: the iterate is stationary
-            return True
         # The frozen-weight model underestimates the curvature along the
         # gradient by up to a factor p - 1, so the full step can overshoot to
         # nearly the starting level and zigzag with a tiny decrease per
@@ -387,6 +404,11 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             if e_cand - e_half <= _ROUNDOFF_REL * abs(e_cand):
                 break
             cand, alpha, e_cand = half, 0.5 * alpha, e_half
+        if e_prev - e_cand <= noise:
+            # no descent beyond round-off down to a step of 1e-12: the
+            # iterate is stationary.  A level fall counts as none, so that
+            # no step hinges on the sign of round-off.
+            return True
         u = cand
         history.append(e_cand)
         return e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300)

@@ -1,7 +1,7 @@
 """The shared Dirichlet solve against a dense solve of the full weighted
-Laplacian, including the per-mask pattern cache, the lagged factor and
-singular systems, and property tests of the shared reweighted minimizer and
-its floor continuation."""
+Laplacian, including the per-mask pattern cache, the 1D tridiagonal solve,
+the lagged factor and singular systems, and property tests of the shared
+reweighted minimizer and its floor continuation."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import capflow as cf
 from capflow import lattice
 from capflow.geometry import Cube, DomainSpec
 from capflow.lattice import LatticeSystem, MinimizeConfig, minimize
-from helpers import count_solves, step_error_bounds
+from helpers import count_calls, count_solves, step_error_bounds
 
 
 def dense_laplacian(shape, h, cell_weights):
@@ -143,6 +143,66 @@ def test_zero_weights_are_singular():
         system.solve_dirichlet(np.zeros(system.n_cells), fixed, np.ones(9))
 
 
+# -- the 1D tridiagonal solve --------------------------------------------------
+
+@pytest.mark.parametrize("fixed", [
+    [1, 0, 1],                                  # one free node
+    [1, 1, 1, 0, 1, 1, 1],                      # one free node inside the chain
+    [0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0],    # chains split by fixed nodes
+    [0, 0, 0, 0, 1, 0, 0, 0],                   # free ends, one fixed node
+])
+@pytest.mark.parametrize("mass", [0.0, 2.5])
+def test_1d_solve_matches_dense_solve_on_chosen_masks(fixed, mass):
+    fixed = np.array(fixed, dtype=bool)
+    system, _, weights, g, previous = random_problem(fixed.shape, 0.125, seed=fixed.size)
+    u = system.solve_dirichlet(weights, fixed, g, mass=mass, previous=previous)
+    ref = dense_dirichlet(fixed.shape, 0.125, weights, fixed, g, mass, previous)
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(u[fixed], g[fixed])
+
+
+@st.composite
+def one_d_problems(draw):
+    """A random 1D mask with at least one fixed node, cell weights over four
+    decades, data, and a mass that may be 0."""
+    n = draw(st.integers(3, 40))
+    fixed = draw(hnp.arrays(bool, n))
+    fixed[draw(st.integers(0, n - 1))] = True
+    weights = draw(hnp.arrays(float, n - 1, elements=st.floats(1e-2, 1e2)))
+    unit = st.floats(-1.0, 1.0)
+    g = draw(hnp.arrays(float, n, elements=unit))
+    previous = draw(hnp.arrays(float, n, elements=unit))
+    mass = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1e2)))
+    h = draw(st.sampled_from([0.0625, 0.25, 1.0]))
+    return fixed, weights, g, mass, previous, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_d_problems())
+def test_1d_solve_matches_dense_solve_on_random_masks(problem):
+    fixed, weights, g, mass, previous, h = problem
+    system = LatticeSystem(fixed.shape, h)
+    u = system.solve_dirichlet(weights, fixed, g, mass=mass, previous=previous)
+    ref = dense_dirichlet(fixed.shape, h, weights, fixed, g, mass, previous)
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(u[fixed], g[fixed])
+
+
+@pytest.mark.parametrize("fixed, weights", [
+    ([0, 0, 0, 0, 0], [1.0, 1.0, 1.0, 1.0]),    # floating without mass
+    ([1, 0, 1], [0.0, 0.0]),                    # one free node, zero weights
+    ([1, 0, 0, 0, 1, 0, 1], [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+    ([1, 0, 1, 0, 0, 0, 1], [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+])
+def test_1d_singular_systems_name_the_lattice(fixed, weights):
+    fixed = np.array(fixed, dtype=bool)
+    system = LatticeSystem(fixed.shape, 0.5)
+    n_free = int(np.count_nonzero(~fixed))
+    with pytest.raises(ValueError, match=re.escape(f"{fixed.shape!r} lattice with "
+                                                   f"{n_free} free nodes")):
+        system.solve_dirichlet(np.array(weights), fixed, np.ones(fixed.size))
+
+
 def test_zero_weights_after_a_lagged_factor_are_singular():
     # the second solve of a 2D mask would run CG on the first one's factor
     system = LatticeSystem((6, 7), 0.25)
@@ -213,16 +273,19 @@ def test_lagged_solve_converged_on_its_last_iteration_is_kept(factorizations, mo
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
-def test_time_loop_factors_every_solve_only_in_1d(ndim, factorizations, monkeypatch):
+def test_time_loop_factors_only_in_2d(ndim, factorizations, monkeypatch):
     solves = count_solves(monkeypatch)
+    tridiagonal = count_calls(monkeypatch, lattice, "dptsv")
     grid = cf.make_grid(DomainSpec.full_space(ndim), Cube((0.0,) * ndim, 0.5), 1.0 / 16,
                         cf.uniform_times(0.05, 8))
     datum = cf.BoundaryDatum(
         "osc", lambda pts, t: np.sin(3.0 * pts[:, 0]) * np.cos(2.0 * pts[:, -1]) + t)
     cf.solve(grid, datum, 3.0)
     if ndim == 1:
-        assert len(factorizations) == len(solves) > 0
+        assert not factorizations
+        assert len(tridiagonal) == len(solves) > 0
     else:
+        assert not tridiagonal
         assert 0 < len(factorizations) < len(solves)
 
 
@@ -273,6 +336,25 @@ def test_minimize_at_p2_is_one_unit_weight_solve(problem):
     u, _ = minimize(system, fixed, start, p, MinimizeConfig())
     ref = system.solve_dirichlet(np.ones(system.n_cells), fixed, start)
     assert np.max(np.abs(u - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("mass", [0.0, 1.5])
+def test_minimize_from_an_exact_minimizer_stays_put(ndim, p, mass):
+    # an affine field has the same gradient in every cell, so it minimizes
+    # the p-energy under its own box values, and the time step with it as
+    # the previous field: the first solve returns it up to round-off, and
+    # whatever the sign of that round-off no step is taken
+    shape = (17,) * ndim
+    system = LatticeSystem(shape, 1.0 / 16)
+    axes = np.meshgrid(*(np.arange(17) / 16 for _ in shape), indexing="ij")
+    start = (0.3 + sum((0.7 + k) * x for k, x in enumerate(axes))).ravel()
+    fixed = np.ones(shape, dtype=bool)
+    fixed[(slice(1, -1),) * ndim] = False
+    u, history = minimize(system, fixed.ravel(), start, p, MinimizeConfig(), mass, start)
+    assert np.array_equal(u, start)
+    assert len(history) == 1
 
 
 # -- the guess of the minimizer -------------------------------------------------
