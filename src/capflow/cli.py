@@ -216,8 +216,6 @@ def _parse_datum(raw: dict, cfg) -> pde.BoundaryDatum:
         return pde.BoundaryDatum("ramped_distance", ramped, modulus="lipschitz in x and t")
 
     def barenblatt(t_offset, mass_scale):
-        if params.N != 1:
-            raise ConfigError("datum kind 'barenblatt' needs N=1")
         return pde.BoundaryDatum(
             "barenblatt", lambda pts, t: pde.barenblatt(pts, t + t_offset, params.p,
                                                         mass_scale),

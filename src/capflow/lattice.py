@@ -28,9 +28,14 @@ assembled diagonal and upper off-diagonal, and no solver state is kept.  On
 a 2D lattice SuperLU factors it in symmetric mode, on a minimum-degree
 ordering of A + A^T and without pivoting.  Consecutive reweighted matrices
 of one mask differ only through slowly varying weights, so the mask's last
-factor preconditions conjugate gradients on the next matrix, started from
-the last solution, for at most `_CG_MAXITER` iterations; the mask is
-factored afresh only when that does not converge.  Because of this per-mask
+factor preconditions conjugate gradients on the next matrix, for at most
+`_CG_MAXITER` iterations; the mask is factored afresh only when that does
+not converge.  `minimize` passes its iterate u: CG then starts from u and
+stops at a residual of `_FORCING` times that of u, the forcing term of an
+inexact Newton method (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), since
+each solve only gives the direction the backtracking then searches.  A solve
+given no iterate starts from the preconditioned right-hand side and solves
+to `_CG_RTOL`, and a fresh factor solves directly.  Because of this per-mask
 solver state, a `LatticeSystem` on a 2D lattice must not be shared across
 threads.
 """
@@ -66,14 +71,18 @@ class MinimizeConfig:
             raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
 
 
-# Lagged-factor CG.  At 12k unknowns one iteration (a matrix product and two
-# triangular solves) costs about 1 ms, against 25-45 ms for one
-# factorization, so a failed attempt of 8 iterations wastes at most about a
-# quarter of a factorization.  On corner_verify's time loop (seed 3) the 176
-# accepted lagged solves took 3.3 iterations on average and stayed within
-# 5e-10 of a direct solution, relative to its largest value.
+# Lagged-factor PCG.  At 12k unknowns one iteration (a matrix product and two
+# triangular solves) costs about 1.4 ms, against 25-45 ms for one
+# factorization, so a failed attempt of 8 iterations wastes at most about 0.4
+# of a factorization.  On corner_verify (seed 3), 217 of the 225 lagged
+# solves met the forcing bound, in 4.8 iterations on average, and the run
+# factored 11 times; solving each to _CG_RTOL from the mask's last solution
+# took 42.  Forcing terms 1e-1, 1e-2, 1e-3 and 1e-4 gave 8, 11, 16 and 28
+# factorizations; 1e-1 raised the largest certified step error by 4.5%, the
+# others left it within 0.1%.
 _CG_RTOL = 1e-12
 _CG_MAXITER = 8
+_FORCING = 1e-2
 
 # Floor continuation, after the relaxed Kacanov iteration of Diening,
 # Fornasier, Tomasi & Wank (Numer. Math. 2020), which shrinks the range the
@@ -165,24 +174,43 @@ class _DirichletPattern:
         grounded[label[self.rhs_row]] = True
         self.n_floating = int(np.count_nonzero(~grounded[label]))
 
-        # the last factor and the last solution; kept on 2D lattices only
+        # the last factor; kept on 2D lattices only
         self.lu = None
-        self.last = None
 
 
-def _lagged_solve(pat: _DirichletPattern, a_mat: sp.csc_matrix,
-                  rhs: np.ndarray) -> np.ndarray | None:
-    """CG on `a_mat` preconditioned by the mask's last factor and started from
-    its last solution; None unless it converges to a finite result.  The
-    operator that wraps the factor dies with this call, so clearing `pat.lu`
-    frees the factor before any refactorization."""
-    m_op = spla.LinearOperator(a_mat.shape, matvec=pat.lu.solve, dtype=float)
-    x, _ = spla.cg(a_mat, rhs, x0=pat.last, rtol=_CG_RTOL, maxiter=_CG_MAXITER, M=m_op)
-    # judged on the true residual: cg tests its own only before an iteration,
-    # so it reports a solve that converged in its last allowed one as failed
-    converged = np.all(np.isfinite(x)) and (np.linalg.norm(rhs - a_mat @ x)
-                                            <= _CG_RTOL * np.linalg.norm(rhs))
-    return x if converged else None
+def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray,
+                  x0: np.ndarray | None) -> np.ndarray | None:
+    """PCG on `a_mat`, preconditioned by the mask's last factor `lu`.
+
+    From `x0` it stops once ||rhs - A x|| <= max(_FORCING ||rhs - A x0||,
+    _CG_RTOL ||rhs||); without one it starts from lu.solve(rhs) and stops at
+    _CG_RTOL ||rhs||.  The recurrence residual decides and the true residual
+    confirms it once.  Returns None after _CG_MAXITER iterations, on a
+    direction of non-positive curvature, or on a non-finite result.
+    """
+    tol = _CG_RTOL * np.linalg.norm(rhs)
+    x = lu.solve(rhs) if x0 is None else x0.copy()
+    r = rhs - a_mat @ x
+    if x0 is not None:
+        tol = max(tol, _FORCING * np.linalg.norm(r))
+    k = 0
+    # a NaN residual ends the loop and fails the confirmation
+    while np.linalg.norm(r) > tol:
+        if k == _CG_MAXITER:
+            return None
+        z = lu.solve(r)
+        rz = r @ z
+        d = z if k == 0 else z + (rz / rz_old) * d
+        q = a_mat @ d
+        dq = d @ q
+        if not dq > 0.0:
+            return None
+        alpha = rz / dq
+        x += alpha * d
+        r -= alpha * q
+        rz_old = rz
+        k += 1
+    return x if np.linalg.norm(rhs - a_mat @ x) <= tol else None
 
 
 class LatticeSystem:
@@ -240,13 +268,16 @@ class LatticeSystem:
 
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
                         boundary_values: np.ndarray, mass: float = 0.0,
-                        previous: np.ndarray | None = None) -> np.ndarray:
+                        previous: np.ndarray | None = None,
+                        iterate: np.ndarray | None = None) -> np.ndarray:
         """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`,
         where L(w) is the graph Laplacian of sum_cells h**N w_c |grad u|^2.
 
         `fixed` and `boundary_values` are full-length (flat) arrays; returns the
-        full flat solution with the fixed values imposed exactly.  Raises
-        ValueError when the system is singular.
+        full flat solution with the fixed values imposed exactly.  Given the
+        full-length `iterate`, a solve on the mask's lagged factor starts
+        there and stops at `_FORCING` times its residual (see the module
+        docstring).  Raises ValueError when the system is singular.
         """
         fixed = np.asarray(fixed, dtype=bool).ravel()
         g = np.asarray(boundary_values, dtype=float).ravel()
@@ -281,7 +312,8 @@ class LatticeSystem:
         # a non-positive diagonal may make the system singular: leave it to
         # SuperLU, which reports that
         if pat.lu is not None and np.all(data[pat.diag_slot] > 0.0):
-            x = _lagged_solve(pat, a_mat, rhs)
+            x0 = None if iterate is None else np.asarray(iterate, dtype=float).ravel()[pat.free]
+            x = _lagged_solve(pat.lu, a_mat, rhs, x0)
         if x is None:
             pat.lu = None               # never two factors of one mask at once
             try:
@@ -291,7 +323,6 @@ class LatticeSystem:
                 raise ValueError(self._singular(pat, str(exc))) from exc
             x = lu.solve(rhs)
             pat.lu = lu
-        pat.last = x
         out[pat.free] = x
         return out
 
@@ -378,7 +409,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         unless it finds u stationary; True when its stage stops."""
         nonlocal u
         w = system.weights(u, p, floor)
-        u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous)
+        u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
+                                       iterate=u)
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0

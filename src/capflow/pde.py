@@ -314,27 +314,28 @@ def spatial_energy(field: SpaceTimeField) -> np.ndarray:
 
 
 def barenblatt(x, t: float, p: float, mass_scale: float = 1.0) -> np.ndarray:
-    """Source-type self-similar solution on the line.
+    """Source-type self-similar solution in N dimensions, at points with N
+    columns (a 1-d array holds points on the line).
 
-    B(x, t) = t**-a * (C - kappa * (|x| t**-a)**(p/(p-1)))_+**((p-1)/(p-2))
-    with a = 1/(2(p-1)) and kappa = (p-2)/p * a**(1/(p-1)).  The support edge
-    moves as (C/kappa)**((p-1)/p) * t**a.
+    B(x, t) = t**-k * (C - q * (|x| t**(-k/N))**(p/(p-1)))_+**((p-1)/(p-2))
+    with k = 1/(p - 2 + p/N) and q = (p-2)/p * (k/N)**(1/(p-1)).  The support
+    edge moves as (C/q)**((p-1)/p) * t**(k/N).
     """
     if p <= 2.0:
         raise ValueError(f"p must exceed 2, got {p}")
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        if x.shape[1] != 1:
-            raise ValueError("closed form is one-dimensional; got points with "
-                             f"{x.shape[1]} coordinates")
-        x = x[:, 0]
-    a = 1.0 / (2.0 * (p - 1.0))
-    kappa = (p - 2.0) / p * a ** (1.0 / (p - 1.0))
-    xi = np.abs(x) * t ** -a
-    core = mass_scale - kappa * xi ** (p / (p - 1.0))
-    return t ** -a * np.clip(core, 0.0, None) ** ((p - 1.0) / (p - 2.0))
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[1]
+    # p - 2 + p/N written so that at N = 1 it is 2 (p - 1) operation for
+    # operation: 1D values stay bitwise those of the line's closed form
+    k = 1.0 / ((p - 1.0) * (1.0 + 1.0 / n) - (1.0 - 1.0 / n))
+    q = (p - 2.0) / p * (k / n) ** (1.0 / (p - 1.0))
+    xi = np.linalg.norm(x, axis=1) * t ** (-k / n)
+    core = mass_scale - q * xi ** (p / (p - 1.0))
+    return t ** -k * np.clip(core, 0.0, None) ** ((p - 1.0) / (p - 2.0))
 
 
 def save_snapshot(field: SpaceTimeField, step: int, path: str) -> None:
@@ -347,6 +348,7 @@ def save_snapshot(field: SpaceTimeField, step: int, path: str) -> None:
     ndim = len(grid.shape)
     cols = [f"x{i}" for i in range(ndim)] + ["inside", "value"]
     center = ",".join("%.17g" % c for c in grid.box.center)
+    row_format = ",".join(["%.17g"] * ndim + ["%d", "%.17g"])
 
     def lines():
         yield "# capflow field snapshot"
@@ -354,9 +356,9 @@ def save_snapshot(field: SpaceTimeField, step: int, path: str) -> None:
                f"time={float(grid.times[step]):.17g}")
         yield f"# box_center={center} box_half_edge={grid.box.half_edge:.17g}"
         yield ",".join(cols)
-        for i in range(len(pts)):
-            coords = ",".join("%.17g" % c for c in pts[i])
-            yield f"{coords},{int(grid.inside[i])},{row[i]:.17g}"
+        # the whole table in one format call, over its columns interleaved
+        table = np.column_stack([pts, grid.inside, np.asarray(row, dtype=float)])
+        yield "\n".join([row_format] * len(pts)) % tuple(table.ravel().tolist())
 
     atomic_write(path, lines())
 

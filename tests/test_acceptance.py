@@ -1,7 +1,8 @@
 """Acceptance gate: eleven checks covering the capacity solver, the cascade
-arithmetic, the diffusion scheme, and the end-to-end decay verification.
+arithmetic, the diffusion scheme, and the end-to-end decay verification,
+plus the 2D source-solution ladder beside criterion 07.
 
-Each test prints one terminal verdict line '[criterion NN] PASS|FAIL detail'
+Each criterion prints one terminal verdict line '[criterion NN] PASS|FAIL detail'
 (bypassing capture) before asserting, so a full run always shows the whole
 scoreboard."""
 
@@ -169,6 +170,22 @@ def test_criterion_07_source_solution_ladder(capsys):
     _verdict(capsys, 7, ok,
              f"max-node errors {errs[0]:.3e} -> {errs[1]:.3e} -> {errs[2]:.3e}, "
              f"factors {factors[0]:.2f}/{factors[1]:.2f} (need 1.5), {elapsed:.1f}s")
+
+
+def test_source_solution_ladder_2d():
+    # the same ladder in 2D, beside the criteria: N=2, p=3, C=0.3, so that
+    # the degenerate front (radius about 1.8 at source time 2) crosses the box
+    datum = cf.BoundaryDatum(
+        "source", lambda pts, t: cf.barenblatt(pts, t + 1.0, 3.0, 0.3))
+    errs = []
+    for h, steps in ((0.3125, 16), (0.15625, 32), (0.078125, 64)):
+        grid = cf.make_grid(DomainSpec.full_space(2), Cube((0.0, 0.0), 2.5), h,
+                            cf.uniform_times(1.0, steps))
+        field = cf.solve(grid, datum, 3.0)
+        exact = cf.barenblatt(grid.node_points(), 2.0, 3.0, 0.3)
+        errs.append(float(np.max(np.abs(field.values[-1] - exact))))
+    factors = [errs[i] / errs[i + 1] for i in range(2)]
+    assert all(f >= 1.5 for f in factors), f"max-node errors {errs}, factors {factors}"
 
 
 def test_criterion_08_max_principle_and_comparison(capsys):

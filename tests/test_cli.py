@@ -528,6 +528,19 @@ def test_solve_source_solution_run(tmp_path):
     assert report["solve"]["snapshots"] == ["field_step0.csv", "field_step16.csv"]
 
 
+def test_solve_barenblatt_datum_in_2d(tmp_path):
+    cfg = solve_cfg()
+    cfg.update(N=2, box={"center": [0.0, 0.0], "half_edge": 2.5})
+    cfg["datum"]["mass_scale"] = 0.3
+    cfg["snapshot_steps"] = [16]
+    rc, out = run(tmp_path, "solve", cfg)
+    assert rc == 0
+    snap = pde.load_snapshot(str(out / "field_step16.csv"))
+    exact = pde.barenblatt(snap["points"], 2.0, 3.0, 0.3)
+    # the first rung of the 2D source-solution ladder
+    assert float(np.max(np.abs(snap["values"] - exact))) < 2e-3
+
+
 def test_solve_rejects_an_unstored_snapshot_step_before_solving(tmp_path, capsys,
                                                                 monkeypatch):
     def no_solve(*args):

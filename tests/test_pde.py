@@ -528,8 +528,43 @@ def test_barenblatt_validation():
         cf.barenblatt(np.array([0.0]), 1.0, 2.0)
     with pytest.raises(ValueError, match="t must be positive"):
         cf.barenblatt(np.array([0.0]), 0.0, 3.0)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        cf.barenblatt(np.zeros((4, 2)), 1.0, 3.0)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, math.pi])
+def test_barenblatt_on_the_line_is_its_1d_closed_form_bitwise(p):
+    # a = 1/(2(p-1)), kappa = (p-2)/p a**(1/(p-1)), as the N = 1 reference
+    # was written before the formula took N columns
+    x = np.concatenate([np.linspace(-5.0, 5.0, 2001), [1e-300, -0.0]])
+    t, c = 1.7, 0.8
+    a = 1.0 / (2.0 * (p - 1.0))
+    kappa = (p - 2.0) / p * a ** (1.0 / (p - 1.0))
+    core = c - kappa * (np.abs(x) * t ** -a) ** (p / (p - 1.0))
+    ref = t ** -a * np.clip(core, 0.0, None) ** ((p - 1.0) / (p - 2.0))
+    assert np.array_equal(cf.barenblatt(x, t, p, c), ref)
+    assert np.array_equal(cf.barenblatt(x[:, None], t, p, c), ref)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_barenblatt_in_2d_is_radial_and_conserves_mass(p):
+    # k = 1/(p - 2 + p/2); the value at the origin is t**-k C**((p-1)/(p-2)),
+    # and the support edge sits at (C/q)**((p-1)/p) t**(k/2)
+    c = 0.3
+    k = 1.0 / (p - 2.0 + p / 2.0)
+    q = (p - 2.0) / p * (k / 2.0) ** (1.0 / (p - 1.0))
+    t = 2.0
+    assert float(cf.barenblatt(np.zeros((1, 2)), t, p, c)[0]) == pytest.approx(
+        t ** -k * c ** ((p - 1.0) / (p - 2.0)), rel=1e-14)
+    edge = (c / q) ** ((p - 1.0) / p) * t ** (k / 2.0)
+    angle = np.linspace(0.0, 2.0 * np.pi, 7)
+    ring = np.column_stack([np.cos(angle), np.sin(angle)])
+    inner = cf.barenblatt((edge - 1e-3) * ring, t, p, c)
+    assert np.all(inner > 0.0) and np.allclose(inner, inner[0], rtol=1e-12)
+    assert np.all(cf.barenblatt((edge + 1e-9) * ring, t, p, c) == 0.0)
+    h = 0.01
+    axis = np.arange(-3.0, 3.0 + h / 2, h)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    masses = [h * h * float(cf.barenblatt(pts, s, p, c).sum()) for s in (1.0, 2.0)]
+    assert masses[1] == pytest.approx(masses[0], rel=1e-6)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -546,6 +581,20 @@ def test_snapshot_roundtrip(tmp_path):
     assert loaded["meta"]["p"] == 3.0
     assert loaded["meta"]["step"] == 2
     assert loaded["meta"]["time"] == float(grid.times[2])
+
+
+@pytest.mark.parametrize("grid", [_grid_1d(steps=3), _grid_2d(steps=3)], ids=["1d", "2d"])
+def test_snapshot_bytes_match_a_per_row_formatter(tmp_path, grid):
+    values = np.random.default_rng(4).normal(size=(4, grid.n_nodes))
+    values[1, :3] = [0.0, -0.0, 1e-300]
+    field = cf.SpaceTimeField(grid, 3.0, (0, 1, 2, 3), values)
+    path = tmp_path / "snap.csv"
+    cf.save_snapshot(field, 1, str(path))
+    pts = grid.node_points()
+    rows = [",".join("%.17g" % c for c in pts[i]) + f",{int(grid.inside[i])},{values[1, i]:.17g}"
+            for i in range(len(pts))]
+    body = path.read_bytes().split(b"\n")[4:]
+    assert body == ("\n".join(rows) + "\n").encode().split(b"\n")
 
 
 @pytest.mark.parametrize("failure", ["format", "rename"])
