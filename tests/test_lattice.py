@@ -189,17 +189,27 @@ def one_d_problems(draw):
 # attainable on every mask the strategy draws; the backward error is.
 _ILL_CONDITIONED_CHAIN = (np.arange(29) == 0, np.array([0.01171875] + [21.0] * 27),
                           np.ones(29), 0.0, np.zeros(29), 0.0625)
+# The same chain shape on subnormal data: the answer is 1e-310 everywhere,
+# its residual 32 subnormal steps, over 16 eps |A||u| but not 16 (|A| + 1)
+# subnormal steps.
+_SUBNORMAL_CHAIN = (np.arange(5) == 0, np.ones(4), np.full(5, 1e-310), 0.0,
+                    np.zeros(5), 0.0625)
 
 
 @example(problem=_ILL_CONDITIONED_CHAIN)
+@example(problem=_SUBNORMAL_CHAIN)
 @settings(max_examples=80, deadline=None)
 @given(one_d_problems())
-def test_1d_solve_is_backward_stable_on_random_masks(problem):
-    # the free rows of (L(w) + mass) u = mass * previous, the fixed entries
-    # of u included: an LDL^T solve of a positive definite tridiagonal block
-    # has |L||D||L^T| = |A|, so its residual is a small multiple of eps
-    # (|A||u| + |b|); 16 eps covers it, the right-hand side's assembly and
-    # the residual's own evaluation
+def test_1d_solve_matches_dense_solve_on_random_masks(problem):
+    # the residual of the dense system's free rows, (L(w) + mass) u =
+    # mass * previous with the fixed entries of u included: an LDL^T solve of
+    # a positive definite tridiagonal block has |L||D||L^T| = |A|, so its
+    # residual is a small multiple of eps (|A||u| + |b|); 16 eps covers it,
+    # the right-hand side's assembly and the residual's own evaluation.  Below
+    # the normal range (the strategy draws subnormals) every rounding, that of
+    # the correctly rounded answer and of each product in A u included, errs
+    # by up to half a subnormal step instead, so 16 (|A| + 1) such steps are
+    # added for them
     fixed, weights, g, mass, previous, h = problem
     system = LatticeSystem(fixed.shape, h)
     u = system.solve_dirichlet(weights, fixed, g, mass=mass, previous=previous)
@@ -208,9 +218,10 @@ def test_1d_solve_is_backward_stable_on_random_masks(problem):
     rows[:, free] += mass * np.eye(int(free.sum()))
     b = mass * previous[free]
     residual = np.max(np.abs(rows @ u - b), initial=0.0)
-    scale = (np.max(np.sum(np.abs(rows), axis=1), initial=0.0) * np.max(np.abs(u))
-             + np.max(np.abs(b), initial=0.0))
-    assert residual <= 16.0 * np.finfo(float).eps * scale
+    norm = np.max(np.sum(np.abs(rows), axis=1), initial=0.0)
+    scale = norm * np.max(np.abs(u)) + np.max(np.abs(b), initial=0.0)
+    tiny = np.finfo(float).smallest_subnormal
+    assert residual <= 16.0 * (np.finfo(float).eps * scale + (norm + 1.0) * tiny)
     assert np.array_equal(u[fixed], g[fixed])
 
 
