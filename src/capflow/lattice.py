@@ -38,6 +38,13 @@ given no iterate starts from the preconditioned right-hand side and solves
 to `_CG_RTOL`, and a fresh factor solves directly.  Because of this per-mask
 solver state, a `LatticeSystem` on a 2D lattice must not be shared across
 threads.
+
+A time step whose start is already its minimizer up to round-off, as in the
+late steps of a time loop that has stopped moving, would still pay a solve.
+Where `minimize` can prove that from the strong convexity of its objective
+(Boyd & Vandenberghe, Convex Optimization 2004, 9.1.2), it passes the solve
+an absolute exit `atol`, and a lagged solve whose residual at u is within it
+returns u itself, without a triangular solve.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ class MinimizeConfig:
 # triangular solves) costs about 1.4 ms, against 25-45 ms for one
 # factorization, so a failed attempt of 8 iterations wastes at most about 0.4
 # of a factorization.  On corner_verify (seed 3), 217 of the 225 lagged
-# solves met the forcing bound, in 4.8 iterations on average, and the run
+# solves succeeded: 67 took the certified stationary exit (see `minimize`)
+# and 150 met the forcing bound, in 4.2 iterations on average, and the run
 # factored 11 times; solving each to _CG_RTOL from the mask's last solution
 # took 42.  Forcing terms 1e-1, 1e-2, 1e-3 and 1e-4 gave 8, 11, 16 and 28
 # factorizations; 1e-1 raised the largest certified step error by 4.5%, the
@@ -179,20 +187,25 @@ class _DirichletPattern:
 
 
 def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray,
-                  x0: np.ndarray | None) -> np.ndarray | None:
+                  x0: np.ndarray | None, atol: float = 0.0) -> np.ndarray | None:
     """PCG on `a_mat`, preconditioned by the mask's last factor `lu`.
 
-    From `x0` it stops once ||rhs - A x|| <= max(_FORCING ||rhs - A x0||,
-    _CG_RTOL ||rhs||); without one it starts from lu.solve(rhs) and stops at
-    _CG_RTOL ||rhs||.  The recurrence residual decides and the true residual
-    confirms it once.  Returns None after _CG_MAXITER iterations, on a
-    direction of non-positive curvature, or on a non-finite result.
+    From `x0` it returns x0 itself, without touching `lu`, when
+    ||rhs - A x0|| <= atol, and otherwise stops once ||rhs - A x|| <=
+    max(_FORCING ||rhs - A x0||, _CG_RTOL ||rhs||); without one it starts
+    from lu.solve(rhs) and stops at _CG_RTOL ||rhs||.  The recurrence
+    residual decides and the true residual confirms it once.  Returns None
+    after _CG_MAXITER iterations, on a direction of non-positive curvature,
+    or on a non-finite result.
     """
     tol = _CG_RTOL * np.linalg.norm(rhs)
     x = lu.solve(rhs) if x0 is None else x0.copy()
     r = rhs - a_mat @ x
     if x0 is not None:
-        tol = max(tol, _FORCING * np.linalg.norm(r))
+        r_norm = np.linalg.norm(r)
+        if r_norm <= atol:
+            return x
+        tol = max(tol, _FORCING * r_norm)
     k = 0
     # a NaN residual ends the loop and fails the confirmation
     while np.linalg.norm(r) > tol:
@@ -269,7 +282,7 @@ class LatticeSystem:
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
                         boundary_values: np.ndarray, mass: float = 0.0,
                         previous: np.ndarray | None = None,
-                        iterate: np.ndarray | None = None) -> np.ndarray:
+                        iterate: np.ndarray | None = None, atol: float = 0.0) -> np.ndarray:
         """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`,
         where L(w) is the graph Laplacian of sum_cells h**N w_c |grad u|^2.
 
@@ -277,7 +290,12 @@ class LatticeSystem:
         full flat solution with the fixed values imposed exactly.  Given the
         full-length `iterate`, a solve on the mask's lagged factor starts
         there and stops at `_FORCING` times its residual (see the module
-        docstring).  Raises ValueError when the system is singular.
+        docstring); when that residual is at most `atol`, the solve returns
+        the iterate on the free nodes, bitwise and without a triangular
+        solve.  A 1D solve, a fresh factorization and a solve without
+        `iterate` ignore `atol`.  At `atol` = 0 only a zero residual passes,
+        which PCG returns unchanged too, so the solve is as without it.
+        Raises ValueError when the system is singular.
         """
         fixed = np.asarray(fixed, dtype=bool).ravel()
         g = np.asarray(boundary_values, dtype=float).ravel()
@@ -313,7 +331,7 @@ class LatticeSystem:
         # SuperLU, which reports that
         if pat.lu is not None and np.all(data[pat.diag_slot] > 0.0):
             x0 = None if iterate is None else np.asarray(iterate, dtype=float).ravel()[pat.free]
-            x = _lagged_solve(pat.lu, a_mat, rhs, x0)
+            x = _lagged_solve(pat.lu, a_mat, rhs, x0, atol)
         if x is None:
             pat.lu = None               # never two factors of one mask at once
             try:
@@ -340,20 +358,25 @@ class LatticeSystem:
 
 
 def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, u: np.ndarray, p: float,
-                    floor: float) -> list[float]:
-    """Floors of the continuation stages from `u`: r * g_max for r in _RELAX
-    above `floor`, g_max the largest cell gradient of `u`; none unless p > 2
-    and some cell with a free node has |grad u| <= floor."""
+                    floor: float) -> tuple[list[float], bool]:
+    """Floors of the continuation stages from `u`, and whether the weights at
+    `u` and `floor` are exact, |grad u|**(p-2), on every cell with a free node.
+
+    They are exact when p = 2, or when p > 2 and no such cell has
+    |grad u| <= floor (for p < 2 this answers False unseen).  The stages,
+    r * g_max for r in _RELAX above `floor`, g_max the largest cell gradient
+    of `u`, run only when p > 2 and the weights are not exact.
+    """
     if p <= 2.0:
-        return []
+        return [], p == 2.0
     gsq = system.cell_gradient_sq(u)
     # this runs before every minimization: look up the mask's cells only
     # when some cell is floored
     floored = gsq <= floor * floor
     if not floored.any() or not floored[system.pattern(fixed).entry_cell].any():
-        return []
+        return [], True
     g_max = math.sqrt(gsq.max())
-    return [r * g_max for r in _RELAX if r * g_max > floor]
+    return [r * g_max for r in _RELAX if r * g_max > floor], False
 
 
 def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: float,
@@ -379,6 +402,15 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and g_max
     the start's largest cell gradient, run first.  They do not count against
     max_iter, and a stage that does not stop just hands on to the next.
+
+    With mass > 0 and the weights exact at the chosen start (p = 2, or no
+    cell with a free node floored), the first iteration at cfg.weight_floor
+    gives its solve the residual exit atol = sqrt(2 mass noise / p), noise
+    = _ROUNDOFF_REL |objective(start)|.  A start within it is the minimizer
+    up to round-off, objective(start) - min <= p |residual|**2 / (2 mass)
+    <= noise, so the solve hands it back untouched and the iteration finds it
+    level.  Every other solve, and every solve of a condenser (mass 0), gets
+    atol = 0: no exit.
     """
     if mass > 0.0 and previous is None:
         raise ValueError("mass term requires the previous field")
@@ -404,13 +436,14 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         if e_trial < history[0]:
             u, history = trial, [e_trial]
 
-    def iterate(floor: float) -> bool:
+    def iterate(floor: float, atol: float = 0.0) -> bool:
         """One reweighted iteration at `floor`, which advances u and history
-        unless it finds u stationary; True when its stage stops."""
+        unless it finds u stationary; True when its stage stops.  `atol` is
+        the solve's residual exit."""
         nonlocal u
         w = system.weights(u, p, floor)
         u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                       iterate=u)
+                                       iterate=u, atol=atol)
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0
@@ -445,12 +478,26 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         history.append(e_cand)
         return e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300)
 
-    for floor in _relaxed_floors(system, fixed, u, p, cfg.weight_floor):
+    floors, exact = _relaxed_floors(system, fixed, u, p, cfg.weight_floor)
+    for floor in floors:
         for _ in range(_STAGE_ITERS):
             if iterate(floor):
                 break
+    # The certified stationary exit.  With a mass term the objective is
+    # (p mass)-strongly convex on the free nodes, so its value at u exceeds
+    # its minimum by at most |grad|**2 / (2 p mass).  With exact weights the
+    # solve's residual at u is -grad / p, so a residual of at most atol bounds
+    # that excess by p atol**2 / (2 mass) = noise: no step can lower the
+    # objective beyond round-off, and the solve may hand back u unchanged,
+    # which the iteration then finds level with e_prev.  `exact` speaks of the
+    # chosen start, and u is still that start whenever it holds: the stages
+    # run only when it does not.
+    atol = 0.0
+    if mass > 0.0 and exact:
+        atol = math.sqrt(2.0 * mass * _ROUNDOFF_REL * abs(history[-1]) / p)
     for _ in range(cfg.max_iter):
-        if iterate(cfg.weight_floor):
+        if iterate(cfg.weight_floor, atol):
             return u, history
+        atol = 0.0
     raise ConvergenceError(f"no convergence in {cfg.max_iter} reweighting iterations",
                            last_energy=history[-1])
