@@ -3,16 +3,33 @@ parabolic (sliced) capacity.
 
 The condenser value is the minimum of the discrete functional
 sum_cells h**N |grad psi|^p over node fields with psi = 1 on the obstacle and
-psi = 0 on and outside the boundary of the outer cube.  It starts from the
-p = 2 minimizer and runs `lattice.minimize` with no mass term; a capacity is
-that minimum and the number of iterations it took.  `DeltaMemo` computes the
-relative capacity delta for one run, from one thread.
+psi = 0 on and outside the boundary of the outer cube.  `lattice.minimize`
+finds it with no mass term; a capacity is that minimum and the number of
+iterations it took on the problem's own lattice.
+
+When p > 2 the minimization starts by nested iteration, the first stage of
+full multigrid (Brandt, Math. Comp. 1977; Bornemann & Deuflhard, Numer.
+Math. 1996): the same condenser at spacing 2h, with the obstacle's
+every-other-node mask, is minimized first and its minimizer interpolated
+linearly to the problem's lattice.  That half-resolution problem starts the
+same way in turn.  The p = 2 minimizer starts it instead when p = 2, and
+when the half-resolution obstacle lattice would not fit the outer lattice at
+spacing 2h, would have fewer than `SolverConfig.min_nodes_across` nodes
+across, or would mark no node.  On the benchmark's Cantor profile the p = 2
+start left each fine lattice factored twice, once for that start and once
+more when its factor failed to precondition the first p > 2 solve; the
+nested start factors it once.  The energy-drop stop depends on the start:
+from the nested start, at 1e-8 it stopped at 3.5-4.2 times the first-order
+residual it left from the p = 2 start there, so `SolverConfig` stops at
+1e-10.  `DeltaMemo` computes the relative capacity delta for one run, from
+one thread.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,15 +42,23 @@ from .params import StructureParams
 
 @dataclass(frozen=True)
 class SolverConfig(MinimizeConfig):
-    """Condenser minimization settings and the `DeltaMemo` lattice size."""
+    """Condenser minimization settings and the `DeltaMemo` lattice size.
 
+    The energy-drop stop is tighter than the time step's: see the module
+    docstring.
+    """
+
+    tol_rel_energy: float = 1e-10
     nodes_across: int = 33   # lattice nodes spanning the inner cube of a delta
+    # the fewest nodes across a delta lattice and a nested start's obstacle
+    min_nodes_across: ClassVar[int] = 17
 
     def __post_init__(self):
         super().__post_init__()
         na = self.nodes_across
-        if na < 17 or (na - 1) % 4 != 0:
-            raise ValueError(f"nodes_across must be >= 17 and congruent to 1 mod 4, got {na}")
+        if na < self.min_nodes_across or (na - 1) % 4 != 0:
+            raise ValueError(f"nodes_across must be >= {self.min_nodes_across} and "
+                             f"congruent to 1 mod 4, got {na}")
 
 
 @dataclass(frozen=True)
@@ -64,16 +89,20 @@ class CapacityValue:
             raise ValueError(f"capacity must be nonnegative, got {self.value}")
 
 
-def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarray, np.ndarray]:
-    """Place the obstacle lattice inside the outer lattice; return (system, fixed, values)."""
+def _plate_slices(problem: CondenserProblem) -> tuple[int, tuple[slice, ...]]:
+    """Nodes per axis of the outer lattice, and the obstacle lattice's place in it.
+
+    Raises ValueError when the spacing does not divide the outer half-edge,
+    or when the obstacle lattice is not aligned with the outer lattice or not
+    contained in the outer cube.
+    """
     obs = problem.obstacle
     h = obs.h
-    ndim = obs.cube.ndim
     n = lattice_nodes_per_axis(problem.outer.half_edge, h)
     big_m = (n - 1) // 2
     small_m = (obs.nodes_per_axis - 1) // 2
     offsets = []
-    for k in range(ndim):
+    for k in range(obs.cube.ndim):
         shift = (obs.cube.center[k] - problem.outer.center[k]) / h
         o = round(shift)
         if abs(o - shift) > 1e-9 * max(1.0, abs(shift)):
@@ -83,27 +112,76 @@ def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarra
     hi = max(o + 2 * small_m for o in offsets)
     if lo < 0 or hi > 2 * big_m:
         raise ValueError("obstacle grid is not contained in the outer cube")
+    return n, tuple(slice(o, o + 2 * small_m + 1) for o in offsets)
 
-    fixed = box_faces((n,) * ndim)      # the outer boundary is grounded
-    values = np.zeros((n,) * ndim, dtype=float)
+
+def _embed_obstacle(problem: CondenserProblem) -> tuple[LatticeSystem, np.ndarray, np.ndarray]:
+    """Place the obstacle lattice inside the outer lattice; return (system, fixed, values)."""
+    n, sub = _plate_slices(problem)
+    shape = (n,) * problem.outer.ndim
+    fixed = box_faces(shape)      # the outer boundary is grounded
+    values = np.zeros(shape, dtype=float)
     # plate at 1 on the obstacle nodes
-    sub = tuple(slice(o, o + 2 * small_m + 1) for o in offsets)
-    plate = np.zeros((n,) * ndim, dtype=bool)
-    plate[sub] = obs.values
+    plate = np.zeros(shape, dtype=bool)
+    plate[sub] = problem.obstacle.values
     on_rim = plate & fixed
     if on_rim.any():
         raise ValueError("obstacle touches the outer boundary; condenser plates "
                          "must be disjoint")
     fixed |= plate
     values[plate] = 1.0
-    return LatticeSystem((n,) * ndim, h), fixed, values
+    return LatticeSystem(shape, problem.obstacle.h), fixed, values
+
+
+def _coarse_problem(problem: CondenserProblem) -> CondenserProblem | None:
+    """The condenser at spacing 2h that starts `problem`, or None when the
+    p = 2 minimizer starts it (see the module docstring)."""
+    if problem.p == 2.0:
+        return None
+    obs = problem.obstacle
+    every_other = obs.values[(slice(None, None, 2),) * obs.cube.ndim]
+    try:
+        coarse = replace(problem, obstacle=IndicatorField(obs.cube, 2.0 * obs.h, every_other))
+        _plate_slices(coarse)
+    except ValueError:
+        return None
+    if coarse.obstacle.nodes_per_axis < SolverConfig.min_nodes_across or not every_other.any():
+        return None
+    return coarse
+
+
+def _prolong(coarse: np.ndarray) -> np.ndarray:
+    """Linear interpolation, axis by axis, of a node field to the lattice of
+    half its spacing: node 2k takes node k's value, node 2k + 1 the mean of
+    nodes k and k + 1."""
+    fine = coarse
+    for axis in range(coarse.ndim):
+        v = np.moveaxis(fine, axis, 0)
+        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
+        out[::2] = v
+        out[1::2] = 0.5 * (v[:-1] + v[1:])
+        fine = np.moveaxis(out, 0, axis)
+    return fine
 
 
 def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[float]]:
-    """Minimize from the p = 2 solution; return (minimizer, energy history)."""
+    """Minimize from the nested start or the p = 2 solution; return
+    (minimizer, energy history on the problem's lattice).
+
+    When p > 2 and the obstacle's every-other-node mask makes a condenser at
+    spacing 2h in the same outer cube, with at least
+    `SolverConfig.min_nodes_across` nodes across and a marked node, that
+    condenser is minimized first, by this function and with the same
+    settings; its minimizer, interpolated linearly and given this problem's
+    plate and ground values, is the start.  Otherwise the p = 2 minimizer is.
+    """
     system, fixed, bvals = _embed_obstacle(problem)
     cfg = problem.solver
-    psi = system.solve_dirichlet(np.ones(system.n_cells), fixed, bvals)   # p = 2 start
+    coarse = _coarse_problem(problem)
+    if coarse is None:
+        psi = system.solve_dirichlet(np.ones(system.n_cells), fixed, bvals)   # p = 2 start
+    else:
+        psi = np.where(fixed, bvals, _prolong(minimize_condenser(coarse)[0])).ravel()
     try:
         psi, history = minimize(system, fixed, psi, problem.p, cfg)
     except ConvergenceError as exc:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 import capflow as cf
-from capflow import capacity
+from capflow import capacity, lattice
 from capflow.geometry import Cube, DomainSpec, IndicatorField, rasterize_obstacle
-from helpers import count_condensers
+from helpers import count_calls, count_condensers, count_solves
 
 
 P3N1 = cf.make_params(3.0, 1)
@@ -191,6 +191,60 @@ def test_condenser_potential_in_unit_range():
     u, history = capacity.minimize_condenser(problem)
     assert float(u.min()) >= -1e-12 and float(u.max()) <= 1.0 + 1e-12
     assert len(history) >= 1
+
+
+def _corner_condenser(nodes_across: int, p: float, cfg=None) -> capacity.CondenserProblem:
+    """The unit-lattice condenser of the three quadrants x <= 0 or y <= 0."""
+    h = 2.0 / (nodes_across - 1)
+    c = np.arange(nodes_across) - (nodes_across - 1) // 2
+    mask = (c[:, None] <= 0) | (c[None, :] <= 0)
+    return capacity.CondenserProblem(
+        IndicatorField(Cube((0.0, 0.0), 1.0), h, mask), Cube((0.0, 0.0), 1.5), p,
+        cfg or capacity.SolverConfig(nodes_across=nodes_across))
+
+
+@pytest.mark.parametrize("nodes_across", [33, 65])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_nested_start_reaches_the_tight_minimum(nodes_across, p, monkeypatch):
+    # 33 nodes nest once, 65 twice; the fine lattice is factored once, for
+    # its first p > 2 solve, where a p = 2 start factored it twice
+    problem = _corner_condenser(nodes_across, p)
+    system, fixed, _ = capacity._embed_obstacle(problem)
+    n_fine = int(np.count_nonzero(~fixed))
+    factored = count_calls(monkeypatch, lattice.spla, "splu")
+    solved = count_condensers(monkeypatch)
+    psi, history = capacity.minimize_condenser(problem)
+    assert len(solved) == {33: 2, 65: 3}[nodes_across]
+    assert [a.shape[0] for a in factored].count(n_fine) == 1
+    assert float(psi.min()) >= 0.0 and float(psi.max()) <= 1.0
+    tight = capacity.solve_condenser(_corner_condenser(
+        nodes_across, p, capacity.SolverConfig(nodes_across=nodes_across,
+                                               tol_rel_energy=1e-14)))
+    assert abs(history[-1] - tight.value) <= 1e-9 * tight.value
+
+
+def _odd_nodes_only() -> capacity.CondenserProblem:
+    mask = np.zeros((33, 33), dtype=bool)
+    mask[15:18:2, 15:18:2] = True         # every-other-node subsample is empty
+    return capacity.CondenserProblem(IndicatorField(Cube((0.0, 0.0), 1.0), 2.0 / 32, mask),
+                                     Cube((0.0, 0.0), 1.5), 3.0)
+
+
+@pytest.mark.parametrize("problem", [
+    _corner_condenser(33, 2.0),
+    _corner_condenser(17, 3.0, FAST),
+    _odd_nodes_only(),
+    # aligned with the outer lattice at spacing h but not at 2h
+    capacity.CondenserProblem(IndicatorField.all_true(Cube((2.0 / 32, 0.0), 1.0), 2.0 / 32),
+                              Cube((0.0, 0.0), 1.5), 3.0),
+], ids=["p2", "17_nodes", "empty_subsample", "unaligned_at_2h"])
+def test_condensers_without_a_coarse_problem_start_from_p2(problem, monkeypatch):
+    system, fixed, bvals = capacity._embed_obstacle(problem)
+    start = system.solve_dirichlet(np.ones(system.n_cells), fixed, bvals)
+    solves = count_solves(monkeypatch)
+    _, history = capacity.minimize_condenser(problem)
+    assert {s.shape for s in solves} == {system.shape}      # no coarse lattice
+    assert history[0] == system.energy(start, problem.p)
 
 
 def test_delta_empty_obstacle_is_exact_zero():

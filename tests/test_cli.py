@@ -183,6 +183,21 @@ def test_scheme_tolerance_must_lie_below_one(tmp_path, capsys):
     assert "scheme: tol_rel_energy must lie in (0, 1)" in capsys.readouterr().err
 
 
+def test_solver_and_scheme_tolerances_default_apart(tmp_path, capsys):
+    # condensers stop at a tighter energy drop than time steps (see
+    # capflow.capacity); both sections keep one range and one message
+    cfg = cli.parse_experiment(solve_cfg(), "solve", "unused", 1, 0)
+    assert cfg.solver.tol_rel_energy == 1e-10
+    assert cfg.scheme.tol_rel_energy == 1e-8
+    for section in ("solver", "scheme"):
+        bad = solve_cfg()
+        bad[section] = {"tol_rel_energy": 1.0}
+        rc, _ = run(tmp_path, "solve", bad, tag=section)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}: tol_rel_energy must lie in (0, 1), got 1.0\n")
+
+
 @pytest.mark.parametrize("command, make_cfg", [("capacity", capacity_cfg),
                                                ("solve", solve_cfg)])
 def test_solver_nodes_across_is_checked_at_parse_time(tmp_path, capsys, command, make_cfg):
