@@ -151,16 +151,22 @@ def _coarse_problem(problem: CondenserProblem) -> CondenserProblem | None:
 
 
 def _prolong(coarse: np.ndarray) -> np.ndarray:
-    """Linear interpolation, axis by axis, of a node field to the lattice of
-    half its spacing: node 2k takes node k's value, node 2k + 1 the mean of
-    nodes k and k + 1."""
-    fine = coarse
-    for axis in range(coarse.ndim):
-        v = np.moveaxis(fine, axis, 0)
-        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
-        out[::2] = v
-        out[1::2] = 0.5 * (v[:-1] + v[1:])
-        fine = np.moveaxis(out, 0, axis)
+    """Linear interpolation of a 1D or 2D node field to the lattice of half
+    its spacing: node 2k takes node k's value, node 2k + 1 along an axis the
+    mean of its two neighbours, and in 2D a cell's centre the mean of its
+    four corners, summed diagonal by diagonal.  Every one of these sums is
+    unchanged by swapping the axes, so a field equal to its transpose
+    prolongs to one that is too, bitwise."""
+    fine = np.empty(tuple(2 * n - 1 for n in coarse.shape))
+    even = (slice(None, None, 2),) * coarse.ndim
+    fine[even] = coarse
+    if coarse.ndim == 1:
+        fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+        return fine
+    fine[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    fine[1::2, 1::2] = 0.25 * ((coarse[:-1, :-1] + coarse[1:, 1:])
+                               + (coarse[:-1, 1:] + coarse[1:, :-1]))
     return fine
 
 

@@ -45,6 +45,27 @@ Where `minimize` can prove that from the strong convexity of its objective
 (Boyd & Vandenberghe, Convex Optimization 2004, 9.1.2), it passes the solve
 an absolute exit `atol`, and a lagged solve whose residual at u is within it
 returns u itself, without a triangular solve.
+
+On a square 2D lattice, swapping x0 and x1 maps cell (i, j) to cell (j, i)
+and its x-edge to its y-edge, so it leaves the energy unchanged; it is the
+only reflection of the lattice that keeps every cell's low corner, and for
+p != 2 the only one the energy is invariant under.  When the fixed mask,
+the boundary values, the cell weights, `previous` (with a mass term) and
+`iterate` each equal their transpose bitwise, the Dirichlet system A x = b
+is invariant under the swap, so its unique solution is symmetric: x = P y,
+P the map that gives each mirror class {(i, j), (j, i)} of free nodes one
+unknown.  The solve then assembles P^T A P y = P^T b, again a symmetric
+positive definite M-matrix system (mirror nodes are never neighbours),
+whose unique solution is that y, and scatters y back, so the result is
+symmetric bitwise (Bossavit, Comput. Methods Appl. Mech. Engrg. 1986).  The
+mass term and `previous` carry each unknown's multiplicity, 1 on the
+diagonal x0 = x1 and 2 off it.  PCG measures the lattice residual,
+||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING`, `_CG_RTOL` and
+`atol` keep their meaning.  On corner_verify's time step this halves the
+unknowns and more than halves the factor (see the note on `_CG_MAXITER`).
+Whether a mask is symmetric is decided once, with its pattern; any other
+solve runs on every free node.  A mask keeps one factor, of whichever block
+it factored last.
 """
 
 from __future__ import annotations
@@ -81,7 +102,10 @@ class MinimizeConfig:
 # Lagged-factor PCG.  At 12k unknowns one iteration (a matrix product and two
 # triangular solves) costs about 1.4 ms, against 25-45 ms for one
 # factorization, so a failed attempt of 8 iterations wastes at most about 0.4
-# of a factorization.  On corner_verify (seed 3), 217 of the 225 lagged
+# of a factorization.  Folded onto its mirror classes, corner_verify's time
+# step has 6048 unknowns instead of 12033, and its factor 186k L+U nonzeros
+# instead of 411k: 8 ms instead of 30 ms to factor, 0.3 ms instead of 1.0 ms
+# per triangular solve.  On corner_verify (seed 3), 217 of the 225 lagged
 # solves succeeded: 67 took the certified stationary exit (see `minimize`)
 # and 150 met the forcing bound, in 4.2 iterations on average, and the run
 # factored 11 times; solving each to _CG_RTOL from the mask's last solution
@@ -124,11 +148,10 @@ class _DirichletPattern:
     Each edge adds its weight to the diagonal slots of its free ends and,
     between two free ends, subtracts it from both off-diagonal slots; an edge
     from a free node to a fixed node moves weight * value to the right-hand
-    side instead.  The slots are in CSC order.  On a 2D lattice `indices` and
-    `indptr` complete the CSC matrix.  On a 1D lattice the block is
-    tridiagonal, and the slot upper_slot[k] holds its entry
-    (upper_row[k], upper_row[k] + 1); the upper off-diagonal is 0 between
-    consecutive free nodes that a fixed node separates.
+    side instead.  The entries' rows and columns and `rhs_row` name free
+    nodes by their position in `free`; `block` assembles them on unknowns.
+    On a square 2D lattice whose mask equals its transpose, `mirror` is the
+    position of each free node's mirror image across the diagonal x0 = x1.
     """
 
     def __init__(self, system: LatticeSystem, fixed: np.ndarray):
@@ -145,29 +168,12 @@ class _DirichletPattern:
         scale = system.h ** (system.ndim - 2)
         cell = system.edge_cell
 
-        diag = np.arange(n_free)
-        rows = np.concatenate([diag, pa[both], pb[both], pa[both], pb[both],
-                               pa[a_only], pb[b_only]])
-        cols = np.concatenate([diag, pa[both], pb[both], pb[both], pa[both],
-                               pa[a_only], pb[b_only]])
+        rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
+        cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
         self.entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
         self.entry_coef = np.concatenate([np.full(2 * n_both, scale),
                                           np.full(2 * n_both, -scale),
                                           np.full(int(a_only.sum() + b_only.sum()), scale)])
-        # column-major keys give CSC order; every column holds its diagonal
-        keys, slot = np.unique(cols * n_free + rows, return_inverse=True)
-        self.diag_slot = slot[:n_free]
-        self.entry_slot = slot[n_free:]
-        self.nnz = keys.size
-        row, col = keys % n_free, keys // n_free
-        if system.ndim == 1:
-            self.upper_slot = np.flatnonzero(row == col - 1)
-            self.upper_row = row[self.upper_slot]
-        else:
-            self.indices = row.astype(np.int32)
-            self.indptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(col, minlength=n_free))]).astype(np.int32)
-
         self.rhs_row = np.concatenate([pa[a_only], pb[b_only]])
         self.rhs_cell = np.concatenate([cell[a_only], cell[b_only]])
         self.rhs_node = np.concatenate([system.edges_b[a_only], system.edges_a[b_only]])
@@ -182,33 +188,118 @@ class _DirichletPattern:
         grounded[label[self.rhs_row]] = True
         self.n_floating = int(np.count_nonzero(~grounded[label]))
 
-        # the last factor; kept on 2D lattices only
+        self.mirror = None
+        if system.ndim == 2 and _transpose_symmetric(fixed, system.shape):
+            i, j = np.divmod(self.free, system.shape[1])
+            self.mirror = pos[j * system.shape[1] + i]
+        self.ndim = system.ndim
+        # a mask that cannot fold has one block, built now; one that can
+        # keeps its entries to build either block on first use
+        self._entries = (rows, cols)
+        self._blocks: dict[bool, _Block] = {}
+        if self.mirror is None:
+            self.block(False)
+            self._entries = None
+        # the last factor and whether it is of the folded block; kept on 2D
+        # lattices only, one per mask
         self.lu = None
+        self.lu_folded = False
+
+    def block(self, folded: bool) -> _Block:
+        """The block on the free nodes, or on their mirror classes when
+        `folded`; built on first use."""
+        blk = self._blocks.get(folded)
+        if blk is None:
+            blk = self._blocks[folded] = _Block(self, folded)
+        return blk
 
 
-def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray,
-                  x0: np.ndarray | None, atol: float = 0.0) -> np.ndarray | None:
+class _Block:
+    """The block P^T A P of a pattern, P the map of its free nodes to unknowns.
+
+    Unfolded, P is the identity.  Folded, a free node and its mirror share
+    one unknown, numbered in the order of the lower of their flat indices,
+    and `mult` holds each unknown's multiplicity, 1 on the diagonal x0 = x1
+    and 2 off it.  `node` is the flat index of each unknown's lower node and
+    `unknown` the unknown of each free node.  The slots are in CSC order;
+    `diag_slot` holds each unknown's diagonal.  On a 2D lattice `indices` and
+    `indptr` complete the CSC matrix.  On a 1D lattice the block is
+    tridiagonal, and the slot upper_slot[k] holds its entry
+    (upper_row[k], upper_row[k] + 1); the upper off-diagonal is 0 between
+    consecutive free nodes that a fixed node separates.
+    """
+
+    def __init__(self, pat: _DirichletPattern, folded: bool):
+        if folded:
+            own = np.arange(pat.n_free)
+            lower = np.minimum(own, pat.mirror)
+            is_rep = lower == own
+            self.unknown = (np.cumsum(is_rep) - 1)[lower]
+            self.node = pat.free[is_rep]
+            self.mult = np.where(pat.mirror[is_rep] == own[is_rep], 1.0, 2.0)
+            rows, cols = (self.unknown[v] for v in pat._entries)
+            self.rhs_row = self.unknown[pat.rhs_row]
+        else:
+            self.unknown = None
+            self.node = pat.free
+            self.mult = None
+            (rows, cols), self.rhs_row = pat._entries, pat.rhs_row
+        n = self.n = self.node.size
+        diag = np.arange(n)
+        # column-major keys give CSC order; every column holds its diagonal
+        keys, slot = np.unique(np.concatenate([diag, cols]) * n + np.concatenate([diag, rows]),
+                               return_inverse=True)
+        self.diag_slot = slot[:n]
+        self.entry_slot = slot[n:]
+        self.nnz = keys.size
+        row, col = keys % n, keys // n
+        if pat.ndim == 1:
+            self.upper_slot = np.flatnonzero(row == col - 1)
+            self.upper_row = row[self.upper_slot]
+        else:
+            self.indices = row.astype(np.int32)
+            self.indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)
+
+    def norm(self, r: np.ndarray) -> float:
+        """||P (r / mult)||, the norm of the symmetric lattice vector whose
+        image under P^T is `r`."""
+        if self.mult is None:
+            return np.linalg.norm(r)
+        return math.sqrt(float(r @ (r / self.mult)))
+
+
+def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
+    """Whether the flat field `values` on a 2D `shape` equals its transpose."""
+    if shape[0] != shape[1]:
+        return False
+    v = values.reshape(shape)
+    return np.array_equal(v, v.T)
+
+
+def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray | None,
+                  atol: float = 0.0, norm=np.linalg.norm) -> np.ndarray | None:
     """PCG on `a_mat`, preconditioned by the mask's last factor `lu`.
 
     From `x0` it returns x0 itself, without touching `lu`, when
     ||rhs - A x0|| <= atol, and otherwise stops once ||rhs - A x|| <=
     max(_FORCING ||rhs - A x0||, _CG_RTOL ||rhs||); without one it starts
-    from lu.solve(rhs) and stops at _CG_RTOL ||rhs||.  The recurrence
-    residual decides and the true residual confirms it once.  Returns None
-    after _CG_MAXITER iterations, on a direction of non-positive curvature,
-    or on a non-finite result.
+    from lu.solve(rhs) and stops at _CG_RTOL ||rhs||.  `norm` measures these
+    vectors.  The recurrence residual decides and the true residual confirms
+    it once.  Returns None after _CG_MAXITER iterations, on a direction of
+    non-positive curvature, or on a non-finite result.
     """
-    tol = _CG_RTOL * np.linalg.norm(rhs)
+    tol = _CG_RTOL * norm(rhs)
     x = lu.solve(rhs) if x0 is None else x0.copy()
     r = rhs - a_mat @ x
     if x0 is not None:
-        r_norm = np.linalg.norm(r)
+        r_norm = norm(r)
         if r_norm <= atol:
             return x
         tol = max(tol, _FORCING * r_norm)
     k = 0
     # a NaN residual ends the loop and fails the confirmation
-    while np.linalg.norm(r) > tol:
+    while norm(r) > tol:
         if k == _CG_MAXITER:
             return None
         z = lu.solve(r)
@@ -223,7 +314,7 @@ def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray,
         r -= alpha * q
         rz_old = rz
         k += 1
-    return x if np.linalg.norm(rhs - a_mat @ x) <= tol else None
+    return x if norm(rhs - a_mat @ x) <= tol else None
 
 
 class LatticeSystem:
@@ -295,7 +386,10 @@ class LatticeSystem:
         solve.  A 1D solve, a fresh factorization and a solve without
         `iterate` ignore `atol`.  At `atol` = 0 only a zero residual passes,
         which PCG returns unchanged too, so the solve is as without it.
-        Raises ValueError when the system is singular.
+        When the mask and every field given equal their transposes on a
+        square 2D lattice, the solve runs on one unknown per mirror pair of
+        free nodes and returns a field equal to its transpose (see the
+        module docstring).  Raises ValueError when the system is singular.
         """
         fixed = np.asarray(fixed, dtype=bool).ravel()
         g = np.asarray(boundary_values, dtype=float).ravel()
@@ -309,29 +403,42 @@ class LatticeSystem:
             raise ValueError(self._singular(pat, f"{pat.n_floating} of them touch no "
                                                  "fixed node and mass is 0"))
         w = np.asarray(cell_weights, dtype=float)
-        data = _sum_into(pat.entry_slot, w[pat.entry_cell] * pat.entry_coef, pat.nnz)
-        rhs = _sum_into(pat.rhs_row, w[pat.rhs_cell] * pat.rhs_coef * g[pat.rhs_node],
-                        pat.n_free)
+        # the fold onto the mirror classes: see the module docstring
+        fields = [(w, (self.shape[0] - 1,) * 2), (g, self.shape)]
         if mass > 0.0:
-            data[pat.diag_slot] += mass
-            rhs += mass * np.asarray(previous, dtype=float).ravel()[pat.free]
+            previous = np.asarray(previous, dtype=float).ravel()
+            fields.append((previous, self.shape))
+        if iterate is not None:
+            iterate = np.asarray(iterate, dtype=float).ravel()
+            fields.append((iterate, self.shape))
+        folded = pat.mirror is not None and all(_transpose_symmetric(v, s) for v, s in fields)
+        blk = pat.block(folded)
+        data = _sum_into(blk.entry_slot, w[pat.entry_cell] * pat.entry_coef, blk.nnz)
+        rhs = _sum_into(blk.rhs_row, w[pat.rhs_cell] * pat.rhs_coef * g[pat.rhs_node], blk.n)
+        if mass > 0.0:
+            if folded:
+                data[blk.diag_slot] += mass * blk.mult
+                rhs += mass * (blk.mult * previous[blk.node])
+            else:
+                data[blk.diag_slot] += mass
+                rhs += mass * previous[blk.node]
         if self.ndim == 1:
             # f2py wants one off-diagonal entry even when there is one unknown
-            e = np.zeros(max(pat.n_free - 1, 1))
-            e[pat.upper_row] = data[pat.upper_slot]
-            _, _, x, info = dptsv(data[pat.diag_slot], e, rhs, overwrite_d=True,
+            e = np.zeros(max(blk.n - 1, 1))
+            e[blk.upper_row] = data[blk.upper_slot]
+            _, _, x, info = dptsv(data[blk.diag_slot], e, rhs, overwrite_d=True,
                                   overwrite_e=True, overwrite_b=True)
             if info != 0:
                 raise ValueError(self._singular(pat, f"not positive definite (dptsv info {info})"))
             out[pat.free] = x
             return out
-        a_mat = sp.csc_matrix((data, pat.indices, pat.indptr), shape=(pat.n_free, pat.n_free))
+        a_mat = sp.csc_matrix((data, blk.indices, blk.indptr), shape=(blk.n, blk.n))
         x = None
         # a non-positive diagonal may make the system singular: leave it to
         # SuperLU, which reports that
-        if pat.lu is not None and np.all(data[pat.diag_slot] > 0.0):
-            x0 = None if iterate is None else np.asarray(iterate, dtype=float).ravel()[pat.free]
-            x = _lagged_solve(pat.lu, a_mat, rhs, x0, atol)
+        if pat.lu is not None and pat.lu_folded == folded and np.all(data[blk.diag_slot] > 0.0):
+            x0 = None if iterate is None else iterate[blk.node]
+            x = _lagged_solve(pat.lu, a_mat, rhs, x0, atol, blk.norm)
         if x is None:
             pat.lu = None               # never two factors of one mask at once
             try:
@@ -340,8 +447,8 @@ class LatticeSystem:
             except RuntimeError as exc:
                 raise ValueError(self._singular(pat, str(exc))) from exc
             x = lu.solve(rhs)
-            pat.lu = lu
-        out[pat.free] = x
+            pat.lu, pat.lu_folded = lu, folded
+        out[pat.free] = x if blk.unknown is None else x[blk.unknown]
         return out
 
     def pattern(self, fixed: np.ndarray) -> _DirichletPattern:

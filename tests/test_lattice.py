@@ -1,8 +1,8 @@
 """The shared Dirichlet solve against a dense solve of the full weighted
 Laplacian, including the per-mask pattern cache, the 1D tridiagonal solve,
-the lagged factor and singular systems, and property tests of the shared
-reweighted minimizer, its certified stationary exit and its floor
-continuation."""
+the lagged factor, the fold of transpose-symmetric solves and singular
+systems, and property tests of the shared reweighted minimizer, its
+certified stationary exit and its floor continuation."""
 
 from __future__ import annotations
 
@@ -395,6 +395,149 @@ def test_time_loop_factors_only_in_2d(ndim, factorizations, monkeypatch):
     else:
         assert not tridiagonal
         assert 0 < len(factorizations) < len(solves)
+
+
+# -- the fold onto mirror classes ----------------------------------------------
+
+def mirrored(a):
+    """The square array `a` with its upper triangle copied below the
+    diagonal: equal to its transpose bitwise."""
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def mirror_classes(fixed, n):
+    """The number of classes {(i, j), (j, i)} of free nodes."""
+    free = ~fixed.reshape(n, n)
+    return int(free.sum() + np.trace(free)) // 2
+
+
+def lattice_residual(shape, h, w, fixed, g, mass, previous, u):
+    a_mat, rhs = dense_block(shape, h, w, fixed, g, mass, previous)
+    return np.linalg.norm(rhs - a_mat @ u[~fixed]), np.linalg.norm(rhs)
+
+
+@st.composite
+def folded_problems(draw):
+    """A square lattice with fixed box faces and a random mask OR-ed with its
+    transpose, symmetric cell weights, boundary values and previous field, a
+    mass that may be 0, and a symmetric relative change of the weights."""
+    n = draw(st.integers(3, 8))
+    fixed = np.ones((n, n), dtype=bool)
+    fixed[1:-1, 1:-1] = False
+    fixed |= draw(hnp.arrays(bool, (n, n)))
+    fixed |= fixed.T
+    fixed[n // 2, n // 2] = False
+    fixed = fixed.ravel()
+    cells = (n - 1, n - 1)
+    weights = mirrored(draw(hnp.arrays(float, cells, elements=st.floats(0.1, 10.0)))).ravel()
+    unit = st.floats(-1.0, 1.0)
+    g = mirrored(draw(hnp.arrays(float, (n, n), elements=unit))).ravel()
+    previous = mirrored(draw(hnp.arrays(float, (n, n), elements=unit))).ravel()
+    mass = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1e2)))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    change = mirrored(draw(hnp.arrays(float, cells, elements=unit))).ravel()
+    return n, h, fixed, weights, g, mass, previous, change
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_problems())
+def test_folded_solves_match_dense_solves(problem):
+    # a fresh factor, then lagged solves from the last solution as the
+    # weights drift, then the certified exit from a symmetric exact solution;
+    # every solve runs on one unknown per mirror class and returns a field
+    # equal to its transpose
+    n, h, fixed, w, g, mass, previous, change = problem
+    shape = (n, n)
+    system = LatticeSystem(shape, h)
+    pat = system.pattern(fixed)
+    u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
+    ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert pat.lu_folded and pat.lu.shape == (mirror_classes(fixed, n),) * 2
+    for _ in range(3):
+        assert lattice._transpose_symmetric(u, shape)
+        assert np.array_equal(u[fixed], g[fixed])
+        w = w * (1.0 + 1e-3 * change)
+        before = lattice_residual(shape, h, w, fixed, g, mass, previous, u)[0]
+        u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=u)
+        after, rhs = lattice_residual(shape, h, w, fixed, g, mass, previous, u)
+        assert after <= lattice._FORCING * before + 1e-11 * rhs
+        assert pat.lu_folded
+    ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
+    ref = 0.5 * (ref + ref.reshape(shape).T.ravel())
+    lu = count_lu_solves(system, fixed)
+    out = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=ref,
+                                 atol=1e-9 * rhs)
+    assert np.array_equal(out, ref)
+    assert lu.solves == 0
+
+
+def asymmetric(a, fixed, n):
+    """The node or cell field `a` moved at the first free node (i, j) off the
+    diagonal x0 = x1, or at the cell with that low corner, so that it no
+    longer equals its transpose."""
+    i, j = divmod(int(np.flatnonzero(~fixed & (np.arange(n * n) % (n + 1) != 0))[0]), n)
+    b = a.copy()
+    b[i * n + j if a.size == n * n else i * (n - 1) + j] += 0.25
+    return b
+
+
+# the previous field enters only through the mass term
+@pytest.mark.parametrize("case, mass", [
+    (case, mass) for case in ("weights", "boundary_values", "previous", "iterate", "non_square")
+    for mass in (0.0, 1.5) if (case, mass) != ("previous", 0.0)])
+def test_asymmetric_solves_do_not_fold(case, mass, factorizations):
+    # a symmetric solve, then one with a single asymmetric input on the same
+    # mask: that one runs on every free node, factored afresh, and still
+    # matches the dense solve; a symmetric solve after it folds again
+    shape = (7, 6) if case == "non_square" else (7, 7)
+    system, rng, w, g, previous = random_problem(shape, 0.25, seed=3)
+    fixed = boundary_mask(shape, rng)
+    if case != "non_square":
+        fixed = (fixed.reshape(shape) | fixed.reshape(shape).T).ravel()
+        w = mirrored(w.reshape(6, 6)).ravel()
+        g, previous = (mirrored(v.reshape(shape)).ravel() for v in (g, previous))
+    n_free = int(np.count_nonzero(~fixed))
+    pat = system.pattern(fixed)
+    assert (pat.mirror is None) == (case == "non_square")
+    symmetric = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
+    folds = case != "non_square"
+    assert factorizations[-1] == ((mirror_classes(fixed, 7),) * 2 if folds else (n_free,) * 2)
+    args = dict(weights=w, boundary_values=g, previous=previous, iterate=symmetric)
+    if case in args:
+        args[case] = asymmetric(args[case], fixed, 7)
+    u = system.solve_dirichlet(args["weights"], fixed, args["boundary_values"], mass=mass,
+                               previous=args["previous"], iterate=args["iterate"])
+    assert not pat.lu_folded
+    assert factorizations[-1] == (n_free, n_free)
+    assert len(factorizations) == 1 + folds
+    if case == "iterate":
+        # a fresh factor solves directly: the iterate only starts lagged solves
+        ref = symmetric
+    else:
+        ref = dense_dirichlet(shape, 0.25, args["weights"], fixed, args["boundary_values"],
+                              mass, args["previous"])
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    again = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
+    assert np.allclose(again, symmetric, rtol=0.0, atol=1e-12 * np.abs(symmetric).max())
+    assert pat.lu_folded == folds
+    assert len(factorizations) == 1 + 2 * folds
+
+
+def test_folded_solve_factors_one_row_per_mirror_class(factorizations):
+    shape = (9, 9)
+    system, rng, w, g, _ = random_problem(shape, 0.125, seed=4)
+    fixed = boundary_mask(shape, rng, extra=0.3).reshape(shape)
+    fixed = (fixed | fixed.T).ravel()
+    w = mirrored(w.reshape(8, 8)).ravel()
+    g = mirrored(g.reshape(shape)).ravel()
+    u = system.solve_dirichlet(w, fixed, g)
+    n_classes = mirror_classes(fixed, 9)
+    assert n_classes < int(np.count_nonzero(~fixed))
+    assert factorizations == [(n_classes, n_classes)]
+    assert lattice._transpose_symmetric(u, shape)
+    ref = dense_dirichlet(shape, 0.125, w, fixed, g)
+    assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
 # -- the shared minimizer ------------------------------------------------------

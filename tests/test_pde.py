@@ -222,6 +222,16 @@ def test_warm_started_steps_match_tight_solves_across_the_ramp_end():
     assert reference_step_errors(field, datum, 3.0).max() <= 5e-5
 
 
+def test_corner_solve_keeps_every_slice_symmetric():
+    # the corner box, its datum and mask equal their transposes, so every
+    # time-step solve folds onto the mirror classes of the free nodes
+    grid, datum = corner_ramp_problem(0.125, 1.0 / 128, 12, 5, 0.05)
+    field = cf.solve(grid, datum, 3.0)
+    for row in field.values:
+        v = row.reshape(grid.shape)
+        assert np.array_equal(v, v.T)
+
+
 @pytest.fixture(scope="module")
 def corner_ramp():
     """corner_verify's datum on a 65 x 65 lattice with the ramp ending at step
