@@ -8,16 +8,17 @@ elsewhere in the package lean on exactly this structure.
 
 The condenser and the time step are one minimization, `minimize`; the time
 step only adds a proximal mass term.  It reweights at max(|grad u|, floor)
-and ends in a stage at the configured weight floor, which alone counts
+and ends in a stage at the weight floor `_WEIGHT_FLOOR`, which alone counts
 against `max_iter` and decides convergence.  When p > 2 and a cell with a
 free node is flat at the start, as in a first time step from u = 0, short
 stages at floors taken from the start's largest cell gradient run first: at
-the configured floor alone each solve would spread the data by about one
-lattice ring, and a floor weight that rounds away against unit weights can
-make the solve singular.
+`_WEIGHT_FLOOR` alone each solve would spread the data by about one lattice
+ring, and a floor weight that rounds away against unit weights can make the
+solve singular.
 
-The pattern of the free-by-free block of the Dirichlet solves depends only
-on the fixed mask, so it is built once per mask and each solve scatters its
+Each solve runs on the free-by-free block of its fixed mask, on every free
+node or folded as below.  The block's pattern depends only on the mask and
+the fold, so it is built once per mask and fold and each solve scatters its
 cell weights into the stored slots.  With positive weights, and every group
 of free nodes joined to a fixed node or held by a mass term, the block is a
 diagonally dominant symmetric M-matrix and so positive definite.
@@ -27,17 +28,17 @@ LAPACK's dptsv solves it by an LDL^T factorization straight from the
 assembled diagonal and upper off-diagonal, and no solver state is kept.  On
 a 2D lattice SuperLU factors it in symmetric mode, on a minimum-degree
 ordering of A + A^T and without pivoting.  Consecutive reweighted matrices
-of one mask differ only through slowly varying weights, so the mask's last
-factor preconditions conjugate gradients on the next matrix, for at most
-`_CG_MAXITER` iterations; the mask is factored afresh only when that does
-not converge.  `minimize` passes its iterate u: CG then starts from u and
-stops at a residual of `_FORCING` times that of u, the forcing term of an
-inexact Newton method (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), since
-each solve only gives the direction the backtracking then searches.  A solve
-given no iterate starts from the preconditioned right-hand side and solves
-to `_CG_RTOL`, and a fresh factor solves directly.  Because of this per-mask
-solver state, a `LatticeSystem` on a 2D lattice must not be shared across
-threads.
+of one block differ only through slowly varying weights, so the system's
+last factor, when it is of the same block, preconditions conjugate
+gradients on the next matrix, for at most `_CG_MAXITER` iterations; the
+block is factored afresh only when that does not converge.  `minimize`
+passes its iterate u: CG then starts from u and stops at a residual of
+`_FORCING` times that of u, the forcing term of an inexact Newton method
+(Eisenstat & Walker, SIAM J. Sci. Comput. 1996), since each solve only gives
+the direction the backtracking then searches.  A solve given no iterate
+starts from the preconditioned right-hand side and solves to `_CG_RTOL`, and
+a fresh factor solves directly.  Because of this solver state, a
+`LatticeSystem` on a 2D lattice must not be shared across threads.
 
 A time step whose start is already its minimizer up to round-off, as in the
 late steps of a time loop that has stopped moving, would still pay a solve.
@@ -63,9 +64,11 @@ diagonal x0 = x1 and 2 off it.  PCG measures the lattice residual,
 ||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING`, `_CG_RTOL` and
 `atol` keep their meaning.  On corner_verify's time step this halves the
 unknowns and more than halves the factor (see the note on `_CG_MAXITER`).
-Whether a mask is symmetric is decided once, with its pattern; any other
-solve runs on every free node.  A mask keeps one factor, of whichever block
-it factored last.
+Every solve tests the mask first, then the other fields; any solve with an
+asymmetric one runs on every free node, the fold by the identity map.  A
+`LatticeSystem` keeps one factor, of the block it factored last, so a system
+that switches masks or folds factors afresh at each switch; the package
+gives each system a single mask.
 """
 
 from __future__ import annotations
@@ -84,19 +87,16 @@ from .errors import ConvergenceError
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Stopping rule and weight floor of the reweighted minimization."""
+    """Stopping rule of the reweighted minimization."""
 
     max_iter: int = 500
     tol_rel_energy: float = 1e-8
-    weight_floor: float = 1e-10
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if not 0.0 < self.tol_rel_energy < 1.0:
             raise ValueError(f"tol_rel_energy must lie in (0, 1), got {self.tol_rel_energy}")
-        if not self.weight_floor > 0.0:
-            raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
 
 
 # Lagged-factor PCG.  At 12k unknowns one iteration (a matrix product and two
@@ -116,12 +116,15 @@ _CG_RTOL = 1e-12
 _CG_MAXITER = 8
 _FORCING = 1e-2
 
+# The weight floor of the last stage of every minimization.
+_WEIGHT_FLOOR = 1e-10
+
 # Floor continuation, after the relaxed Kacanov iteration of Diening,
 # Fornasier, Tomasi & Wank (Numer. Math. 2020), which shrinks the range the
 # weights are cut to.  Chosen on corner_verify's first time step from u = 0
-# (seed 3), 30 solves at the configured floor alone: stages at 1e-2 and 1e-3
-# of the largest cell gradient, 3 iterations each, take 11 solves (2 per
-# stage: 11; 4: 11; 10: 14, with more solves in later steps).  A 1e-3 stage
+# (seed 3), 30 solves at _WEIGHT_FLOOR alone: stages at 1e-2 and 1e-3 of
+# the largest cell gradient, 3 iterations each, take 11 solves (2 per stage:
+# 11; 4: 11; 10: 14, with more solves in later steps).  A 1e-3 stage
 # alone takes 14, and 24-38 instead of 12-21 on flat 65^2 steps at p = 4 and
 # 5.  A 1e-2 stage alone did as well as both on these problems; the 1e-3
 # stage, at most 3 iterations, keeps the shrink geometric, as in that method.
@@ -142,23 +145,45 @@ def _sum_into(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(index, weights=values, minlength=size).astype(float, copy=False)
 
 
-class _DirichletPattern:
-    """The free-by-free pattern of one fixed mask and its scatter maps.
+class _Block:
+    """The block P^T A P of one fixed mask, P the map of its free nodes to
+    unknowns, and the maps that scatter cell weights into it.
+
+    Unfolded, P is the identity.  Folded, on a square 2D lattice whose mask
+    equals its transpose, a free node and its mirror across the diagonal
+    x0 = x1 share one unknown, numbered in the order of the lower of their
+    flat indices.  `free` holds the free nodes, `unknown` the unknown of each
+    free node, `node` the flat index of each unknown's lower node and `mult`
+    each unknown's multiplicity, the number of free nodes it stands for: 1
+    on the diagonal, and everywhere when unfolded, and 2 off it.
 
     Each edge adds its weight to the diagonal slots of its free ends and,
     between two free ends, subtracts it from both off-diagonal slots; an edge
     from a free node to a fixed node moves weight * value to the right-hand
-    side instead.  The entries' rows and columns and `rhs_row` name free
-    nodes by their position in `free`; `block` assembles them on unknowns.
-    On a square 2D lattice whose mask equals its transpose, `mirror` is the
-    position of each free node's mirror image across the diagonal x0 = x1.
+    side row `rhs_row` instead.  The slots are in CSC order; `diag_slot`
+    holds each unknown's diagonal.  On a 2D lattice `indices` and `indptr`
+    complete the CSC matrix.  On a 1D lattice the block is tridiagonal, and
+    the slot upper_slot[k] holds its entry (upper_row[k], upper_row[k] + 1);
+    the upper off-diagonal is 0 between consecutive free nodes that a fixed
+    node separates.
     """
 
-    def __init__(self, system: LatticeSystem, fixed: np.ndarray):
+    def __init__(self, system: LatticeSystem, fixed: np.ndarray, folded: bool):
         self.free = np.flatnonzero(~fixed)
-        n_free = self.n_free = self.free.size
+        n_free = self.free.size
+        own = np.arange(n_free)
         pos = np.full(system.n_nodes, -1, dtype=np.int64)
-        pos[self.free] = np.arange(n_free)
+        pos[self.free] = own
+        mirror = own
+        if folded:
+            i, j = np.divmod(self.free, system.shape[1])
+            mirror = pos[j * system.shape[1] + i]
+        lower = np.minimum(own, mirror)
+        is_rep = lower == own
+        self.unknown = (np.cumsum(is_rep) - 1)[lower]
+        self.node = self.free[is_rep]
+        self.mult = np.bincount(self.unknown).astype(float)
+
         pa = pos[system.edges_a]
         pb = pos[system.edges_b]
         both = (pa >= 0) & (pb >= 0)
@@ -167,14 +192,14 @@ class _DirichletPattern:
         n_both = int(both.sum())
         scale = system.h ** (system.ndim - 2)
         cell = system.edge_cell
-
         rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
         cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
         self.entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
         self.entry_coef = np.concatenate([np.full(2 * n_both, scale),
                                           np.full(2 * n_both, -scale),
                                           np.full(int(a_only.sum() + b_only.sum()), scale)])
-        self.rhs_row = np.concatenate([pa[a_only], pb[b_only]])
+        rhs_free = np.concatenate([pa[a_only], pb[b_only]])
+        self.rhs_row = self.unknown[rhs_free]
         self.rhs_cell = np.concatenate([cell[a_only], cell[b_only]])
         self.rhs_node = np.concatenate([system.edges_b[a_only], system.edges_a[b_only]])
         self.rhs_coef = scale
@@ -185,75 +210,20 @@ class _DirichletPattern:
                               shape=(n_free, n_free))
         n_groups, label = csgraph.connected_components(graph, directed=False)
         grounded = np.zeros(n_groups, dtype=bool)
-        grounded[label[self.rhs_row]] = True
+        grounded[label[rhs_free]] = True
         self.n_floating = int(np.count_nonzero(~grounded[label]))
 
-        self.mirror = None
-        if system.ndim == 2 and _transpose_symmetric(fixed, system.shape):
-            i, j = np.divmod(self.free, system.shape[1])
-            self.mirror = pos[j * system.shape[1] + i]
-        self.ndim = system.ndim
-        # a mask that cannot fold has one block, built now; one that can
-        # keeps its entries to build either block on first use
-        self._entries = (rows, cols)
-        self._blocks: dict[bool, _Block] = {}
-        if self.mirror is None:
-            self.block(False)
-            self._entries = None
-        # the last factor and whether it is of the folded block; kept on 2D
-        # lattices only, one per mask
-        self.lu = None
-        self.lu_folded = False
-
-    def block(self, folded: bool) -> _Block:
-        """The block on the free nodes, or on their mirror classes when
-        `folded`; built on first use."""
-        blk = self._blocks.get(folded)
-        if blk is None:
-            blk = self._blocks[folded] = _Block(self, folded)
-        return blk
-
-
-class _Block:
-    """The block P^T A P of a pattern, P the map of its free nodes to unknowns.
-
-    Unfolded, P is the identity.  Folded, a free node and its mirror share
-    one unknown, numbered in the order of the lower of their flat indices,
-    and `mult` holds each unknown's multiplicity, 1 on the diagonal x0 = x1
-    and 2 off it.  `node` is the flat index of each unknown's lower node and
-    `unknown` the unknown of each free node.  The slots are in CSC order;
-    `diag_slot` holds each unknown's diagonal.  On a 2D lattice `indices` and
-    `indptr` complete the CSC matrix.  On a 1D lattice the block is
-    tridiagonal, and the slot upper_slot[k] holds its entry
-    (upper_row[k], upper_row[k] + 1); the upper off-diagonal is 0 between
-    consecutive free nodes that a fixed node separates.
-    """
-
-    def __init__(self, pat: _DirichletPattern, folded: bool):
-        if folded:
-            own = np.arange(pat.n_free)
-            lower = np.minimum(own, pat.mirror)
-            is_rep = lower == own
-            self.unknown = (np.cumsum(is_rep) - 1)[lower]
-            self.node = pat.free[is_rep]
-            self.mult = np.where(pat.mirror[is_rep] == own[is_rep], 1.0, 2.0)
-            rows, cols = (self.unknown[v] for v in pat._entries)
-            self.rhs_row = self.unknown[pat.rhs_row]
-        else:
-            self.unknown = None
-            self.node = pat.free
-            self.mult = None
-            (rows, cols), self.rhs_row = pat._entries, pat.rhs_row
         n = self.n = self.node.size
         diag = np.arange(n)
         # column-major keys give CSC order; every column holds its diagonal
-        keys, slot = np.unique(np.concatenate([diag, cols]) * n + np.concatenate([diag, rows]),
+        keys, slot = np.unique(np.concatenate([diag, self.unknown[cols]]) * n
+                               + np.concatenate([diag, self.unknown[rows]]),
                                return_inverse=True)
         self.diag_slot = slot[:n]
         self.entry_slot = slot[n:]
         self.nnz = keys.size
         row, col = keys % n, keys // n
-        if pat.ndim == 1:
+        if system.ndim == 1:
             self.upper_slot = np.flatnonzero(row == col - 1)
             self.upper_row = row[self.upper_slot]
         else:
@@ -262,10 +232,8 @@ class _Block:
                 [[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)
 
     def norm(self, r: np.ndarray) -> float:
-        """||P (r / mult)||, the norm of the symmetric lattice vector whose
-        image under P^T is `r`."""
-        if self.mult is None:
-            return np.linalg.norm(r)
+        """||P (r / mult)||, the norm of the lattice vector, symmetric when
+        folded, whose image under P^T is `r`."""
         return math.sqrt(float(r @ (r / self.mult)))
 
 
@@ -347,8 +315,10 @@ class LatticeSystem:
             self.edges_a = np.concatenate([corner, corner])
             self.edges_b = np.concatenate([corner + n1, corner + 1])
             self.edge_cell = np.concatenate([cell_ids, cell_ids])
-        # one pattern per fixed mask seen, keyed by the mask's bytes
-        self._patterns: dict[bytes, _DirichletPattern] = {}
+        # one block per fixed mask and fold seen, keyed by the mask's bytes
+        self._blocks: dict[tuple[bytes, bool], _Block] = {}
+        # the last SuperLU factor and the block it factors; 2D lattices only
+        self._factor: tuple[_Block, object] | None = None
 
     def cell_gradient_sq(self, u: np.ndarray) -> np.ndarray:
         """|grad u|^2 per cell (C-ordered over cell corners)."""
@@ -396,32 +366,27 @@ class LatticeSystem:
         if mass > 0.0 and previous is None:
             raise ValueError("mass term requires the previous field")
         out = g.copy()
-        pat = self.pattern(fixed)
-        if pat.n_free == 0:
-            return out
-        if mass <= 0.0 and pat.n_floating:
-            raise ValueError(self._singular(pat, f"{pat.n_floating} of them touch no "
-                                                 "fixed node and mass is 0"))
         w = np.asarray(cell_weights, dtype=float)
         # the fold onto the mirror classes: see the module docstring
-        fields = [(w, (self.shape[0] - 1,) * 2), (g, self.shape)]
+        fields = [(fixed, self.shape), (w, (self.shape[0] - 1,) * 2), (g, self.shape)]
         if mass > 0.0:
             previous = np.asarray(previous, dtype=float).ravel()
             fields.append((previous, self.shape))
         if iterate is not None:
             iterate = np.asarray(iterate, dtype=float).ravel()
             fields.append((iterate, self.shape))
-        folded = pat.mirror is not None and all(_transpose_symmetric(v, s) for v, s in fields)
-        blk = pat.block(folded)
-        data = _sum_into(blk.entry_slot, w[pat.entry_cell] * pat.entry_coef, blk.nnz)
-        rhs = _sum_into(blk.rhs_row, w[pat.rhs_cell] * pat.rhs_coef * g[pat.rhs_node], blk.n)
+        blk = self._block(fixed, self.ndim == 2 and all(
+            _transpose_symmetric(v, s) for v, s in fields))
+        if blk.n == 0:
+            return out
+        if mass <= 0.0 and blk.n_floating:
+            raise ValueError(self._singular(blk, f"{blk.n_floating} of them touch no "
+                                                 "fixed node and mass is 0"))
+        data = _sum_into(blk.entry_slot, w[blk.entry_cell] * blk.entry_coef, blk.nnz)
+        rhs = _sum_into(blk.rhs_row, w[blk.rhs_cell] * blk.rhs_coef * g[blk.rhs_node], blk.n)
         if mass > 0.0:
-            if folded:
-                data[blk.diag_slot] += mass * blk.mult
-                rhs += mass * (blk.mult * previous[blk.node])
-            else:
-                data[blk.diag_slot] += mass
-                rhs += mass * previous[blk.node]
+            data[blk.diag_slot] += mass * blk.mult
+            rhs += mass * (blk.mult * previous[blk.node])
         if self.ndim == 1:
             # f2py wants one off-diagonal entry even when there is one unknown
             e = np.zeros(max(blk.n - 1, 1))
@@ -429,39 +394,39 @@ class LatticeSystem:
             _, _, x, info = dptsv(data[blk.diag_slot], e, rhs, overwrite_d=True,
                                   overwrite_e=True, overwrite_b=True)
             if info != 0:
-                raise ValueError(self._singular(pat, f"not positive definite (dptsv info {info})"))
-            out[pat.free] = x
-            return out
-        a_mat = sp.csc_matrix((data, blk.indices, blk.indptr), shape=(blk.n, blk.n))
-        x = None
-        # a non-positive diagonal may make the system singular: leave it to
-        # SuperLU, which reports that
-        if pat.lu is not None and pat.lu_folded == folded and np.all(data[blk.diag_slot] > 0.0):
-            x0 = None if iterate is None else iterate[blk.node]
-            x = _lagged_solve(pat.lu, a_mat, rhs, x0, atol, blk.norm)
-        if x is None:
-            pat.lu = None               # never two factors of one mask at once
-            try:
-                lu = spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise ValueError(self._singular(pat, str(exc))) from exc
-            x = lu.solve(rhs)
-            pat.lu, pat.lu_folded = lu, folded
-        out[pat.free] = x if blk.unknown is None else x[blk.unknown]
+                raise ValueError(self._singular(blk, f"not positive definite (dptsv info {info})"))
+        else:
+            a_mat = sp.csc_matrix((data, blk.indices, blk.indptr), shape=(blk.n, blk.n))
+            x = None
+            # a non-positive diagonal may make the system singular: leave it
+            # to SuperLU, which reports that
+            lagged = self._factor is not None and self._factor[0] is blk
+            if lagged and np.all(data[blk.diag_slot] > 0.0):
+                x0 = None if iterate is None else iterate[blk.node]
+                x = _lagged_solve(self._factor[1], a_mat, rhs, x0, atol, blk.norm)
+            if x is None:
+                self._factor = None             # never two factors at once
+                try:
+                    lu = spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
+                except RuntimeError as exc:
+                    raise ValueError(self._singular(blk, str(exc))) from exc
+                x = lu.solve(rhs)
+                self._factor = (blk, lu)
+        out[blk.free] = x[blk.unknown]
         return out
 
-    def pattern(self, fixed: np.ndarray) -> _DirichletPattern:
-        """The Dirichlet pattern of the flat bool mask `fixed`, built on first use."""
-        key = fixed.tobytes()
-        pat = self._patterns.get(key)
-        if pat is None:
-            pat = self._patterns[key] = _DirichletPattern(self, fixed)
-        return pat
+    def _block(self, fixed: np.ndarray, folded: bool) -> _Block:
+        """The block of the flat bool mask `fixed`, folded or not; built on first use."""
+        key = (fixed.tobytes(), folded)
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = _Block(self, fixed, folded)
+        return blk
 
-    def _singular(self, pat: _DirichletPattern, why: str) -> str:
+    def _singular(self, blk: _Block, why: str) -> str:
         return (f"singular Dirichlet system on the {self.shape} lattice with "
-                f"{pat.n_free} free nodes: {why}")
+                f"{blk.free.size} free nodes: {why}")
 
 
 def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, u: np.ndarray, p: float,
@@ -477,10 +442,11 @@ def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, u: np.ndarray, p: 
     if p <= 2.0:
         return [], p == 2.0
     gsq = system.cell_gradient_sq(u)
-    # this runs before every minimization: look up the mask's cells only
-    # when some cell is floored
+    # this runs before every minimization: look up the cells with a free
+    # node only when some cell is floored
     floored = gsq <= floor * floor
-    if not floored.any() or not floored[system.pattern(fixed).entry_cell].any():
+    if not floored.any() or not floored[system.edge_cell[~fixed[system.edges_a]
+                                                         | ~fixed[system.edges_b]]].any():
         return [], True
     g_max = math.sqrt(gsq.max())
     return [r * g_max for r in _RELAX if r * g_max > floor], False
@@ -503,7 +469,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     decrease is at most tol_rel_energy.  A step that leaves the objective
     level up to round-off, falling or rising, is not taken.
 
-    The last stage runs at floor = cfg.weight_floor; it returns when it stops
+    The last stage runs at floor = _WEIGHT_FLOOR; it returns when it stops
     and raises ConvergenceError after cfg.max_iter iterations.  When p > 2 and
     some cell with a free node is floored at the chosen start, stages of at
     most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and g_max
@@ -511,7 +477,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     max_iter, and a stage that does not stop just hands on to the next.
 
     With mass > 0 and the weights exact at the chosen start (p = 2, or no
-    cell with a free node floored), the first iteration at cfg.weight_floor
+    cell with a free node floored), the first iteration at _WEIGHT_FLOOR
     gives its solve the residual exit atol = sqrt(2 mass noise / p), noise
     = _ROUNDOFF_REL |objective(start)|.  A start within it is the minimizer
     up to round-off, objective(start) - min <= p |residual|**2 / (2 mass)
@@ -585,7 +551,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         history.append(e_cand)
         return e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300)
 
-    floors, exact = _relaxed_floors(system, fixed, u, p, cfg.weight_floor)
+    floors, exact = _relaxed_floors(system, fixed, u, p, _WEIGHT_FLOOR)
     for floor in floors:
         for _ in range(_STAGE_ITERS):
             if iterate(floor):
@@ -603,7 +569,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     if mass > 0.0 and exact:
         atol = math.sqrt(2.0 * mass * _ROUNDOFF_REL * abs(history[-1]) / p)
     for _ in range(cfg.max_iter):
-        if iterate(cfg.weight_floor, atol):
+        if iterate(_WEIGHT_FLOOR, atol):
             return u, history
         atol = 0.0
     raise ConvergenceError(f"no convergence in {cfg.max_iter} reweighting iterations",

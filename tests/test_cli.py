@@ -166,11 +166,14 @@ def test_unknown_top_level_key(tmp_path, capsys):
 
 
 def test_unknown_nested_key_uses_dotted_path(tmp_path, capsys):
-    cfg = capacity_cfg()
-    cfg["solver"]["bogus"] = 1
-    rc, _ = run(tmp_path, "capacity", cfg)
-    assert rc == 2
-    assert "unknown key 'solver.bogus'" in capsys.readouterr().err
+    # the weight floor is a solver constant, not a setting of either section
+    for section, key in (("solver", "bogus"), ("solver", "weight_floor"),
+                         ("scheme", "weight_floor")):
+        cfg = capacity_cfg()
+        cfg.setdefault(section, {})[key] = 1e-10
+        rc, _ = run(tmp_path, "capacity", cfg, tag=f"{section}_{key}")
+        assert rc == 2
+        assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
 
 
 def test_scheme_tolerance_must_lie_below_one(tmp_path, capsys):

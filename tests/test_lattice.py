@@ -1,5 +1,5 @@
 """The shared Dirichlet solve against a dense solve of the full weighted
-Laplacian, including the per-mask pattern cache, the 1D tridiagonal solve,
+Laplacian, including the block cache per mask, the 1D tridiagonal solve,
 the lagged factor, the fold of transpose-symmetric solves and singular
 systems, and property tests of the shared reweighted minimizer, its
 certified stationary exit and its floor continuation."""
@@ -88,7 +88,7 @@ def test_matches_dense_solve(shape, h, mass):
     assert np.array_equal(u[fixed], g[fixed])     # fixed values imposed exactly
 
 
-def test_alternating_masks_use_their_own_pattern():
+def test_alternating_masks_use_their_own_block():
     shape, h = (8, 9), 0.125
     system, rng, weights, g, previous = random_problem(shape, h, seed=7)
     first = boundary_mask(shape, rng)
@@ -284,11 +284,17 @@ class CountingLU:
         return self.lu.solve(rhs)
 
 
-def count_lu_solves(system, fixed) -> CountingLU:
-    """Wrap the lagged factor of the mask `fixed` in a CountingLU."""
-    pat = system.pattern(fixed)
-    pat.lu = CountingLU(pat.lu)
-    return pat.lu
+def count_lu_solves(system) -> CountingLU:
+    """Wrap the system's lagged factor, if any, in a CountingLU."""
+    blk, lu = system._factor or (None, None)
+    system._factor = (blk, CountingLU(lu))
+    return system._factor[1]
+
+
+def factors(system, fixed, folded) -> bool:
+    """Whether the system's factor is of the block of the mask `fixed`,
+    folded or not."""
+    return system._factor[0] is system._block(fixed, folded)
 
 
 def test_lagged_factor_solves_match_dense_solves(factorizations):
@@ -367,7 +373,7 @@ def test_lagged_solve_returns_an_iterate_within_atol_untouched(factorizations):
     system, rng, weights, g, previous = random_problem(shape, h, seed=7)
     fixed = boundary_mask(shape, rng)
     system.solve_dirichlet(weights, fixed, g, mass=0.5, previous=previous)
-    lu = count_lu_solves(system, fixed)
+    lu = count_lu_solves(system)
     w = weights * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
     iterate = dense_dirichlet(shape, h, w, fixed, g, 0.5, previous)
     a_mat, rhs = dense_block(shape, h, w, fixed, g, 0.5, previous)
@@ -449,11 +455,11 @@ def test_folded_solves_match_dense_solves(problem):
     n, h, fixed, w, g, mass, previous, change = problem
     shape = (n, n)
     system = LatticeSystem(shape, h)
-    pat = system.pattern(fixed)
     u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
     ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
-    assert pat.lu_folded and pat.lu.shape == (mirror_classes(fixed, n),) * 2
+    assert factors(system, fixed, True)
+    assert system._factor[1].shape == (mirror_classes(fixed, n),) * 2
     for _ in range(3):
         assert lattice._transpose_symmetric(u, shape)
         assert np.array_equal(u[fixed], g[fixed])
@@ -462,10 +468,10 @@ def test_folded_solves_match_dense_solves(problem):
         u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=u)
         after, rhs = lattice_residual(shape, h, w, fixed, g, mass, previous, u)
         assert after <= lattice._FORCING * before + 1e-11 * rhs
-        assert pat.lu_folded
+        assert factors(system, fixed, True)
     ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
     ref = 0.5 * (ref + ref.reshape(shape).T.ravel())
-    lu = count_lu_solves(system, fixed)
+    lu = count_lu_solves(system)
     out = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=ref,
                                  atol=1e-9 * rhs)
     assert np.array_equal(out, ref)
@@ -484,12 +490,14 @@ def asymmetric(a, fixed, n):
 
 # the previous field enters only through the mass term
 @pytest.mark.parametrize("case, mass", [
-    (case, mass) for case in ("weights", "boundary_values", "previous", "iterate", "non_square")
+    (case, mass)
+    for case in ("mask", "weights", "boundary_values", "previous", "iterate", "non_square")
     for mass in (0.0, 1.5) if (case, mass) != ("previous", 0.0)])
 def test_asymmetric_solves_do_not_fold(case, mass, factorizations):
-    # a symmetric solve, then one with a single asymmetric input on the same
-    # mask: that one runs on every free node, factored afresh, and still
-    # matches the dense solve; a symmetric solve after it folds again
+    # a symmetric solve, then one with a single asymmetric input, on the same
+    # mask unless the mask is that input: that one runs on every free node,
+    # factored afresh, and still matches the dense solve; a symmetric solve
+    # after it folds again
     shape = (7, 6) if case == "non_square" else (7, 7)
     system, rng, w, g, previous = random_problem(shape, 0.25, seed=3)
     fixed = boundary_mask(shape, rng)
@@ -497,30 +505,35 @@ def test_asymmetric_solves_do_not_fold(case, mass, factorizations):
         fixed = (fixed.reshape(shape) | fixed.reshape(shape).T).ravel()
         w = mirrored(w.reshape(6, 6)).ravel()
         g, previous = (mirrored(v.reshape(shape)).ravel() for v in (g, previous))
-    n_free = int(np.count_nonzero(~fixed))
-    pat = system.pattern(fixed)
-    assert (pat.mirror is None) == (case == "non_square")
     symmetric = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
     folds = case != "non_square"
+    n_free = int(np.count_nonzero(~fixed))
     assert factorizations[-1] == ((mirror_classes(fixed, 7),) * 2 if folds else (n_free,) * 2)
-    args = dict(weights=w, boundary_values=g, previous=previous, iterate=symmetric)
-    if case in args:
+    args = dict(mask=fixed, weights=w, boundary_values=g, previous=previous, iterate=symmetric)
+    if case == "mask":
+        # fix the free node that `asymmetric` moves: its mirror stays free
+        args[case] = asymmetric(1.0 * fixed, fixed, 7) > 0.0
+    elif case in args:
         args[case] = asymmetric(args[case], fixed, 7)
-    u = system.solve_dirichlet(args["weights"], fixed, args["boundary_values"], mass=mass,
+    mask = args["mask"]
+    assert lattice._transpose_symmetric(mask, shape) == (case not in ("mask", "non_square"))
+    u = system.solve_dirichlet(args["weights"], mask, args["boundary_values"], mass=mass,
                                previous=args["previous"], iterate=args["iterate"])
-    assert not pat.lu_folded
+    assert factors(system, mask, False)
+    n_free = int(np.count_nonzero(~mask))
     assert factorizations[-1] == (n_free, n_free)
     assert len(factorizations) == 1 + folds
     if case == "iterate":
         # a fresh factor solves directly: the iterate only starts lagged solves
         ref = symmetric
     else:
-        ref = dense_dirichlet(shape, 0.25, args["weights"], fixed, args["boundary_values"],
+        ref = dense_dirichlet(shape, 0.25, args["weights"], mask, args["boundary_values"],
                               mass, args["previous"])
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(u[mask], args["boundary_values"][mask])
     again = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
     assert np.allclose(again, symmetric, rtol=0.0, atol=1e-12 * np.abs(symmetric).max())
-    assert pat.lu_folded == folds
+    assert factors(system, fixed, folds)
     assert len(factorizations) == 1 + 2 * folds
 
 
@@ -650,13 +663,13 @@ def from_a_stationary_start(shape, h, fixed, u, p, mass, shift):
     previous = u.copy()
     previous[free] += grad[free] / mass + shift * np.cos(np.arange(u.size))[free]
     system.solve_dirichlet(np.ones(system.n_cells), fixed, u, mass=mass, previous=previous)
-    lu = count_lu_solves(system, fixed)
+    lu = count_lu_solves(system)
     cfg = MinimizeConfig()
     out, history = minimize(system, fixed, u, p, cfg, mass, previous)
-    a_mat, rhs = dense_block(shape, h, system.weights(u, p, cfg.weight_floor), fixed, u,
+    a_mat, rhs = dense_block(shape, h, system.weights(u, p, lattice._WEIGHT_FLOOR), fixed, u,
                              mass, previous)
     exited = (np.array_equal(out, u) and len(history) == 1 and lu.solves == 0
-              and system.pattern(fixed).lu is lu
+              and system._factor[1] is lu
               and np.linalg.norm(rhs - a_mat @ u[free]) > lattice._CG_RTOL * np.linalg.norm(rhs))
     d = u[free] - previous[free]
     objective = energy + 0.5 * p * mass * float(d @ d)
@@ -800,7 +813,7 @@ def floors(monkeypatch):
 
 
 def test_flat_start_without_mass_converges_to_its_minimizer():
-    # at the configured floor alone the floored end cells weigh 1e-20 against
+    # at the weight floor alone the floored end cells weigh 1e-20 against
     # 1 and round away, and the first solve is singular
     system = LatticeSystem((5,), 1.0)
     fixed = np.array([True, False, False, False, True])
@@ -814,7 +827,7 @@ def test_start_without_floored_free_cells_runs_at_the_configured_floor(floors):
     system, fixed, start, step = time_step_problem()
     cfg = MinimizeConfig()
     minimize(system, fixed, start, 3.0, cfg, **step)
-    assert floors and set(floors) == {cfg.weight_floor}
+    assert floors and set(floors) == {lattice._WEIGHT_FLOOR}
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -826,7 +839,7 @@ def test_flat_start_at_p2_runs_at_the_configured_floor(ndim, floors):
     start = np.where(fixed, np.linspace(0.0, 1.0, system.n_nodes), 0.0)
     cfg = MinimizeConfig()
     minimize(system, fixed, start, 2.0, cfg, mass=1.0, previous=np.zeros(system.n_nodes))
-    assert floors and set(floors) == {cfg.weight_floor}
+    assert floors and set(floors) == {lattice._WEIGHT_FLOOR}
 
 
 def flat_start_step():
@@ -840,14 +853,13 @@ def flat_start_step():
 
 def test_flat_start_step_continues_the_floor_down_to_the_configured_one(floors):
     flat_start_step()
-    cfg = cf.SchemeConfig()
-    assert max(floors) > cfg.weight_floor
-    assert floors[-1] == cfg.weight_floor
+    assert max(floors) > lattice._WEIGHT_FLOOR
+    assert floors[-1] == lattice._WEIGHT_FLOOR
     assert np.all(np.diff(floors) <= 0.0)
 
 
 def test_flat_start_step_halves_its_solves_at_no_loss_of_accuracy(monkeypatch):
-    # from the flat start, at the configured floor alone, each solve spreads
+    # from the flat start, at the weight floor alone, each solve spreads
     # the data by about one lattice ring: so run, this step takes 31 solves
     # and ends 3.97e-3 from its minimizer
     solves = count_solves(monkeypatch)
