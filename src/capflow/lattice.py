@@ -108,7 +108,7 @@ class MinimizeConfig:
 # per triangular solve.  On corner_verify (seed 3), 217 of the 225 lagged
 # solves succeeded: 67 took the certified stationary exit (see `minimize`)
 # and 150 met the forcing bound, in 4.2 iterations on average, and the run
-# factored 11 times; solving each to _CG_RTOL from the mask's last solution
+# factored 11 times; solving each to _CG_RTOL from the last solution
 # took 42.  Forcing terms 1e-1, 1e-2, 1e-3 and 1e-4 gave 8, 11, 16 and 28
 # factorizations; 1e-1 raised the largest certified step error by 4.5%, the
 # others left it within 0.1%.
@@ -247,7 +247,7 @@ def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
 
 def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray | None,
                   atol: float = 0.0, norm=np.linalg.norm) -> np.ndarray | None:
-    """PCG on `a_mat`, preconditioned by the mask's last factor `lu`.
+    """PCG on `a_mat`, preconditioned by `lu`, the system's last factor.
 
     From `x0` it returns x0 itself, without touching `lu`, when
     ||rhs - A x0|| <= atol, and otherwise stops once ||rhs - A x|| <=
@@ -349,11 +349,11 @@ class LatticeSystem:
 
         `fixed` and `boundary_values` are full-length (flat) arrays; returns the
         full flat solution with the fixed values imposed exactly.  Given the
-        full-length `iterate`, a solve on the mask's lagged factor starts
-        there and stops at `_FORCING` times its residual (see the module
-        docstring); when that residual is at most `atol`, the solve returns
-        the iterate on the free nodes, bitwise and without a triangular
-        solve.  A 1D solve, a fresh factorization and a solve without
+        full-length `iterate`, a solve on the system's last factor, when it is
+        of the same block, starts there and stops at `_FORCING` times its
+        residual (see the module docstring); when that residual is at most
+        `atol`, the solve returns the iterate on the free nodes, bitwise and
+        without a triangular solve.  A 1D solve, a fresh factorization and a solve without
         `iterate` ignore `atol`.  At `atol` = 0 only a zero residual passes,
         which PCG returns unchanged too, so the solve is as without it.
         When the mask and every field given equal their transposes on a

@@ -341,7 +341,7 @@ def test_lagged_solve_converged_on_its_last_iteration_is_kept(factorizations, mo
 
 
 def test_lagged_solve_from_an_iterate_stops_at_the_forcing_bound(factorizations):
-    # a slightly reweighted matrix on the mask's factor, from the last
+    # a slightly reweighted matrix on the system's factor, from the last
     # solution as minimize passes it: the residual falls by _FORCING, not
     # just below _FORCING times the right-hand side, without a factorization
     shape, h = (13, 12), 0.1
@@ -646,7 +646,7 @@ def energy_and_gradient(u, shape, h, p):
 
 
 def from_a_stationary_start(shape, h, fixed, u, p, mass, shift):
-    """Minimize, on the mask's lagged factor, the time step from `u` whose
+    """Minimize, on the system's last factor, the time step from `u` whose
     previous field makes `u` its minimizer up to round-off, moved by `shift`
     along cos(node index) on the free nodes.
 
