@@ -458,16 +458,18 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     """Minimize E(u) + (p mass / 2) sum_free (u - previous)^2, E the p-energy,
     with u = start on `fixed`; return (flat minimizer, objective history).
 
-    The iteration starts from `guess` on the free nodes when that has a
-    strictly lower objective than `start`, and from `start` otherwise; the
-    history begins at the objective of the chosen start.  Each iteration
-    solves with the weights max(|grad u|, floor)**(p-2) frozen at u and halves
-    the step toward that solution until the objective does not increase, then
-    on while it still decreases by more than round-off.  An iteration stops
-    its stage when no step down to 1e-12 descends, when a rising step and its
-    half both leave the objective level up to round-off, or when the relative
-    decrease is at most tol_rel_energy.  A step that leaves the objective
-    level up to round-off, falling or rising, is not taken.
+    A start whose objective is exactly 0 is a minimizer, since no objective
+    is lower: it is returned as it is, with history [0.0], before `guess` is
+    evaluated and without a solve.  Otherwise the iteration starts from
+    `guess` on the free nodes when that has a strictly lower objective than
+    `start`, and from `start` otherwise; the history begins at the objective
+    of the chosen start.  Each iteration solves with the weights
+    max(|grad u|, floor)**(p-2) frozen at u, takes the full step toward that
+    solution and halves it, down to 1e-12, while halving lowers the objective
+    by more than noise = _ROUNDOFF_REL |e|, e the objective at u.  A step that
+    does not lower e by more than noise is not taken and stops its stage, so
+    no step hinges on the sign of round-off; a step whose relative decrease
+    is at most tol_rel_energy is taken and stops its stage.
 
     The last stage runs at floor = _WEIGHT_FLOOR; it returns when it stops
     and raises ConvergenceError after cfg.max_iter iterations.  When p > 2 and
@@ -502,6 +504,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
 
     u = start
     history = [objective(u)]
+    if history[0] == 0.0:
+        return u, history
     if guess is not None:
         trial = start.copy()
         trial[free] = np.asarray(guess, dtype=float).ravel()[free]
@@ -521,25 +525,15 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0
         e_cand = objective(cand)
-        while e_cand > e_prev and alpha > 1e-12:
-            level = e_cand - e_prev <= noise
-            alpha *= 0.5
-            cand = u + alpha * (u_hat - u)
-            e_cand = objective(cand)
-            if level and e_cand > e_prev - noise:
-                # the objective is convex along the segment and level with
-                # e_prev up to round-off at alpha and 2 alpha, so nowhere
-                # on the segment is it lower by more than 3 noise
-                return True
         # The frozen-weight model underestimates the curvature along the
-        # gradient by up to a factor p - 1, so the full step can overshoot to
-        # nearly the starting level and zigzag with a tiny decrease per
-        # iteration.  The objective is convex along the segment: keep halving
-        # while that still lowers it by more than round-off.
+        # gradient by up to a factor p - 1, so the full step can overshoot,
+        # above e_prev or to nearly its level, and zigzag with a tiny decrease
+        # per iteration.  The objective is convex along the segment: halve
+        # while that lowers it by more than round-off.
         while alpha > 1e-12:
             half = u + 0.5 * alpha * (u_hat - u)
             e_half = objective(half)
-            if e_cand - e_half <= _ROUNDOFF_REL * abs(e_cand):
+            if e_cand - e_half <= noise:
                 break
             cand, alpha, e_cand = half, 0.5 * alpha, e_half
         if e_prev - e_cand <= noise:

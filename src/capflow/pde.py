@@ -9,9 +9,10 @@ Each time step solves the proximal problem
 
 with Dirichlet values imposed on every node outside the domain (obstacle
 nodes and box faces).  `lattice.minimize` solves it as p times this
-functional, so the per-step energy never increases across iterates.  A
-spatially constant state with unchanged boundary values is returned bitwise,
-without entering the iteration.
+functional, so the per-step energy never increases across iterates.  A step
+whose start has objective 0, such as a spatially constant state with
+unchanged boundary values, returns its start bitwise without a solve: no
+objective is lower.
 
 From the second step on, each step also offers the minimizer a guess: the
 linear extrapolation u_{k-1} + (tau_k / tau_{k-1}) (u_{k-1} - u_{k-2}) on free
@@ -21,9 +22,9 @@ mass term, and it keeps every iterate inside the maximum-principle range.
 The minimizer starts from the guess only when its objective is strictly
 lower than that of the previous field with the new boundary values; this
 rejects the guess where the data bend, such as the end of a boundary ramp,
-where the energy-drop stop would otherwise fire early.  A step taken by the
-constant-state shortcut counts as history too, so the step after it
-extrapolates zero motion.
+where the energy-drop stop would otherwise fire early.  A step that returns
+its start counts as history too, so the step after it extrapolates zero
+motion.
 """
 
 from __future__ import annotations
@@ -216,26 +217,20 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
         start = u.copy()
         start[fixed] = bvals
 
-        # a constant-in-space state with unchanged boundary is already the
-        # exact minimizer: keep it bitwise
-        u_new = u
-        if not np.array_equal(start, u) or np.any(system.cell_gradient_sq(u) > 0.0):
-            guess = None
-            if u_old is not None:
-                # the clipped extrapolation of the module docstring
-                guess = start.copy()
-                guess[free] += (tau / tau_old) * (u - u_old)[free]
-                np.clip(guess, min(bvals.min(), u.min()), max(bvals.max(), u.max()),
-                        out=guess)
-            try:
-                u_new, _ = minimize(system, fixed, start, p, scheme,
-                                    mass=grid.h ** len(grid.shape) / tau, previous=u,
-                                    guess=guess)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"time step {k} did not converge within {scheme.max_iter} "
-                    "reweighting iterations", last_energy=exc.last_energy / p,
-                    step_index=k) from None
+        guess = None
+        if u_old is not None:
+            # the clipped extrapolation of the module docstring
+            guess = start.copy()
+            guess[free] += (tau / tau_old) * (u - u_old)[free]
+            np.clip(guess, min(bvals.min(), u.min()), max(bvals.max(), u.max()), out=guess)
+        try:
+            u_new, _ = minimize(system, fixed, start, p, scheme,
+                                mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"time step {k} did not converge within {scheme.max_iter} "
+                "reweighting iterations", last_energy=exc.last_energy / p,
+                step_index=k) from None
         u_old, u, tau_old = u, u_new, tau
 
         if k in row:
