@@ -14,7 +14,8 @@ free node is flat at the start, as in a first time step from u = 0, short
 stages at floors taken from the start's largest cell gradient run first: at
 `_WEIGHT_FLOOR` alone each solve would spread the data by about one lattice
 ring, and a floor weight that rounds away against unit weights can make the
-solve singular.
+solve singular.  Flat cells of a later iterate can do the same, so a solve
+that raises is tried once more at the smallest such floor of the iterate.
 
 Each solve runs on the free-by-free block of its fixed mask, on every free
 node or folded as below.  The block's pattern depends only on the mask and
@@ -448,8 +449,14 @@ def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, u: np.ndarray, p: 
     if not floored.any() or not floored[system.edge_cell[~fixed[system.edges_a]
                                                          | ~fixed[system.edges_b]]].any():
         return [], True
+    return _stage_floors(gsq, floor), False
+
+
+def _stage_floors(gsq: np.ndarray, floor: float) -> list[float]:
+    """The floors r * g_max above `floor`, for r in _RELAX, g_max the largest
+    cell gradient when `gsq` holds the squared ones."""
     g_max = math.sqrt(gsq.max())
-    return [r * g_max for r in _RELAX if r * g_max > floor], False
+    return [r * g_max for r in _RELAX if r * g_max > floor]
 
 
 def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: float,
@@ -476,7 +483,10 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     some cell with a free node is floored at the chosen start, stages of at
     most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and g_max
     the start's largest cell gradient, run first.  They do not count against
-    max_iter, and a stage that does not stop just hands on to the next.
+    max_iter, and a stage that does not stop just hands on to the next.  A
+    solve that raises ValueError, as a singular one does, runs once more at
+    the smallest such floor of u, with no residual exit, and the error stands
+    when no floor r * g_max exceeds the stage's.
 
     With mass > 0 and the weights exact at the chosen start (p = 2, or no
     cell with a free node floored), the first iteration at _WEIGHT_FLOOR
@@ -519,8 +529,19 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         the solve's residual exit."""
         nonlocal u
         w = system.weights(u, p, floor)
-        u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                       iterate=u, atol=atol)
+        try:
+            u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
+                                           iterate=u, atol=atol)
+        except ValueError:
+            # flat cells of an iterate, not only of the start, weigh
+            # floor**(p-2), which can round away against unit weights and,
+            # without mass, cut free nodes off from every fixed node
+            relaxed = _stage_floors(system.cell_gradient_sq(u), floor)
+            if not relaxed:
+                raise
+            w = system.weights(u, p, relaxed[-1])
+            u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
+                                           iterate=u)
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0

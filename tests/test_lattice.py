@@ -579,6 +579,20 @@ def minimize_problems(draw, p=None, mass=None):
     return LatticeSystem(shape, h), fixed, start, p, mass, previous
 
 
+def broken_down_chain(h):
+    """A 6-node chain at p = 4 and mass 0 whose first solve, from
+    (1, 0, 1e-5, 1, 1e-5, 0), lands near (1, 1, 0.5, 0.5, 0.5, 0): three cells
+    flat to about 2e-10 h, just above the weight floor.  Their weights, about
+    4e-20 h**2, round away against the others', and the second solve at the
+    floor cuts nodes 1 and 2 off from every fixed node."""
+    fixed = np.array([True, False, False, False, False, True])
+    start = np.array([1.0, 0.0, 1e-5, 1.0, 1e-5, 0.0])
+    return LatticeSystem((6,), h), fixed, start, 4.0, 0.0, start
+
+
+@example(problem=broken_down_chain(0.25))
+@example(problem=broken_down_chain(0.5))
+@example(problem=broken_down_chain(1.0))
 @settings(max_examples=60, deadline=None)
 @given(minimize_problems())
 def test_minimize_keeps_maximum_principle_and_descends(problem):
@@ -591,6 +605,48 @@ def test_minimize_keeps_maximum_principle_and_descends(problem):
     assert float(u.max()) <= float(data.max()) + 1e-12
     assert np.array_equal(u[fixed], start[fixed])
     assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+@pytest.mark.parametrize("h", [0.25, 0.5, 1.0])
+def test_minimize_retries_a_broken_down_solve_at_a_relaxed_floor(h, floors):
+    # the start has no flat cell, so no stage runs: the one floor above the
+    # weight floor is the retry's, and the chain then converges to its
+    # minimizer, the straight line, whose energy is 0.008 / h**3
+    system, fixed, start, p, mass, _ = broken_down_chain(h)
+    u, history = minimize(system, fixed, start, p, MinimizeConfig())
+    assert len(set(floors) - {lattice._WEIGHT_FLOOR}) == 1
+    assert np.max(np.abs(u - np.linspace(1.0, 0.0, 6))) <= 1e-5
+    assert history[-1] == pytest.approx(0.008 / h ** 3, rel=1e-8)
+
+
+@pytest.mark.parametrize("slope", [1.0, 1e-9])
+def test_minimize_keeps_a_singular_solve_singular(slope):
+    # no fixed node and no mass: singular at every floor.  At slope 1 the
+    # retry runs and raises too; at 1e-9 no relaxed floor exceeds the weight
+    # floor, and the first error stands
+    system = LatticeSystem((5,), 1.0)
+    with pytest.raises(ValueError, match="touch no fixed node"):
+        minimize(system, np.zeros(5, dtype=bool), slope * np.arange(5.0), 3.0,
+                 MinimizeConfig())
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("mass", [0.0, 1.5])
+def test_minimize_returns_a_zero_objective_start_bitwise(ndim, mass, monkeypatch):
+    # a constant field, and in a time step its own previous field, has
+    # objective 0, and no objective is lower: no solve, and the guess is not
+    # even evaluated
+    system = LatticeSystem((7,) * ndim, 0.25)
+    fixed = np.ones((7,) * ndim, dtype=bool)
+    fixed[(slice(1, -1),) * ndim] = False
+    start = np.full(system.n_nodes, 0.3)
+    solves = count_solves(monkeypatch)
+    energies = count_calls(monkeypatch, LatticeSystem, "energy")
+    u, history = minimize(system, fixed.ravel(), start, 3.0, MinimizeConfig(), mass,
+                          start.copy(), guess=np.full(system.n_nodes, 0.5))
+    assert u.tobytes() == start.tobytes()
+    assert history == [0.0]
+    assert solves == [] and len(energies) == 1
 
 
 @settings(max_examples=40, deadline=None)
