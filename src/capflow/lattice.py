@@ -247,7 +247,7 @@ def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
 
 
 def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray | None,
-                  atol: float = 0.0, norm=np.linalg.norm) -> np.ndarray | None:
+                  atol: float, norm) -> np.ndarray | None:
     """PCG on `a_mat`, preconditioned by `lu`, the system's last factor.
 
     From `x0` it returns x0 itself, without touching `lu`, when

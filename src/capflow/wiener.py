@@ -363,8 +363,6 @@ def oscillation_cascade(mu_o: float, profile: CapacityProfile, params: Structure
         cylinders.append(Cylinder(spatial_half_edge=float(2.0 * radii[i_j]),
                                   time_depth=float(g_star * theta * radii[i_j] ** p)))
         mu_seq.append(mu_j * (1.0 - a_j / g2))
-    # the final shave has no cylinder of its own
-    mu_seq = mu_seq[: len(sub.indices) + 1]
 
     tol = 1e-12
     nesting = []
