@@ -582,9 +582,9 @@ def minimize_problems(draw, p=None, mass=None):
 def broken_down_chain(h):
     """A 6-node chain at p = 4 and mass 0 whose first solve, from
     (1, 0, 1e-5, 1, 1e-5, 0), lands near (1, 1, 0.5, 0.5, 0.5, 0): three cells
-    flat to about 2e-10 h, just above the weight floor.  Their weights, about
-    4e-20 h**2, round away against the others', and the second solve at the
-    floor cuts nodes 1 and 2 off from every fixed node."""
+    with differences of about 5e-11.  Their weights, 1e-20 to 4e-20, round
+    away against the other cells' 0.25 / h**2, and the second solve at the
+    weight floor cuts nodes 1 and 2 off from every fixed node."""
     fixed = np.array([True, False, False, False, False, True])
     start = np.array([1.0, 0.0, 1e-5, 1.0, 1e-5, 0.0])
     return LatticeSystem((6,), h), fixed, start, 4.0, 0.0, start
