@@ -16,6 +16,9 @@ stages at floors taken from the start's largest cell gradient run first: at
 ring, and a floor weight that rounds away against unit weights can make the
 solve singular.  Flat cells of a later iterate can do the same, so a solve
 that raises is tried once more at the smallest such floor of the iterate.
+Each field `minimize` visits is evaluated once: one pass gives its squared
+cell gradients, its objective is summed from them, and the weights at it,
+the stage floors and that retry reuse them instead of computing them again.
 
 Each solve runs on the free-by-free block of its fixed mask, on every free
 node or folded as below.  The block's pattern depends only on the mask and
@@ -46,7 +49,8 @@ late steps of a time loop that has stopped moving, would still pay a solve.
 Where `minimize` can prove that from the strong convexity of its objective
 (Boyd & Vandenberghe, Convex Optimization 2004, 9.1.2), it passes the solve
 an absolute exit `atol`, and a lagged solve whose residual at u is within it
-returns u itself, without a triangular solve.
+returns u itself, without a triangular solve; `minimize` then knows u's
+objective and does not evaluate it again.
 
 On a square 2D lattice, swapping x0 and x1 maps cell (i, j) to cell (j, i)
 and its x-edge to its y-edge, so it leaves the energy unchanged; it is the
@@ -325,7 +329,8 @@ class LatticeSystem:
         """|grad u|^2 per cell (C-ordered over cell corners)."""
         v = np.asarray(u, dtype=float).reshape(self.shape)
         if self.ndim == 1:
-            g = np.diff(v) / self.h
+            # np.diff's own subtraction, without its wrapper
+            g = (v[1:] - v[:-1]) / self.h
             return g * g
         gx = (v[1:, :-1] - v[:-1, :-1]) / self.h
         gy = (v[:-1, 1:] - v[:-1, :-1]) / self.h
@@ -333,13 +338,19 @@ class LatticeSystem:
 
     def energy(self, u: np.ndarray, p: float) -> float:
         """Discrete p-energy sum_cells h**N |grad u|^p."""
-        gsq = self.cell_gradient_sq(u)
-        return float(self.h ** self.ndim * np.sum(gsq ** (p / 2.0)))
+        return self.energy_from_gsq(self.cell_gradient_sq(u), p)
+
+    def energy_from_gsq(self, gsq: np.ndarray, p: float) -> float:
+        """The p-energy of the field whose squared cell gradients are `gsq`."""
+        return float(self.h ** self.ndim * (gsq ** (p / 2.0)).sum())
 
     def weights(self, u: np.ndarray, p: float, floor: float) -> np.ndarray:
         """Per-cell reweighting max(|grad u|, floor)**(p-2)."""
-        g = np.sqrt(self.cell_gradient_sq(u))
-        return np.maximum(g, floor) ** (p - 2.0)
+        return self.weights_from_gsq(self.cell_gradient_sq(u), p, floor)
+
+    def weights_from_gsq(self, gsq: np.ndarray, p: float, floor: float) -> np.ndarray:
+        """The weights of the field whose squared cell gradients are `gsq`."""
+        return np.maximum(np.sqrt(gsq), floor) ** (p - 2.0)
 
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
                         boundary_values: np.ndarray, mass: float = 0.0,
@@ -402,7 +413,7 @@ class LatticeSystem:
             # a non-positive diagonal may make the system singular: leave it
             # to SuperLU, which reports that
             lagged = self._factor is not None and self._factor[0] is blk
-            if lagged and np.all(data[blk.diag_slot] > 0.0):
+            if lagged and (data[blk.diag_slot] > 0.0).all():
                 x0 = None if iterate is None else iterate[blk.node]
                 x = _lagged_solve(self._factor[1], a_mat, rhs, x0, atol, blk.norm)
             if x is None:
@@ -430,19 +441,20 @@ class LatticeSystem:
                 f"{blk.free.size} free nodes: {why}")
 
 
-def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, u: np.ndarray, p: float,
+def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, gsq: np.ndarray, p: float,
                     floor: float) -> tuple[list[float], bool]:
-    """Floors of the continuation stages from `u`, and whether the weights at
-    `u` and `floor` are exact, |grad u|**(p-2), on every cell with a free node.
+    """Floors of the continuation stages from the field u whose squared cell
+    gradients `gsq` holds, as `minimize` computed them with u's objective,
+    and whether the weights at u and `floor` are exact, |grad u|**(p-2), on
+    every cell with a free node.
 
     They are exact when p = 2, or when p > 2 and no such cell has
     |grad u| <= floor (for p < 2 this answers False unseen).  The stages,
     r * g_max for r in _RELAX above `floor`, g_max the largest cell gradient
-    of `u`, run only when p > 2 and the weights are not exact.
+    of u, run only when p > 2 and the weights are not exact.
     """
     if p <= 2.0:
         return [], p == 2.0
-    gsq = system.cell_gradient_sq(u)
     # this runs before every minimization: look up the cells with a free
     # node only when some cell is floored
     floored = gsq <= floor * floor
@@ -476,7 +488,10 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     by more than noise = _ROUNDOFF_REL |e|, e the objective at u.  A step that
     does not lower e by more than noise is not taken and stops its stage, so
     no step hinges on the sign of round-off; a step whose relative decrease
-    is at most tol_rel_energy is taken and stops its stage.
+    is at most tol_rel_energy is taken and stops its stage.  Each field is
+    evaluated once: the objective of a field comes with its squared cell
+    gradients, and the weights, stage floors and retry at that field use
+    them.
 
     The last stage runs at floor = _WEIGHT_FLOOR; it returns when it stops
     and raises ConvergenceError after cfg.max_iter iterations.  When p > 2 and
@@ -488,14 +503,15 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     the smallest such floor of u, with no residual exit, and the error stands
     when no floor r * g_max exceeds the stage's.
 
-    With mass > 0 and the weights exact at the chosen start (p = 2, or no
-    cell with a free node floored), the first iteration at _WEIGHT_FLOOR
-    gives its solve the residual exit atol = sqrt(2 mass noise / p), noise
-    = _ROUNDOFF_REL |objective(start)|.  A start within it is the minimizer
-    up to round-off, objective(start) - min <= p |residual|**2 / (2 mass)
-    <= noise, so the solve hands it back untouched and the iteration finds it
-    level.  Every other solve, and every solve of a condenser (mass 0), gets
-    atol = 0: no exit.
+    On a 2D lattice, with mass > 0 and the weights exact at the chosen start
+    (p = 2, or no cell with a free node floored), the first iteration at
+    _WEIGHT_FLOOR gives its solve the residual exit atol = sqrt(2 mass noise
+    / p), noise = _ROUNDOFF_REL |objective(start)|.  A start within it is
+    the minimizer up to round-off, objective(start) - min <= p
+    |residual|**2 / (2 mass) <= noise, so the solve hands it back bitwise
+    and the iteration ends as stationary, without evaluating it again.
+    Every other solve, and every solve of a condenser (mass 0), gets atol
+    = 0: no exit.
     """
     if mass > 0.0 and previous is None:
         raise ValueError("mass term requires the previous field")
@@ -505,30 +521,34 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     if mass > 0.0:
         anchor = np.asarray(previous, dtype=float).ravel()[free]
 
-    def objective(v: np.ndarray) -> float:
-        e = system.energy(v, p)
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective at v and v's squared cell gradients, which the
+        weights and floors at v are taken from."""
+        gsq = system.cell_gradient_sq(v)
+        e = system.energy_from_gsq(gsq, p)
         if mass > 0.0:
             d = v[free] - anchor
             e += 0.5 * p * mass * float(d @ d)
-        return e
+        return e, gsq
 
     u = start
-    history = [objective(u)]
-    if history[0] == 0.0:
+    e_start, gsq = objective(u)
+    history = [e_start]
+    if e_start == 0.0:
         return u, history
     if guess is not None:
         trial = start.copy()
         trial[free] = np.asarray(guess, dtype=float).ravel()[free]
-        e_trial = objective(trial)
-        if e_trial < history[0]:
-            u, history = trial, [e_trial]
+        e_trial, gsq_trial = objective(trial)
+        if e_trial < e_start:
+            u, gsq, history = trial, gsq_trial, [e_trial]
 
     def iterate(floor: float, atol: float = 0.0) -> bool:
-        """One reweighted iteration at `floor`, which advances u and history
-        unless it finds u stationary; True when its stage stops.  `atol` is
-        the solve's residual exit."""
-        nonlocal u
-        w = system.weights(u, p, floor)
+        """One reweighted iteration at `floor`, which advances u, its squared
+        cell gradients gsq and history unless it finds u stationary; True
+        when its stage stops.  `atol` is the solve's residual exit."""
+        nonlocal u, gsq
+        w = system.weights_from_gsq(gsq, p, floor)
         try:
             u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
                                            iterate=u, atol=atol)
@@ -536,16 +556,20 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             # flat cells of an iterate, not only of the start, weigh
             # floor**(p-2), which can round away against unit weights and,
             # without mass, cut free nodes off from every fixed node
-            relaxed = _stage_floors(system.cell_gradient_sq(u), floor)
+            relaxed = _stage_floors(gsq, floor)
             if not relaxed:
                 raise
-            w = system.weights(u, p, relaxed[-1])
+            w = system.weights_from_gsq(gsq, p, relaxed[-1])
             u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
                                            iterate=u)
+        if atol > 0.0 and np.array_equal(u_hat, u):
+            # the certified stationary exit handed u back: the whole segment
+            # is u, level with e_prev, so the iteration ends unevaluated
+            return True
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0
-        e_cand = objective(cand)
+        e_cand, gsq_cand = objective(cand)
         # The frozen-weight model underestimates the curvature along the
         # gradient by up to a factor p - 1, so the full step can overshoot,
         # above e_prev or to nearly its level, and zigzag with a tiny decrease
@@ -553,20 +577,20 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         # while that lowers it by more than round-off.
         while alpha > 1e-12:
             half = u + 0.5 * alpha * (u_hat - u)
-            e_half = objective(half)
+            e_half, gsq_half = objective(half)
             if e_cand - e_half <= noise:
                 break
-            cand, alpha, e_cand = half, 0.5 * alpha, e_half
+            cand, alpha, e_cand, gsq_cand = half, 0.5 * alpha, e_half, gsq_half
         if e_prev - e_cand <= noise:
             # no descent beyond round-off down to a step of 1e-12: the
             # iterate is stationary.  A level fall counts as none, so that
             # no step hinges on the sign of round-off.
             return True
-        u = cand
+        u, gsq = cand, gsq_cand
         history.append(e_cand)
         return e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300)
 
-    floors, exact = _relaxed_floors(system, fixed, u, p, _WEIGHT_FLOOR)
+    floors, exact = _relaxed_floors(system, fixed, gsq, p, _WEIGHT_FLOOR)
     for floor in floors:
         for _ in range(_STAGE_ITERS):
             if iterate(floor):
@@ -577,11 +601,12 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     # solve's residual at u is -grad / p, so a residual of at most atol bounds
     # that excess by p atol**2 / (2 mass) = noise: no step can lower the
     # objective beyond round-off, and the solve may hand back u unchanged,
-    # which the iteration then finds level with e_prev.  `exact` speaks of the
-    # chosen start, and u is still that start whenever it holds: the stages
-    # run only when it does not.
+    # which ends the iteration as stationary without evaluating u again.
+    # `exact` speaks of the chosen start, and u is still that start whenever
+    # it holds: the stages run only when it does not.  A 1D solve is direct
+    # and ignores atol, so it is offered none.
     atol = 0.0
-    if mass > 0.0 and exact:
+    if mass > 0.0 and exact and system.ndim == 2:
         atol = math.sqrt(2.0 * mass * _ROUNDOFF_REL * abs(history[-1]) / p)
     for _ in range(cfg.max_iter):
         if iterate(_WEIGHT_FLOOR, atol):

@@ -23,8 +23,8 @@ The minimizer starts from the guess only when its objective is strictly
 lower than that of the previous field with the new boundary values; this
 rejects the guess where the data bend, such as the end of a boundary ramp,
 where the energy-drop stop would otherwise fire early.  A step that returns
-its start counts as history too, so the step after it extrapolates zero
-motion.
+its start counts as history too: the step after it would extrapolate zero
+motion, a guess equal to its start, so it is offered none.
 """
 
 from __future__ import annotations
@@ -218,11 +218,14 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
         start[fixed] = bvals
 
         guess = None
-        if u_old is not None:
+        motion = None if u_old is None else (u - u_old)[free]
+        # after a step that returned its start the guess would be that
+        # start, which the minimizer would evaluate only to reject it
+        if motion is not None and motion.any():
             # the clipped extrapolation of the module docstring
             guess = start.copy()
-            guess[free] += (tau / tau_old) * (u - u_old)[free]
-            np.clip(guess, min(bvals.min(), u.min()), max(bvals.max(), u.max()), out=guess)
+            guess[free] += (tau / tau_old) * motion
+            guess.clip(min(bvals.min(), u.min()), max(bvals.max(), u.max()), out=guess)
         try:
             u_new, _ = minimize(system, fixed, start, p, scheme,
                                 mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)

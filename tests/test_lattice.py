@@ -607,6 +607,40 @@ def test_minimize_keeps_maximum_principle_and_descends(problem):
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+@example(problem=broken_down_chain(0.25), guess_seed=None)
+@example(problem=broken_down_chain(0.5), guess_seed=None)
+@example(problem=broken_down_chain(1.0), guess_seed=None)
+@settings(max_examples=40, deadline=None)
+@given(minimize_problems(), st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+def test_minimize_weights_are_those_of_its_iterate(problem, guess_seed):
+    # the weights reuse the squared cell gradients of the iterate's
+    # objective evaluation: every solve, the retry of a broken-down one
+    # included, gets the weights a fresh pass over its iterate gives at the
+    # floor its stage set last
+    system, fixed, start, p, mass, previous = problem
+    guess = None
+    if guess_seed is not None:
+        guess = np.random.default_rng(guess_seed).random(start.size)
+    floors, seen = [], []
+    weights_from_gsq = LatticeSystem.weights_from_gsq
+    solve_dirichlet = LatticeSystem.solve_dirichlet
+
+    def recording_floor(self, gsq, p, floor):
+        floors.append(floor)
+        return weights_from_gsq(self, gsq, p, floor)
+
+    def recording_solve(self, cell_weights, *args, iterate=None, **kwargs):
+        seen.append((cell_weights.copy(), iterate.copy(), floors[-1]))
+        return solve_dirichlet(self, cell_weights, *args, iterate=iterate, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LatticeSystem, "weights_from_gsq", recording_floor)
+        mp.setattr(LatticeSystem, "solve_dirichlet", recording_solve)
+        minimize(system, fixed, start, p, MinimizeConfig(), mass, previous, guess=guess)
+    for w, iterate, floor in seen:
+        assert w.tobytes() == system.weights(iterate, p, floor).tobytes()
+
+
 @pytest.mark.parametrize("h", [0.25, 0.5, 1.0])
 def test_minimize_retries_a_broken_down_solve_at_a_relaxed_floor(h, floors):
     # the start has no flat cell, so no stage runs: the one floor above the
@@ -641,7 +675,7 @@ def test_minimize_returns_a_zero_objective_start_bitwise(ndim, mass, monkeypatch
     fixed[(slice(1, -1),) * ndim] = False
     start = np.full(system.n_nodes, 0.3)
     solves = count_solves(monkeypatch)
-    energies = count_calls(monkeypatch, LatticeSystem, "energy")
+    energies = count_calls(monkeypatch, LatticeSystem, "energy_from_gsq")
     u, history = minimize(system, fixed.ravel(), start, 3.0, MinimizeConfig(), mass,
                           start.copy(), guess=np.full(system.n_nodes, 0.5))
     assert u.tobytes() == start.tobytes()
@@ -795,6 +829,18 @@ def test_certified_exit_needs_exact_weights(step, fires):
     assert exited == fires
 
 
+def test_certified_exit_evaluates_the_objective_once(monkeypatch):
+    # the start is handed back bitwise: its objective, known, is not
+    # evaluated again at the full step or at its half
+    solves = count_solves(monkeypatch)
+    evaluations = count_calls(monkeypatch, LatticeSystem, "energy_from_gsq")
+    exited, _, _ = from_a_stationary_start(*_CERTIFIED_STEP)
+    assert exited
+    # the first solve factors the block for the lagged one of `minimize`
+    assert len(solves) == 2
+    assert len(evaluations) == 1
+
+
 # -- the guess of the minimizer -------------------------------------------------
 
 def time_step_problem():
@@ -858,13 +904,13 @@ def test_minimize_takes_the_boundary_values_from_start_not_the_guess():
 def floors(monkeypatch):
     """The `floor` argument of every weight evaluation during the test."""
     seen = []
-    weights = LatticeSystem.weights
+    weights = LatticeSystem.weights_from_gsq
 
-    def recording(self, u, p, floor):
+    def recording(self, gsq, p, floor):
         seen.append(floor)
-        return weights(self, u, p, floor)
+        return weights(self, gsq, p, floor)
 
-    monkeypatch.setattr(LatticeSystem, "weights", recording)
+    monkeypatch.setattr(LatticeSystem, "weights_from_gsq", recording)
     return seen
 
 

@@ -235,21 +235,22 @@ def test_corner_solve_keeps_every_slice_symmetric():
 @pytest.fixture(scope="module")
 def corner_ramp():
     """corner_verify's datum on a 65 x 65 lattice with the ramp ending at step
-    20 of 100; returns the field and its numbers of linear solves and of
-    objective evaluations."""
+    20 of 100; returns the field and its numbers of linear solves, of
+    objective evaluations and of cell-gradient passes."""
     grid, datum = corner_ramp_problem(0.125, 1.0 / 256, 100, 20, 0.05)
     with pytest.MonkeyPatch.context() as mp:
         solves = count_solves(mp)
-        energies = count_calls(mp, LatticeSystem, "energy")
+        energies = count_calls(mp, LatticeSystem, "energy_from_gsq")
+        passes = count_calls(mp, LatticeSystem, "cell_gradient_sq")
         field = cf.solve(grid, datum, 3.0)
-    return field, len(solves), len(energies)
+    return field, len(solves), len(energies), len(passes)
 
 
 def test_warm_start_keeps_the_certified_step_error_across_the_ramp_end(corner_ramp):
     # an extrapolation taken at the ramp end unchecked ends step 21 with a
     # certified error near 1e-2, against 4e-3 for a start from the previous
     # step and 1e-3 with the check
-    field, _, _ = corner_ramp
+    field, *_ = corner_ramp
     assert step_error_bounds(field).max() <= 5e-3
 
 
@@ -257,8 +258,16 @@ def test_level_steps_end_after_the_full_step_and_its_half(corner_ramp):
     # after the ramp the field barely moves: a step whose full and half
     # steps leave the objective level up to round-off stops there, instead of
     # halving about 16 more times toward a decrease below round-off
-    _, solves, energies = corner_ramp
+    _, solves, energies, _ = corner_ramp
     assert energies <= 4.5 * solves
+
+
+def test_each_iterate_has_one_cell_gradient_pass(corner_ramp):
+    # the weights and floors at an iterate reuse the squared cell gradients
+    # of its objective evaluation
+    _, solves, energies, passes = corner_ramp
+    assert solves > 0
+    assert passes <= energies
 
 
 def test_smooth_source_solution_takes_under_two_solves_per_step(monkeypatch):
@@ -285,6 +294,27 @@ def test_constant_steps_stay_bitwise_before_the_datum_moves():
     assert np.all(field.values[:4] == 0.4)
     assert np.any(field.values[-1] != 0.4)
     assert reference_step_errors(field, datum, 3.0)[3:].max() <= 5e-5
+
+
+def test_a_step_after_one_that_returned_its_start_offers_no_guess(monkeypatch):
+    # the extrapolation from a step that kept its start is the next step's
+    # start, which the minimizer would evaluate only to reject: steps 1-3
+    # keep the constant state, and step 4 is the first to move
+    grid = _grid_2d(h=1.0 / 16, T=0.05, steps=8)
+    t_move = float(grid.times[3])
+
+    def g(pts, t):
+        return 0.4 + max(t - t_move, 0.0) * 20.0 * np.sin(3.0 * pts[:, 0] + pts[:, 1])
+
+    offered = []
+
+    def recording(*args, guess=None, **kwargs):
+        offered.append(guess is not None)
+        return minimize(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(pde, "minimize", recording)
+    cf.solve(grid, cf.BoundaryDatum("late", g), 3.0)
+    assert offered == [False] * 4 + [True] * 4
 
 
 @st.composite

@@ -3,11 +3,15 @@
 Usage (from anywhere):
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [EXTRA_CONFIG_DIR ...]
+        [--workload-seeds SEED [SEED ...]]
 
 Runs every `configs/*.json` of each tree, and every `*.json` of each extra
 directory, once with PARENT_TREE's `src` and once with CHANGE_TREE's `src` on
 PYTHONPATH.  The file name picks the subcommand by its prefix: `capacity_`,
-`delta_profile_`, `cascade_`, `solve_` or `verify_`.  BLAS pools run on one
+`delta_profile_`, `cascade_`, `solve_` or `verify_`.  With --workload-seeds,
+the configs of every benchmark workload at each seed join them, generated by
+CHANGE_TREE's `perfbench/workloads.py` (imported without writing bytecode)
+and named `<subcommand>_<workload>_seed<seed>`.  BLAS pools run on one
 thread.  Then it prints every output file that differs between the two runs,
 one per line as `<config>/<file>`, and a summary line.  `report.json` is
 compared as parsed JSON without its `timings` section, which holds wall-clock
@@ -49,6 +53,20 @@ def configs(dirs: list[str]) -> dict[str, str]:
     return found
 
 
+def workload_configs(tree: str, seeds: list[int], out: str) -> None:
+    """Write each benchmark workload's config at each seed into `out`."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "perfbench"))
+    import workloads
+
+    os.makedirs(out)
+    for w in workloads.WORKLOADS.values():
+        for seed in seeds:
+            name = f"{w.command.replace('-', '_')}_{w.name}_seed{seed}.json"
+            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                json.dump(w.make_config(seed), fh, indent=1)
+
+
 def run(tree: str, config: str, out: str) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     for var in THREAD_VARS:
@@ -84,13 +102,19 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="parent source tree")
     parser.add_argument("change", help="changed source tree")
     parser.add_argument("extra", nargs="*", help="more directories of configs")
+    parser.add_argument("--workload-seeds", nargs="+", type=int, default=[],
+                        metavar="SEED", help="add the benchmark workloads at these seeds")
     args = parser.parse_args(argv)
 
-    per_tree = {tree: configs([os.path.join(tree, "configs"), *args.extra])
-                for tree in (args.parent, args.change)}
-    stems = sorted(set(per_tree[args.parent]) | set(per_tree[args.change]))
-    differ, compared = [], 0
     with tempfile.TemporaryDirectory() as tmp:
+        extra = list(args.extra)
+        if args.workload_seeds:
+            extra.append(os.path.join(tmp, "workloads"))
+            workload_configs(args.change, args.workload_seeds, extra[-1])
+        per_tree = {tree: configs([os.path.join(tree, "configs"), *extra])
+                    for tree in (args.parent, args.change)}
+        stems = sorted(set(per_tree[args.parent]) | set(per_tree[args.change]))
+        differ, compared = [], 0
         for stem in stems:
             if not all(stem in per_tree[t] for t in per_tree):
                 differ.append(f"{stem}: config in one tree only")
