@@ -20,41 +20,40 @@ start left each fine lattice factored twice, once for that start and once
 more when its factor failed to precondition the first p > 2 solve; the
 nested start factors it once.  The energy-drop stop depends on the start:
 from the nested start, at 1e-8 it stopped at 3.5-4.2 times the first-order
-residual it left from the p = 2 start there, so `SolverConfig` stops at
-1e-10.  `DeltaMemo` computes the relative capacity delta for one run, from
-one thread.
+residual it left from the p = 2 start there, so condensers stop at a
+relative energy drop of 1e-10, `_TOL_REL_ENERGY`, where time steps stop at
+1e-8.  `DeltaMemo` computes the relative capacity delta for one run, from one
+thread.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
+from . import lattice
 from .errors import ConvergenceError
 from .geometry import (Cube, DomainSpec, IndicatorField, box_faces, lattice_nodes_per_axis,
                        rasterize_obstacle)
-from .lattice import LatticeSystem, MinimizeConfig, minimize
+from .lattice import LatticeSystem, minimize
 from .params import StructureParams
+
+# the energy-drop stop of every condenser minimization: see the module docstring
+_TOL_REL_ENERGY = 1e-10
 
 
 @dataclass(frozen=True)
-class SolverConfig(MinimizeConfig):
-    """Condenser minimization settings and the `DeltaMemo` lattice size.
+class SolverConfig:
+    """The `DeltaMemo` lattice size."""
 
-    The energy-drop stop is tighter than the time step's: see the module
-    docstring.
-    """
-
-    tol_rel_energy: float = 1e-10
     nodes_across: int = 33   # lattice nodes spanning the inner cube of a delta
     # the fewest nodes across a delta lattice and a nested start's obstacle
     min_nodes_across: ClassVar[int] = 17
 
     def __post_init__(self):
-        super().__post_init__()
         na = self.nodes_across
         if na < self.min_nodes_across or (na - 1) % 4 != 0:
             raise ValueError(f"nodes_across must be >= {self.min_nodes_across} and "
@@ -68,7 +67,6 @@ class CondenserProblem:
     obstacle: IndicatorField
     outer: Cube
     p: float
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.p < 2.0:
@@ -177,22 +175,21 @@ def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[floa
     When p > 2 and the obstacle's every-other-node mask makes a condenser at
     spacing 2h in the same outer cube, with at least
     `SolverConfig.min_nodes_across` nodes across and a marked node, that
-    condenser is minimized first, by this function and with the same
-    settings; its minimizer, interpolated linearly and given this problem's
-    plate and ground values, is the start.  Otherwise the p = 2 minimizer is.
+    condenser is minimized first, by this function; its minimizer,
+    interpolated linearly and given this problem's plate and ground values,
+    is the start.  Otherwise the p = 2 minimizer is.
     """
     system, fixed, bvals = _embed_obstacle(problem)
-    cfg = problem.solver
     coarse = _coarse_problem(problem)
     if coarse is None:
         psi = system.solve_dirichlet(np.ones(system.n_cells), fixed, bvals)   # p = 2 start
     else:
         psi = np.where(fixed, bvals, _prolong(minimize_condenser(coarse)[0])).ravel()
     try:
-        psi, history = minimize(system, fixed, psi, problem.p, cfg)
+        psi, history = minimize(system, fixed, psi, problem.p, _TOL_REL_ENERGY)
     except ConvergenceError as exc:
         raise ConvergenceError(
-            f"condenser minimization did not converge in {cfg.max_iter} iterations",
+            f"condenser minimization did not converge in {lattice._MAX_ITER} iterations",
             last_energy=exc.last_energy) from None
     return psi.reshape(system.shape), history
 
@@ -270,7 +267,7 @@ class DeltaMemo:
         center = (0.0,) * mask.ndim
         return solve_condenser(CondenserProblem(
             IndicatorField(Cube(center, 1.0), self.h, mask), Cube(center, 1.5),
-            self.params.p, self.cfg))
+            self.params.p))
 
     def _relative(self, obstacle: IndicatorField
                   ) -> tuple[float, CapacityValue, CapacityValue]:
@@ -295,8 +292,7 @@ class DeltaMemo:
                 replace(cap_full, value=cap_full.value * scale))
 
 
-def parabolic_capacity(time_slices, outer: Cube, p: float,
-                       cfg: SolverConfig = SolverConfig()) -> float:
+def parabolic_capacity(time_slices, outer: Cube, p: float) -> float:
     """Sliced parabolic capacity: trapezoid in time of per-slice condenser values.
 
     `time_slices` is a sequence of (tau, IndicatorField) with uniformly spaced,
@@ -318,7 +314,7 @@ def parabolic_capacity(time_slices, outer: Cube, p: float,
     for _, fld in slices:
         key = (fld.cube, fld.h, fld.values.tobytes())
         if key not in by_slice:
-            by_slice[key] = solve_condenser(CondenserProblem(fld, outer, p, cfg)).value
+            by_slice[key] = solve_condenser(CondenserProblem(fld, outer, p)).value
         caps.append(by_slice[key])
     caps = np.array(caps)
     dt = float(dts[0])

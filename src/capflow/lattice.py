@@ -9,7 +9,7 @@ elsewhere in the package lean on exactly this structure.
 The condenser and the time step are one minimization, `minimize`; the time
 step only adds a proximal mass term.  It reweights at max(|grad u|, floor)
 and ends in a stage at the weight floor `_WEIGHT_FLOOR`, which alone counts
-against `max_iter` and decides convergence.  When p > 2 and a cell with a
+against `_MAX_ITER` and decides convergence.  When p > 2 and a cell with a
 free node is flat at the start, as in a first time step from u = 0, short
 stages at floors taken from the start's largest cell gradient run first: at
 `_WEIGHT_FLOOR` alone each solve would spread the data by about one lattice
@@ -39,10 +39,10 @@ block is factored afresh only when that does not converge.  `minimize`
 passes its iterate u: CG then starts from u and stops at a residual of
 `_FORCING` times that of u, the forcing term of an inexact Newton method
 (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), since each solve only gives
-the direction the backtracking then searches.  A solve given no iterate
-starts from the preconditioned right-hand side and solves to `_CG_RTOL`, and
-a fresh factor solves directly.  Because of this solver state, a
-`LatticeSystem` on a 2D lattice must not be shared across threads.
+the direction the backtracking then searches.  A solve given no iterate,
+such as the first solve of a condenser, factors afresh, and a fresh factor
+solves directly.  Because of this solver state, a `LatticeSystem` on a 2D
+lattice must not be shared across threads.
 
 A time step whose start is already its minimizer up to round-off, as in the
 late steps of a time loop that has stopped moving, would still pay a solve.
@@ -79,7 +79,6 @@ gives each system a single mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,20 +87,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceError
-
-
-@dataclass(frozen=True)
-class MinimizeConfig:
-    """Stopping rule of the reweighted minimization."""
-
-    max_iter: int = 500
-    tol_rel_energy: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if not 0.0 < self.tol_rel_energy < 1.0:
-            raise ValueError(f"tol_rel_energy must lie in (0, 1), got {self.tol_rel_energy}")
 
 
 # Lagged-factor PCG.  At 12k unknowns one iteration (a matrix product and two
@@ -121,8 +106,10 @@ _CG_RTOL = 1e-12
 _CG_MAXITER = 8
 _FORCING = 1e-2
 
-# The weight floor of the last stage of every minimization.
+# The weight floor of the last stage of every minimization, and the most
+# iterations that stage may take before `minimize` raises ConvergenceError.
 _WEIGHT_FLOOR = 1e-10
+_MAX_ITER = 500
 
 # Floor continuation, after the relaxed Kacanov iteration of Diening,
 # Fornasier, Tomasi & Wank (Numer. Math. 2020), which shrinks the range the
@@ -250,26 +237,23 @@ def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
     return np.array_equal(v, v.T)
 
 
-def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray | None,
+def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray,
                   atol: float, norm) -> np.ndarray | None:
-    """PCG on `a_mat`, preconditioned by `lu`, the system's last factor.
+    """PCG on `a_mat` from `x0`, preconditioned by `lu`, the system's last factor.
 
-    From `x0` it returns x0 itself, without touching `lu`, when
-    ||rhs - A x0|| <= atol, and otherwise stops once ||rhs - A x|| <=
-    max(_FORCING ||rhs - A x0||, _CG_RTOL ||rhs||); without one it starts
-    from lu.solve(rhs) and stops at _CG_RTOL ||rhs||.  `norm` measures these
-    vectors.  The recurrence residual decides and the true residual confirms
-    it once.  Returns None after _CG_MAXITER iterations, on a direction of
-    non-positive curvature, or on a non-finite result.
+    It returns x0 itself, without touching `lu`, when ||rhs - A x0|| <=
+    atol, and otherwise stops once ||rhs - A x|| <= max(_FORCING ||rhs - A
+    x0||, _CG_RTOL ||rhs||).  `norm` measures these vectors.  The recurrence
+    residual decides and the true residual confirms it once.  Returns None
+    after _CG_MAXITER iterations, on a direction of non-positive curvature,
+    or on a non-finite result.
     """
-    tol = _CG_RTOL * norm(rhs)
-    x = lu.solve(rhs) if x0 is None else x0.copy()
+    x = x0.copy()
     r = rhs - a_mat @ x
-    if x0 is not None:
-        r_norm = norm(r)
-        if r_norm <= atol:
-            return x
-        tol = max(tol, _FORCING * r_norm)
+    r_norm = norm(r)
+    if r_norm <= atol:
+        return x
+    tol = max(_CG_RTOL * norm(rhs), _FORCING * r_norm)
     k = 0
     # a NaN residual ends the loop and fails the confirmation
     while norm(r) > tol:
@@ -365,7 +349,8 @@ class LatticeSystem:
         of the same block, starts there and stops at `_FORCING` times its
         residual (see the module docstring); when that residual is at most
         `atol`, the solve returns the iterate on the free nodes, bitwise and
-        without a triangular solve.  A 1D solve, a fresh factorization and a solve without
+        without a triangular solve.  A 2D solve without `iterate` factors
+        afresh.  A 1D solve, a fresh factorization and a solve without
         `iterate` ignore `atol`.  At `atol` = 0 only a zero residual passes,
         which PCG returns unchanged too, so the solve is as without it.
         When the mask and every field given equal their transposes on a
@@ -412,10 +397,11 @@ class LatticeSystem:
             x = None
             # a non-positive diagonal may make the system singular: leave it
             # to SuperLU, which reports that
-            lagged = self._factor is not None and self._factor[0] is blk
+            lagged = (iterate is not None and self._factor is not None
+                      and self._factor[0] is blk)
             if lagged and (data[blk.diag_slot] > 0.0).all():
-                x0 = None if iterate is None else iterate[blk.node]
-                x = _lagged_solve(self._factor[1], a_mat, rhs, x0, atol, blk.norm)
+                x = _lagged_solve(self._factor[1], a_mat, rhs, iterate[blk.node], atol,
+                                  blk.norm)
             if x is None:
                 self._factor = None             # never two factors at once
                 try:
@@ -472,7 +458,7 @@ def _stage_floors(gsq: np.ndarray, floor: float) -> list[float]:
 
 
 def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: float,
-             cfg: MinimizeConfig, mass: float = 0.0, previous: np.ndarray | None = None,
+             tol_rel_energy: float, mass: float = 0.0, previous: np.ndarray | None = None,
              guess: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Minimize E(u) + (p mass / 2) sum_free (u - previous)^2, E the p-energy,
     with u = start on `fixed`; return (flat minimizer, objective history).
@@ -494,11 +480,11 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     them.
 
     The last stage runs at floor = _WEIGHT_FLOOR; it returns when it stops
-    and raises ConvergenceError after cfg.max_iter iterations.  When p > 2 and
+    and raises ConvergenceError after _MAX_ITER iterations.  When p > 2 and
     some cell with a free node is floored at the chosen start, stages of at
     most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and g_max
     the start's largest cell gradient, run first.  They do not count against
-    max_iter, and a stage that does not stop just hands on to the next.  A
+    _MAX_ITER, and a stage that does not stop just hands on to the next.  A
     solve that raises ValueError, as a singular one does, runs once more at
     the smallest such floor of u, with no residual exit, and the error stands
     when no floor r * g_max exceeds the stage's.
@@ -588,7 +574,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             return True
         u, gsq = cand, gsq_cand
         history.append(e_cand)
-        return e_prev - e_cand <= cfg.tol_rel_energy * max(abs(e_prev), 1e-300)
+        return e_prev - e_cand <= tol_rel_energy * max(abs(e_prev), 1e-300)
 
     floors, exact = _relaxed_floors(system, fixed, gsq, p, _WEIGHT_FLOOR)
     for floor in floors:
@@ -608,9 +594,9 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     atol = 0.0
     if mass > 0.0 and exact and system.ndim == 2:
         atol = math.sqrt(2.0 * mass * _ROUNDOFF_REL * abs(history[-1]) / p)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if iterate(_WEIGHT_FLOOR, atol):
             return u, history
         atol = 0.0
-    raise ConvergenceError(f"no convergence in {cfg.max_iter} reweighting iterations",
+    raise ConvergenceError(f"no convergence in {_MAX_ITER} reweighting iterations",
                            last_energy=history[-1])

@@ -35,11 +35,16 @@ from typing import Callable
 
 import numpy as np
 
+from . import lattice
 from .errors import ConvergenceError
 from .fileio import atomic_write
 from .geometry import (Cube, DomainSpec, box_faces, domain_inside_mask, lattice_nodes_per_axis,
                        lattice_points)
-from .lattice import LatticeSystem, MinimizeConfig, minimize
+from .lattice import LatticeSystem, minimize
+
+# the energy-drop stop of every time step; condensers stop tighter (see
+# capflow.capacity)
+_TOL_REL_ENERGY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,12 @@ class BoundaryDatum:
 
 
 @dataclass(frozen=True)
-class SchemeConfig(MinimizeConfig):
-    """Time-step minimization settings and the stride of stored time slices."""
+class SchemeConfig:
+    """The stride of stored time slices."""
 
     store_stride: int = 1
 
     def __post_init__(self):
-        super().__post_init__()
         if self.store_stride < 1:
             raise ValueError(f"store_stride must be positive, got {self.store_stride}")
 
@@ -192,8 +196,10 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
           scheme: SchemeConfig = SchemeConfig()) -> SpaceTimeField:
     """March the implicit scheme over grid.times, starting from g(., 0).
 
-    Raises ConvergenceError with the offending step index when an inner
-    iteration fails to settle within scheme.max_iter.
+    Each step is one `lattice.minimize` that stops at a relative energy drop
+    of `_TOL_REL_ENERGY`; it raises ConvergenceError with the offending step
+    index when that minimization does not stop within `lattice._MAX_ITER`
+    reweighting iterations.
     """
     if p < 2.0:
         raise ValueError(f"p must be at least 2, got {p}")
@@ -227,11 +233,11 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
             guess[free] += (tau / tau_old) * motion
             guess.clip(min(bvals.min(), u.min()), max(bvals.max(), u.max()), out=guess)
         try:
-            u_new, _ = minimize(system, fixed, start, p, scheme,
+            u_new, _ = minimize(system, fixed, start, p, _TOL_REL_ENERGY,
                                 mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)
         except ConvergenceError as exc:
             raise ConvergenceError(
-                f"time step {k} did not converge within {scheme.max_iter} "
+                f"time step {k} did not converge within {lattice._MAX_ITER} "
                 "reweighting iterations", last_energy=exc.last_energy / p,
                 step_index=k) from None
         u_old, u, tau_old = u, u_new, tau

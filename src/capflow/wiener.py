@@ -284,7 +284,7 @@ def realize_R_o_epsilon(t_o: float, params: StructureParams, epsilon: float, del
         f"epsilon={epsilon}; decrease epsilon, increase t_o, or extend the search range")
 
 
-def build_subsequence(profile: CapacityProfile, params: StructureParams) -> SubsequenceResult:
+def build_subsequence(profile: CapacityProfile) -> SubsequenceResult:
     """Working subsequence i_0 = 0 < i_1 < ... with A_{i_{j+1}} / A_{i_j} > 2**-(i_{j+1} - i_j).
 
     Each i_{j+1} is the smallest admissible successor.  When no admissible
@@ -346,7 +346,7 @@ def oscillation_cascade(mu_o: float, profile: CapacityProfile, params: Structure
             cylinders=(), nesting_ok=(), sub_bd_ok=(), envelope_at=rows,
             power_law_bound=float(bound))
 
-    sub = build_subsequence(profile, params)
+    sub = build_subsequence(profile)
     a_vals = profile.A
     radii = profile.radii
     mu_seq = [float(mu_o)]

@@ -36,9 +36,7 @@ def _cube_condenser(ndim: int, rho: float, outer_factor: float, p: float,
     h = 2.0 * rho / (nodes_across - 1)
     center = (0.0,) * ndim
     obstacle = IndicatorField.all_true(Cube(center, rho), h)
-    problem = capacity.CondenserProblem(
-        obstacle, Cube(center, outer_factor * rho), p,
-        capacity.SolverConfig(nodes_across=nodes_across))
+    problem = capacity.CondenserProblem(obstacle, Cube(center, outer_factor * rho), p)
     return capacity.solve_condenser(problem)
 
 
@@ -270,12 +268,10 @@ def test_criterion_10_parabolic_capacity_slicing(capsys):
     h = 2.0 * 0.5 / 16
     obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
     outer = Cube((0.0,), 1.0)
-    fast = capacity.SolverConfig(nodes_across=17)
-    elliptic = capacity.solve_condenser(
-        capacity.CondenserProblem(obstacle, outer, 3.0, fast)).value
+    elliptic = capacity.solve_condenser(capacity.CondenserProblem(obstacle, outer, 3.0)).value
     a, b = 0.25, 1.75
     val = capacity.parabolic_capacity(
-        [(t, obstacle) for t in np.linspace(a, b, 13)], outer, 3.0, fast)
+        [(t, obstacle) for t in np.linspace(a, b, 13)], outer, 3.0)
     exact = (b - a) * elliptic
     rel = abs(val - exact) / exact
     ok = rel <= 1e-12

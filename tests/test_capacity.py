@@ -24,9 +24,7 @@ def _cube_condenser(ndim: int, rho: float, outer_factor: float, p: float,
     h = 2.0 * rho / (nodes_across - 1)
     center = (0.0,) * ndim
     obstacle = IndicatorField.all_true(Cube(center, rho), h)
-    problem = capacity.CondenserProblem(
-        obstacle, Cube(center, outer_factor * rho), p,
-        capacity.SolverConfig(nodes_across=nodes_across))
+    problem = capacity.CondenserProblem(obstacle, Cube(center, outer_factor * rho), p)
     return capacity.solve_condenser(problem)
 
 
@@ -53,7 +51,7 @@ def _direct_condenser(obstacle: IndicatorField, p: float) -> capacity.CapacityVa
     """One of delta's condensers solved at its own radius and centre."""
     cube = obstacle.cube
     return capacity.solve_condenser(capacity.CondenserProblem(
-        obstacle, Cube(cube.center, 1.5 * cube.half_edge), p, FAST))
+        obstacle, Cube(cube.center, 1.5 * cube.half_edge), p))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -105,10 +103,11 @@ def test_a_mask_that_changes_with_the_radius_is_solved_per_radius(monkeypatch):
         assert cap_obs.value == _direct_condenser(obstacle, 3.0).value
 
 
-def test_memo_failure_in_the_pool_reaches_the_caller():
+def test_memo_failure_in_the_pool_reaches_the_caller(monkeypatch):
     # a ConvergenceError in a worker thread surfaces from rows, energy intact
-    memo = capacity.DeltaMemo(DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2,
-                              capacity.SolverConfig(nodes_across=17, max_iter=1), workers=2)
+    monkeypatch.setattr(lattice, "_MAX_ITER", 1)
+    memo = capacity.DeltaMemo(DomainSpec.half_space((0.0, 0.0)), (0.0, 0.0), P3N2, FAST,
+                              workers=2)
     with pytest.raises(cf.ConvergenceError, match="did not converge") as err:
         memo.rows([0.5, 0.25])
     assert np.isfinite(err.value.last_energy)
@@ -141,7 +140,7 @@ def test_memo_keeps_no_condenser_field_or_lattice_system(monkeypatch):
 def test_condenser_history_nonincreasing():
     h = 2.0 / 16
     obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
-    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0, FAST)
+    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0)
     _, history = capacity.minimize_condenser(problem)
     hist = np.array(history)
     assert np.all(np.diff(hist) <= 1e-12 * hist[0])
@@ -150,11 +149,11 @@ def test_condenser_history_nonincreasing():
     assert cv.value == history[-1]
 
 
-def test_condenser_convergence_error_carries_energy():
+def test_condenser_convergence_error_carries_energy(monkeypatch):
+    monkeypatch.setattr(lattice, "_MAX_ITER", 1)
     h = 2.0 / 16
     obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
-    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0,
-                                        capacity.SolverConfig(nodes_across=17, max_iter=1))
+    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0)
     with pytest.raises(cf.ConvergenceError,
                        match="condenser minimization did not converge in 1 iterations"
                        ) as err:
@@ -163,7 +162,7 @@ def test_condenser_convergence_error_carries_energy():
     assert err.value.step_index is None
 
 
-def test_condenser_of_scattered_points_converges_to_its_minimum():
+def test_condenser_of_scattered_points_converges_to_its_minimum(monkeypatch):
     # isolated plate nodes at p = 3: the full reweighted step overshoots by
     # about a factor p - 1 = 2, and accepting it zigzagged for 700 iterations
     # to a stop 1e-4 above the minimum
@@ -173,12 +172,13 @@ def test_condenser_of_scattered_points_converges_to_its_minimum():
     mask[tuple(np.transpose(points))] = True
     obstacle = IndicatorField(Cube((0.0, 0.0), 1.0), 2.0 / 16, mask)
 
-    def solve(cfg):
+    def solve():
         return capacity.solve_condenser(
-            capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0, cfg))
+            capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0))
 
-    cv = solve(FAST)
-    tight = solve(capacity.SolverConfig(nodes_across=17, tol_rel_energy=1e-14))
+    cv = solve()
+    monkeypatch.setattr(capacity, "_TOL_REL_ENERGY", 1e-14)
+    tight = solve()
     assert cv.iterations <= 20
     assert abs(cv.value - tight.value) <= 1e-8 * tight.value
 
@@ -186,21 +186,19 @@ def test_condenser_of_scattered_points_converges_to_its_minimum():
 def test_condenser_potential_in_unit_range():
     h = 2.0 / 16
     obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
-    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 2.0), 3.0,
-                                        capacity.SolverConfig(nodes_across=17))
+    problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 2.0), 3.0)
     u, history = capacity.minimize_condenser(problem)
     assert float(u.min()) >= -1e-12 and float(u.max()) <= 1.0 + 1e-12
     assert len(history) >= 1
 
 
-def _corner_condenser(nodes_across: int, p: float, cfg=None) -> capacity.CondenserProblem:
+def _corner_condenser(nodes_across: int, p: float) -> capacity.CondenserProblem:
     """The unit-lattice condenser of the three quadrants x <= 0 or y <= 0."""
     h = 2.0 / (nodes_across - 1)
     c = np.arange(nodes_across) - (nodes_across - 1) // 2
     mask = (c[:, None] <= 0) | (c[None, :] <= 0)
     return capacity.CondenserProblem(
-        IndicatorField(Cube((0.0, 0.0), 1.0), h, mask), Cube((0.0, 0.0), 1.5), p,
-        cfg or capacity.SolverConfig(nodes_across=nodes_across))
+        IndicatorField(Cube((0.0, 0.0), 1.0), h, mask), Cube((0.0, 0.0), 1.5), p)
 
 
 @pytest.mark.parametrize("nodes_across", [33, 65])
@@ -220,9 +218,8 @@ def test_nested_start_reaches_the_tight_minimum(nodes_across, p, monkeypatch):
     assert len(solved) == {33: 2, 65: 3}[nodes_across]
     assert [a.shape[0] for a in factored].count(n_fine) == 1
     assert float(psi.min()) >= 0.0 and float(psi.max()) <= 1.0
-    tight = capacity.solve_condenser(_corner_condenser(
-        nodes_across, p, capacity.SolverConfig(nodes_across=nodes_across,
-                                               tol_rel_energy=1e-14)))
+    monkeypatch.setattr(capacity, "_TOL_REL_ENERGY", 1e-14)
+    tight = capacity.solve_condenser(_corner_condenser(nodes_across, p))
     assert abs(history[-1] - tight.value) <= 1e-9 * tight.value
 
 
@@ -259,7 +256,7 @@ def _odd_nodes_only() -> capacity.CondenserProblem:
 
 @pytest.mark.parametrize("problem", [
     _corner_condenser(33, 2.0),
-    _corner_condenser(17, 3.0, FAST),
+    _corner_condenser(17, 3.0),
     _odd_nodes_only(),
     # aligned with the outer lattice at spacing h but not at 2h
     capacity.CondenserProblem(IndicatorField.all_true(Cube((2.0 / 32, 0.0), 1.0), 2.0 / 32),
@@ -327,10 +324,10 @@ def test_parabolic_capacity_time_constant_slab():
     obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
     outer = Cube((0.0,), 1.0)
     elliptic = capacity.solve_condenser(
-        capacity.CondenserProblem(obstacle, outer, 3.0, FAST)).value
+        capacity.CondenserProblem(obstacle, outer, 3.0)).value
     a, b, m = 0.25, 1.75, 13
     taus = np.linspace(a, b, m)
-    val = capacity.parabolic_capacity([(t, obstacle) for t in taus], outer, 3.0, FAST)
+    val = capacity.parabolic_capacity([(t, obstacle) for t in taus], outer, 3.0)
     exact = (b - a) * elliptic
     assert abs(val - exact) <= 1e-12 * exact
 
@@ -342,16 +339,16 @@ def test_parabolic_capacity_solves_each_distinct_slice_once(monkeypatch):
     half = IndicatorField(cube, h, np.arange(17) >= 8)
     outer = Cube((0.0,), 1.0)
     c_full, c_half = (capacity.solve_condenser(
-        capacity.CondenserProblem(f, outer, 3.0, FAST)).value for f in (full, half))
+        capacity.CondenserProblem(f, outer, 3.0)).value for f in (full, half))
     solved = count_condensers(monkeypatch)
     taus = np.linspace(0.0, 1.2, 13)
-    assert capacity.parabolic_capacity([(t, full) for t in taus], outer, 3.0, FAST) \
+    assert capacity.parabolic_capacity([(t, full) for t in taus], outer, 3.0) \
         == 1.2 * c_full
     assert len(solved) == 1
     # equal slices are matched by content, not by identity
     fields = [full, half, IndicatorField(cube, h, half.values.copy()), full]
     val = capacity.parabolic_capacity(list(zip([0.0, 0.5, 1.0, 1.5], fields)),
-                                      outer, 3.0, FAST)
+                                      outer, 3.0)
     assert len(solved) == 3
     assert val == 0.5 * (0.5 * c_full + (c_half + c_half) + 0.5 * c_full)
 
@@ -361,14 +358,13 @@ def test_parabolic_capacity_validation():
     obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
     outer = Cube((0.0,), 1.0)
     with pytest.raises(ValueError, match="empty slice list"):
-        capacity.parabolic_capacity([], outer, 3.0, FAST)
-    assert capacity.parabolic_capacity([(0.0, obstacle)], outer, 3.0, FAST) == 0.0
+        capacity.parabolic_capacity([], outer, 3.0)
+    assert capacity.parabolic_capacity([(0.0, obstacle)], outer, 3.0) == 0.0
     with pytest.raises(ValueError, match="strictly increasing"):
-        capacity.parabolic_capacity([(0.0, obstacle), (0.0, obstacle)], outer,
-                                    3.0, FAST)
+        capacity.parabolic_capacity([(0.0, obstacle), (0.0, obstacle)], outer, 3.0)
     with pytest.raises(ValueError, match="uniformly spaced"):
         capacity.parabolic_capacity(
-            [(0.0, obstacle), (0.1, obstacle), (0.3, obstacle)], outer, 3.0, FAST)
+            [(0.0, obstacle), (0.1, obstacle), (0.3, obstacle)], outer, 3.0)
 
 
 # -- properties on random obstacles ---------------------------------------------
@@ -423,6 +419,6 @@ def test_capacity_is_monotone_under_obstacle_inclusion(small, data, p):
     h = 2.0 / (MASK_NODES - 1)
     cap_small, cap_large = (
         capacity.solve_condenser(capacity.CondenserProblem(
-            IndicatorField(cube, h, m), outer, p, FAST)).value
+            IndicatorField(cube, h, m), outer, p)).value
         for m in (small, large))
     assert cap_small <= cap_large * (1.0 + 1e-8)

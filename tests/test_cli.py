@@ -8,11 +8,12 @@ import copy
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from capflow import capacity, cli, pde
+from capflow import capacity, cli, lattice, pde
 from helpers import count_condensers
 
 LN4 = math.log(4.0)
@@ -166,9 +167,12 @@ def test_unknown_top_level_key(tmp_path, capsys):
 
 
 def test_unknown_nested_key_uses_dotted_path(tmp_path, capsys):
-    # the weight floor is a solver constant, not a setting of either section
+    # the weight floor and the stop rule are solver constants, not settings
+    # of either section
     for section, key in (("solver", "bogus"), ("solver", "weight_floor"),
-                         ("scheme", "weight_floor")):
+                         ("scheme", "weight_floor"), ("solver", "max_iter"),
+                         ("solver", "tol_rel_energy"), ("scheme", "max_iter"),
+                         ("scheme", "tol_rel_energy")):
         cfg = capacity_cfg()
         cfg.setdefault(section, {})[key] = 1e-10
         rc, _ = run(tmp_path, "capacity", cfg, tag=f"{section}_{key}")
@@ -176,29 +180,28 @@ def test_unknown_nested_key_uses_dotted_path(tmp_path, capsys):
         assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
 
 
-def test_scheme_tolerance_must_lie_below_one(tmp_path, capsys):
-    # a tolerance of 1 or more would stop every time step after its first
-    # decrease and report it converged
-    cfg = solve_cfg()
-    cfg["scheme"] = {"tol_rel_energy": 2.0}
-    rc, _ = run(tmp_path, "solve", cfg)
-    assert rc == 2
-    assert "scheme: tol_rel_energy must lie in (0, 1)" in capsys.readouterr().err
+def record_tolerances(monkeypatch, module) -> list:
+    """The tol_rel_energy of every call of module.minimize from here on."""
+    seen = []
+    minimize = module.minimize
+
+    def recording(system, fixed, start, p, tol_rel_energy, *args, **kwargs):
+        seen.append(tol_rel_energy)
+        return minimize(system, fixed, start, p, tol_rel_energy, *args, **kwargs)
+
+    monkeypatch.setattr(module, "minimize", recording)
+    return seen
 
 
-def test_solver_and_scheme_tolerances_default_apart(tmp_path, capsys):
-    # condensers stop at a tighter energy drop than time steps (see
-    # capflow.capacity); both sections keep one range and one message
-    cfg = cli.parse_experiment(solve_cfg(), "solve", "unused", 1, 0)
-    assert cfg.solver.tol_rel_energy == 1e-10
-    assert cfg.scheme.tol_rel_energy == 1e-8
-    for section in ("solver", "scheme"):
-        bad = solve_cfg()
-        bad[section] = {"tol_rel_energy": 1.0}
-        rc, _ = run(tmp_path, "solve", bad, tag=section)
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"config error: {section}: tol_rel_energy must lie in (0, 1), got 1.0\n")
+def test_condensers_stop_tighter_than_time_steps(tmp_path, monkeypatch):
+    # the energy-drop stop each caller hands the shared minimizer (see
+    # capflow.capacity); no config key sets either
+    condensers = record_tolerances(monkeypatch, capacity)
+    steps = record_tolerances(monkeypatch, pde)
+    assert run(tmp_path, "capacity", capacity_cfg(), tag="capacity")[0] == 0
+    assert run(tmp_path, "solve", solve_cfg(), tag="solve")[0] == 0
+    assert condensers and set(condensers) == {1e-10}
+    assert steps and set(steps) == {1e-8}
 
 
 @pytest.mark.parametrize("command, make_cfg", [("capacity", capacity_cfg),
@@ -281,20 +284,44 @@ def test_slit_length_must_be_a_number_or_inf(tmp_path, capsys, length):
         "config error: key 'domain.length' must be a number or \"inf\"")
 
 
-@pytest.mark.parametrize("path", sorted(
-    os.path.join(os.path.dirname(__file__), "..", "configs", name)
-    for name in os.listdir(os.path.join(os.path.dirname(__file__), "..", "configs"))),
-    ids=os.path.basename)
-def test_shipped_configs_parse(path, monkeypatch):
-    # the command is the one the file name starts with
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def shipped_configs():
+    """(command, config) of every file in configs/, the command being the
+    one the file name starts with, and of every benchmark workload at seeds
+    0 and 3, as perfbench/workloads.py makes them; that module is imported
+    without writing bytecode, so the benchmark's directory stays as it is."""
+    params = []
+    for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        stem = name[:-len(".json")].replace("_", "-")
+        command = max((c for c in cli._COMMANDS if stem.startswith(c)), key=len)
+        params.append(pytest.param(command, os.path.join(ROOT, "configs", name), id=name))
+    bench = os.path.join(ROOT, "perfbench")
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    for w in workloads.WORKLOADS.values():
+        params += [pytest.param(w.command, w.make_config(seed), id=f"{w.name}_seed{seed}")
+                   for seed in (0, 3)]
+    return params
+
+
+@pytest.mark.parametrize("command, config", shipped_configs())
+def test_shipped_configs_parse(command, config, tmp_path, monkeypatch):
+    # a workload's config is written out and read back, as the benchmark
+    # hands it to the command line
     def no_solve(*args, **kwargs):
         raise AssertionError("parsing solved something")
 
     monkeypatch.setattr(pde, "solve", no_solve)
     monkeypatch.setattr(pde, "make_grid", no_solve)
     monkeypatch.setattr(capacity, "minimize_condenser", no_solve)
-    stem = os.path.basename(path)[:-len(".json")].replace("_", "-")
-    command = max((c for c in cli._COMMANDS if stem.startswith(c)), key=len)
+    path = config if isinstance(config, str) else write_cfg(tmp_path, "config.json", config)
     cfg = cli.parse_experiment(cli.load_config(path), command, "unused", 1, 0)
     assert cfg.raw["schema_version"] == 1
     assert set(cfg.values) == set(cli._COMMANDS[command].keys)
@@ -786,7 +813,7 @@ def test_verify_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("command", ["capacity", "delta-profile", "cascade", "solve",
                                      "verify"])
-def test_numeric_failure_leaves_a_partial_report(tmp_path, capsys, command):
+def test_numeric_failure_leaves_a_partial_report(tmp_path, capsys, monkeypatch, command):
     corner = {"schema_version": 1, "p": 3.0, "N": 2, "x_o": [0.0, 0.0],
               "domain": {"kind": "exterior_cube", "anchor": [0.0, 0.0], "half_edge": 0.5}}
     cfg = {"capacity": dict(corner, radii=[0.25]),
@@ -796,8 +823,8 @@ def test_numeric_failure_leaves_a_partial_report(tmp_path, capsys, command):
     if command == "cascade":
         cfg["profile"]["value"] = 0.0   # A = 0: the cascade has no subsequence
     else:
-        cfg["solver"] = {"nodes_across": 17, "max_iter": 1}
-        cfg["scheme"] = {"max_iter": 1}
+        cfg["solver"] = {"nodes_across": 17}
+        monkeypatch.setattr(lattice, "_MAX_ITER", 1)
     stage = {"capacity": "capacity", "delta-profile": "profile", "cascade": "cascade",
              "solve": "solve", "verify": "solve"}[command]
     rc, out = run(tmp_path, command, cfg)
@@ -813,12 +840,14 @@ def test_numeric_failure_leaves_a_partial_report(tmp_path, capsys, command):
     assert "write" not in report["timings"]
 
 
-def test_profile_failure_in_a_fanned_out_solve_leaves_a_partial_report(tmp_path, capsys):
+def test_profile_failure_in_a_fanned_out_solve_leaves_a_partial_report(tmp_path, capsys,
+                                                                       monkeypatch):
     # distinct masks at every radius, solved over two workers; the first
     # ConvergenceError ends the stage
+    monkeypatch.setattr(lattice, "_MAX_ITER", 1)
     cfg = {"schema_version": 1, "p": 3.0, "N": 2, "x_o": [0.0, 0.0],
            "domain": {"kind": "exterior_cube", "anchor": [0.0, 0.0], "half_edge": 0.05},
-           "R_o": 0.25, "depth": 3, "solver": {"nodes_across": 17, "max_iter": 1}}
+           "R_o": 0.25, "depth": 3, "solver": {"nodes_across": 17}}
     rc, out = run(tmp_path, "delta-profile", cfg, extra=("--workers", "2"))
     assert rc == 3
     assert capsys.readouterr().err.startswith(
@@ -870,9 +899,9 @@ def test_verify_probe_with_unresolvable_window_is_reported(tmp_path, capsys):
     assert "regression" in report  # stages before the failure are preserved
 
 
-def test_verify_convergence_failure_keeps_step_and_energy(tmp_path, capsys):
+def test_verify_convergence_failure_keeps_step_and_energy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "_MAX_ITER", 1)
     cfg = verify_cfg(0.36)
-    cfg["scheme"] = {"max_iter": 1}
     rc, out = run(tmp_path, "verify", cfg)
     assert rc == 3
     err = capsys.readouterr().err

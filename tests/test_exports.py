@@ -41,8 +41,7 @@ def test_minimize_condenser_returns_the_minimizer_first():
     # perfbench/run.py reads the first item as the condenser's minimizer
     h = 1.0 / 16
     problem = capacity.CondenserProblem(IndicatorField.all_true(Cube((0.0,), 0.5), h),
-                                        Cube((0.0,), 1.0), 3.0,
-                                        capacity.SolverConfig(nodes_across=17))
+                                        Cube((0.0,), 1.0), 3.0)
     psi, history = capacity.minimize_condenser(problem)
     # in 1D the minimizer is piecewise linear: 1 on the plate, 0 at +-1
     x = np.linspace(-1.0, 1.0, 33)

@@ -15,10 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 
 import capflow as cf
-from capflow import lattice
+from capflow import lattice, pde
 from capflow.geometry import Cube, DomainSpec
-from capflow.lattice import LatticeSystem, MinimizeConfig, minimize
+from capflow.lattice import LatticeSystem, minimize
 from helpers import count_calls, count_solves, step_error_bounds
+
+# the energy-drop stop the minimizer tests pass: a time step's
+TOL = pde._TOL_REL_ENERGY
 
 
 def dense_laplacian(shape, h, cell_weights):
@@ -246,14 +249,15 @@ def test_1d_singular_systems_name_the_lattice(fixed, weights):
 
 
 def test_zero_weights_after_a_lagged_factor_are_singular():
-    # the second solve of a 2D mask would run CG on the first one's factor
+    # the second solve of a 2D mask, from the first one's solution, would
+    # run CG on the first one's factor
     system = LatticeSystem((6, 7), 0.25)
     fixed = np.ones((6, 7), dtype=bool)
     fixed[1:-1, 1:-1] = False
     g = np.linspace(0.0, 1.0, 42)
-    system.solve_dirichlet(np.ones(system.n_cells), fixed.ravel(), g)
+    u = system.solve_dirichlet(np.ones(system.n_cells), fixed.ravel(), g)
     with pytest.raises(ValueError, match=re.escape("(6, 7) lattice with 20 free nodes")):
-        system.solve_dirichlet(np.zeros(system.n_cells), fixed.ravel(), g)
+        system.solve_dirichlet(np.zeros(system.n_cells), fixed.ravel(), g, iterate=u)
 
 
 # -- the lagged factor ---------------------------------------------------------
@@ -299,7 +303,10 @@ def factors(system, fixed, folded) -> bool:
 
 def test_lagged_factor_solves_match_dense_solves(factorizations):
     # slowly varying weights on one 2D mask, as in consecutive reweighted
-    # steps, with mass switched on and off and one jump in the weights
+    # steps, with mass switched on and off and one jump in the weights; each
+    # solve starts from the last solution, as minimize passes it, and either
+    # meets the forcing bound on the lagged factor or factors afresh and
+    # matches the dense solve
     shape, h = (13, 12), 0.1
     system, rng, weights, g, previous = random_problem(shape, h, seed=11)
     fixed = boundary_mask(shape, rng)
@@ -313,14 +320,22 @@ def test_lagged_factor_solves_match_dense_solves(factorizations):
     plan.append((weights * jump * (1.0 + 0.01 * rng.uniform(-1, 1, system.n_cells)),
                  0.0, False))
     plan.append((weights * jump, 0.5, None))
+    u = None
     for w, mass, factors in plan:
         before = len(factorizations)
-        u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
-        ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
-        assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        start = u
+        u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=start)
+        factored = len(factorizations) > before
+        if factored:
+            ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
+            assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        else:
+            a_mat, rhs = dense_block(shape, h, w, fixed, g, mass, previous)
+            r_u, r_start = (np.linalg.norm(rhs - a_mat @ v[~fixed]) for v in (u, start))
+            assert r_u <= lattice._FORCING * r_start + 1e-11 * np.linalg.norm(rhs)
         assert np.array_equal(u[fixed], g[fixed])
         if factors is not None:
-            assert (len(factorizations) > before) == factors
+            assert factored == factors
     assert len(factorizations) < len(plan)
 
 
@@ -497,7 +512,7 @@ def test_asymmetric_solves_do_not_fold(case, mass, factorizations):
     # a symmetric solve, then one with a single asymmetric input, on the same
     # mask unless the mask is that input: that one runs on every free node,
     # factored afresh, and still matches the dense solve; a symmetric solve
-    # after it folds again
+    # after it, from the symmetric solution, folds again
     shape = (7, 6) if case == "non_square" else (7, 7)
     system, rng, w, g, previous = random_problem(shape, 0.25, seed=3)
     fixed = boundary_mask(shape, rng)
@@ -531,7 +546,8 @@ def test_asymmetric_solves_do_not_fold(case, mass, factorizations):
                               mass, args["previous"])
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
     assert np.array_equal(u[mask], args["boundary_values"][mask])
-    again = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
+    again = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous,
+                                   iterate=symmetric)
     assert np.allclose(again, symmetric, rtol=0.0, atol=1e-12 * np.abs(symmetric).max())
     assert factors(system, fixed, folds)
     assert len(factorizations) == 1 + 2 * folds
@@ -599,7 +615,7 @@ def test_minimize_keeps_maximum_principle_and_descends(problem):
     # every linear solve is an M-matrix solve and every backtrack a convex
     # combination, so no iterate leaves the range of the data
     system, fixed, start, p, mass, previous = problem
-    u, history = minimize(system, fixed, start, p, MinimizeConfig(), mass, previous)
+    u, history = minimize(system, fixed, start, p, TOL, mass, previous)
     data = np.concatenate([start[fixed], previous])
     assert float(u.min()) >= float(data.min()) - 1e-12
     assert float(u.max()) <= float(data.max()) + 1e-12
@@ -636,7 +652,7 @@ def test_minimize_weights_are_those_of_its_iterate(problem, guess_seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LatticeSystem, "weights_from_gsq", recording_floor)
         mp.setattr(LatticeSystem, "solve_dirichlet", recording_solve)
-        minimize(system, fixed, start, p, MinimizeConfig(), mass, previous, guess=guess)
+        minimize(system, fixed, start, p, TOL, mass, previous, guess=guess)
     for w, iterate, floor in seen:
         assert w.tobytes() == system.weights(iterate, p, floor).tobytes()
 
@@ -647,7 +663,7 @@ def test_minimize_retries_a_broken_down_solve_at_a_relaxed_floor(h, floors):
     # weight floor is the retry's, and the chain then converges to its
     # minimizer, the straight line, whose energy is 0.008 / h**3
     system, fixed, start, p, mass, _ = broken_down_chain(h)
-    u, history = minimize(system, fixed, start, p, MinimizeConfig())
+    u, history = minimize(system, fixed, start, p, TOL)
     assert len(set(floors) - {lattice._WEIGHT_FLOOR}) == 1
     assert np.max(np.abs(u - np.linspace(1.0, 0.0, 6))) <= 1e-5
     assert history[-1] == pytest.approx(0.008 / h ** 3, rel=1e-8)
@@ -660,8 +676,7 @@ def test_minimize_keeps_a_singular_solve_singular(slope):
     # floor, and the first error stands
     system = LatticeSystem((5,), 1.0)
     with pytest.raises(ValueError, match="touch no fixed node"):
-        minimize(system, np.zeros(5, dtype=bool), slope * np.arange(5.0), 3.0,
-                 MinimizeConfig())
+        minimize(system, np.zeros(5, dtype=bool), slope * np.arange(5.0), 3.0, TOL)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -676,7 +691,7 @@ def test_minimize_returns_a_zero_objective_start_bitwise(ndim, mass, monkeypatch
     start = np.full(system.n_nodes, 0.3)
     solves = count_solves(monkeypatch)
     energies = count_calls(monkeypatch, LatticeSystem, "energy_from_gsq")
-    u, history = minimize(system, fixed.ravel(), start, 3.0, MinimizeConfig(), mass,
+    u, history = minimize(system, fixed.ravel(), start, 3.0, TOL, mass,
                           start.copy(), guess=np.full(system.n_nodes, 0.5))
     assert u.tobytes() == start.tobytes()
     assert history == [0.0]
@@ -687,7 +702,7 @@ def test_minimize_returns_a_zero_objective_start_bitwise(ndim, mass, monkeypatch
 @given(minimize_problems(p=2.0, mass=0.0))
 def test_minimize_at_p2_is_one_unit_weight_solve(problem):
     system, fixed, start, p, mass, previous = problem
-    u, _ = minimize(system, fixed, start, p, MinimizeConfig())
+    u, _ = minimize(system, fixed, start, p, TOL)
     ref = system.solve_dirichlet(np.ones(system.n_cells), fixed, start)
     assert np.max(np.abs(u - ref)) <= 1e-12
 
@@ -706,7 +721,7 @@ def test_minimize_from_an_exact_minimizer_stays_put(ndim, p, mass):
     start = (0.3 + sum((0.7 + k) * x for k, x in enumerate(axes))).ravel()
     fixed = np.ones(shape, dtype=bool)
     fixed[(slice(1, -1),) * ndim] = False
-    u, history = minimize(system, fixed.ravel(), start, p, MinimizeConfig(), mass, start)
+    u, history = minimize(system, fixed.ravel(), start, p, TOL, mass, start)
     assert np.array_equal(u, start)
     assert len(history) == 1
 
@@ -754,8 +769,7 @@ def from_a_stationary_start(shape, h, fixed, u, p, mass, shift):
     previous[free] += grad[free] / mass + shift * np.cos(np.arange(u.size))[free]
     system.solve_dirichlet(np.ones(system.n_cells), fixed, u, mass=mass, previous=previous)
     lu = count_lu_solves(system)
-    cfg = MinimizeConfig()
-    out, history = minimize(system, fixed, u, p, cfg, mass, previous)
+    out, history = minimize(system, fixed, u, p, TOL, mass, previous)
     a_mat, rhs = dense_block(shape, h, system.weights(u, p, lattice._WEIGHT_FLOOR), fixed, u,
                              mass, previous)
     exited = (np.array_equal(out, u) and len(history) == 1 and lu.solves == 0
@@ -858,14 +872,13 @@ def time_step_problem():
 
 def test_minimize_ignores_a_guess_with_a_higher_objective(monkeypatch):
     system, fixed, start, step = time_step_problem()
-    cfg = MinimizeConfig()
-    ref, ref_history = minimize(system, fixed, start, 3.0, cfg, **step)
+    ref, ref_history = minimize(system, fixed, start, 3.0, TOL, **step)
     solves = count_solves(monkeypatch)
     guess = start + 5.0 * np.random.default_rng(2).standard_normal(start.size)
     # a fresh system: on the first run's lagged factor the inexact solves
     # would end elsewhere, for a reason that has nothing to do with the guess
     system, *_ = time_step_problem()
-    u, history = minimize(system, fixed, start, 3.0, cfg, **step, guess=guess)
+    u, history = minimize(system, fixed, start, 3.0, TOL, **step, guess=guess)
     assert history[0] == ref_history[0]
     assert np.array_equal(u, ref)
     assert history == ref_history
@@ -875,11 +888,10 @@ def test_minimize_ignores_a_guess_with_a_higher_objective(monkeypatch):
 def test_minimize_starts_from_a_guess_with_a_lower_objective(monkeypatch):
     # the minimizer itself as the guess: one solve confirms it
     system, fixed, start, step = time_step_problem()
-    cfg = MinimizeConfig()
-    ref, ref_history = minimize(system, fixed, start, 3.0, cfg, **step)
+    ref, ref_history = minimize(system, fixed, start, 3.0, TOL, **step)
     assert len(ref_history) > 3
     solves = count_solves(monkeypatch)
-    u, history = minimize(system, fixed, start, 3.0, cfg, **step, guess=ref)
+    u, history = minimize(system, fixed, start, 3.0, TOL, **step, guess=ref)
     assert history[0] == ref_history[-1] < ref_history[0]
     assert len(solves) == 1
     assert history[-1] <= ref_history[-1]
@@ -887,12 +899,11 @@ def test_minimize_starts_from_a_guess_with_a_lower_objective(monkeypatch):
 
 def test_minimize_takes_the_boundary_values_from_start_not_the_guess():
     system, fixed, start, step = time_step_problem()
-    cfg = MinimizeConfig()
-    ref, _ = minimize(system, fixed, start, 3.0, cfg, **step)
+    ref, _ = minimize(system, fixed, start, 3.0, TOL, **step)
     guess = ref.copy()
     guess[fixed] = 1e3
-    with_guess, history = minimize(system, fixed, start, 3.0, cfg, **step, guess=ref)
-    u, bad_history = minimize(system, fixed, start, 3.0, cfg, **step, guess=guess)
+    with_guess, history = minimize(system, fixed, start, 3.0, TOL, **step, guess=ref)
+    u, bad_history = minimize(system, fixed, start, 3.0, TOL, **step, guess=guess)
     assert np.array_equal(u, with_guess)
     assert bad_history == history
     assert np.array_equal(u[fixed], start[fixed])
@@ -919,16 +930,14 @@ def test_flat_start_without_mass_converges_to_its_minimizer():
     # 1 and round away, and the first solve is singular
     system = LatticeSystem((5,), 1.0)
     fixed = np.array([True, False, False, False, True])
-    u, history = minimize(system, fixed, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 4.0,
-                          MinimizeConfig())
+    u, history = minimize(system, fixed, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 4.0, TOL)
     assert np.array_equal(u, np.zeros(5))
     assert history[-1] == 0.0
 
 
 def test_start_without_floored_free_cells_runs_at_the_configured_floor(floors):
     system, fixed, start, step = time_step_problem()
-    cfg = MinimizeConfig()
-    minimize(system, fixed, start, 3.0, cfg, **step)
+    minimize(system, fixed, start, 3.0, TOL, **step)
     assert floors and set(floors) == {lattice._WEIGHT_FLOOR}
 
 
@@ -939,8 +948,7 @@ def test_flat_start_at_p2_runs_at_the_configured_floor(ndim, floors):
     fixed[(slice(1, -1),) * ndim] = False
     fixed = fixed.ravel()
     start = np.where(fixed, np.linspace(0.0, 1.0, system.n_nodes), 0.0)
-    cfg = MinimizeConfig()
-    minimize(system, fixed, start, 2.0, cfg, mass=1.0, previous=np.zeros(system.n_nodes))
+    minimize(system, fixed, start, 2.0, TOL, mass=1.0, previous=np.zeros(system.n_nodes))
     assert floors and set(floors) == {lattice._WEIGHT_FLOOR}
 
 

@@ -119,7 +119,7 @@ def test_realize_R_o_epsilon_validation():
 
 def test_build_subsequence_constant_A_takes_every_index():
     prof = _profile([0.25] * 6)
-    sub = cf.build_subsequence(prof, P3N2)
+    sub = cf.build_subsequence(prof)
     assert sub.indices == (0, 1, 2, 3, 4, 5)
     assert not sub.truncated
 
@@ -127,7 +127,7 @@ def test_build_subsequence_constant_A_takes_every_index():
 def test_build_subsequence_halving_A_truncates_immediately():
     # A_i = 2**-i: the ratio A_i / A_0 equals the threshold, never exceeds it
     deltas = [(0.5 ** i) ** 2 for i in range(6)]   # delta = A**2 for p = 3
-    sub = cf.build_subsequence(_profile(deltas), P3N2)
+    sub = cf.build_subsequence(_profile(deltas))
     assert sub.indices == (0,)
     assert sub.truncated
 
@@ -135,13 +135,13 @@ def test_build_subsequence_halving_A_truncates_immediately():
 def test_build_subsequence_skips_weak_middle():
     # from i=0: A_1/A_0 = 0.1 <= 1/2 fails, A_2/A_0 = 1 > 1/4 passes
     deltas = [1.0, 0.01, 1.0, 1.0]
-    sub = cf.build_subsequence(_profile(deltas), P3N2)
+    sub = cf.build_subsequence(_profile(deltas))
     assert sub.indices[:2] == (0, 2)
 
 
 def test_build_subsequence_rejects_vanishing_A():
     with pytest.raises(ValueError, match="divergence hypothesis fails"):
-        cf.build_subsequence(_profile([0.5, 0.0, 0.5]), P3N2)
+        cf.build_subsequence(_profile([0.5, 0.0, 0.5]))
 
 
 def test_cascade_closed_form_delta_one():
