@@ -23,9 +23,15 @@ the stage floors and that retry reuse them instead of computing them again.
 Each solve runs on the free-by-free block of its fixed mask, on every free
 node or folded as below.  The block's pattern depends only on the mask and
 the fold, so it is built once per mask and fold and each solve scatters its
-cell weights into the stored slots.  With positive weights, and every group
-of free nodes joined to a fixed node or held by a mass term, the block is a
-diagonally dominant symmetric M-matrix and so positive definite.
+cell weights into the stored slots.  On a 2D lattice that scatter is
+compiled once per block into one sparse operator from cell weights to the
+matrix's data (after Cuvelier, Japhet & Scarella, BIT Numer. Math. 2016),
+whose rows add each slot's entries in the order the scatter adds them, so a
+solve's assembly is one sparse product with the same bits; the solve then
+swaps that data into the block's one sparse matrix.  With positive weights,
+and every group of free nodes joined to a fixed node or held by a mass term,
+the block is a diagonally dominant symmetric M-matrix and so positive
+definite.
 
 On a 1D chain the block, with the free nodes in index order, is tridiagonal:
 LAPACK's dptsv solves it by an LDL^T factorization straight from the
@@ -69,11 +75,15 @@ diagonal x0 = x1 and 2 off it.  PCG measures the lattice residual,
 ||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING`, `_CG_RTOL` and
 `atol` keep their meaning.  On corner_verify's time step this halves the
 unknowns and more than halves the factor (see the note on `_CG_MAXITER`).
-Every solve tests the mask first, then the other fields; any solve with an
-asymmetric one runs on every free node, the fold by the identity map.  A
-`LatticeSystem` keeps one factor, of the block it factored last, so a system
-that switches masks or folds factors afresh at each switch; the package
-gives each system a single mask.
+A solve tests the mask first, then the other fields; any solve with an
+asymmetric one runs on every free node, the fold by the identity map.
+`minimize` decides the fold once instead, from the mask, the boundary
+values, `previous` (with a mass term) and its chosen start: from symmetric
+fields it only ever builds symmetric ones, node by node or cell by cell, so
+every solve of a symmetric minimization would fold, and it passes that
+decision to each solve.  A `LatticeSystem` keeps one factor, of the block it
+factored last, so a system that switches masks or folds factors afresh at
+each switch; the package gives each system a single mask.
 """
 
 from __future__ import annotations
@@ -153,11 +163,15 @@ class _Block:
     between two free ends, subtracts it from both off-diagonal slots; an edge
     from a free node to a fixed node moves weight * value to the right-hand
     side row `rhs_row` instead.  The slots are in CSC order; `diag_slot`
-    holds each unknown's diagonal.  On a 2D lattice `indices` and `indptr`
-    complete the CSC matrix.  On a 1D lattice the block is tridiagonal, and
-    the slot upper_slot[k] holds its entry (upper_row[k], upper_row[k] + 1);
-    the upper off-diagonal is 0 between consecutive free nodes that a fixed
-    node separates.
+    holds each unknown's diagonal.  On a 1D lattice the block is tridiagonal:
+    the slot upper_slot[k] holds its entry (upper_row[k], upper_row[k] + 1),
+    the upper off-diagonal being 0 between consecutive free nodes that a
+    fixed node separates, and the matrix entries are bincounted, the one of
+    index e adding entry_coef[e] * w[entry_cell[e]] to slot entry_slot[e].
+    On a 2D lattice those three arrays are compiled into the CSR operator
+    `assembly`, one row per slot holding its entries in index order, and
+    dropped: assembly @ w is the CSC data of `matrix`, which each solve
+    reuses.  `inv_mult` holds 1 / mult, exact since mult is 1 or 2.
     """
 
     def __init__(self, system: LatticeSystem, fixed: np.ndarray, folded: bool):
@@ -186,10 +200,10 @@ class _Block:
         cell = system.edge_cell
         rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
         cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
-        self.entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
-        self.entry_coef = np.concatenate([np.full(2 * n_both, scale),
-                                          np.full(2 * n_both, -scale),
-                                          np.full(int(a_only.sum() + b_only.sum()), scale)])
+        entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
+        entry_coef = np.concatenate([np.full(2 * n_both, scale),
+                                     np.full(2 * n_both, -scale),
+                                     np.full(int(a_only.sum() + b_only.sum()), scale)])
         rhs_free = np.concatenate([pa[a_only], pb[b_only]])
         self.rhs_row = self.unknown[rhs_free]
         self.rhs_cell = np.concatenate([cell[a_only], cell[b_only]])
@@ -211,22 +225,34 @@ class _Block:
         keys, slot = np.unique(np.concatenate([diag, self.unknown[cols]]) * n
                                + np.concatenate([diag, self.unknown[rows]]),
                                return_inverse=True)
-        self.diag_slot = slot[:n]
-        self.entry_slot = slot[n:]
+        # a copy, so that a 2D block does not keep every entry's slot
+        self.diag_slot = slot[:n].copy()
+        entry_slot = slot[n:]
         self.nnz = keys.size
         row, col = keys % n, keys // n
         if system.ndim == 1:
+            self.entry_cell, self.entry_coef, self.entry_slot = entry_cell, entry_coef, entry_slot
             self.upper_slot = np.flatnonzero(row == col - 1)
             self.upper_row = row[self.upper_slot]
         else:
-            self.indices = row.astype(np.int32)
-            self.indptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)
+            # the CSR product sums each row in its stored order, duplicate
+            # columns apart, so rows in entry order give bincount's bits
+            order = np.argsort(entry_slot, kind="stable")
+            self.assembly = sp.csr_matrix(
+                (entry_coef[order], entry_cell[order],
+                 np.concatenate([[0], np.cumsum(np.bincount(entry_slot, minlength=self.nnz))])),
+                shape=(self.nnz, system.n_cells))
+            # each solve swaps its data into this one matrix
+            self.matrix = sp.csc_matrix(
+                (np.zeros(self.nnz), row.astype(np.int32),
+                 np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)),
+                shape=(n, n))
+        self.inv_mult = 1.0 / self.mult
 
     def norm(self, r: np.ndarray) -> float:
         """||P (r / mult)||, the norm of the lattice vector, symmetric when
         folded, whose image under P^T is `r`."""
-        return math.sqrt(float(r @ (r / self.mult)))
+        return math.sqrt(float(r @ (r * self.inv_mult)))
 
 
 def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
@@ -304,21 +330,33 @@ class LatticeSystem:
             self.edges_a = np.concatenate([corner, corner])
             self.edges_b = np.concatenate([corner + n1, corner + 1])
             self.edge_cell = np.concatenate([cell_ids, cell_ids])
-        # one block per fixed mask and fold seen, keyed by the mask's bytes
+        # one block per fixed mask and fold seen, keyed by the mask's bytes,
+        # and the cells with a free node per mask
         self._blocks: dict[tuple[bytes, bool], _Block] = {}
+        self._cells: dict[bytes, np.ndarray] = {}
         # the last SuperLU factor and the block it factors; 2D lattices only
         self._factor: tuple[_Block, object] | None = None
 
     def cell_gradient_sq(self, u: np.ndarray) -> np.ndarray:
-        """|grad u|^2 per cell (C-ordered over cell corners)."""
+        """|grad u|^2 per cell (C-ordered over cell corners), in a new array.
+
+        ((v1 - v0) / h)**2 summed x-axis first, each operation in place on
+        the output or on the y-axis term.
+        """
         v = np.asarray(u, dtype=float).reshape(self.shape)
         if self.ndim == 1:
-            # np.diff's own subtraction, without its wrapper
-            g = (v[1:] - v[:-1]) / self.h
-            return g * g
-        gx = (v[1:, :-1] - v[:-1, :-1]) / self.h
-        gy = (v[:-1, 1:] - v[:-1, :-1]) / self.h
-        return (gx * gx + gy * gy).ravel()
+            gsq = np.subtract(v[1:], v[:-1])
+            gsq /= self.h
+            gsq *= gsq
+            return gsq
+        gsq = np.subtract(v[1:, :-1], v[:-1, :-1])
+        gsq /= self.h
+        gsq *= gsq
+        gy = np.subtract(v[:-1, 1:], v[:-1, :-1])
+        gy /= self.h
+        gy *= gy
+        gsq += gy
+        return gsq.ravel()
 
     def energy(self, u: np.ndarray, p: float) -> float:
         """Discrete p-energy sum_cells h**N |grad u|^p."""
@@ -339,7 +377,8 @@ class LatticeSystem:
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
                         boundary_values: np.ndarray, mass: float = 0.0,
                         previous: np.ndarray | None = None,
-                        iterate: np.ndarray | None = None, atol: float = 0.0) -> np.ndarray:
+                        iterate: np.ndarray | None = None, atol: float = 0.0, *,
+                        folded: bool | None = None) -> np.ndarray:
         """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`,
         where L(w) is the graph Laplacian of sum_cells h**N w_c |grad u|^2.
 
@@ -356,7 +395,9 @@ class LatticeSystem:
         When the mask and every field given equal their transposes on a
         square 2D lattice, the solve runs on one unknown per mirror pair of
         free nodes and returns a field equal to its transpose (see the
-        module docstring).  Raises ValueError when the system is singular.
+        module docstring).  `minimize` passes `folded`, which it decided
+        once for all its solves; the solve then trusts it and tests no
+        field.  Raises ValueError when the system is singular.
         """
         fixed = np.asarray(fixed, dtype=bool).ravel()
         g = np.asarray(boundary_values, dtype=float).ravel()
@@ -372,14 +413,18 @@ class LatticeSystem:
         if iterate is not None:
             iterate = np.asarray(iterate, dtype=float).ravel()
             fields.append((iterate, self.shape))
-        blk = self._block(fixed, self.ndim == 2 and all(
-            _transpose_symmetric(v, s) for v, s in fields))
+        if folded is None:
+            folded = self.ndim == 2 and all(_transpose_symmetric(v, s) for v, s in fields)
+        blk = self._block(fixed, folded)
         if blk.n == 0:
             return out
         if mass <= 0.0 and blk.n_floating:
             raise ValueError(self._singular(blk, f"{blk.n_floating} of them touch no "
                                                  "fixed node and mass is 0"))
-        data = _sum_into(blk.entry_slot, w[blk.entry_cell] * blk.entry_coef, blk.nnz)
+        if self.ndim == 1:
+            data = _sum_into(blk.entry_slot, w[blk.entry_cell] * blk.entry_coef, blk.nnz)
+        else:
+            data = blk.assembly @ w
         rhs = _sum_into(blk.rhs_row, w[blk.rhs_cell] * blk.rhs_coef * g[blk.rhs_node], blk.n)
         if mass > 0.0:
             data[blk.diag_slot] += mass * blk.mult
@@ -393,7 +438,8 @@ class LatticeSystem:
             if info != 0:
                 raise ValueError(self._singular(blk, f"not positive definite (dptsv info {info})"))
         else:
-            a_mat = sp.csc_matrix((data, blk.indices, blk.indptr), shape=(blk.n, blk.n))
+            a_mat = blk.matrix
+            a_mat.data = data
             x = None
             # a non-positive diagonal may make the system singular: leave it
             # to SuperLU, which reports that
@@ -422,6 +468,16 @@ class LatticeSystem:
             blk = self._blocks[key] = _Block(self, fixed, folded)
         return blk
 
+    def _free_cells(self, fixed: np.ndarray) -> np.ndarray:
+        """Mask of the cells with an edge at a free node of the flat bool
+        mask `fixed`; built on first use."""
+        key = fixed.tobytes()
+        cells = self._cells.get(key)
+        if cells is None:
+            cells = self._cells[key] = np.zeros(self.n_cells, dtype=bool)
+            cells[self.edge_cell[~fixed[self.edges_a] | ~fixed[self.edges_b]]] = True
+        return cells
+
     def _singular(self, blk: _Block, why: str) -> str:
         return (f"singular Dirichlet system on the {self.shape} lattice with "
                 f"{blk.free.size} free nodes: {why}")
@@ -441,11 +497,8 @@ def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, gsq: np.ndarray, p
     """
     if p <= 2.0:
         return [], p == 2.0
-    # this runs before every minimization: look up the cells with a free
-    # node only when some cell is floored
     floored = gsq <= floor * floor
-    if not floored.any() or not floored[system.edge_cell[~fixed[system.edges_a]
-                                                         | ~fixed[system.edges_b]]].any():
+    if not floored.any() or not floored[system._free_cells(fixed)].any():
         return [], True
     return _stage_floors(gsq, floor), False
 
@@ -498,6 +551,10 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     and the iteration ends as stationary, without evaluating it again.
     Every other solve, and every solve of a condenser (mass 0), gets atol
     = 0: no exit.
+
+    Whether the solves fold onto mirror classes is decided once, from
+    `fixed`, `start`, `previous` (with mass > 0) and the chosen start, and
+    passed to every solve (see the module docstring).
     """
     if mass > 0.0 and previous is None:
         raise ValueError("mass term requires the previous field")
@@ -505,7 +562,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     start = np.asarray(start, dtype=float).ravel()
     free = ~fixed
     if mass > 0.0:
-        anchor = np.asarray(previous, dtype=float).ravel()[free]
+        previous = np.asarray(previous, dtype=float).ravel()
+        anchor = previous[free]
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         """The objective at v and v's squared cell gradients, which the
@@ -528,6 +586,19 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         e_trial, gsq_trial = objective(trial)
         if e_trial < e_start:
             u, gsq, history = trial, gsq_trial, [e_trial]
+    # The fold, decided once for every solve.  When fixed, start, previous
+    # (with mass) and u equal their transposes, so do the weights at u
+    # (gx**2 + gy**2 is the same sum in either order), each folded solve,
+    # each step toward it and the weights there, retries included: every
+    # solve below would pass the solve's own test.  Otherwise the first
+    # solve would fail it, and so would every later one unless an iterate
+    # came out symmetric bitwise; all of them run unfolded.
+    fields = [fixed, start]
+    if mass > 0.0:
+        fields.append(previous)
+    if u is not start:
+        fields.append(u)
+    folded = system.ndim == 2 and all(_transpose_symmetric(v, system.shape) for v in fields)
 
     def iterate(floor: float, atol: float = 0.0) -> bool:
         """One reweighted iteration at `floor`, which advances u, its squared
@@ -537,7 +608,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         w = system.weights_from_gsq(gsq, p, floor)
         try:
             u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                           iterate=u, atol=atol)
+                                           iterate=u, atol=atol, folded=folded)
         except ValueError:
             # flat cells of an iterate, not only of the start, weigh
             # floor**(p-2), which can round away against unit weights and,
@@ -547,7 +618,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
                 raise
             w = system.weights_from_gsq(gsq, p, relaxed[-1])
             u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                           iterate=u)
+                                           iterate=u, folded=folded)
         if atol > 0.0 and np.array_equal(u_hat, u):
             # the certified stationary exit handed u back: the whole segment
             # is u, level with e_prev, so the iteration ends unevaluated

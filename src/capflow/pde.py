@@ -207,6 +207,7 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
     pts = grid.node_points()
     free = grid.inside
     fixed = ~free
+    fixed_pts = pts[fixed]
 
     u = datum(pts, 0.0)
     u_old, tau_old = None, None     # the step before u, once there is one
@@ -219,7 +220,7 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
 
     for k in range(1, n_steps + 1):
         tau = float(grid.times[k] - grid.times[k - 1])
-        bvals = datum(pts[fixed], float(grid.times[k]))
+        bvals = datum(fixed_pts, float(grid.times[k]))
         start = u.copy()
         start[fixed] = bvals
 

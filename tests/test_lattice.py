@@ -569,6 +569,175 @@ def test_folded_solve_factors_one_row_per_mirror_class(factorizations):
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
+# -- the assembly operator and the cell gradients -------------------------------
+
+def bincount_entries(system, fixed, folded):
+    """The block's matrix entries as the bincount assembly scatters them,
+    a copy of that construction: (CSC keys col * n + row of the slots, slot
+    of each entry, cell of each entry, coefficient of each entry)."""
+    free = np.flatnonzero(~fixed)
+    own = np.arange(free.size)
+    pos = np.full(system.n_nodes, -1, dtype=np.int64)
+    pos[free] = own
+    mirror = own
+    if folded:
+        i, j = np.divmod(free, system.shape[1])
+        mirror = pos[j * system.shape[1] + i]
+    lower = np.minimum(own, mirror)
+    is_rep = lower == own
+    unknown = (np.cumsum(is_rep) - 1)[lower]
+    pa, pb = pos[system.edges_a], pos[system.edges_b]
+    both = (pa >= 0) & (pb >= 0)
+    a_only = (pa >= 0) & (pb < 0)
+    b_only = (pa < 0) & (pb >= 0)
+    n_both = int(both.sum())
+    scale = system.h ** (system.ndim - 2)
+    cell = system.edge_cell
+    rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
+    cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
+    entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
+    entry_coef = np.concatenate([np.full(2 * n_both, scale), np.full(2 * n_both, -scale),
+                                 np.full(int(a_only.sum() + b_only.sum()), scale)])
+    n = int(is_rep.sum())
+    diag = np.arange(n)
+    keys, slot = np.unique(np.concatenate([diag, unknown[cols]]) * n
+                           + np.concatenate([diag, unknown[rows]]), return_inverse=True)
+    return keys, slot[n:], entry_cell, entry_coef
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def assembly_problems(draw):
+    """A 2D lattice, square when folded, with a random fixed mask (mirrored
+    when folded) and cell weights that mix 0, 1e-20, 1e5 and other floats,
+    so that the order of each slot's sum shows in its bits."""
+    folded = draw(st.booleans())
+    n0 = draw(st.integers(3, 8))
+    n1 = n0 if folded else draw(st.integers(3, 8))
+    fixed = draw(hnp.arrays(bool, (n0, n1)))
+    if folded:
+        fixed |= fixed.T
+    h = draw(st.sampled_from([0.1, 1.0 / 3.0, 1.0]))
+    weight = st.one_of(st.sampled_from([0.0, 1e-20, 1e5]), st.floats(0.0, 1e5))
+    weights = draw(hnp.arrays(float, (n0 - 1) * (n1 - 1), elements=weight))
+    return LatticeSystem((n0, n1), h), fixed.ravel(), folded, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(assembly_problems())
+def test_assembly_operator_matches_the_bincount_assembly_bitwise(problem):
+    # each row of the operator sums its slot's entries in the order in which
+    # np.bincount adds them, so the product has the same bits
+    system, fixed, folded, w = problem
+    blk = system._block(fixed, folded)
+    keys, slot, cell, coef = bincount_entries(system, fixed, folded)
+    csc = blk.matrix
+    assert np.array_equal(keys, np.repeat(np.arange(blk.n), np.diff(csc.indptr)) * blk.n
+                          + csc.indices)
+    ref = np.bincount(slot, weights=w[cell] * coef, minlength=keys.size).astype(float,
+                                                                                 copy=False)
+    assert same_bits(blk.assembly @ w, ref)
+
+
+@pytest.mark.parametrize("shape", [(11,), (7, 6)])
+@pytest.mark.parametrize("h", [0.1, 1.0 / 3.0])
+def test_cell_gradient_sq_matches_the_formula_bitwise(shape, h):
+    rng = np.random.default_rng(17)
+    v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    if len(shape) == 1:
+        g = (v[1:] - v[:-1]) / h
+        ref = g * g
+    else:
+        gx = (v[1:, :-1] - v[:-1, :-1]) / h
+        gy = (v[:-1, 1:] - v[:-1, :-1]) / h
+        ref = (gx * gx + gy * gy).ravel()
+    system = LatticeSystem(shape, h)
+    first = system.cell_gradient_sq(v.ravel())
+    assert same_bits(first, ref)
+    # minimize keeps the gradients of u, of its candidate and of the half
+    # step at once: each call returns an array of its own
+    second = system.cell_gradient_sq(3.0 * v.ravel())
+    assert not np.shares_memory(first, second)
+    assert same_bits(first, ref)
+
+
+# -- the fold decided once per minimization ------------------------------------
+
+def symmetric_time_step():
+    """`time_step_problem` with fixed, start and previous equal to their
+    transposes."""
+    system, fixed, start, step = time_step_problem()
+    previous = mirrored(step["previous"].reshape(9, 9)).ravel()
+    start = np.where(fixed, mirrored(start.reshape(9, 9)).ravel(), previous)
+    return system, fixed, start, dict(mass=2.0, previous=previous)
+
+
+def fold_log(monkeypatch):
+    """The fold of every block lookup and the number of symmetry tests from
+    here on."""
+    log = {"folds": [], "tests": 0}
+    block, test = LatticeSystem._block, lattice._transpose_symmetric
+
+    def recording_block(self, fixed, folded):
+        log["folds"].append(folded)
+        return block(self, fixed, folded)
+
+    def counting_test(values, shape):
+        log["tests"] += 1
+        return test(values, shape)
+
+    monkeypatch.setattr(LatticeSystem, "_block", recording_block)
+    monkeypatch.setattr(lattice, "_transpose_symmetric", counting_test)
+    return log
+
+
+def without_the_fold(monkeypatch):
+    """Make every solve drop `folded` and test its fields itself."""
+    solve = LatticeSystem.solve_dirichlet
+
+    def testing_solve(self, *args, folded=None, **kwargs):
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeSystem, "solve_dirichlet", testing_solve)
+
+
+@pytest.mark.parametrize("guess", [None, "asymmetric"])
+def test_minimize_decides_the_fold_once(guess, monkeypatch):
+    # symmetric fixed, start and previous: without a guess every solve
+    # folds, after an accepted asymmetric guess none does, and either way
+    # the solves return the bits they return when each tests its own fields
+    system, fixed, start, step = symmetric_time_step()
+    if guess == "asymmetric":
+        ref, _ = minimize(system, fixed, start, 3.0, TOL, **step)
+        # halfway to the minimizer, moved by 2.5e-4 at one node off the
+        # diagonal: lower than the start, by convexity
+        guess = 0.5 * (start + ref)
+        guess += 1e-3 * (asymmetric(guess, fixed, 9) - guess)
+        system, *_ = symmetric_time_step()
+    runs = []
+    for decided in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not decided:
+                without_the_fold(mp)
+            log = fold_log(mp)
+            u, history = minimize(system, fixed, start, 3.0, TOL, **step, guess=guess)
+        runs.append((u, history, log))
+        # a fresh system, so that both runs start without a factor
+        system, *_ = symmetric_time_step()
+    (u, history, log), (u_ref, history_ref, log_ref) = runs
+    n_solves = len(log["folds"])
+    assert n_solves > 4
+    assert log["folds"] == [guess is None] * n_solves == log_ref["folds"]
+    # fixed, start, previous, and the guess once accepted
+    assert log["tests"] == (3 if guess is None else 4)
+    assert log_ref["tests"] > n_solves
+    assert history == history_ref
+    assert same_bits(u, u_ref)
+
+
 # -- the shared minimizer ------------------------------------------------------
 
 @st.composite
