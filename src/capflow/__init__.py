@@ -16,10 +16,10 @@ from .geometry import (Cube, DomainSpec, IndicatorField, contains, contains_many
                        obstacle_distance, rasterize_obstacle)
 from .params import (OVERRIDABLE_CONSTANTS, StructuralConstants, StructureParams,
                      make_params, smallest_lambda)
-from .pde import (BoundaryDatum, SchemeConfig, SpaceTimeField, SpaceTimeGrid,
-                  barenblatt, intrinsic_times, load_snapshot, make_grid,
-                  osc_g_on_lateral, oscillation, oscillation_over, save_snapshot,
-                  solve, spatial_energy, uniform_times)
+from .pde import (BoundaryDatum, SpaceTimeField, SpaceTimeGrid, barenblatt,
+                  intrinsic_times, load_snapshot, make_grid, osc_g_on_lateral,
+                  oscillation, oscillation_over, save_snapshot, solve,
+                  spatial_energy, uniform_times)
 from .probes import (FitReport, HarnackProbeResult, SpreadingProbeResult,
                      envelope_regression, spreading_probe, weak_harnack_probe)
 from .wiener import (CapacityProfile, CascadeReport, Cylinder, EnvelopeParams,
@@ -36,7 +36,7 @@ __all__ = [
     "CascadeReport", "ConfigError", "CondenserProblem", "ConvergenceError", "Cube",
     "Cylinder", "DeltaMemo", "DomainSpec", "EnvelopeParams", "FitReport",
     "HarnackProbeResult", "IndicatorField", "OVERRIDABLE_CONSTANTS",
-    "PipelineError", "SchemeConfig", "SolverConfig",
+    "PipelineError", "SolverConfig",
     "SpaceTimeField", "SpaceTimeGrid", "SpreadingProbeResult",
     "StructuralConstants", "StructureParams", "SubsequenceResult",
     "WienerDiagnostic", "barenblatt", "build_profile", "build_subsequence",

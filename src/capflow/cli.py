@@ -151,7 +151,7 @@ def load_config(path: str) -> dict:
     return raw
 
 
-_COMMON_KEYS = {"schema_version", "p", "N", "constants", "solver", "scheme"}
+_COMMON_KEYS = {"schema_version", "p", "N", "constants", "solver"}
 
 
 def parse_params(raw: dict) -> StructureParams:
@@ -243,15 +243,14 @@ def _parse_datum(raw: dict, cfg) -> pde.BoundaryDatum:
 
 
 def _parse_snapshot_steps(raw: dict, cfg) -> list[int]:
-    n_steps, stride = len(cfg.values["time"]) - 1, cfg.scheme.store_stride
-    kept = pde.kept_steps(n_steps, stride)
+    n_steps = len(cfg.values["time"]) - 1
     steps = _get(raw, "snapshot_steps", "array", default=[n_steps])
     for step in steps:
         if isinstance(step, bool) or not isinstance(step, int):
             raise ConfigError("snapshot_steps must be an array of integers")
-        if step not in kept:
+        if not 0 <= step <= n_steps:
             raise ConfigError(f"snapshot_steps: step {step} is not stored; a run stores "
-                              f"0, {n_steps} and the multiples of {stride}")
+                              f"steps 0 to {n_steps}")
     return steps
 
 
@@ -363,7 +362,6 @@ class ExperimentConfig:
     raw: dict
     params: StructureParams
     solver: capacity.SolverConfig
-    scheme: pde.SchemeConfig
     out_dir: str
     workers: int
     seed: int
@@ -379,8 +377,7 @@ def parse_experiment(raw: dict, command: str, out_dir: str, workers: int,
     if workers < 1:
         raise ConfigError(f"--workers must be positive, got {workers}")
     solver = parse_section(raw, "solver", capacity.SolverConfig)
-    scheme = parse_section(raw, "scheme", pde.SchemeConfig)
-    cfg = ExperimentConfig(raw, params, solver, scheme, out_dir, workers, seed, {})
+    cfg = ExperimentConfig(raw, params, solver, out_dir, workers, seed, {})
     for key, spec in keys.items():
         cfg.values[key] = spec(raw, cfg) if callable(spec) else \
             _field(raw, key, spec, "", params.N)
@@ -539,8 +536,7 @@ def cmd_solve(cfg: ExperimentConfig, stage: Callable, report: dict):
     values = cfg.values
     grid = stage("grid", lambda: pde.make_grid(values["domain"], values["box"],
                                                values["grid_h"], values["time"]))
-    field_obj = stage("solve", lambda: pde.solve(grid, values["datum"], cfg.params.p,
-                                                 cfg.scheme))
+    field_obj = stage("solve", lambda: pde.solve(grid, values["datum"], cfg.params.p))
     rows = [(step, float(grid.times[step]), float(en))
             for step, en in zip(field_obj.stored_steps, pde.spatial_energy(field_obj))]
     header = ["step", "time", "energy"]
@@ -584,7 +580,7 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
 
     def solve():
         grid = pde.make_grid(domain, values["box"], values["grid_h"], values["time"])
-        return grid, pde.solve(grid, values["datum"], p, cfg.scheme)
+        return grid, pde.solve(grid, values["datum"], p)
 
     grid, field_obj = stage("solve", solve)
 

@@ -158,6 +158,7 @@ class _Block:
     free node, `node` the flat index of each unknown's lower node and `mult`
     each unknown's multiplicity, the number of free nodes it stands for: 1
     on the diagonal, and everywhere when unfolded, and 2 off it.
+    `free_cells` marks the cells with an edge at a free node.
 
     Each edge adds its weight to the diagonal slots of its free ends and,
     between two free ends, subtracts it from both off-diagonal slots; an edge
@@ -192,6 +193,8 @@ class _Block:
 
         pa = pos[system.edges_a]
         pb = pos[system.edges_b]
+        self.free_cells = np.zeros(system.n_cells, dtype=bool)
+        self.free_cells[system.edge_cell[(pa >= 0) | (pb >= 0)]] = True
         both = (pa >= 0) & (pb >= 0)
         a_only = (pa >= 0) & (pb < 0)
         b_only = (pa < 0) & (pb >= 0)
@@ -330,10 +333,8 @@ class LatticeSystem:
             self.edges_a = np.concatenate([corner, corner])
             self.edges_b = np.concatenate([corner + n1, corner + 1])
             self.edge_cell = np.concatenate([cell_ids, cell_ids])
-        # one block per fixed mask and fold seen, keyed by the mask's bytes,
-        # and the cells with a free node per mask
+        # one block per fixed mask and fold seen, keyed by the mask's bytes
         self._blocks: dict[tuple[bytes, bool], _Block] = {}
-        self._cells: dict[bytes, np.ndarray] = {}
         # the last SuperLU factor and the block it factors; 2D lattices only
         self._factor: tuple[_Block, object] | None = None
 
@@ -468,27 +469,18 @@ class LatticeSystem:
             blk = self._blocks[key] = _Block(self, fixed, folded)
         return blk
 
-    def _free_cells(self, fixed: np.ndarray) -> np.ndarray:
-        """Mask of the cells with an edge at a free node of the flat bool
-        mask `fixed`; built on first use."""
-        key = fixed.tobytes()
-        cells = self._cells.get(key)
-        if cells is None:
-            cells = self._cells[key] = np.zeros(self.n_cells, dtype=bool)
-            cells[self.edge_cell[~fixed[self.edges_a] | ~fixed[self.edges_b]]] = True
-        return cells
-
     def _singular(self, blk: _Block, why: str) -> str:
         return (f"singular Dirichlet system on the {self.shape} lattice with "
                 f"{blk.free.size} free nodes: {why}")
 
 
-def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, gsq: np.ndarray, p: float,
-                    floor: float) -> tuple[list[float], bool]:
+def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, folded: bool, gsq: np.ndarray,
+                    p: float, floor: float) -> tuple[list[float], bool]:
     """Floors of the continuation stages from the field u whose squared cell
     gradients `gsq` holds, as `minimize` computed them with u's objective,
     and whether the weights at u and `floor` are exact, |grad u|**(p-2), on
-    every cell with a free node.
+    every cell with a free node, which the block of `fixed` and `folded`
+    marks.
 
     They are exact when p = 2, or when p > 2 and no such cell has
     |grad u| <= floor (for p < 2 this answers False unseen).  The stages,
@@ -498,7 +490,7 @@ def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, gsq: np.ndarray, p
     if p <= 2.0:
         return [], p == 2.0
     floored = gsq <= floor * floor
-    if not floored.any() or not floored[system._free_cells(fixed)].any():
+    if not floored.any() or not floored[system._block(fixed, folded).free_cells].any():
         return [], True
     return _stage_floors(gsq, floor), False
 
@@ -647,7 +639,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         history.append(e_cand)
         return e_prev - e_cand <= tol_rel_energy * max(abs(e_prev), 1e-300)
 
-    floors, exact = _relaxed_floors(system, fixed, gsq, p, _WEIGHT_FLOOR)
+    floors, exact = _relaxed_floors(system, fixed, folded, gsq, p, _WEIGHT_FLOOR)
     for floor in floors:
         for _ in range(_STAGE_ITERS):
             if iterate(floor):

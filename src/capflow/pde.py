@@ -1,7 +1,8 @@
 """Backward-Euler solver for u_t = div(|Du|^{p-2} Du) on a box with a removed
 obstacle, plus the oscillation measurements used to compare solutions against
-capacity-based decay envelopes.  Every measurement, here and in `probes`, picks
-its times with `in_window` and its nodes with `SpaceTimeGrid.nodes_in`.
+capacity-based decay envelopes.  `solve` stores every time step, so row k of
+the field it returns is step k.  Every measurement, here and in `probes`,
+picks its times with `in_window` and its nodes with `SpaceTimeGrid.nodes_in`.
 
 Each time step solves the proximal problem
 
@@ -156,19 +157,9 @@ class BoundaryDatum:
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    """The stride of stored time slices."""
-
-    store_stride: int = 1
-
-    def __post_init__(self):
-        if self.store_stride < 1:
-            raise ValueError(f"store_stride must be positive, got {self.store_stride}")
-
-
-@dataclass(frozen=True)
 class SpaceTimeField:
-    """Stored time slices of a discrete solution."""
+    """Time slices of a discrete solution: row i of `values` is step
+    stored_steps[i], which is step i in every field `solve` returns."""
 
     grid: SpaceTimeGrid
     p: float
@@ -183,18 +174,14 @@ class SpaceTimeField:
         try:
             row = self.stored_steps.index(step)
         except ValueError:
-            raise ValueError(f"step {step} was not stored (stride dropped it)") from None
+            raise ValueError(f"step {step} was not stored; a solve stores steps 0 to "
+                             f"{self.grid.n_steps}") from None
         return self.values[row]
 
 
-def kept_steps(n_steps: int, stride: int) -> list[int]:
-    """The steps `solve` stores: 0, n_steps and every multiple of stride."""
-    return sorted({0, n_steps, *range(stride, n_steps, stride)})
-
-
-def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
-          scheme: SchemeConfig = SchemeConfig()) -> SpaceTimeField:
-    """March the implicit scheme over grid.times, starting from g(., 0).
+def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField:
+    """March the implicit scheme over grid.times, starting from g(., 0), and
+    store every step: row k of the field's values is step k.
 
     Each step is one `lattice.minimize` that stops at a relative energy drop
     of `_TOL_REL_ENERGY`; it raises ConvergenceError with the offending step
@@ -212,10 +199,8 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
     u = datum(pts, 0.0)
     u_old, tau_old = None, None     # the step before u, once there is one
     n_steps = grid.n_steps
-    keep = kept_steps(n_steps, scheme.store_stride)
-    row = {step: i for i, step in enumerate(keep)}
     # one preallocated array: the field is never held twice
-    stored = np.empty((len(keep), u.size))
+    stored = np.empty((n_steps + 1, u.size))
     stored[0] = u
 
     for k in range(1, n_steps + 1):
@@ -242,11 +227,9 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float,
                 "reweighting iterations", last_energy=exc.last_energy / p,
                 step_index=k) from None
         u_old, u, tau_old = u, u_new, tau
+        stored[k] = u
 
-        if k in row:
-            stored[row[k]] = u
-
-    return SpaceTimeField(grid, float(p), tuple(keep), stored)
+    return SpaceTimeField(grid, float(p), tuple(range(n_steps + 1)), stored)
 
 
 def in_window(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
@@ -263,7 +246,7 @@ def oscillation_over(field: SpaceTimeField, region: Cube, t_lo: float,
     rows = in_window(field.stored_times, t_lo, t_hi)
     if not np.any(rows):
         raise ValueError(f"no stored time slices in [{t_lo}, {t_hi}]; "
-                         "lower the store stride or widen the window")
+                         "shorten the time step or widen the window")
     mask = field.grid.inside & field.grid.nodes_in(region)
     if not np.any(mask):
         raise ValueError("region contains no interior nodes")

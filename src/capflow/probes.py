@@ -139,7 +139,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     rows = in_window(field.stored_times, t_lo, t_hi)
     if not np.any(rows):
         raise ValueError(f"no stored slices in the waiting window [{t_lo}, {t_hi}]; "
-                         "reduce the store stride or the time step")
+                         "shorten the time step")
     mask_wide = _ball_nodes(field, y, 4.0 * rho)
     window_vals = field.values[rows][:, mask_wide]
     if float(window_vals.min()) < 0.0:

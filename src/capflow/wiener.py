@@ -11,7 +11,7 @@ integral of A(s) ds/s, exact for constant A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,23 +125,12 @@ class CascadeReport:
     power_law_bound: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "mu_o": self.mu_o,
-            "epsilon": self.epsilon,
-            "c_bar": self.c_bar,
-            "lambda": self.lam,
-            "subsequence": list(self.subsequence),
-            "truncated": self.truncated,
-            "mu_seq": list(self.mu_seq),
-            "theta_seq": list(self.theta_seq),
-            "cylinders": [{"spatial_half_edge": c.spatial_half_edge,
-                           "time_depth": c.time_depth} for c in self.cylinders],
-            "nesting_ok": list(self.nesting_ok),
-            "sub_bd_ok": list(self.sub_bd_ok),
-            "envelope_at": [{"rho": r, "bound": b} for r, b in self.envelope_at],
-            "power_law_bound": self.power_law_bound,
-        }
+        """The fields by name, `lam` as "lambda" and each envelope pair as
+        {"rho", "bound"}; tuples stay tuples."""
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        out["envelope_at"] = [{"rho": r, "bound": b} for r, b in self.envelope_at]
+        return out
 
 
 def grid_lambda(c_bar: float) -> int | None:

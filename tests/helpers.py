@@ -49,7 +49,7 @@ def count_solves(monkeypatch) -> list:
 
 def step_error_bounds(field: cf.SpaceTimeField) -> np.ndarray:
     """Certified l2 distance of every stored step to the exact minimizer of
-    its time step, from the stored step before it (store_stride 1).
+    its time step, from the stored step before it.
 
     Step k minimizes F_k(u) = (1/p) E(u) + (m_k / 2) |u - u_{k-1}|^2 over the
     free nodes, with m_k = h**N / tau_k; F_k is m_k-strongly convex there, so

@@ -168,16 +168,22 @@ def test_unknown_top_level_key(tmp_path, capsys):
 
 def test_unknown_nested_key_uses_dotted_path(tmp_path, capsys):
     # the weight floor and the stop rule are solver constants, not settings
-    # of either section
-    for section, key in (("solver", "bogus"), ("solver", "weight_floor"),
-                         ("scheme", "weight_floor"), ("solver", "max_iter"),
-                         ("solver", "tol_rel_energy"), ("scheme", "max_iter"),
-                         ("scheme", "tol_rel_energy")):
+    for key in ("bogus", "weight_floor", "max_iter", "tol_rel_energy"):
         cfg = capacity_cfg()
-        cfg.setdefault(section, {})[key] = 1e-10
-        rc, _ = run(tmp_path, "capacity", cfg, tag=f"{section}_{key}")
+        cfg["solver"] = {key: 1e-10}
+        rc, _ = run(tmp_path, "capacity", cfg, tag=f"solver_{key}")
         assert rc == 2
-        assert f"unknown key '{section}.{key}'" in capsys.readouterr().err
+        assert f"unknown key 'solver.{key}'" in capsys.readouterr().err
+
+
+def test_scheme_section_is_unknown(tmp_path, capsys):
+    # every run stores every time step, so no section chooses which
+    for command, cfg in (("capacity", capacity_cfg()), ("solve", solve_cfg())):
+        for scheme in ({}, {"store_stride": 1}):
+            cfg["scheme"] = scheme
+            rc, _ = run(tmp_path, command, cfg, tag=f"scheme_{command}_{len(scheme)}")
+            assert rc == 2
+            assert "unknown key 'scheme'" in capsys.readouterr().err
 
 
 def record_tolerances(monkeypatch, module) -> list:
@@ -598,11 +604,13 @@ def test_solve_rejects_an_unstored_snapshot_step_before_solving(tmp_path, capsys
     assert rc == 2
     assert capsys.readouterr().err.startswith(
         "config error: snapshot_steps: step 999 is not stored")
-    cfg["snapshot_steps"] = [16, 3]
-    cfg["scheme"] = {"store_stride": 2}
-    rc, _ = run(tmp_path, "solve", cfg, tag="stride")
-    assert rc == 2
-    assert "step 3 is not stored" in capsys.readouterr().err
+    n_steps = cfg["time"]["steps"]
+    for step in (-1, n_steps + 1):
+        cfg["snapshot_steps"] = [n_steps, step]
+        rc, _ = run(tmp_path, "solve", cfg, tag=f"step{step}")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: snapshot_steps: step {step} is not stored")
 
 
 def test_solve_snapshot_steps_must_be_integers(tmp_path, capsys):

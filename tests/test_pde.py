@@ -392,19 +392,26 @@ def test_solve_keeps_the_order_of_ordered_data(data, b, k, w):
     assert np.all(gap[1:] >= -(slack + 1e-9))
 
 
-def test_store_stride_keeps_ends():
+def test_solve_stores_every_step(monkeypatch):
+    # row k is the field that step k's minimization returned, k = 0 the datum
     grid = _grid_1d(steps=7)
-    datum = cf.BoundaryDatum("c", lambda pts, t: np.full(len(pts), 1.0))
-    field = cf.solve(grid, datum, 3.0, cf.SchemeConfig(store_stride=3))
-    assert field.stored_steps == (0, 3, 6, 7)
-    assert field.slice_at_step(7).shape == (grid.n_nodes,)
+    datum = cf.BoundaryDatum("wave", lambda pts, t: np.sin(3.0 * pts[:, 0] + 8.0 * t))
+    fields = [datum(grid.node_points(), 0.0)]
+
+    def recorded(*args, **kwargs):
+        u, history = minimize(*args, **kwargs)
+        fields.append(u.copy())
+        return u, history
+
+    monkeypatch.setattr(pde, "minimize", recorded)
+    field = cf.solve(grid, datum, 3.0)
+    assert field.stored_steps == tuple(range(grid.n_steps + 1))
+    assert len(fields) == grid.n_steps + 1
+    for k, u in enumerate(fields):
+        assert np.array_equal(field.slice_at_step(k), u)
+    assert not np.array_equal(fields[1], fields[-1])
     with pytest.raises(ValueError, match="not stored"):
-        field.slice_at_step(1)
-
-
-def test_scheme_config_validation():
-    with pytest.raises(ValueError, match="store_stride must be positive"):
-        cf.SchemeConfig(store_stride=0)
+        field.slice_at_step(grid.n_steps + 1)
 
 
 # -- measurements ------------------------------------------------------------
