@@ -8,8 +8,8 @@ capacity profiles and the oscillation cascade with its decay envelopes
 harness (cli).
 """
 
-from .capacity import (CapacityValue, CondenserProblem, DeltaMemo, SolverConfig,
-                       minimize_condenser, parabolic_capacity, solve_condenser)
+from .capacity import (CapacityValue, CondenserProblem, DeltaMemo, minimize_condenser,
+                       parabolic_capacity, solve_condenser)
 from .errors import (CapflowError, ConfigError, ConvergenceError, PipelineError)
 from .geometry import (Cube, DomainSpec, IndicatorField, contains, contains_many,
                        domain_inside_mask, lattice_nodes_per_axis,
@@ -36,7 +36,7 @@ __all__ = [
     "CascadeReport", "ConfigError", "CondenserProblem", "ConvergenceError", "Cube",
     "Cylinder", "DeltaMemo", "DomainSpec", "EnvelopeParams", "FitReport",
     "HarnackProbeResult", "IndicatorField", "OVERRIDABLE_CONSTANTS",
-    "PipelineError", "SolverConfig",
+    "PipelineError",
     "SpaceTimeField", "SpaceTimeGrid", "SpreadingProbeResult",
     "StructuralConstants", "StructureParams", "SubsequenceResult",
     "WienerDiagnostic", "barenblatt", "build_profile", "build_subsequence",

@@ -14,23 +14,23 @@ every-other-node mask, is minimized first and its minimizer interpolated
 linearly to the problem's lattice.  That half-resolution problem starts the
 same way in turn.  The p = 2 minimizer starts it instead when p = 2, and
 when the half-resolution obstacle lattice would not fit the outer lattice at
-spacing 2h, would have fewer than `SolverConfig.min_nodes_across` nodes
-across, or would mark no node.  On the benchmark's Cantor profile the p = 2
-start left each fine lattice factored twice, once for that start and once
-more when its factor failed to precondition the first p > 2 solve; the
-nested start factors it once.  The energy-drop stop depends on the start:
+spacing 2h, would have fewer than `_MIN_NODES_ACROSS` nodes across, or would
+mark no node.  On the benchmark's Cantor profile the p = 2 start left each
+fine lattice factored twice, once for that start and once more when its
+factor failed to precondition the first p > 2 solve; the nested start
+factors it once.  The energy-drop stop depends on the start:
 from the nested start, at 1e-8 it stopped at 3.5-4.2 times the first-order
 residual it left from the p = 2 start there, so condensers stop at a
 relative energy drop of 1e-10, `_TOL_REL_ENERGY`, where time steps stop at
 1e-8.  `DeltaMemo` computes the relative capacity delta for one run, from one
-thread.
+thread, on lattices of `nodes_across` nodes across its inner cube, a plain
+int that `check_nodes_across` validates.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -43,21 +43,17 @@ from .params import StructureParams
 
 # the energy-drop stop of every condenser minimization: see the module docstring
 _TOL_REL_ENERGY = 1e-10
+# the fewest nodes across a delta lattice and a nested start's obstacle
+_MIN_NODES_ACROSS = 17
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """The `DeltaMemo` lattice size."""
-
-    nodes_across: int = 33   # lattice nodes spanning the inner cube of a delta
-    # the fewest nodes across a delta lattice and a nested start's obstacle
-    min_nodes_across: ClassVar[int] = 17
-
-    def __post_init__(self):
-        na = self.nodes_across
-        if na < self.min_nodes_across or (na - 1) % 4 != 0:
-            raise ValueError(f"nodes_across must be >= {self.min_nodes_across} and "
-                             f"congruent to 1 mod 4, got {na}")
+def check_nodes_across(nodes_across: int) -> int:
+    """`nodes_across`, the lattice nodes spanning the inner cube of a delta,
+    once checked to be at least `_MIN_NODES_ACROSS` and 1 mod 4."""
+    if nodes_across < _MIN_NODES_ACROSS or (nodes_across - 1) % 4 != 0:
+        raise ValueError(f"nodes_across must be >= {_MIN_NODES_ACROSS} and "
+                         f"congruent to 1 mod 4, got {nodes_across}")
+    return nodes_across
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def _coarse_problem(problem: CondenserProblem) -> CondenserProblem | None:
         _plate_slices(coarse)
     except ValueError:
         return None
-    if coarse.obstacle.nodes_per_axis < SolverConfig.min_nodes_across or not every_other.any():
+    if coarse.obstacle.nodes_per_axis < _MIN_NODES_ACROSS or not every_other.any():
         return None
     return coarse
 
@@ -173,11 +169,11 @@ def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[floa
     (minimizer, energy history on the problem's lattice).
 
     When p > 2 and the obstacle's every-other-node mask makes a condenser at
-    spacing 2h in the same outer cube, with at least
-    `SolverConfig.min_nodes_across` nodes across and a marked node, that
-    condenser is minimized first, by this function; its minimizer,
-    interpolated linearly and given this problem's plate and ground values,
-    is the start.  Otherwise the p = 2 minimizer is.
+    spacing 2h in the same outer cube, with at least `_MIN_NODES_ACROSS`
+    nodes across and a marked node, that condenser is minimized first, by
+    this function; its minimizer, interpolated linearly and given this
+    problem's plate and ground values, is the start.  Otherwise the p = 2
+    minimizer is.
     """
     system, fixed, bvals = _embed_obstacle(problem)
     coarse = _coarse_problem(problem)
@@ -222,12 +218,12 @@ class DeltaMemo:
     from one thread; make one per run.
     """
 
-    def __init__(self, domain: DomainSpec, x_o, params: StructureParams,
-                 cfg: SolverConfig = SolverConfig(), workers: int = 1):
-        self.domain, self.x_o, self.params, self.cfg = domain, tuple(x_o), params, cfg
-        self.workers = workers
-        self.h = 2.0 / (cfg.nodes_across - 1)
-        self.full = np.ones((cfg.nodes_across,) * params.N, dtype=bool)
+    def __init__(self, domain: DomainSpec, x_o, params: StructureParams, nodes_across: int,
+                 workers: int = 1):
+        self.domain, self.x_o, self.params = domain, tuple(x_o), params
+        self.nodes_across, self.workers = check_nodes_across(nodes_across), workers
+        self.h = 2.0 / (nodes_across - 1)
+        self.full = np.ones((nodes_across,) * params.N, dtype=bool)
         self._obstacles: dict[float, IndicatorField] = {}
         self._capacities: dict[bytes, CapacityValue] = {}
 
@@ -250,7 +246,7 @@ class DeltaMemo:
         for rho in radii:
             if rho not in self._obstacles:
                 self._obstacles[rho] = rasterize_obstacle(
-                    self.domain, Cube(self.x_o, rho), 2.0 * rho / (self.cfg.nodes_across - 1))
+                    self.domain, Cube(self.x_o, rho), 2.0 * rho / (self.nodes_across - 1))
         obstacles = [self._obstacles[rho] for rho in radii]
         masks = {m.tobytes(): m for m in (self.full, *(o.values for o in obstacles))}
         new = {key: m for key, m in masks.items() if key not in self._capacities}

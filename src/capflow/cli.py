@@ -20,7 +20,7 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -162,14 +162,6 @@ def parse_params(raw: dict) -> StructureParams:
         return make_params(p, n, **{k: _get(cobj, k, "number", "constants") for k in cobj})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def parse_section(raw: dict, name: str, cls):
-    """Read the optional object `name` into the config dataclass `cls`; each
-    key's type and default come from the dataclass fields."""
-    kinds, types = {int: "integer", float: "number"}, get_type_hints(cls)
-    keys = {f.name: Key(kinds[types[f.name]], f.default) for f in dataclasses.fields(cls)}
-    return _build(_get(raw, name, "object", default={}), name, keys, cls)
 
 
 def _parse_domain(raw: dict, cfg) -> DomainSpec:
@@ -361,7 +353,7 @@ class ExperimentConfig:
 
     raw: dict
     params: StructureParams
-    solver: capacity.SolverConfig
+    nodes_across: int
     out_dir: str
     workers: int
     seed: int
@@ -376,8 +368,9 @@ def parse_experiment(raw: dict, command: str, out_dir: str, workers: int,
     params = parse_params(raw)
     if workers < 1:
         raise ConfigError(f"--workers must be positive, got {workers}")
-    solver = parse_section(raw, "solver", capacity.SolverConfig)
-    cfg = ExperimentConfig(raw, params, solver, out_dir, workers, seed, {})
+    nodes_across = _build(_get(raw, "solver", "object", default={}), "solver",
+                          {"nodes_across": Key("integer", 33)}, capacity.check_nodes_across)
+    cfg = ExperimentConfig(raw, params, nodes_across, out_dir, workers, seed, {})
     for key, spec in keys.items():
         cfg.values[key] = spec(raw, cfg) if callable(spec) else \
             _field(raw, key, spec, "", params.N)
@@ -487,7 +480,7 @@ def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
     """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
     radii = cfg.values["radii"]
     table = stage("capacity", lambda: capacity.DeltaMemo(
-        cfg.values["domain"], cfg.values["x_o"], cfg.params, cfg.solver,
+        cfg.values["domain"], cfg.values["x_o"], cfg.params, cfg.nodes_across,
         cfg.workers).rows(radii))
     rows = [(rho, cap_obs.value, cap_full.value, val,
              cap_obs.iterations + cap_full.iterations)
@@ -505,7 +498,7 @@ def cmd_delta_profile(cfg: ExperimentConfig, stage: Callable, report: dict):
     domain, x_o = values["domain"], values["x_o"]
     profile = stage("profile", lambda: wiener.build_profile(
         domain, x_o, values["R_o"], c_bar, values["depth"], cfg.params,
-        capacity.DeltaMemo(domain, x_o, cfg.params, cfg.solver, cfg.workers)))
+        capacity.DeltaMemo(domain, x_o, cfg.params, cfg.nodes_across, cfg.workers)))
     rows = _profile_rows(profile)
     diag = wiener.is_wiener_point(profile) if values["depth"] >= 4 else None
     report["profile"] = {
@@ -538,13 +531,12 @@ def cmd_solve(cfg: ExperimentConfig, stage: Callable, report: dict):
                                                values["grid_h"], values["time"]))
     field_obj = stage("solve", lambda: pde.solve(grid, values["datum"], cfg.params.p))
     rows = [(step, float(grid.times[step]), float(en))
-            for step, en in zip(field_obj.stored_steps, pde.spatial_energy(field_obj))]
+            for step, en in enumerate(pde.spatial_energy(field_obj))]
     header = ["step", "time", "energy"]
     report["solve"] = {
         "shape": list(grid.shape), "h": grid.h, "n_steps": grid.n_steps,
         "datum": {"name": values["datum"].name, "modulus": values["datum"].modulus},
         "inside_nodes": int(grid.inside.sum()),
-        "energy_table": [dict(zip(header, row)) for row in rows],
         "snapshots": [f"field_step{step}.csv" for step in values["snapshot_steps"]],
     }
     return [("energy", header, rows, True)], field_obj
@@ -557,7 +549,7 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     domain, x_o, t_o, epsilon = values["domain"], values["x_o"], values["t_o"], values["epsilon"]
     lam, c_bar = values["c_bar"]
     delta_fn = values["synthetic_delta"] or capacity.DeltaMemo(domain, x_o, params,
-                                                               cfg.solver, cfg.workers)
+                                                               cfg.nodes_across, cfg.workers)
     report["constants"] = stage("constants", lambda: {
         "lambda": lam, "c_bar": c_bar,
         "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS}})

@@ -22,12 +22,12 @@ the stage floors and that retry reuse them instead of computing them again.
 
 Each solve runs on the free-by-free block of its fixed mask, on every free
 node or folded as below.  The block's pattern depends only on the mask and
-the fold, so it is built once per mask and fold and each solve scatters its
-cell weights into the stored slots.  On a 2D lattice that scatter is
-compiled once per block into one sparse operator from cell weights to the
-matrix's data (after Cuvelier, Japhet & Scarella, BIT Numer. Math. 2016),
-whose rows add each slot's entries in the order the scatter adds them, so a
-solve's assembly is one sparse product with the same bits; the solve then
+the fold, so it is built once per mask and fold, and with it the scatter of
+cell weights into the matrix's stored slots, compiled into one sparse
+operator from cell weights to those slots (after Cuvelier, Japhet &
+Scarella, BIT Numer. Math. 2016).  Its rows add each slot's entries in index
+order, the order a bincount over the entries adds them, so a solve's
+assembly is one sparse product with a bincount's bits; a 2D solve then
 swaps that data into the block's one sparse matrix.  With positive weights,
 and every group of free nodes joined to a fixed node or held by a mass term,
 the block is a diagonally dominant symmetric M-matrix and so positive
@@ -164,15 +164,14 @@ class _Block:
     between two free ends, subtracts it from both off-diagonal slots; an edge
     from a free node to a fixed node moves weight * value to the right-hand
     side row `rhs_row` instead.  The slots are in CSC order; `diag_slot`
-    holds each unknown's diagonal.  On a 1D lattice the block is tridiagonal:
-    the slot upper_slot[k] holds its entry (upper_row[k], upper_row[k] + 1),
-    the upper off-diagonal being 0 between consecutive free nodes that a
-    fixed node separates, and the matrix entries are bincounted, the one of
-    index e adding entry_coef[e] * w[entry_cell[e]] to slot entry_slot[e].
-    On a 2D lattice those three arrays are compiled into the CSR operator
-    `assembly`, one row per slot holding its entries in index order, and
-    dropped: assembly @ w is the CSC data of `matrix`, which each solve
-    reuses.  `inv_mult` holds 1 / mult, exact since mult is 1 or 2.
+    holds each unknown's diagonal.  The entries are compiled into the CSR
+    operator `assembly`, one row per slot holding its entries in index
+    order, so assembly @ w is the slots' data.  On a 1D lattice the block is
+    tridiagonal: the slot upper_slot[k] holds its entry (upper_row[k],
+    upper_row[k] + 1), the upper off-diagonal being 0 between consecutive
+    free nodes that a fixed node separates.  On a 2D lattice the data is
+    that of the CSC `matrix`, which each solve reuses.  `inv_mult` holds
+    1 / mult, exact since mult is 1 or 2.
     """
 
     def __init__(self, system: LatticeSystem, fixed: np.ndarray, folded: bool):
@@ -228,23 +227,22 @@ class _Block:
         keys, slot = np.unique(np.concatenate([diag, self.unknown[cols]]) * n
                                + np.concatenate([diag, self.unknown[rows]]),
                                return_inverse=True)
-        # a copy, so that a 2D block does not keep every entry's slot
+        # a copy, so that the block does not keep every entry's slot
         self.diag_slot = slot[:n].copy()
         entry_slot = slot[n:]
         self.nnz = keys.size
         row, col = keys % n, keys // n
+        # the CSR product sums each row in its stored order, duplicate
+        # columns apart, so rows in entry order give bincount's bits
+        order = np.argsort(entry_slot, kind="stable")
+        self.assembly = sp.csr_matrix(
+            (entry_coef[order], entry_cell[order],
+             np.concatenate([[0], np.cumsum(np.bincount(entry_slot, minlength=self.nnz))])),
+            shape=(self.nnz, system.n_cells))
         if system.ndim == 1:
-            self.entry_cell, self.entry_coef, self.entry_slot = entry_cell, entry_coef, entry_slot
             self.upper_slot = np.flatnonzero(row == col - 1)
             self.upper_row = row[self.upper_slot]
         else:
-            # the CSR product sums each row in its stored order, duplicate
-            # columns apart, so rows in entry order give bincount's bits
-            order = np.argsort(entry_slot, kind="stable")
-            self.assembly = sp.csr_matrix(
-                (entry_coef[order], entry_cell[order],
-                 np.concatenate([[0], np.cumsum(np.bincount(entry_slot, minlength=self.nnz))])),
-                shape=(self.nnz, system.n_cells))
             # each solve swaps its data into this one matrix
             self.matrix = sp.csc_matrix(
                 (np.zeros(self.nnz), row.astype(np.int32),
@@ -367,12 +365,9 @@ class LatticeSystem:
         """The p-energy of the field whose squared cell gradients are `gsq`."""
         return float(self.h ** self.ndim * (gsq ** (p / 2.0)).sum())
 
-    def weights(self, u: np.ndarray, p: float, floor: float) -> np.ndarray:
-        """Per-cell reweighting max(|grad u|, floor)**(p-2)."""
-        return self.weights_from_gsq(self.cell_gradient_sq(u), p, floor)
-
     def weights_from_gsq(self, gsq: np.ndarray, p: float, floor: float) -> np.ndarray:
-        """The weights of the field whose squared cell gradients are `gsq`."""
+        """Per-cell reweighting max(|grad u|, floor)**(p-2) of the field u
+        whose squared cell gradients are `gsq`."""
         return np.maximum(np.sqrt(gsq), floor) ** (p - 2.0)
 
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
@@ -422,10 +417,7 @@ class LatticeSystem:
         if mass <= 0.0 and blk.n_floating:
             raise ValueError(self._singular(blk, f"{blk.n_floating} of them touch no "
                                                  "fixed node and mass is 0"))
-        if self.ndim == 1:
-            data = _sum_into(blk.entry_slot, w[blk.entry_cell] * blk.entry_coef, blk.nnz)
-        else:
-            data = blk.assembly @ w
+        data = blk.assembly @ w
         rhs = _sum_into(blk.rhs_row, w[blk.rhs_cell] * blk.rhs_coef * g[blk.rhs_node], blk.n)
         if mass > 0.0:
             data[blk.diag_slot] += mass * blk.mult

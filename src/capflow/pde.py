@@ -158,25 +158,23 @@ class BoundaryDatum:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Time slices of a discrete solution: row i of `values` is step
-    stored_steps[i], which is step i in every field `solve` returns."""
+    """Time slices of a discrete solution: row k of `values` is step k, at
+    time grid.times[k]."""
 
     grid: SpaceTimeGrid
     p: float
-    stored_steps: tuple[int, ...]
-    values: np.ndarray          # (n_stored, n_nodes)
+    values: np.ndarray          # (n_steps + 1, n_nodes)
 
     @property
-    def stored_times(self) -> np.ndarray:
-        return self.grid.times[list(self.stored_steps)]
+    def stored_steps(self) -> tuple[int, ...]:
+        """The step of each row: 0 to n_steps."""
+        return tuple(range(len(self.values)))
 
     def slice_at_step(self, step: int) -> np.ndarray:
-        try:
-            row = self.stored_steps.index(step)
-        except ValueError:
+        if not 0 <= step <= self.grid.n_steps:
             raise ValueError(f"step {step} was not stored; a solve stores steps 0 to "
-                             f"{self.grid.n_steps}") from None
-        return self.values[row]
+                             f"{self.grid.n_steps}")
+        return self.values[step]
 
 
 def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField:
@@ -229,7 +227,7 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
         u_old, u, tau_old = u, u_new, tau
         stored[k] = u
 
-    return SpaceTimeField(grid, float(p), tuple(range(n_steps + 1)), stored)
+    return SpaceTimeField(grid, float(p), stored)
 
 
 def in_window(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
@@ -243,7 +241,7 @@ def oscillation_over(field: SpaceTimeField, region: Cube, t_lo: float,
     """sup - inf of the stored solution over interior nodes of `region` and
     stored times in [max(t_lo, 0), t_hi]."""
     t_lo = max(t_lo, 0.0)
-    rows = in_window(field.stored_times, t_lo, t_hi)
+    rows = in_window(field.grid.times, t_lo, t_hi)
     if not np.any(rows):
         raise ValueError(f"no stored time slices in [{t_lo}, {t_hi}]; "
                          "shorten the time step or widen the window")

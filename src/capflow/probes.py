@@ -26,7 +26,7 @@ class HarnackProbeResult:
 
     y: tuple[float, ...]
     rho: float
-    s: float                    # sample time, snapped to a stored slice
+    s: float                    # sample time, snapped to the nearest step
     harnack_c: float
     avg: float                  # mean over K_rho(y) at time s
     theta: float                # waiting factor actually used
@@ -78,8 +78,9 @@ def _ball_nodes(field: SpaceTimeField, center, half_edge: float) -> np.ndarray:
     return mask
 
 
-def _snap_to_stored(field: SpaceTimeField, t: float) -> int:
-    return int(np.argmin(np.abs(field.stored_times - t)))
+def _nearest_step(field: SpaceTimeField, t: float) -> int:
+    """The step whose time is nearest t; row k of the field is step k."""
+    return int(np.argmin(np.abs(field.grid.times - t)))
 
 
 def _require_inside_box(field: SpaceTimeField, y, margin: float) -> None:
@@ -112,8 +113,8 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     _require_inside_box(field, y, 4.0 * rho)
     T = float(field.grid.times[-1])
 
-    row = _snap_to_stored(field, s)
-    s_used = float(field.stored_times[row])
+    row = _nearest_step(field, s)
+    s_used = float(field.grid.times[row])
     if s_used >= T:
         raise ValueError(f"sample time {s_used} leaves no room before the final time {T}")
     mask_avg = _ball_nodes(field, y, rho)
@@ -136,7 +137,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     t_hi = s_used + theta * rho ** p
     remark = s_used + 2.0 * harnack_c ** (p - 2.0) * avg ** (2.0 - p) * rho ** p < T
 
-    rows = in_window(field.stored_times, t_lo, t_hi)
+    rows = in_window(field.grid.times, t_lo, t_hi)
     if not np.any(rows):
         raise ValueError(f"no stored slices in the waiting window [{t_lo}, {t_hi}]; "
                          "shorten the time step")
@@ -168,8 +169,8 @@ def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float, k: float
         raise ValueError("rho and k must be positive")
     p = field.p
     _require_inside_box(field, y, 2.0 * rho)
-    row0 = _snap_to_stored(field, t_bar)
-    t_used = float(field.stored_times[row0])
+    row0 = _nearest_step(field, t_bar)
+    t_used = float(field.grid.times[row0])
     mask_hyp = _ball_nodes(field, y, 2.0 * rho)
     base = field.values[row0][mask_hyp]
     if float(base.min()) < k * (1.0 - 1e-12):
@@ -179,11 +180,11 @@ def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float, k: float
             f"spreading hypothesis fails: u={float(base[bad])} < k={k} at node "
             f"{tuple(float(c) for c in pts[bad])}, t={t_used}")
 
-    times = field.stored_times
+    times = field.grid.times
     if sample_times is None:
         sample_rows = [i for i in range(len(times)) if times[i] > t_used]
     else:
-        sample_rows = sorted({_snap_to_stored(field, t) for t in sample_times})
+        sample_rows = sorted({_nearest_step(field, t) for t in sample_times})
         sample_rows = [i for i in sample_rows if times[i] > t_used]
     if not sample_rows:
         raise ValueError(f"no stored slices after t_bar={t_used}")

@@ -96,7 +96,7 @@ def synthetic_field(values: np.ndarray, times, *, half_edge: float = 0.5,
     center = (0.0,) * domain.ndim
     grid = cf.make_grid(domain, cf.Cube(center, half_edge), h, times)
     assert values.shape == (len(times), grid.n_nodes)
-    return cf.SpaceTimeField(grid, p, tuple(range(len(times))), np.asarray(values, dtype=float))
+    return cf.SpaceTimeField(grid, p, np.asarray(values, dtype=float))
 
 
 def brute_oscillation(field: cf.SpaceTimeField, region: cf.Cube, t_lo: float,
@@ -108,7 +108,7 @@ def brute_oscillation(field: cf.SpaceTimeField, region: cf.Cube, t_lo: float,
     pts = field.grid.node_points()
     lo, hi = np.inf, -np.inf
     hit = False
-    for row, t in enumerate(field.stored_times):
+    for row, t in enumerate(field.grid.times):
         if t < t_lo - 1e-12 * span or t > t_hi + 1e-12 * span:
             continue
         for i in range(field.grid.n_nodes):
@@ -127,7 +127,7 @@ def brute_oscillation(field: cf.SpaceTimeField, region: cf.Cube, t_lo: float,
 def brute_harnack(field, y, s, rho, c=1.0):
     """Reference recomputation of the weak Harnack probe by exhaustive scan."""
     p = field.p
-    times = field.stored_times
+    times = field.grid.times
     row = int(np.argmin(np.abs(times - s)))
     s_used = float(times[row])
     pts = field.grid.node_points()

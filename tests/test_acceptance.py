@@ -69,7 +69,7 @@ def test_criterion_02_condenser_1d_oracle(capsys):
 
 def test_criterion_03_relative_capacity_extremes(capsys):
     params = cf.make_params(3.0, 2)
-    fast = capacity.SolverConfig(nodes_across=17)
+    fast = 17
     empty = capacity.DeltaMemo(DomainSpec.full_space(2), (0.0, 0.0), params, fast)([0.5])[0]
     full = capacity.DeltaMemo(DomainSpec.exterior_cube((-10.0, -10.0), 10.0),
                               (0.0, 0.0), params, fast)([0.5])[0]

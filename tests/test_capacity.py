@@ -16,7 +16,7 @@ from helpers import count_calls, count_condensers, count_solves
 
 P3N1 = cf.make_params(3.0, 1)
 P3N2 = cf.make_params(3.0, 2)
-FAST = capacity.SolverConfig(nodes_across=17)
+FAST = 17
 
 
 def _cube_condenser(ndim: int, rho: float, outer_factor: float, p: float,
@@ -73,7 +73,7 @@ def test_unit_denominator_rescales_to_the_direct_solve(ndim, p, monkeypatch):
     # radii that share a mask share delta bitwise
     assert len({val for val, _, _ in rows}) == 1
     for rho, (_, cap_obs, cap_full) in zip(radii, rows):
-        h = 2.0 * rho / (FAST.nodes_across - 1)
+        h = 2.0 * rho / (FAST - 1)
         inner = Cube(x_o, rho)
         for cap, obstacle in ((cap_obs, rasterize_obstacle(dom, inner, h)),
                               (cap_full, IndicatorField.all_true(inner, h))):
@@ -97,7 +97,7 @@ def test_a_mask_that_changes_with_the_radius_is_solved_per_radius(monkeypatch):
     rows = capacity.DeltaMemo(dom, (0.0, 0.0), P3N2, FAST).rows(prof.radii)
     assert [val for val, _, _ in rows] == prof.deltas.tolist()
     for rho, (_, cap_obs, _) in zip(prof.radii, rows):
-        h = 2.0 * rho / (FAST.nodes_across - 1)
+        h = 2.0 * rho / (FAST - 1)
         obstacle = rasterize_obstacle(dom, Cube((0.0, 0.0), rho), h)
         # p = 3, N = 2 and dyadic radii: bitwise the direct solve
         assert cap_obs.value == _direct_condenser(obstacle, 3.0).value
@@ -292,8 +292,7 @@ def test_delta_half_space_1d_closed_form():
     # 0.5 rho against a full-cube value of 2 (0.5 rho)**(1-p); for p = 3 the
     # ratio collapses to (3**-2 + 1) / 2 = 5/9 independent of rho
     for rho in (0.5, 0.25):
-        val = capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1,
-                                 capacity.SolverConfig(nodes_across=33))([rho])[0]
+        val = capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1, 33)([rho])[0]
         assert abs(val - 5.0 / 9.0) <= 1e-13
 
 
@@ -312,9 +311,10 @@ def test_delta_lies_in_unit_interval():
 def test_delta_validation():
     with pytest.raises(ValueError, match="rho must be positive"):
         capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1, FAST)([0.0])
-    with pytest.raises(ValueError, match="nodes_across"):
-        capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1,
-                           capacity.SolverConfig(nodes_across=18))([0.5])
+    for nodes_across in (18, 13):
+        with pytest.raises(ValueError, match="nodes_across"):
+            capacity.DeltaMemo(DomainSpec.half_space((0.0,)), (0.0,), P3N1,
+                               nodes_across)([0.5])
 
 
 def test_parabolic_capacity_time_constant_slab():

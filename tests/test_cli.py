@@ -577,6 +577,8 @@ def test_solve_source_solution_run(tmp_path):
     assert report["solve"]["inside_nodes"] == 15
     assert report["solve"]["datum"]["name"] == "barenblatt"
     assert report["solve"]["snapshots"] == ["field_step0.csv", "field_step16.csv"]
+    # energy.csv and energy.dat hold the energy table
+    assert "energy_table" not in report["solve"]
 
 
 def test_solve_barenblatt_datum_in_2d(tmp_path):

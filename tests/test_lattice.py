@@ -572,9 +572,9 @@ def test_folded_solve_factors_one_row_per_mirror_class(factorizations):
 # -- the assembly operator and the cell gradients -------------------------------
 
 def bincount_entries(system, fixed, folded):
-    """The block's matrix entries as the bincount assembly scatters them,
-    a copy of that construction: (CSC keys col * n + row of the slots, slot
-    of each entry, cell of each entry, coefficient of each entry)."""
+    """The block's matrix entries, built apart from `_Block` as the
+    reference a bincount sums: (CSC keys col * n + row of the slots, slot of
+    each entry, cell of each entry, coefficient of each entry)."""
     free = np.flatnonzero(~fixed)
     own = np.arange(free.size)
     pos = np.full(system.n_nodes, -1, dtype=np.int64)
@@ -611,19 +611,25 @@ def same_bits(a, b) -> bool:
 
 @st.composite
 def assembly_problems(draw):
-    """A 2D lattice, square when folded, with a random fixed mask (mirrored
-    when folded) and cell weights that mix 0, 1e-20, 1e5 and other floats,
-    so that the order of each slot's sum shows in its bits."""
-    folded = draw(st.booleans())
-    n0 = draw(st.integers(3, 8))
-    n1 = n0 if folded else draw(st.integers(3, 8))
-    fixed = draw(hnp.arrays(bool, (n0, n1)))
-    if folded:
-        fixed |= fixed.T
+    """A 1D chain of 3-40 nodes, or a 2D lattice, square when folded, with a
+    random fixed mask (mirrored when folded) and cell weights that mix 0,
+    1e-20, 1e5 and other floats, so that the order of each slot's sum shows
+    in its bits."""
+    if draw(st.booleans()):
+        shape, folded = (draw(st.integers(3, 40)),), False
+        fixed = draw(hnp.arrays(bool, shape))
+    else:
+        folded = draw(st.booleans())
+        n0 = draw(st.integers(3, 8))
+        shape = (n0, n0 if folded else draw(st.integers(3, 8)))
+        fixed = draw(hnp.arrays(bool, shape))
+        if folded:
+            fixed |= fixed.T
     h = draw(st.sampled_from([0.1, 1.0 / 3.0, 1.0]))
     weight = st.one_of(st.sampled_from([0.0, 1e-20, 1e5]), st.floats(0.0, 1e5))
-    weights = draw(hnp.arrays(float, (n0 - 1) * (n1 - 1), elements=weight))
-    return LatticeSystem((n0, n1), h), fixed.ravel(), folded, weights
+    system = LatticeSystem(shape, h)
+    weights = draw(hnp.arrays(float, system.n_cells, elements=weight))
+    return system, fixed.ravel(), folded, weights
 
 
 @settings(max_examples=80, deadline=None)
@@ -634,9 +640,11 @@ def test_assembly_operator_matches_the_bincount_assembly_bitwise(problem):
     system, fixed, folded, w = problem
     blk = system._block(fixed, folded)
     keys, slot, cell, coef = bincount_entries(system, fixed, folded)
-    csc = blk.matrix
-    assert np.array_equal(keys, np.repeat(np.arange(blk.n), np.diff(csc.indptr)) * blk.n
-                          + csc.indices)
+    if system.ndim == 2:
+        # a chain has no matrix: dptsv reads the diagonal and upper slots
+        csc = blk.matrix
+        assert np.array_equal(keys, np.repeat(np.arange(blk.n), np.diff(csc.indptr)) * blk.n
+                              + csc.indices)
     ref = np.bincount(slot, weights=w[cell] * coef, minlength=keys.size).astype(float,
                                                                                  copy=False)
     assert same_bits(blk.assembly @ w, ref)
@@ -823,7 +831,8 @@ def test_minimize_weights_are_those_of_its_iterate(problem, guess_seed):
         mp.setattr(LatticeSystem, "solve_dirichlet", recording_solve)
         minimize(system, fixed, start, p, TOL, mass, previous, guess=guess)
     for w, iterate, floor in seen:
-        assert w.tobytes() == system.weights(iterate, p, floor).tobytes()
+        assert w.tobytes() == system.weights_from_gsq(system.cell_gradient_sq(iterate), p,
+                                                      floor).tobytes()
 
 
 @pytest.mark.parametrize("h", [0.25, 0.5, 1.0])
@@ -939,8 +948,8 @@ def from_a_stationary_start(shape, h, fixed, u, p, mass, shift):
     system.solve_dirichlet(np.ones(system.n_cells), fixed, u, mass=mass, previous=previous)
     lu = count_lu_solves(system)
     out, history = minimize(system, fixed, u, p, TOL, mass, previous)
-    a_mat, rhs = dense_block(shape, h, system.weights(u, p, lattice._WEIGHT_FLOOR), fixed, u,
-                             mass, previous)
+    w = system.weights_from_gsq(system.cell_gradient_sq(u), p, lattice._WEIGHT_FLOOR)
+    a_mat, rhs = dense_block(shape, h, w, fixed, u, mass, previous)
     exited = (np.array_equal(out, u) and len(history) == 1 and lu.solves == 0
               and system._factor[1] is lu
               and np.linalg.norm(rhs - a_mat @ u[free]) > lattice._CG_RTOL * np.linalg.norm(rhs))

@@ -410,8 +410,9 @@ def test_solve_stores_every_step(monkeypatch):
     for k, u in enumerate(fields):
         assert np.array_equal(field.slice_at_step(k), u)
     assert not np.array_equal(fields[1], fields[-1])
-    with pytest.raises(ValueError, match="not stored"):
-        field.slice_at_step(grid.n_steps + 1)
+    for step in (-1, grid.n_steps + 1):
+        with pytest.raises(ValueError, match="not stored"):
+            field.slice_at_step(step)
 
 
 # -- measurements ------------------------------------------------------------
@@ -540,7 +541,7 @@ def test_spatial_energy_of_linear_slice():
     grid = _grid_1d(h=0.125, steps=2)
     slope = 1.7
     vals = np.tile(slope * grid.node_points()[:, 0], (3, 1))
-    field = cf.SpaceTimeField(grid, 3.0, (0, 1, 2), vals)
+    field = cf.SpaceTimeField(grid, 3.0, vals)
     e = cf.spatial_energy(field)
     assert np.allclose(e, slope ** 3, rtol=1e-13)
 
@@ -628,7 +629,7 @@ def test_snapshot_roundtrip(tmp_path):
 def test_snapshot_bytes_match_a_per_row_formatter(tmp_path, grid):
     values = np.random.default_rng(4).normal(size=(4, grid.n_nodes))
     values[1, :3] = [0.0, -0.0, 1e-300]
-    field = cf.SpaceTimeField(grid, 3.0, (0, 1, 2, 3), values)
+    field = cf.SpaceTimeField(grid, 3.0, values)
     path = tmp_path / "snap.csv"
     cf.save_snapshot(field, 1, str(path))
     pts = grid.node_points()
@@ -652,7 +653,7 @@ def test_snapshot_write_failure_leaves_no_file(tmp_path, monkeypatch, failure):
         def replace(src, dst):
             raise OSError("rename failed")
         monkeypatch.setattr(os, "replace", replace)
-    field = cf.SpaceTimeField(grid, field.p, field.stored_steps, values)
+    field = cf.SpaceTimeField(grid, field.p, values)
     with pytest.raises((ValueError, OSError)):
         cf.save_snapshot(field, 2, str(tmp_path / "field_step2.csv"))
     assert os.listdir(tmp_path) == []

@@ -7,7 +7,6 @@ import pytest
 
 import capflow as cf
 from capflow import capacity, wiener
-from capflow.capacity import SolverConfig
 from capflow.geometry import DomainSpec
 
 
@@ -263,9 +262,8 @@ def test_build_profile_halfspace_and_workers():
     # delta for the 1D half space is scale free (5/9 at p=3), so the profile
     # is constant; the threaded build must agree with the sequential one
     dom = DomainSpec.half_space((0.0,))
-    cfg = SolverConfig(nodes_across=17)
     seq, par = (cf.build_profile(dom, (0.0,), 0.5, 0.25, 3, P3N1,
-                                 capacity.DeltaMemo(dom, (0.0,), P3N1, cfg, workers))
+                                 capacity.DeltaMemo(dom, (0.0,), P3N1, 17, workers))
                 for workers in (1, 3))
     assert seq.deltas.tolist() == par.deltas.tolist()
     assert np.allclose(seq.deltas, 5.0 / 9.0, atol=1e-12)
@@ -291,13 +289,12 @@ def test_build_profile_2d_is_independent_of_workers_and_exact():
     # the threaded build is bitwise the sequential one; at dyadic radii and
     # p = 3 both are bitwise the per-radius direct solves
     dom = DomainSpec.exterior_cube((0.0, 0.0), 0.5)
-    cfg = SolverConfig(nodes_across=17)
     x_o = (0.0, 0.0)
     seq, par = (cf.build_profile(dom, x_o, 0.25, 0.5, 3, P3N2,
-                                 capacity.DeltaMemo(dom, x_o, P3N2, cfg, workers))
+                                 capacity.DeltaMemo(dom, x_o, P3N2, 17, workers))
                 for workers in (1, 2))
     assert seq.deltas.tolist() == par.deltas.tolist()
-    direct = [capacity.DeltaMemo(dom, x_o, P3N2, cfg)([rho])[0] for rho in seq.radii]
+    direct = [capacity.DeltaMemo(dom, x_o, P3N2, 17)([rho])[0] for rho in seq.radii]
     assert seq.deltas.tolist() == direct
     assert all(0.0 < d < 1.0 for d in direct)
 

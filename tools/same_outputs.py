@@ -3,7 +3,7 @@
 Usage (from anywhere):
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [EXTRA_CONFIG_DIR ...]
-        [--workload-seeds SEED [SEED ...]]
+        [--workload-seeds SEED [SEED ...]] [--ignore-report-key DOTTED.PATH ...]
 
 Runs every `configs/*.json` of each tree, and every `*.json` of each extra
 directory, once with PARENT_TREE's `src` and once with CHANGE_TREE's `src` on
@@ -15,9 +15,13 @@ and named `<subcommand>_<workload>_seed<seed>`.  BLAS pools run on one
 thread.  Then it prints every output file that differs between the two runs,
 one per line as `<config>/<file>`, and a summary line.  `report.json` is
 compared as parsed JSON without its `timings` section, which holds wall-clock
-times; every other file byte for byte.  A config whose exit status differs,
-or that exists in only one tree, counts as one differing file.  Exits 0 when
-nothing differs and 1 otherwise.
+times; every other file byte for byte.  Each --ignore-report-key, which may
+be repeated, drops that key, a dotted path such as `solve.energy_table`,
+from both trees' reports before they are compared; the tool prints how many
+reports of each tree held it.  A config whose exit status differs, or that
+exists in only one tree, counts as one differing file.  Exits 0 when nothing
+differs and 1 otherwise, or when no parent report held an ignored key, so
+that a mistyped key cannot hide a difference.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import sys
 import tempfile
 
 COMMANDS = ("capacity", "delta-profile", "cascade", "solve", "verify")
+_ABSENT = object()
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -97,6 +102,16 @@ def outputs(out: str) -> dict[str, object]:
     return files
 
 
+def drop_key(report: dict, dotted: str) -> bool:
+    """Remove the key at the dotted path from `report`; True when it was there."""
+    *parents, last = dotted.split(".")
+    for key in parents:
+        report = report.get(key)
+        if not isinstance(report, dict):
+            return False
+    return report.pop(last, _ABSENT) is not _ABSENT
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="parent source tree")
@@ -104,7 +119,11 @@ def main(argv=None) -> int:
     parser.add_argument("extra", nargs="*", help="more directories of configs")
     parser.add_argument("--workload-seeds", nargs="+", type=int, default=[],
                         metavar="SEED", help="add the benchmark workloads at these seeds")
+    parser.add_argument("--ignore-report-key", action="append", default=[],
+                        metavar="DOTTED.PATH",
+                        help="drop this key from every report.json before comparing")
     args = parser.parse_args(argv)
+    held = {key: {"parent": 0, "change": 0} for key in args.ignore_report_key}
 
     with tempfile.TemporaryDirectory() as tmp:
         extra = list(args.extra)
@@ -122,7 +141,13 @@ def main(argv=None) -> int:
             result = []
             for label, tree in (("parent", args.parent), ("change", args.change)):
                 out = os.path.join(tmp, label, stem)
-                result.append((run(tree, per_tree[tree][stem], out), outputs(out)))
+                code = run(tree, per_tree[tree][stem], out)
+                files = outputs(out)
+                for name, content in files.items():
+                    if os.path.basename(name) == "report.json":
+                        for key in held:
+                            held[key][label] += drop_key(content, key)
+                result.append((code, files))
             (code_a, files_a), (code_b, files_b) = result
             if code_a != code_b:
                 differ.append(f"{stem}: exit status {code_a} != {code_b}")
@@ -132,8 +157,14 @@ def main(argv=None) -> int:
                     differ.append(f"{stem}/{name}")
     for line in differ:
         print(line)
+    for key, count in held.items():
+        print(f"ignored report key {key}: held by {count['parent']} parent and "
+              f"{count['change']} change reports")
     print(f"{len(differ)} of {compared} output files differ over {len(stems)} configs")
-    return 1 if differ else 0
+    unheld = [key for key, count in held.items() if count["parent"] == 0]
+    for key in unheld:
+        print(f"no parent report holds {key}; check the key", file=sys.stderr)
+    return 1 if differ or unheld else 0
 
 
 if __name__ == "__main__":
