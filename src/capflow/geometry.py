@@ -339,11 +339,6 @@ class IndicatorField:
     def count(self) -> int:
         return int(self.values.sum())
 
-    @classmethod
-    def all_true(cls, cube: Cube, h: float) -> "IndicatorField":
-        n = lattice_nodes_per_axis(cube.half_edge, h)
-        return cls(cube, h, np.ones((n,) * cube.ndim, dtype=bool))
-
 
 def lattice_nodes_per_axis(half_edge: float, h: float) -> int:
     """Node count 2m+1 for the lattice of spacing h spanning [-half_edge, half_edge]."""

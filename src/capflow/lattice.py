@@ -41,21 +41,24 @@ ordering of A + A^T and without pivoting.  Consecutive reweighted matrices
 of one block differ only through slowly varying weights, so the system's
 last factor, when it is of the same block, preconditions conjugate
 gradients on the next matrix, for at most `_CG_MAXITER` iterations; the
-block is factored afresh only when that does not converge.  `minimize`
+block is factored afresh when that does not converge.  `minimize`
 passes its iterate u: CG then starts from u and stops at a residual of
 `_FORCING` times that of u, the forcing term of an inexact Newton method
 (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), since each solve only gives
-the direction the backtracking then searches.  A solve given no iterate,
-such as the first solve of a condenser, factors afresh, and a fresh factor
-solves directly.  Because of this solver state, a `LatticeSystem` on a 2D
-lattice must not be shared across threads.
+the direction the backtracking then searches.  A lagged solve that took more
+than `_REFRESH` iterations marks the factor stale, and the next solve of
+its block factors afresh without trying PCG (see the note on `_REFRESH`).
+A solve given no iterate, such as the first solve of a condenser, factors
+afresh, and a fresh factor solves directly.  Because of this solver state,
+a `LatticeSystem` on a 2D lattice must not be shared across threads.
 
 A time step whose start is already its minimizer up to round-off, as in the
 late steps of a time loop that has stopped moving, would still pay a solve.
 Where `minimize` can prove that from the strong convexity of its objective
 (Boyd & Vandenberghe, Convex Optimization 2004, 9.1.2), it passes the solve
-an absolute exit `atol`, and a lagged solve whose residual at u is within it
-returns u itself, without a triangular solve; `minimize` then knows u's
+an absolute exit `atol`, and a solve on the system's factor whose residual
+at u is within it returns u itself, without a triangular solve, and without
+a factorization even when the factor is stale; `minimize` then knows u's
 objective and does not evaluate it again.
 
 On a square 2D lattice, swapping x0 and x1 maps cell (i, j) to cell (j, i)
@@ -105,16 +108,31 @@ from .errors import ConvergenceError
 # of a factorization.  Folded onto its mirror classes, corner_verify's time
 # step has 6048 unknowns instead of 12033, and its factor 186k L+U nonzeros
 # instead of 411k: 8 ms instead of 30 ms to factor, 0.3 ms instead of 1.0 ms
-# per triangular solve.  On corner_verify (seed 3), 217 of the 225 lagged
-# solves succeeded: 67 took the certified stationary exit (see `minimize`)
-# and 150 met the forcing bound, in 4.2 iterations on average, and the run
-# factored 11 times; solving each to _CG_RTOL from the last solution
-# took 42.  Forcing terms 1e-1, 1e-2, 1e-3 and 1e-4 gave 8, 11, 16 and 28
-# factorizations; 1e-1 raised the largest certified step error by 4.5%, the
-# others left it within 0.1%.
+# per triangular solve.  On corner_verify (seed 3), of the 265 solves given
+# an iterate, 67 took the certified stationary exit (see `minimize`) and 178
+# met the forcing bound on the lagged factor, in 2.6 iterations on average;
+# 4 lagged attempts failed, 11 solves refreshed a stale factor, 5 were the
+# first solve of their system, and the run factored 22 times and made 516
+# triangular solves.  Forcing terms 1e-1, 1e-2, 1e-3, 1e-4 and _CG_RTOL
+# gave 16, 22, 27, 40 and 64 factorizations; 1e-1 raised the largest
+# certified step error by 8%, the others left it within 0.1%.
+#
+# A lagged solve that takes more than _REFRESH iterations shows its factor
+# gone stale, and the next solve of the block factors afresh instead of
+# running PCG, as inexact Newton-Krylov solvers refresh a lagged
+# preconditioner (Knoll & Keyes, J. Comput. Phys. 2004).  Without it,
+# corner_verify factored 14 times and made 796 triangular solves, many
+# lagged solves limping at 5-8 iterations.  _REFRESH 3, 4, 5, 6 and never:
+# corner_verify 23, 22, 18, 16, 14 factorizations and 506, 516, 617, 674,
+# 796 triangular solves, median call 0.405, 0.403, 0.408, 0.411, 0.427 s;
+# cantor_profile 0.221, 0.209, 0.210, 0.210, 0.213 s; criterion 09
+# (configs/verify_corner.json) 1177, 1547, 1409, 1543, 2762 triangular
+# solves, 0.94, 1.00, 0.96, 0.98, 1.24 s (one process, 2-CPU Xeon, BLAS on
+# one thread; 15 calls per value, 5 for criterion 09).
 _CG_RTOL = 1e-12
 _CG_MAXITER = 8
 _FORCING = 1e-2
+_REFRESH = 4
 
 # The weight floor of the last stage of every minimization, and the most
 # iterations that stage may take before `minimize` raises ConvergenceError.
@@ -265,40 +283,36 @@ def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
 
 
 def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray,
-                  atol: float, norm) -> np.ndarray | None:
-    """PCG on `a_mat` from `x0`, preconditioned by `lu`, the system's last factor.
+                  r: np.ndarray, norm) -> tuple[np.ndarray | None, int]:
+    """PCG on `a_mat` from `x0`, whose residual rhs - A x0 is `r`,
+    preconditioned by `lu`, the system's last factor; returns (x, iterations).
 
-    It returns x0 itself, without touching `lu`, when ||rhs - A x0|| <=
-    atol, and otherwise stops once ||rhs - A x|| <= max(_FORCING ||rhs - A
-    x0||, _CG_RTOL ||rhs||).  `norm` measures these vectors.  The recurrence
-    residual decides and the true residual confirms it once.  Returns None
-    after _CG_MAXITER iterations, on a direction of non-positive curvature,
-    or on a non-finite result.
+    It stops once ||rhs - A x|| <= max(_FORCING ||r||, _CG_RTOL ||rhs||).
+    `norm` measures these vectors.  The recurrence residual decides and the
+    true residual confirms it once.  x is None after _CG_MAXITER iterations,
+    on a direction of non-positive curvature, or on a non-finite result.
     """
     x = x0.copy()
-    r = rhs - a_mat @ x
-    r_norm = norm(r)
-    if r_norm <= atol:
-        return x
-    tol = max(_CG_RTOL * norm(rhs), _FORCING * r_norm)
+    r = r.copy()
+    tol = max(_CG_RTOL * norm(rhs), _FORCING * norm(r))
     k = 0
     # a NaN residual ends the loop and fails the confirmation
     while norm(r) > tol:
         if k == _CG_MAXITER:
-            return None
+            return None, k
         z = lu.solve(r)
         rz = r @ z
         d = z if k == 0 else z + (rz / rz_old) * d
         q = a_mat @ d
         dq = d @ q
         if not dq > 0.0:
-            return None
+            return None, k
         alpha = rz / dq
         x += alpha * d
         r -= alpha * q
         rz_old = rz
         k += 1
-    return x if norm(rhs - a_mat @ x) <= tol else None
+    return (x if norm(rhs - a_mat @ x) <= tol else None), k
 
 
 class LatticeSystem:
@@ -335,6 +349,9 @@ class LatticeSystem:
         self._blocks: dict[tuple[bytes, bool], _Block] = {}
         # the last SuperLU factor and the block it factors; 2D lattices only
         self._factor: tuple[_Block, object] | None = None
+        # whether a lagged solve on that factor took more than _REFRESH
+        # iterations, so that the next solve of its block factors afresh
+        self._stale = False
 
     def cell_gradient_sq(self, u: np.ndarray) -> np.ndarray:
         """|grad u|^2 per cell (C-ordered over cell corners), in a new array.
@@ -384,10 +401,13 @@ class LatticeSystem:
         of the same block, starts there and stops at `_FORCING` times its
         residual (see the module docstring); when that residual is at most
         `atol`, the solve returns the iterate on the free nodes, bitwise and
-        without a triangular solve.  A 2D solve without `iterate` factors
-        afresh.  A 1D solve, a fresh factorization and a solve without
-        `iterate` ignore `atol`.  At `atol` = 0 only a zero residual passes,
-        which PCG returns unchanged too, so the solve is as without it.
+        without a triangular solve.  Once a lagged solve of the block took
+        more than `_REFRESH` iterations, the factor is stale: a later solve
+        of the block still takes that exit, and otherwise factors afresh.
+        A 2D solve without `iterate` factors afresh.  A 1D solve, a fresh
+        factorization and a solve without `iterate` ignore `atol`.  At
+        `atol` = 0 only a zero residual passes, which PCG returns unchanged
+        too, so the solve is as without it.
         When the mask and every field given equal their transposes on a
         square 2D lattice, the solve runs on one unknown per mirror pair of
         free nodes and returns a field equal to its transpose (see the
@@ -439,8 +459,13 @@ class LatticeSystem:
             lagged = (iterate is not None and self._factor is not None
                       and self._factor[0] is blk)
             if lagged and (data[blk.diag_slot] > 0.0).all():
-                x = _lagged_solve(self._factor[1], a_mat, rhs, iterate[blk.node], atol,
-                                  blk.norm)
+                x0 = iterate[blk.node]
+                r = rhs - a_mat @ x0
+                if blk.norm(r) <= atol:
+                    x = x0
+                elif not self._stale:
+                    x, k = _lagged_solve(self._factor[1], a_mat, rhs, x0, r, blk.norm)
+                    self._stale = k > _REFRESH
             if x is None:
                 self._factor = None             # never two factors at once
                 try:
@@ -449,7 +474,7 @@ class LatticeSystem:
                 except RuntimeError as exc:
                     raise ValueError(self._singular(blk, str(exc))) from exc
                 x = lu.solve(rhs)
-                self._factor = (blk, lu)
+                self._factor, self._stale = (blk, lu), False
         out[blk.free] = x[blk.unknown]
         return out
 

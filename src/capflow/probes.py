@@ -64,10 +64,6 @@ class FitReport:
     dropped: tuple[bool, ...]                 # per input measurement
     envelope_ok: tuple[bool, ...]             # osc <= envelope at that radius
 
-    @property
-    def all_below(self) -> bool:
-        return all(self.envelope_ok)
-
 
 def _ball_nodes(field: SpaceTimeField, center, half_edge: float) -> np.ndarray:
     cube = Cube(center, half_edge)

@@ -8,6 +8,7 @@ import numpy as np
 
 import capflow as cf
 from capflow import capacity
+from capflow.geometry import Cube, IndicatorField, lattice_nodes_per_axis
 from capflow.lattice import LatticeSystem
 
 
@@ -23,6 +24,13 @@ def count_calls(monkeypatch, owner, name: str, calls: list | None = None) -> lis
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def all_true(cube: Cube, h: float) -> IndicatorField:
+    """The indicator field that marks every node of the lattice of spacing h
+    spanning `cube`."""
+    n = lattice_nodes_per_axis(cube.half_edge, h)
+    return IndicatorField(cube, h, np.ones((n,) * cube.ndim, dtype=bool))
 
 
 class CondenserLog(list):

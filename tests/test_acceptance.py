@@ -18,8 +18,8 @@ import pytest
 
 import capflow as cf
 from capflow import capacity, cli
-from capflow.geometry import Cube, DomainSpec, IndicatorField
-from helpers import brute_harnack, brute_oscillation, synthetic_field
+from capflow.geometry import Cube, DomainSpec
+from helpers import all_true, brute_harnack, brute_oscillation, synthetic_field
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -35,7 +35,7 @@ def _cube_condenser(ndim: int, rho: float, outer_factor: float, p: float,
                     nodes_across: int) -> capacity.CapacityValue:
     h = 2.0 * rho / (nodes_across - 1)
     center = (0.0,) * ndim
-    obstacle = IndicatorField.all_true(Cube(center, rho), h)
+    obstacle = all_true(Cube(center, rho), h)
     problem = capacity.CondenserProblem(obstacle, Cube(center, outer_factor * rho), p)
     return capacity.solve_condenser(problem)
 
@@ -266,7 +266,7 @@ def test_criterion_09_decay_trend_corner_domain(tmp_path, capsys):
 
 def test_criterion_10_parabolic_capacity_slicing(capsys):
     h = 2.0 * 0.5 / 16
-    obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
+    obstacle = all_true(Cube((0.0,), 0.5), h)
     outer = Cube((0.0,), 1.0)
     elliptic = capacity.solve_condenser(capacity.CondenserProblem(obstacle, outer, 3.0)).value
     a, b = 0.25, 1.75

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import capflow as cf
 from capflow import capacity, lattice
 from capflow.geometry import Cube, DomainSpec, IndicatorField, rasterize_obstacle
-from helpers import count_calls, count_condensers, count_solves
+from helpers import all_true, count_calls, count_condensers, count_solves
 
 
 P3N1 = cf.make_params(3.0, 1)
@@ -23,7 +23,7 @@ def _cube_condenser(ndim: int, rho: float, outer_factor: float, p: float,
                     nodes_across: int) -> capacity.CapacityValue:
     h = 2.0 * rho / (nodes_across - 1)
     center = (0.0,) * ndim
-    obstacle = IndicatorField.all_true(Cube(center, rho), h)
+    obstacle = all_true(Cube(center, rho), h)
     problem = capacity.CondenserProblem(obstacle, Cube(center, outer_factor * rho), p)
     return capacity.solve_condenser(problem)
 
@@ -76,7 +76,7 @@ def test_unit_denominator_rescales_to_the_direct_solve(ndim, p, monkeypatch):
         h = 2.0 * rho / (FAST - 1)
         inner = Cube(x_o, rho)
         for cap, obstacle in ((cap_obs, rasterize_obstacle(dom, inner, h)),
-                              (cap_full, IndicatorField.all_true(inner, h))):
+                              (cap_full, all_true(inner, h))):
             direct = _direct_condenser(obstacle, p)
             assert cap.iterations == direct.iterations
             if p == round(p) and rho in (0.5, 0.0625):
@@ -139,7 +139,7 @@ def test_memo_keeps_no_condenser_field_or_lattice_system(monkeypatch):
 
 def test_condenser_history_nonincreasing():
     h = 2.0 / 16
-    obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
+    obstacle = all_true(Cube((0.0, 0.0), 1.0), h)
     problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0)
     _, history = capacity.minimize_condenser(problem)
     hist = np.array(history)
@@ -152,7 +152,7 @@ def test_condenser_history_nonincreasing():
 def test_condenser_convergence_error_carries_energy(monkeypatch):
     monkeypatch.setattr(lattice, "_MAX_ITER", 1)
     h = 2.0 / 16
-    obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
+    obstacle = all_true(Cube((0.0, 0.0), 1.0), h)
     problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0)
     with pytest.raises(cf.ConvergenceError,
                        match="condenser minimization did not converge in 1 iterations"
@@ -185,7 +185,7 @@ def test_condenser_of_scattered_points_converges_to_its_minimum(monkeypatch):
 
 def test_condenser_potential_in_unit_range():
     h = 2.0 / 16
-    obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), h)
+    obstacle = all_true(Cube((0.0, 0.0), 1.0), h)
     problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 2.0), 3.0)
     u, history = capacity.minimize_condenser(problem)
     assert float(u.min()) >= -1e-12 and float(u.max()) <= 1.0 + 1e-12
@@ -241,7 +241,7 @@ def test_full_cube_minimizer_is_symmetric():
     # the denominator condenser equals its transpose, so every solve of its
     # nested levels folds onto the mirror classes and keeps the iterates
     # symmetric bitwise
-    obstacle = IndicatorField.all_true(Cube((0.0, 0.0), 1.0), 2.0 / 32)
+    obstacle = all_true(Cube((0.0, 0.0), 1.0), 2.0 / 32)
     psi, _ = capacity.minimize_condenser(
         capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0))
     assert np.array_equal(psi, psi.T)
@@ -259,7 +259,7 @@ def _odd_nodes_only() -> capacity.CondenserProblem:
     _corner_condenser(17, 3.0),
     _odd_nodes_only(),
     # aligned with the outer lattice at spacing h but not at 2h
-    capacity.CondenserProblem(IndicatorField.all_true(Cube((2.0 / 32, 0.0), 1.0), 2.0 / 32),
+    capacity.CondenserProblem(all_true(Cube((2.0 / 32, 0.0), 1.0), 2.0 / 32),
                               Cube((0.0, 0.0), 1.5), 3.0),
 ], ids=["p2", "17_nodes", "empty_subsample", "unaligned_at_2h"])
 def test_condensers_without_a_coarse_problem_start_from_p2(problem, monkeypatch):
@@ -321,7 +321,7 @@ def test_parabolic_capacity_time_constant_slab():
     # constant-in-time obstacle: sliced value is the time span times the
     # elliptic capacity, and the trapezoid rule is exact for a constant
     h = 2.0 * 0.5 / 16
-    obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
+    obstacle = all_true(Cube((0.0,), 0.5), h)
     outer = Cube((0.0,), 1.0)
     elliptic = capacity.solve_condenser(
         capacity.CondenserProblem(obstacle, outer, 3.0)).value
@@ -335,7 +335,7 @@ def test_parabolic_capacity_time_constant_slab():
 def test_parabolic_capacity_solves_each_distinct_slice_once(monkeypatch):
     h = 2.0 * 0.5 / 16
     cube = Cube((0.0,), 0.5)
-    full = IndicatorField.all_true(cube, h)
+    full = all_true(cube, h)
     half = IndicatorField(cube, h, np.arange(17) >= 8)
     outer = Cube((0.0,), 1.0)
     c_full, c_half = (capacity.solve_condenser(
@@ -355,7 +355,7 @@ def test_parabolic_capacity_solves_each_distinct_slice_once(monkeypatch):
 
 def test_parabolic_capacity_validation():
     h = 2.0 * 0.5 / 16
-    obstacle = IndicatorField.all_true(Cube((0.0,), 0.5), h)
+    obstacle = all_true(Cube((0.0,), 0.5), h)
     outer = Cube((0.0,), 1.0)
     with pytest.raises(ValueError, match="empty slice list"):
         capacity.parabolic_capacity([], outer, 3.0)

@@ -9,8 +9,9 @@ import numpy as np
 
 import capflow
 from capflow import capacity, lattice, pde
-from capflow.geometry import Cube, IndicatorField
+from capflow.geometry import Cube
 from capflow.lattice import LatticeSystem
+from helpers import all_true
 
 
 def test_every_exported_name_resolves():
@@ -40,7 +41,7 @@ def test_benchmark_hooks_resolve():
 def test_minimize_condenser_returns_the_minimizer_first():
     # perfbench/run.py reads the first item as the condenser's minimizer
     h = 1.0 / 16
-    problem = capacity.CondenserProblem(IndicatorField.all_true(Cube((0.0,), 0.5), h),
+    problem = capacity.CondenserProblem(all_true(Cube((0.0,), 0.5), h),
                                         Cube((0.0,), 1.0), 3.0)
     psi, history = capacity.minimize_condenser(problem)
     # in 1D the minimizer is piecewise linear: 1 on the plate, 0 at +-1

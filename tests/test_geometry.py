@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import capflow as cf
-from capflow.geometry import Cube, DomainSpec, IndicatorField, lattice_nodes_per_axis
+from capflow.geometry import Cube, DomainSpec, lattice_nodes_per_axis
+from helpers import all_true
 
 
 def _sample_points(rng, n, lo=-2.0, hi=2.0, ndim=2):
@@ -116,7 +117,7 @@ def test_lattice_nodes_per_axis():
 
 
 def test_indicator_field_all_true():
-    field = IndicatorField.all_true(Cube((0.0, 0.0), 0.5), 0.25)
+    field = all_true(Cube((0.0, 0.0), 0.5), 0.25)
     assert field.nodes_per_axis == 5
     assert field.count == 25
     assert field.node_points().shape == (25, 2)

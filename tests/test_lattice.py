@@ -401,6 +401,69 @@ def test_lagged_solve_returns_an_iterate_within_atol_untouched(factorizations):
     assert len(factorizations) == 1
 
 
+def lagged_after_a_jump(spread):
+    """A solve with mass 0.5 on a 13x12 lattice, then one lagged on its
+    factor, which is wrapped in a CountingLU, with the weights scaled by
+    10**(spread U(-1, 1)) per cell.  Returns (system, fixed, g, previous,
+    the scaled weights, the lagged solution, the CountingLU, rng)."""
+    system, rng, weights, g, previous = random_problem((13, 12), 0.1, seed=7)
+    fixed = boundary_mask((13, 12), rng)
+    first = system.solve_dirichlet(weights, fixed, g, mass=0.5, previous=previous)
+    lu = count_lu_solves(system)
+    jumped = weights * 10.0 ** (spread * rng.uniform(-1, 1, system.n_cells))
+    u = system.solve_dirichlet(jumped, fixed, g, mass=0.5, previous=previous, iterate=first)
+    return system, fixed, g, previous, jumped, u, lu, rng
+
+
+@pytest.mark.parametrize("spread, slow", [(1e-3, False), (0.8, True)])
+def test_a_slow_lagged_solve_makes_the_next_solve_factor_afresh(spread, slow,
+                                                                  factorizations):
+    # a lagged solve that converged, but in more than _REFRESH iterations,
+    # marks its factor stale: the next solve of the block, a small
+    # reweighting, factors afresh and solves directly, with no PCG on the
+    # old factor.  After a fast lagged solve the next one lags too.  A fresh
+    # factor is not stale, so the solve after it lags again.
+    system, fixed, g, previous, jumped, u, lu, rng = lagged_after_a_jump(spread)
+    assert len(factorizations) == 1
+    assert (lu.solves > lattice._REFRESH) == slow
+    assert 0 < lu.solves <= lattice._CG_MAXITER
+    w = jumped * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
+    solves = lu.solves
+    v = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=u)
+    assert len(factorizations) == 1 + slow
+    assert (lu.solves == solves) == slow
+    if slow:
+        ref = dense_dirichlet((13, 12), 0.1, w, fixed, g, 0.5, previous)
+        assert np.allclose(v, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    w = w * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
+    system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=v)
+    assert len(factorizations) == 1 + slow
+
+
+def test_a_stale_factor_still_returns_an_iterate_within_atol_untouched(factorizations):
+    # the certified stationary exit comes before the refresh: on a stale
+    # factor, the exact solution of a reweighted matrix, given as the
+    # iterate with an exit above its residual, comes back bitwise, with no
+    # factorization and no triangular solve.  The factor stays stale, so
+    # the same solve without the exit factors afresh.
+    system, fixed, g, previous, jumped, u, lu, rng = lagged_after_a_jump(0.8)
+    assert lu.solves > lattice._REFRESH
+    w = jumped * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
+    iterate = dense_dirichlet((13, 12), 0.1, w, fixed, g, 0.5, previous)
+    a_mat, rhs = dense_block((13, 12), 0.1, w, fixed, g, 0.5, previous)
+    atol = 1e-9 * np.linalg.norm(rhs)
+    assert 0.0 < np.linalg.norm(rhs - a_mat @ iterate[~fixed]) <= 1e-3 * atol
+    solves = lu.solves
+    out = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=iterate,
+                                 atol=atol)
+    assert np.array_equal(out, iterate)
+    assert lu.solves == solves
+    assert len(factorizations) == 1
+    system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=iterate)
+    assert lu.solves == solves
+    assert len(factorizations) == 2
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_time_loop_factors_only_in_2d(ndim, factorizations, monkeypatch):
     solves = count_solves(monkeypatch)

@@ -202,7 +202,7 @@ def test_regression_envelope_ok_flags():
     meas = [(0.5, 0.01), (0.2, 0.01), (0.1, 2.0 * bound)]
     fit = cf.envelope_regression(meas, prof, env)
     assert fit.envelope_ok == (True, True, False)
-    assert not fit.all_below
+    assert not all(fit.envelope_ok)
 
 
 def test_regression_needs_three_points():

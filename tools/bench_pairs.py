@@ -31,7 +31,8 @@ import sys
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result line of one benchmark run of `tree`, or None without one."""
+    """The result line of one benchmark run of `tree`, with the run's `env:`
+    record under "env" when it printed one, or None without a result."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -41,9 +42,13 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
     if done.returncode != 0 or not lines:
         return None
     try:
-        return json.loads(lines[-1])
+        res = json.loads(lines[-1])
+        for line in lines[:-1]:
+            if line.startswith("env: "):
+                res["env"] = json.loads(line[len("env: "):])
     except json.JSONDecodeError:
         return None
+    return res
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
