@@ -7,7 +7,7 @@ computation, then the subcommand runs as named stages ending with `write`.
 Exit codes: 0 success, 2 config error, 3 numeric failure (named by its stage,
 with a partial report.json).  Reports embed the config, the library versions
 and per-stage wall-clock timings, the only nondeterministic part for a fixed
-config and seed.  Files are written atomically (temp file, then rename).
+config.  Files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _parse_profile(raw: dict, cfg) -> wiener.CapacityProfile:
                      lambda R_o, depth, value: of_deltas(R_o, [value] * depth)),
         "list": ({"R_o": "number", "deltas": "numbers"}, of_deltas),
         "seeded": ({"R_o": "number", "depth": depth, "low": "number", "high": "number",
-                    "seed": Key("integer", cfg.seed)}, seeded),
+                    "seed": Key("integer", 0)}, seeded),
     }, cfg.params.N)
 
 
@@ -356,12 +356,10 @@ class ExperimentConfig:
     nodes_across: int
     out_dir: str
     workers: int
-    seed: int
     values: dict
 
 
-def parse_experiment(raw: dict, command: str, out_dir: str, workers: int,
-                     seed: int) -> ExperimentConfig:
+def parse_experiment(raw: dict, command: str, out_dir: str, workers: int) -> ExperimentConfig:
     """Read and check the whole config of `command`; runs no computation."""
     keys = _COMMANDS[command].keys
     _no_unknown(raw, _COMMON_KEYS | set(keys))
@@ -370,7 +368,7 @@ def parse_experiment(raw: dict, command: str, out_dir: str, workers: int,
         raise ConfigError(f"--workers must be positive, got {workers}")
     nodes_across = _build(_get(raw, "solver", "object", default={}), "solver",
                           {"nodes_across": Key("integer", 33)}, capacity.check_nodes_across)
-    cfg = ExperimentConfig(raw, params, nodes_across, out_dir, workers, seed, {})
+    cfg = ExperimentConfig(raw, params, nodes_across, out_dir, workers, {})
     for key, spec in keys.items():
         cfg.values[key] = spec(raw, cfg) if callable(spec) else \
             _field(raw, key, spec, "", params.N)
@@ -669,13 +667,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--workers", type=int, default=1,
                          help="worker threads for radius fan-out")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="seed for synthetic profile generation")
     args = parser.parse_args(argv)
 
     try:
         raw = load_config(args.config)
-        cfg = parse_experiment(raw, args.command, args.out, args.workers, args.seed)
+        cfg = parse_experiment(raw, args.command, args.out, args.workers)
         run_stages(_COMMANDS[args.command].handler, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

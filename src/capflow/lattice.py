@@ -48,9 +48,12 @@ passes its iterate u: CG then starts from u and stops at a residual of
 the direction the backtracking then searches.  A lagged solve that took more
 than `_REFRESH` iterations marks the factor stale, and the next solve of
 its block factors afresh without trying PCG (see the note on `_REFRESH`).
-A solve given no iterate, such as the first solve of a condenser, factors
-afresh, and a fresh factor solves directly.  Because of this solver state,
-a `LatticeSystem` on a 2D lattice must not be shared across threads.
+A solve given no iterate, or on a system whose factor is of another block
+or none, factors afresh, and a fresh factor solves directly.  Every solve in
+the package is `minimize`'s and gets an iterate; a condenser's p = 2 start
+is a `minimize` call too, whose first solve, its system's first, factors.
+Because of this solver state, a `LatticeSystem` on a 2D lattice must not be
+shared across threads.
 
 A time step whose start is already its minimizer up to round-off, as in the
 late steps of a time loop that has stopped moving, would still pay a solve.
@@ -78,15 +81,17 @@ diagonal x0 = x1 and 2 off it.  PCG measures the lattice residual,
 ||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING`, `_CG_RTOL` and
 `atol` keep their meaning.  On corner_verify's time step this halves the
 unknowns and more than halves the factor (see the note on `_CG_MAXITER`).
-A solve tests the mask first, then the other fields; any solve with an
-asymmetric one runs on every free node, the fold by the identity map.
-`minimize` decides the fold once instead, from the mask, the boundary
-values, `previous` (with a mass term) and its chosen start: from symmetric
-fields it only ever builds symmetric ones, node by node or cell by cell, so
-every solve of a symmetric minimization would fold, and it passes that
-decision to each solve.  A `LatticeSystem` keeps one factor, of the block it
-factored last, so a system that switches masks or folds factors afresh at
-each switch; the package gives each system a single mask.
+`minimize` alone decides the fold, once per call, from the mask, the
+boundary values, `previous` (with a mass term) and its chosen start: from
+symmetric fields it only ever builds symmetric ones, node by node or cell
+by cell, so every solve of a symmetric minimization meets the condition
+above, and it passes `folded=True` to each.  A solve trusts `folded` and
+tests no field; unfolded, it runs on every free node, the fold by the
+identity map.  Only the block checks, once when it is built, that a folded
+lattice is square and its mask symmetric, since an asymmetric mask would
+leave a free node without an unknown.  A `LatticeSystem` keeps one factor,
+of the block it factored last, so a system that switches masks or folds
+factors afresh at each switch; the package gives each system a single mask.
 """
 
 from __future__ import annotations
@@ -170,12 +175,13 @@ class _Block:
     unknowns, and the maps that scatter cell weights into it.
 
     Unfolded, P is the identity.  Folded, on a square 2D lattice whose mask
-    equals its transpose, a free node and its mirror across the diagonal
-    x0 = x1 share one unknown, numbered in the order of the lower of their
-    flat indices.  `free` holds the free nodes, `unknown` the unknown of each
-    free node, `node` the flat index of each unknown's lower node and `mult`
-    each unknown's multiplicity, the number of free nodes it stands for: 1
-    on the diagonal, and everywhere when unfolded, and 2 off it.
+    equals its transpose (checked when the block is built), a free node and
+    its mirror across the diagonal x0 = x1 share one unknown, numbered in
+    the order of the lower of their flat indices.  `free` holds the free
+    nodes, `unknown` the unknown of each free node, `node` the flat index of
+    each unknown's lower node and `mult` each unknown's multiplicity, the
+    number of free nodes it stands for: 1 on the diagonal, and everywhere
+    when unfolded, and 2 off it.
     `free_cells` marks the cells with an edge at a free node.
 
     Each edge adds its weight to the diagonal slots of its free ends and,
@@ -193,6 +199,10 @@ class _Block:
     """
 
     def __init__(self, system: LatticeSystem, fixed: np.ndarray, folded: bool):
+        if folded and not (system.ndim == 2 and _transpose_symmetric(fixed, system.shape)):
+            # a free node whose mirror is fixed would have no unknown
+            raise ValueError(f"cannot fold the {system.shape} lattice: the fold needs a "
+                             "square 2D lattice and a mask equal to its transpose")
         self.free = np.flatnonzero(~fixed)
         n_free = self.free.size
         own = np.arange(n_free)
@@ -391,7 +401,7 @@ class LatticeSystem:
                         boundary_values: np.ndarray, mass: float = 0.0,
                         previous: np.ndarray | None = None,
                         iterate: np.ndarray | None = None, atol: float = 0.0, *,
-                        folded: bool | None = None) -> np.ndarray:
+                        folded: bool = False) -> np.ndarray:
         """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`,
         where L(w) is the graph Laplacian of sum_cells h**N w_c |grad u|^2.
 
@@ -408,12 +418,13 @@ class LatticeSystem:
         factorization and a solve without `iterate` ignore `atol`.  At
         `atol` = 0 only a zero residual passes, which PCG returns unchanged
         too, so the solve is as without it.
-        When the mask and every field given equal their transposes on a
-        square 2D lattice, the solve runs on one unknown per mirror pair of
-        free nodes and returns a field equal to its transpose (see the
-        module docstring).  `minimize` passes `folded`, which it decided
-        once for all its solves; the solve then trusts it and tests no
-        field.  Raises ValueError when the system is singular.
+        With `folded`, the solve runs on one unknown per mirror pair of free
+        nodes and returns a field equal to its transpose (see the module
+        docstring).  It trusts the caller that the weights, boundary values,
+        `previous` (with mass) and `iterate` equal their transposes, and
+        tests none of them; `minimize` decides the fold.  Raises ValueError
+        when the system is singular, or when `folded` is given on a lattice
+        that is not square or a mask that is not transpose-symmetric.
         """
         fixed = np.asarray(fixed, dtype=bool).ravel()
         g = np.asarray(boundary_values, dtype=float).ravel()
@@ -421,16 +432,10 @@ class LatticeSystem:
             raise ValueError("mass term requires the previous field")
         out = g.copy()
         w = np.asarray(cell_weights, dtype=float)
-        # the fold onto the mirror classes: see the module docstring
-        fields = [(fixed, self.shape), (w, (self.shape[0] - 1,) * 2), (g, self.shape)]
         if mass > 0.0:
             previous = np.asarray(previous, dtype=float).ravel()
-            fields.append((previous, self.shape))
         if iterate is not None:
             iterate = np.asarray(iterate, dtype=float).ravel()
-            fields.append((iterate, self.shape))
-        if folded is None:
-            folded = self.ndim == 2 and all(_transpose_symmetric(v, s) for v, s in fields)
         blk = self._block(fixed, folded)
         if blk.n == 0:
             return out
@@ -542,10 +547,11 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     them.
 
     The last stage runs at floor = _WEIGHT_FLOOR; it returns when it stops
-    and raises ConvergenceError after _MAX_ITER iterations.  When p > 2 and
-    some cell with a free node is floored at the chosen start, stages of at
-    most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and g_max
-    the start's largest cell gradient, run first.  They do not count against
+    and raises ConvergenceError after _MAX_ITER iterations, with a message
+    that states that limit, so that callers need not read it.  When p > 2
+    and some cell with a free node is floored at the chosen start, stages of
+    at most _STAGE_ITERS iterations at the floors r * g_max, r in _RELAX and
+    g_max the start's largest cell gradient, run first.  They do not count against
     _MAX_ITER, and a stage that does not stop just hands on to the next.  A
     solve that raises ValueError, as a singular one does, runs once more at
     the smallest such floor of u, with no residual exit, and the error stands
@@ -599,9 +605,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     # (with mass) and u equal their transposes, so do the weights at u
     # (gx**2 + gy**2 is the same sum in either order), each folded solve,
     # each step toward it and the weights there, retries included: every
-    # solve below would pass the solve's own test.  Otherwise the first
-    # solve would fail it, and so would every later one unless an iterate
-    # came out symmetric bitwise; all of them run unfolded.
+    # solve below meets the fold's condition.  Otherwise every solve runs
+    # unfolded, even where an iterate comes out symmetric bitwise.
     fields = [fixed, start]
     if mass > 0.0:
         fields.append(previous)
@@ -678,5 +683,5 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         if iterate(_WEIGHT_FLOOR, atol):
             return u, history
         atol = 0.0
-    raise ConvergenceError(f"no convergence in {_MAX_ITER} reweighting iterations",
+    raise ConvergenceError(f"did not converge within {_MAX_ITER} reweighting iterations",
                            last_energy=history[-1])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def smallest_lambda(p: float, gamma_2: float) -> int:
@@ -70,8 +70,8 @@ class StructureParams:
             raise ValueError(f"N must be 1 or 2, got {self.N}")
 
 
-OVERRIDABLE_CONSTANTS = ("gamma", "bar_gamma", "gamma_1", "gamma_2", "gamma_star",
-                         "gamma_3", "nu")
+# the constants a config may set: every field of StructuralConstants, in order
+OVERRIDABLE_CONSTANTS = tuple(f.name for f in fields(StructuralConstants))
 
 
 def make_params(p: float, N: int, **overrides: float) -> StructureParams:

@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import lattice
 from .errors import ConvergenceError
 from .fileio import atomic_write
 from .geometry import (Cube, DomainSpec, box_faces, domain_inside_mask, lattice_nodes_per_axis,
@@ -182,9 +181,11 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
     store every step: row k of the field's values is step k.
 
     Each step is one `lattice.minimize` that stops at a relative energy drop
-    of `_TOL_REL_ENERGY`; it raises ConvergenceError with the offending step
-    index when that minimization does not stop within `lattice._MAX_ITER`
-    reweighting iterations.
+    of `_TOL_REL_ENERGY`; the minimizer runs the step's every linear solve
+    and decides once whether they fold onto mirror classes.  When it does
+    not converge within its iteration limit, this raises ConvergenceError
+    with the offending step index, its message the minimizer's, which
+    states that limit, after "time step k".
     """
     if p < 2.0:
         raise ValueError(f"p must be at least 2, got {p}")
@@ -220,10 +221,8 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
             u_new, _ = minimize(system, fixed, start, p, _TOL_REL_ENERGY,
                                 mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)
         except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"time step {k} did not converge within {lattice._MAX_ITER} "
-                "reweighting iterations", last_energy=exc.last_energy / p,
-                step_index=k) from None
+            raise ConvergenceError(f"time step {k} {exc}", last_energy=exc.last_energy / p,
+                                   step_index=k) from None
         u_old, u, tau_old = u, u_new, tau
         stored[k] = u
 

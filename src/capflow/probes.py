@@ -151,15 +151,16 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
         inf_later=inf_later, ratio=float(ratio), remark_applies=bool(remark))
 
 
-def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float, k: float,
-                    sample_times=None) -> SpreadingProbeResult:
+def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float,
+                    k: float) -> SpreadingProbeResult:
     """Fit the largest waiting-time factor nu in the spreading lower bound.
 
     Hypothesis, checked on the field: u(., t_bar) >= k on K_{2 rho}(y).  The
     bound asserts inf over K_rho(y) of u(., t) stays above
     (k/2) (1 + (t - t_bar) / (nu k**(2-p) (2 rho)**p))**(1/(2-p)); the right
-    side grows with nu, so each sample caps nu and the fit is the minimum.
-    Samples still at or above k/2 are consistent with any nu and enter as 1.
+    side grows with nu, so each sample, one per stored step after the step
+    nearest t_bar, caps nu and the fit is the minimum.  Samples still at or
+    above k/2 are consistent with any nu and enter as 1.
     """
     if not rho > 0.0 or not k > 0.0:
         raise ValueError("rho and k must be positive")
@@ -177,11 +178,7 @@ def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float, k: float
             f"{tuple(float(c) for c in pts[bad])}, t={t_used}")
 
     times = field.grid.times
-    if sample_times is None:
-        sample_rows = [i for i in range(len(times)) if times[i] > t_used]
-    else:
-        sample_rows = sorted({_nearest_step(field, t) for t in sample_times})
-        sample_rows = [i for i in sample_rows if times[i] > t_used]
+    sample_rows = [i for i in range(len(times)) if times[i] > t_used]
     if not sample_rows:
         raise ValueError(f"no stored slices after t_bar={t_used}")
 

@@ -155,8 +155,8 @@ def test_condenser_convergence_error_carries_energy(monkeypatch):
     obstacle = all_true(Cube((0.0, 0.0), 1.0), h)
     problem = capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), 3.0)
     with pytest.raises(cf.ConvergenceError,
-                       match="condenser minimization did not converge in 1 iterations"
-                       ) as err:
+                       match="condenser minimization did not converge within 1 "
+                             "reweighting iterations") as err:
         capacity.minimize_condenser(problem)
     assert np.isfinite(err.value.last_energy)
     assert err.value.step_index is None
@@ -263,11 +263,25 @@ def _odd_nodes_only() -> capacity.CondenserProblem:
                               Cube((0.0, 0.0), 1.5), 3.0),
 ], ids=["p2", "17_nodes", "empty_subsample", "unaligned_at_2h"])
 def test_condensers_without_a_coarse_problem_start_from_p2(problem, monkeypatch):
+    # the start is `minimize` at p = 2: bitwise the direct unit-weight
+    # solve, folded as `minimize` folds a symmetric condenser
     system, fixed, bvals = capacity._embed_obstacle(problem)
-    start = system.solve_dirichlet(np.ones(system.n_cells), fixed, bvals)
+    folded = all(lattice._transpose_symmetric(v, system.shape) for v in (fixed, bvals))
+    start = system.solve_dirichlet(np.ones(system.n_cells), fixed.ravel(), bvals.ravel(),
+                                   folded=folded)
     solves = count_solves(monkeypatch)
+    starts = []
+    minimize = capacity.minimize
+
+    def recording(system, fixed, start, p, *args):
+        starts.append((p, start))
+        return minimize(system, fixed, start, p, *args)
+
+    monkeypatch.setattr(capacity, "minimize", recording)
     _, history = capacity.minimize_condenser(problem)
     assert {s.shape for s in solves} == {system.shape}      # no coarse lattice
+    assert [p for p, _ in starts] == [2.0, problem.p]
+    assert starts[1][1].tobytes() == start.tobytes()
     assert history[0] == system.energy(start, problem.p)
 
 

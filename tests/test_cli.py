@@ -328,7 +328,7 @@ def test_shipped_configs_parse(command, config, tmp_path, monkeypatch):
     monkeypatch.setattr(pde, "make_grid", no_solve)
     monkeypatch.setattr(capacity, "minimize_condenser", no_solve)
     path = config if isinstance(config, str) else write_cfg(tmp_path, "config.json", config)
-    cfg = cli.parse_experiment(cli.load_config(path), command, "unused", 1, 0)
+    cfg = cli.parse_experiment(cli.load_config(path), command, "unused", 1)
     assert cfg.raw["schema_version"] == 1
     assert set(cfg.values) == set(cli._COMMANDS[command].keys)
 
@@ -500,12 +500,14 @@ def test_cascade_power_law_branch(tmp_path):
 
 
 def test_cascade_seeded_profile_follows_seed_flag(tmp_path):
+    # the seed is the config's profile.seed, the only one
     cfg = cascade_cfg()
-    cfg["profile"] = {"mode": "seeded", "R_o": 1.0, "depth": 5,
-                      "low": 0.3, "high": 0.9}
-    rc1, out1 = run(tmp_path, "cascade", cfg, tag="s7a", extra=("--seed", "7"))
-    rc2, out2 = run(tmp_path, "cascade", cfg, tag="s7b", extra=("--seed", "7"))
-    rc3, out3 = run(tmp_path, "cascade", cfg, tag="s8", extra=("--seed", "8"))
+    runs = []
+    for seed, tag in ((7, "s7a"), (7, "s7b"), (8, "s8")):
+        cfg["profile"] = {"mode": "seeded", "R_o": 1.0, "depth": 5,
+                          "low": 0.3, "high": 0.9, "seed": seed}
+        runs.append(run(tmp_path, "cascade", cfg, tag=tag))
+    (rc1, out1), (rc2, out2), (rc3, out3) = runs
     assert rc1 == rc2 == rc3 == 0
     r1, r2, r3 = read_report(out1), read_report(out2), read_report(out3)
     assert strip_timings(r1) == strip_timings(r2)

@@ -528,12 +528,12 @@ def folded_problems(draw):
 def test_folded_solves_match_dense_solves(problem):
     # a fresh factor, then lagged solves from the last solution as the
     # weights drift, then the certified exit from a symmetric exact solution;
-    # every solve runs on one unknown per mirror class and returns a field
-    # equal to its transpose
+    # every solve, told to fold, runs on one unknown per mirror class and
+    # returns a field equal to its transpose
     n, h, fixed, w, g, mass, previous, change = problem
     shape = (n, n)
     system = LatticeSystem(shape, h)
-    u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
+    u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, folded=True)
     ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
     assert factors(system, fixed, True)
@@ -543,7 +543,8 @@ def test_folded_solves_match_dense_solves(problem):
         assert np.array_equal(u[fixed], g[fixed])
         w = w * (1.0 + 1e-3 * change)
         before = lattice_residual(shape, h, w, fixed, g, mass, previous, u)[0]
-        u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=u)
+        u = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=u,
+                                   folded=True)
         after, rhs = lattice_residual(shape, h, w, fixed, g, mass, previous, u)
         assert after <= lattice._FORCING * before + 1e-11 * rhs
         assert factors(system, fixed, True)
@@ -551,7 +552,7 @@ def test_folded_solves_match_dense_solves(problem):
     ref = 0.5 * (ref + ref.reshape(shape).T.ravel())
     lu = count_lu_solves(system)
     out = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=ref,
-                                 atol=1e-9 * rhs)
+                                 atol=1e-9 * rhs, folded=True)
     assert np.array_equal(out, ref)
     assert lu.solves == 0
 
@@ -566,54 +567,82 @@ def asymmetric(a, fixed, n):
     return b
 
 
+def record_folds(monkeypatch) -> list:
+    """The `folded` argument of every Dirichlet solve from here on."""
+    folds = []
+    solve = LatticeSystem.solve_dirichlet
+
+    def recording(self, *args, folded=False, **kwargs):
+        folds.append(folded)
+        return solve(self, *args, folded=folded, **kwargs)
+
+    monkeypatch.setattr(LatticeSystem, "solve_dirichlet", recording)
+    return folds
+
+
+def minimize_at_p2(shape, fixed, start, mass, previous):
+    """`minimize` at p = 2, one unit-weight solve that a lagged one confirms,
+    on a fresh system: (minimizer, the `folded` argument of each solve)."""
+    with pytest.MonkeyPatch.context() as mp:
+        folds = record_folds(mp)
+        u, _ = minimize(LatticeSystem(shape, 0.25), fixed, start, 2.0, TOL, mass, previous)
+    return u, folds
+
+
 # the previous field enters only through the mass term
 @pytest.mark.parametrize("case, mass", [
     (case, mass)
-    for case in ("mask", "weights", "boundary_values", "previous", "iterate", "non_square")
+    for case in ("mask", "boundary_values", "previous", "non_square")
     for mass in (0.0, 1.5) if (case, mass) != ("previous", 0.0)])
 def test_asymmetric_solves_do_not_fold(case, mass, factorizations):
-    # a symmetric solve, then one with a single asymmetric input, on the same
-    # mask unless the mask is that input: that one runs on every free node,
-    # factored afresh, and still matches the dense solve; a symmetric solve
-    # after it, from the symmetric solution, folds again
+    # a symmetric minimization folds every solve; with a single asymmetric
+    # input none folds, the factor has a row per free node, and the result
+    # still matches the dense solve
     shape = (7, 6) if case == "non_square" else (7, 7)
-    system, rng, w, g, previous = random_problem(shape, 0.25, seed=3)
+    _, rng, _, g, previous = random_problem(shape, 0.25, seed=3)
     fixed = boundary_mask(shape, rng)
     if case != "non_square":
         fixed = (fixed.reshape(shape) | fixed.reshape(shape).T).ravel()
-        w = mirrored(w.reshape(6, 6)).ravel()
         g, previous = (mirrored(v.reshape(shape)).ravel() for v in (g, previous))
-    symmetric = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous)
-    folds = case != "non_square"
-    n_free = int(np.count_nonzero(~fixed))
-    assert factorizations[-1] == ((mirror_classes(fixed, 7),) * 2 if folds else (n_free,) * 2)
-    args = dict(mask=fixed, weights=w, boundary_values=g, previous=previous, iterate=symmetric)
+        u, folds = minimize_at_p2(shape, fixed, np.where(fixed, g, previous), mass, previous)
+        assert folds and all(folds)
+        assert lattice._transpose_symmetric(u, shape)
+        assert factorizations == [(mirror_classes(fixed, 7),) * 2]
+    start = previous.copy()
     if case == "mask":
         # fix the free node that `asymmetric` moves: its mirror stays free
-        args[case] = asymmetric(1.0 * fixed, fixed, 7) > 0.0
-    elif case in args:
-        args[case] = asymmetric(args[case], fixed, 7)
-    mask = args["mask"]
-    assert lattice._transpose_symmetric(mask, shape) == (case not in ("mask", "non_square"))
-    u = system.solve_dirichlet(args["weights"], mask, args["boundary_values"], mass=mass,
-                               previous=args["previous"], iterate=args["iterate"])
-    assert factors(system, mask, False)
-    n_free = int(np.count_nonzero(~mask))
-    assert factorizations[-1] == (n_free, n_free)
-    assert len(factorizations) == 1 + folds
-    if case == "iterate":
-        # a fresh factor solves directly: the iterate only starts lagged solves
-        ref = symmetric
-    else:
-        ref = dense_dirichlet(shape, 0.25, args["weights"], mask, args["boundary_values"],
-                              mass, args["previous"])
+        fixed = asymmetric(1.0 * fixed, fixed, 7) > 0.0
+    elif case == "boundary_values":
+        # the box face node (0, k) next to the first free node (1, k)
+        k = 1 + int(np.flatnonzero(~fixed.reshape(shape)[1, 1:-1])[0])
+        g = g.copy()
+        g[k] += 0.25
+    elif case == "previous":
+        previous = asymmetric(previous, fixed, 7)
+    start[fixed] = g[fixed]
+    factorizations.clear()
+    u, folds = minimize_at_p2(shape, fixed, start, mass, previous)
+    assert folds and not any(folds)
+    n_free = int(np.count_nonzero(~fixed))
+    assert factorizations == [(n_free, n_free)]
+    ref = dense_dirichlet(shape, 0.25, np.ones((shape[0] - 1) * (shape[1] - 1)), fixed, g,
+                          mass, previous)
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
-    assert np.array_equal(u[mask], args["boundary_values"][mask])
-    again = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous,
-                                   iterate=symmetric)
-    assert np.allclose(again, symmetric, rtol=0.0, atol=1e-12 * np.abs(symmetric).max())
-    assert factors(system, fixed, folds)
-    assert len(factorizations) == 1 + 2 * folds
+    assert np.array_equal(u[fixed], g[fixed])
+
+
+@pytest.mark.parametrize("shape, fixed", [
+    ((7, 7), np.arange(49) == 1),               # node (0, 1) fixed, its mirror (1, 0) free
+    ((7, 6), np.zeros(42, dtype=bool)),
+    ((7,), np.zeros(7, dtype=bool)),
+], ids=["asymmetric_mask", "non_square", "chain"])
+def test_a_folded_block_needs_a_square_lattice_and_a_symmetric_mask(shape, fixed):
+    # folded, a free node whose mirror is fixed would have no unknown: the
+    # block refuses to build, and builds unfolded
+    system = LatticeSystem(shape, 0.25)
+    with pytest.raises(ValueError, match="cannot fold"):
+        lattice._Block(system, fixed, True)
+    assert lattice._Block(system, fixed, False).n == np.count_nonzero(~fixed)
 
 
 def test_folded_solve_factors_one_row_per_mirror_class(factorizations):
@@ -623,7 +652,7 @@ def test_folded_solve_factors_one_row_per_mirror_class(factorizations):
     fixed = (fixed | fixed.T).ravel()
     w = mirrored(w.reshape(8, 8)).ravel()
     g = mirrored(g.reshape(shape)).ravel()
-    u = system.solve_dirichlet(w, fixed, g)
+    u = system.solve_dirichlet(w, fixed, g, folded=True)
     n_classes = mirror_classes(fixed, 9)
     assert n_classes < int(np.count_nonzero(~fixed))
     assert factorizations == [(n_classes, n_classes)]
@@ -746,40 +775,12 @@ def symmetric_time_step():
     return system, fixed, start, dict(mass=2.0, previous=previous)
 
 
-def fold_log(monkeypatch):
-    """The fold of every block lookup and the number of symmetry tests from
-    here on."""
-    log = {"folds": [], "tests": 0}
-    block, test = LatticeSystem._block, lattice._transpose_symmetric
-
-    def recording_block(self, fixed, folded):
-        log["folds"].append(folded)
-        return block(self, fixed, folded)
-
-    def counting_test(values, shape):
-        log["tests"] += 1
-        return test(values, shape)
-
-    monkeypatch.setattr(LatticeSystem, "_block", recording_block)
-    monkeypatch.setattr(lattice, "_transpose_symmetric", counting_test)
-    return log
-
-
-def without_the_fold(monkeypatch):
-    """Make every solve drop `folded` and test its fields itself."""
-    solve = LatticeSystem.solve_dirichlet
-
-    def testing_solve(self, *args, folded=None, **kwargs):
-        return solve(self, *args, **kwargs)
-
-    monkeypatch.setattr(LatticeSystem, "solve_dirichlet", testing_solve)
-
-
 @pytest.mark.parametrize("guess", [None, "asymmetric"])
 def test_minimize_decides_the_fold_once(guess, monkeypatch):
-    # symmetric fixed, start and previous: without a guess every solve
-    # folds, after an accepted asymmetric guess none does, and either way
-    # the solves return the bits they return when each tests its own fields
+    # symmetric fixed, start and previous: without a guess every solve is
+    # told to fold and the minimizer equals its transpose, after an accepted
+    # asymmetric guess no solve is.  The fields are tested once per call,
+    # not once per solve
     system, fixed, start, step = symmetric_time_step()
     if guess == "asymmetric":
         ref, _ = minimize(system, fixed, start, 3.0, TOL, **step)
@@ -788,25 +789,15 @@ def test_minimize_decides_the_fold_once(guess, monkeypatch):
         guess = 0.5 * (start + ref)
         guess += 1e-3 * (asymmetric(guess, fixed, 9) - guess)
         system, *_ = symmetric_time_step()
-    runs = []
-    for decided in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            if not decided:
-                without_the_fold(mp)
-            log = fold_log(mp)
-            u, history = minimize(system, fixed, start, 3.0, TOL, **step, guess=guess)
-        runs.append((u, history, log))
-        # a fresh system, so that both runs start without a factor
-        system, *_ = symmetric_time_step()
-    (u, history, log), (u_ref, history_ref, log_ref) = runs
-    n_solves = len(log["folds"])
-    assert n_solves > 4
-    assert log["folds"] == [guess is None] * n_solves == log_ref["folds"]
-    # fixed, start, previous, and the guess once accepted
-    assert log["tests"] == (3 if guess is None else 4)
-    assert log_ref["tests"] > n_solves
-    assert history == history_ref
-    assert same_bits(u, u_ref)
+    folds = record_folds(monkeypatch)
+    tests = count_calls(monkeypatch, lattice, "_transpose_symmetric")
+    u, _ = minimize(system, fixed, start, 3.0, TOL, **step, guess=guess)
+    assert len(folds) > 4
+    assert folds == [guess is None] * len(folds)
+    # fixed, start and previous, then either the folded block as it is
+    # built or the accepted guess
+    assert len(tests) == 4
+    assert lattice._transpose_symmetric(u, (9, 9)) == (guess is None)
 
 
 # -- the shared minimizer ------------------------------------------------------

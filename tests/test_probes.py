@@ -125,13 +125,6 @@ def test_spreading_hypothesis_failure_names_node():
         cf.spreading_probe(field, (0.0, 0.0), 0.125, 0.0, 0.2)
 
 
-def test_spreading_sample_times_dedup():
-    field = synthetic_field(np.full((5, 81), 0.2), TIMES5)
-    res = cf.spreading_probe(field, (0.0, 0.0), 0.125, 0.0, 0.2,
-                             sample_times=[0.5, 0.52, 1.0, 0.0])
-    assert [t for t, _, _ in res.samples] == [0.5, 1.0]
-
-
 def test_envelope_floor():
     env = cf.EnvelopeParams(1.0, 0.3, 0.5, 0.25, P3N2)
     expected = 0.3 + P3N2.constants.bar_gamma * 0.25 ** 0.5
