@@ -175,7 +175,8 @@ def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[floa
     problem's plate and ground values, is the start.  Otherwise the p = 2
     minimizer is, from `minimize` at p = 2: there the weights are exactly 1,
     so its first solve is the unit-weight Dirichlet solve, and its second
-    finds that solution stationary.
+    finds that solution stationary.  When the problem's p is 2, that call's
+    minimizer and history are the result.
     """
     system, fixed, bvals = _embed_obstacle(problem)
     coarse = _coarse_problem(problem)
@@ -183,8 +184,9 @@ def minimize_condenser(problem: CondenserProblem) -> tuple[np.ndarray, list[floa
         psi = np.where(fixed, bvals, _prolong(minimize_condenser(coarse)[0])).ravel()
     try:
         if coarse is None:
-            psi, _ = minimize(system, fixed, bvals, 2.0, _TOL_REL_ENERGY)    # p = 2 start
-        psi, history = minimize(system, fixed, psi, problem.p, _TOL_REL_ENERGY)
+            psi, history = minimize(system, fixed, bvals, 2.0, _TOL_REL_ENERGY)  # p = 2 start
+        if problem.p != 2.0:
+            psi, history = minimize(system, fixed, psi, problem.p, _TOL_REL_ENERGY)
     except ConvergenceError as exc:
         raise ConvergenceError(f"condenser minimization {exc}",
                                last_energy=exc.last_energy) from None

@@ -139,8 +139,13 @@ def load_config(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def non_finite(literal: str):
+        # json.loads accepts NaN, Infinity and -Infinity, which JSON does not
+        raise ConfigError(f"{path}: {literal} is not JSON; numbers must be finite")
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -419,7 +424,8 @@ def write_report(path: str, report: dict) -> None:
 # -- the stage runner and the subcommand handlers -----------------------------
 
 def run_stages(handler: Callable, cfg: ExperimentConfig) -> dict:
-    """Run `handler(cfg, stage, report)`, then the `write` stage.
+    """Run `handler(cfg, stage, report)`, then the `write` stage, then write
+    the report, whose timings then include the `write` stage's.
 
     `stage(name, fn)` times fn() and turns its exceptions into a PipelineError
     naming the stage; the report is then written with the sections finished so
@@ -451,11 +457,11 @@ def run_stages(handler: Callable, cfg: ExperimentConfig) -> dict:
         for step in cfg.values["snapshot_steps"] if field_obj else ():
             pde.save_snapshot(field_obj, step,
                               os.path.join(cfg.out_dir, f"field_step{step}.csv"))
-        write_report(path, report)
 
     try:
         outputs = handler(cfg, stage, report)
         stage("write", lambda: write(*outputs))
+        write_report(path, report)
     except PipelineError as exc:
         report["error"] = {"stage": exc.stage, "message": str(exc.cause)}
         for attr in ("step_index", "last_energy"):
@@ -528,8 +534,8 @@ def cmd_solve(cfg: ExperimentConfig, stage: Callable, report: dict):
     grid = stage("grid", lambda: pde.make_grid(values["domain"], values["box"],
                                                values["grid_h"], values["time"]))
     field_obj = stage("solve", lambda: pde.solve(grid, values["datum"], cfg.params.p))
-    rows = [(step, float(grid.times[step]), float(en))
-            for step, en in enumerate(pde.spatial_energy(field_obj))]
+    energies = stage("energy", lambda: pde.spatial_energy(field_obj))
+    rows = [(step, float(grid.times[step]), float(en)) for step, en in enumerate(energies)]
     header = ["step", "time", "energy"]
     report["solve"] = {
         "shape": list(grid.shape), "h": grid.h, "n_steps": grid.n_steps,

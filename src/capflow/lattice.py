@@ -55,14 +55,9 @@ is a `minimize` call too, whose first solve, its system's first, factors.
 Because of this solver state, a `LatticeSystem` on a 2D lattice must not be
 shared across threads.
 
-A time step whose start is already its minimizer up to round-off, as in the
-late steps of a time loop that has stopped moving, would still pay a solve.
-Where `minimize` can prove that from the strong convexity of its objective
-(Boyd & Vandenberghe, Convex Optimization 2004, 9.1.2), it passes the solve
-an absolute exit `atol`, and a solve on the system's factor whose residual
-at u is within it returns u itself, without a triangular solve, and without
-a factorization even when the factor is stale; `minimize` then knows u's
-objective and does not evaluate it again.
+`minimize` has no exit that only time steps take: the time loop of
+`capflow.pde` itself reuses a step that repeats a stationary one, without
+calling `minimize`.
 
 On a square 2D lattice, swapping x0 and x1 maps cell (i, j) to cell (j, i)
 and its x-edge to its y-edge, so it leaves the energy unchanged; it is the
@@ -78,8 +73,8 @@ whose unique solution is that y, and scatters y back, so the result is
 symmetric bitwise (Bossavit, Comput. Methods Appl. Mech. Engrg. 1986).  The
 mass term and `previous` carry each unknown's multiplicity, 1 on the
 diagonal x0 = x1 and 2 off it.  PCG measures the lattice residual,
-||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING`, `_CG_RTOL` and
-`atol` keep their meaning.  On corner_verify's time step this halves the
+||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING` and `_CG_RTOL`
+keep their meaning.  On corner_verify's time step this halves the
 unknowns and more than halves the factor (see the note on `_CG_MAXITER`).
 `minimize` alone decides the fold, once per call, from the mask, the
 boundary values, `previous` (with a mass term) and its chosen start: from
@@ -113,14 +108,14 @@ from .errors import ConvergenceError
 # of a factorization.  Folded onto its mirror classes, corner_verify's time
 # step has 6048 unknowns instead of 12033, and its factor 186k L+U nonzeros
 # instead of 411k: 8 ms instead of 30 ms to factor, 0.3 ms instead of 1.0 ms
-# per triangular solve.  On corner_verify (seed 3), of the 265 solves given
-# an iterate, 67 took the certified stationary exit (see `minimize`) and 178
-# met the forcing bound on the lagged factor, in 2.6 iterations on average;
-# 4 lagged attempts failed, 11 solves refreshed a stale factor, 5 were the
-# first solve of their system, and the run factored 22 times and made 516
-# triangular solves.  Forcing terms 1e-1, 1e-2, 1e-3, 1e-4 and _CG_RTOL
-# gave 16, 22, 27, 40 and 64 factorizations; 1e-1 raised the largest
-# certified step error by 8%, the others left it within 0.1%.
+# per triangular solve.  On corner_verify (seed 3), of its 203 solves, all
+# given an iterate, 181 met the forcing bound on the lagged factor, in 2.6
+# iterations on average; 4 lagged attempts failed, 11 solves refreshed a
+# stale factor, 7 were the first solve of their system, and the run
+# factored 22 times and made 518 triangular solves.  Forcing terms 1e-1,
+# 1e-2, 1e-3, 1e-4 and _CG_RTOL gave 16, 22, 27, 40 and 64 factorizations;
+# 1e-1 raised the largest certified step error by 8%, the others left it
+# within 0.1%.
 #
 # A lagged solve that takes more than _REFRESH iterations shows its factor
 # gone stale, and the next solve of the block factors afresh instead of
@@ -128,12 +123,14 @@ from .errors import ConvergenceError
 # preconditioner (Knoll & Keyes, J. Comput. Phys. 2004).  Without it,
 # corner_verify factored 14 times and made 796 triangular solves, many
 # lagged solves limping at 5-8 iterations.  _REFRESH 3, 4, 5, 6 and never:
-# corner_verify 23, 22, 18, 16, 14 factorizations and 506, 516, 617, 674,
-# 796 triangular solves, median call 0.405, 0.403, 0.408, 0.411, 0.427 s;
-# cantor_profile 0.221, 0.209, 0.210, 0.210, 0.213 s; criterion 09
-# (configs/verify_corner.json) 1177, 1547, 1409, 1543, 2762 triangular
-# solves, 0.94, 1.00, 0.96, 0.98, 1.24 s (one process, 2-CPU Xeon, BLAS on
-# one thread; 15 calls per value, 5 for criterion 09).
+# corner_verify 23, 22, 18, 16, 14 factorizations and 509, 518, 620, 676,
+# 802 triangular solves; criterion 09 (configs/verify_corner.json) 761, 923,
+# 991, 1125, 1514 triangular solves.  Timed while the time loop still
+# solved its repeated stationary steps (one process, 2-CPU Xeon, BLAS on one
+# thread; 15 calls per value, 5 for criterion 09), the median call took
+# 0.405, 0.403, 0.408, 0.411, 0.427 s on corner_verify, 0.221, 0.209,
+# 0.210, 0.210, 0.213 s on cantor_profile and 0.94, 1.00, 0.96, 0.98,
+# 1.24 s on criterion 09.
 _CG_RTOL = 1e-12
 _CG_MAXITER = 8
 _FORCING = 1e-2
@@ -400,7 +397,7 @@ class LatticeSystem:
     def solve_dirichlet(self, cell_weights: np.ndarray, fixed: np.ndarray,
                         boundary_values: np.ndarray, mass: float = 0.0,
                         previous: np.ndarray | None = None,
-                        iterate: np.ndarray | None = None, atol: float = 0.0, *,
+                        iterate: np.ndarray | None = None, *,
                         folded: bool = False) -> np.ndarray:
         """Minimize 1/2 u^T L(w) u + mass/2 * sum_free (u - previous)^2 with u = g on `fixed`,
         where L(w) is the graph Laplacian of sum_cells h**N w_c |grad u|^2.
@@ -409,15 +406,10 @@ class LatticeSystem:
         full flat solution with the fixed values imposed exactly.  Given the
         full-length `iterate`, a solve on the system's last factor, when it is
         of the same block, starts there and stops at `_FORCING` times its
-        residual (see the module docstring); when that residual is at most
-        `atol`, the solve returns the iterate on the free nodes, bitwise and
-        without a triangular solve.  Once a lagged solve of the block took
-        more than `_REFRESH` iterations, the factor is stale: a later solve
-        of the block still takes that exit, and otherwise factors afresh.
-        A 2D solve without `iterate` factors afresh.  A 1D solve, a fresh
-        factorization and a solve without `iterate` ignore `atol`.  At
-        `atol` = 0 only a zero residual passes, which PCG returns unchanged
-        too, so the solve is as without it.
+        residual (see the module docstring).  Once a lagged solve of the
+        block took more than `_REFRESH` iterations, the factor is stale, and
+        the next solve of the block factors afresh.  A 2D solve without
+        `iterate` factors afresh; a 1D solve ignores `iterate`.
         With `folded`, the solve runs on one unknown per mirror pair of free
         nodes and returns a field equal to its transpose (see the module
         docstring).  It trusts the caller that the weights, boundary values,
@@ -462,15 +454,12 @@ class LatticeSystem:
             # a non-positive diagonal may make the system singular: leave it
             # to SuperLU, which reports that
             lagged = (iterate is not None and self._factor is not None
-                      and self._factor[0] is blk)
+                      and self._factor[0] is blk and not self._stale)
             if lagged and (data[blk.diag_slot] > 0.0).all():
                 x0 = iterate[blk.node]
                 r = rhs - a_mat @ x0
-                if blk.norm(r) <= atol:
-                    x = x0
-                elif not self._stale:
-                    x, k = _lagged_solve(self._factor[1], a_mat, rhs, x0, r, blk.norm)
-                    self._stale = k > _REFRESH
+                x, k = _lagged_solve(self._factor[1], a_mat, rhs, x0, r, blk.norm)
+                self._stale = k > _REFRESH
             if x is None:
                 self._factor = None             # never two factors at once
                 try:
@@ -497,24 +486,20 @@ class LatticeSystem:
 
 
 def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, folded: bool, gsq: np.ndarray,
-                    p: float, floor: float) -> tuple[list[float], bool]:
+                    p: float, floor: float) -> list[float]:
     """Floors of the continuation stages from the field u whose squared cell
-    gradients `gsq` holds, as `minimize` computed them with u's objective,
-    and whether the weights at u and `floor` are exact, |grad u|**(p-2), on
-    every cell with a free node, which the block of `fixed` and `folded`
-    marks.
+    gradients `gsq` holds, as `minimize` computed them with u's objective.
 
-    They are exact when p = 2, or when p > 2 and no such cell has
-    |grad u| <= floor (for p < 2 this answers False unseen).  The stages,
-    r * g_max for r in _RELAX above `floor`, g_max the largest cell gradient
-    of u, run only when p > 2 and the weights are not exact.
+    The stages, r * g_max for r in _RELAX above `floor`, g_max the largest
+    cell gradient of u, run only when p > 2 and some cell with a free node,
+    which the block of `fixed` and `folded` marks, has |grad u| <= floor.
     """
     if p <= 2.0:
-        return [], p == 2.0
+        return []
     floored = gsq <= floor * floor
     if not floored.any() or not floored[system._block(fixed, folded).free_cells].any():
-        return [], True
-    return _stage_floors(gsq, floor), False
+        return []
+    return _stage_floors(gsq, floor)
 
 
 def _stage_floors(gsq: np.ndarray, floor: float) -> list[float]:
@@ -554,18 +539,8 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     g_max the start's largest cell gradient, run first.  They do not count against
     _MAX_ITER, and a stage that does not stop just hands on to the next.  A
     solve that raises ValueError, as a singular one does, runs once more at
-    the smallest such floor of u, with no residual exit, and the error stands
+    the smallest such floor of u, and the error stands
     when no floor r * g_max exceeds the stage's.
-
-    On a 2D lattice, with mass > 0 and the weights exact at the chosen start
-    (p = 2, or no cell with a free node floored), the first iteration at
-    _WEIGHT_FLOOR gives its solve the residual exit atol = sqrt(2 mass noise
-    / p), noise = _ROUNDOFF_REL |objective(start)|.  A start within it is
-    the minimizer up to round-off, objective(start) - min <= p
-    |residual|**2 / (2 mass) <= noise, so the solve hands it back bitwise
-    and the iteration ends as stationary, without evaluating it again.
-    Every other solve, and every solve of a condenser (mass 0), gets atol
-    = 0: no exit.
 
     Whether the solves fold onto mirror classes is decided once, from
     `fixed`, `start`, `previous` (with mass > 0) and the chosen start, and
@@ -614,15 +589,15 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         fields.append(u)
     folded = system.ndim == 2 and all(_transpose_symmetric(v, system.shape) for v in fields)
 
-    def iterate(floor: float, atol: float = 0.0) -> bool:
+    def iterate(floor: float) -> bool:
         """One reweighted iteration at `floor`, which advances u, its squared
         cell gradients gsq and history unless it finds u stationary; True
-        when its stage stops.  `atol` is the solve's residual exit."""
+        when its stage stops."""
         nonlocal u, gsq
         w = system.weights_from_gsq(gsq, p, floor)
         try:
             u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                           iterate=u, atol=atol, folded=folded)
+                                           iterate=u, folded=folded)
         except ValueError:
             # flat cells of an iterate, not only of the start, weigh
             # floor**(p-2), which can round away against unit weights and,
@@ -633,10 +608,6 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             w = system.weights_from_gsq(gsq, p, relaxed[-1])
             u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
                                            iterate=u, folded=folded)
-        if atol > 0.0 and np.array_equal(u_hat, u):
-            # the certified stationary exit handed u back: the whole segment
-            # is u, level with e_prev, so the iteration ends unevaluated
-            return True
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0
@@ -661,27 +632,12 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         history.append(e_cand)
         return e_prev - e_cand <= tol_rel_energy * max(abs(e_prev), 1e-300)
 
-    floors, exact = _relaxed_floors(system, fixed, folded, gsq, p, _WEIGHT_FLOOR)
-    for floor in floors:
+    for floor in _relaxed_floors(system, fixed, folded, gsq, p, _WEIGHT_FLOOR):
         for _ in range(_STAGE_ITERS):
             if iterate(floor):
                 break
-    # The certified stationary exit.  With a mass term the objective is
-    # (p mass)-strongly convex on the free nodes, so its value at u exceeds
-    # its minimum by at most |grad|**2 / (2 p mass).  With exact weights the
-    # solve's residual at u is -grad / p, so a residual of at most atol bounds
-    # that excess by p atol**2 / (2 mass) = noise: no step can lower the
-    # objective beyond round-off, and the solve may hand back u unchanged,
-    # which ends the iteration as stationary without evaluating u again.
-    # `exact` speaks of the chosen start, and u is still that start whenever
-    # it holds: the stages run only when it does not.  A 1D solve is direct
-    # and ignores atol, so it is offered none.
-    atol = 0.0
-    if mass > 0.0 and exact and system.ndim == 2:
-        atol = math.sqrt(2.0 * mass * _ROUNDOFF_REL * abs(history[-1]) / p)
     for _ in range(_MAX_ITER):
-        if iterate(_WEIGHT_FLOOR, atol):
+        if iterate(_WEIGHT_FLOOR):
             return u, history
-        atol = 0.0
     raise ConvergenceError(f"did not converge within {_MAX_ITER} reweighting iterations",
                            last_energy=history[-1])

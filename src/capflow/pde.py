@@ -26,6 +26,15 @@ rejects the guess where the data bend, such as the end of a boundary ramp,
 where the energy-drop stop would otherwise fire early.  A step that returns
 its start counts as history too: the step after it would extrapolate zero
 motion, a guess equal to its start, so it is offered none.
+
+A step whose previous field u equals the field before it on every node, and
+whose new boundary values equal those of u, returns u without calling the
+minimizer.  The step before it then started from its own previous field and
+returned it, and this step has the same start, previous field and data.
+Only tau differs, and it enters the objective only through the proximal
+term, whose gradient vanishes at a start equal to the previous field: the
+first-order condition at that start does not involve tau.  Such repeated
+stationary steps follow a step that froze (README, "Known limitation").
 """
 
 from __future__ import annotations
@@ -182,10 +191,12 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
 
     Each step is one `lattice.minimize` that stops at a relative energy drop
     of `_TOL_REL_ENERGY`; the minimizer runs the step's every linear solve
-    and decides once whether they fold onto mirror classes.  When it does
-    not converge within its iteration limit, this raises ConvergenceError
-    with the offending step index, its message the minimizer's, which
-    states that limit, after "time step k".
+    and decides once whether they fold onto mirror classes.  A repeated
+    stationary step (see the module docstring) returns its previous field
+    without a minimization.  When a minimization does not converge within
+    its iteration limit, this raises ConvergenceError with the offending
+    step index, its message the minimizer's, which states that limit,
+    after "time step k".
     """
     if p < 2.0:
         raise ValueError(f"p must be at least 2, got {p}")
@@ -217,6 +228,12 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
             guess = start.copy()
             guess[free] += (tau / tau_old) * motion
             guess.clip(min(bvals.min(), u.min()), max(bvals.max(), u.max()), out=guess)
+        elif (motion is not None and np.array_equal(bvals, u[fixed])
+              and np.array_equal(bvals, u_old[fixed])):
+            # a repeated stationary step (see the module docstring)
+            u_old, u, tau_old = u, start, tau
+            stored[k] = u
+            continue
         try:
             u_new, _ = minimize(system, fixed, start, p, _TOL_REL_ENERGY,
                                 mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)

@@ -33,8 +33,8 @@ class CapacityProfile:
         deltas = np.array(self.deltas, dtype=float)
         deltas.flags.writeable = False
         object.__setattr__(self, "deltas", deltas)
-        if not self.R_o > 0.0:
-            raise ValueError(f"R_o must be positive, got {self.R_o}")
+        if not 0.0 < self.R_o < math.inf:
+            raise ValueError(f"R_o must be positive and finite, got {self.R_o}")
         if not 0.0 < self.c_bar < 1.0:
             raise ValueError(f"c_bar must lie in (0, 1), got {self.c_bar}")
         if self.p <= 2.0:

@@ -142,6 +142,30 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert f"{path}:2:" in err
 
 
+def _with(cfg, section, key, value):
+    """cfg with cfg[section][key], or cfg[key] when section is None, set to value."""
+    (cfg if section is None else cfg[section])[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, literal", [
+    ("cascade", _with(cascade_cfg(), "profile", "R_o", math.inf), "Infinity"),
+    ("capacity", _with(capacity_cfg(), None, "radii", [0.25, math.nan]), "NaN"),
+    ("solve", _with(solve_cfg(), None, "datum", {"kind": "constant", "value": math.nan}), "NaN"),
+    ("solve", _with(solve_cfg(), None, "datum", {"kind": "constant", "value": -math.inf}),
+     "-Infinity"),
+])
+def test_non_finite_literals_are_config_errors(tmp_path, capsys, command, cfg, literal):
+    # json.dumps writes them as Python's json.loads reads them, though
+    # they are not JSON; each would otherwise reach a computation
+    rc, out = run(tmp_path, command, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f": {literal} is not JSON" in err
+    assert not out.exists()
+
+
 def test_wrong_schema_version(tmp_path, capsys):
     cfg = capacity_cfg()
     cfg["schema_version"] = 7
@@ -581,6 +605,8 @@ def test_solve_source_solution_run(tmp_path):
     assert report["solve"]["snapshots"] == ["field_step0.csv", "field_step16.csv"]
     # energy.csv and energy.dat hold the energy table
     assert "energy_table" not in report["solve"]
+    # every stage is timed, the table and snapshot writes included
+    assert set(report["timings"]) == {"grid", "solve", "energy", "write"}
 
 
 def test_solve_barenblatt_datum_in_2d(tmp_path):
@@ -663,6 +689,7 @@ def test_verify_is_deterministic_outside_timings(tmp_path):
     r1, r2 = read_report(out1), read_report(out2)
     assert strip_timings(r1) == strip_timings(r2)
     assert r1["timings"].keys() == r2["timings"].keys()
+    assert "write" in r1["timings"]
     for name in ("envelope.csv", "profile.csv", "field_step10.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

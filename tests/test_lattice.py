@@ -1,8 +1,8 @@
 """The shared Dirichlet solve against a dense solve of the full weighted
 Laplacian, including the block cache per mask, the 1D tridiagonal solve,
 the lagged factor, the fold of transpose-symmetric solves and singular
-systems, and property tests of the shared reweighted minimizer, its
-certified stationary exit and its floor continuation."""
+systems, and property tests of the shared reweighted minimizer and its
+floor continuation."""
 
 from __future__ import annotations
 
@@ -169,9 +169,9 @@ def test_1d_solve_matches_dense_solve_on_chosen_masks(fixed, mass):
     ref = dense_dirichlet(fixed.shape, 0.125, weights, fixed, g, mass, previous)
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
     assert np.array_equal(u[fixed], g[fixed])
-    # dptsv solves directly: an iterate and a residual exit change nothing
+    # dptsv solves directly: an iterate changes nothing
     again = system.solve_dirichlet(weights, fixed, g, mass=mass, previous=previous,
-                                   iterate=previous, atol=np.inf)
+                                   iterate=previous)
     assert np.array_equal(again, u)
 
 
@@ -374,30 +374,9 @@ def test_lagged_solve_from_an_iterate_stops_at_the_forcing_bound(factorizations)
 
     assert residual(u) <= lattice._FORCING * residual(iterate)
     assert np.array_equal(u[fixed], g[fixed])
-    # a residual exit just below the iterate's residual changes nothing
-    below = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous,
-                                   iterate=iterate, atol=(1.0 - 1e-9) * residual(iterate))
-    assert np.array_equal(below, u)
-    assert len(factorizations) == 1
-
-
-def test_lagged_solve_returns_an_iterate_within_atol_untouched(factorizations):
-    # the exact solution of a reweighted matrix, given as the iterate with an
-    # exit above its residual, comes back bitwise, without a triangular solve
-    shape, h = (13, 12), 0.1
-    system, rng, weights, g, previous = random_problem(shape, h, seed=7)
-    fixed = boundary_mask(shape, rng)
-    system.solve_dirichlet(weights, fixed, g, mass=0.5, previous=previous)
-    lu = count_lu_solves(system)
-    w = weights * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
-    iterate = dense_dirichlet(shape, h, w, fixed, g, 0.5, previous)
-    a_mat, rhs = dense_block(shape, h, w, fixed, g, 0.5, previous)
-    atol = 1e-9 * np.linalg.norm(rhs)
-    assert 0.0 < np.linalg.norm(rhs - a_mat @ iterate[~fixed]) <= 1e-3 * atol
-    u = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=iterate,
-                               atol=atol)
-    assert np.array_equal(u, iterate)
-    assert lu.solves == 0
+    # the same solve again repeats it bitwise, on the same factor
+    again = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=iterate)
+    assert np.array_equal(again, u)
     assert len(factorizations) == 1
 
 
@@ -438,30 +417,6 @@ def test_a_slow_lagged_solve_makes_the_next_solve_factor_afresh(spread, slow,
     w = w * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
     system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=v)
     assert len(factorizations) == 1 + slow
-
-
-def test_a_stale_factor_still_returns_an_iterate_within_atol_untouched(factorizations):
-    # the certified stationary exit comes before the refresh: on a stale
-    # factor, the exact solution of a reweighted matrix, given as the
-    # iterate with an exit above its residual, comes back bitwise, with no
-    # factorization and no triangular solve.  The factor stays stale, so
-    # the same solve without the exit factors afresh.
-    system, fixed, g, previous, jumped, u, lu, rng = lagged_after_a_jump(0.8)
-    assert lu.solves > lattice._REFRESH
-    w = jumped * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
-    iterate = dense_dirichlet((13, 12), 0.1, w, fixed, g, 0.5, previous)
-    a_mat, rhs = dense_block((13, 12), 0.1, w, fixed, g, 0.5, previous)
-    atol = 1e-9 * np.linalg.norm(rhs)
-    assert 0.0 < np.linalg.norm(rhs - a_mat @ iterate[~fixed]) <= 1e-3 * atol
-    solves = lu.solves
-    out = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=iterate,
-                                 atol=atol)
-    assert np.array_equal(out, iterate)
-    assert lu.solves == solves
-    assert len(factorizations) == 1
-    system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=iterate)
-    assert lu.solves == solves
-    assert len(factorizations) == 2
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -527,7 +482,8 @@ def folded_problems(draw):
 @given(folded_problems())
 def test_folded_solves_match_dense_solves(problem):
     # a fresh factor, then lagged solves from the last solution as the
-    # weights drift, then the certified exit from a symmetric exact solution;
+    # weights drift, then a solve from a symmetric exact solution, whose
+    # residual already meets the bound, so PCG hands it back untouched;
     # every solve, told to fold, runs on one unknown per mirror class and
     # returns a field equal to its transpose
     n, h, fixed, w, g, mass, previous, change = problem
@@ -552,7 +508,7 @@ def test_folded_solves_match_dense_solves(problem):
     ref = 0.5 * (ref + ref.reshape(shape).T.ravel())
     lu = count_lu_solves(system)
     out = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=ref,
-                                 atol=1e-9 * rhs, folded=True)
+                                 folded=True)
     assert np.array_equal(out, ref)
     assert lu.solves == 0
 
@@ -956,135 +912,6 @@ def test_minimize_from_an_exact_minimizer_stays_put(ndim, p, mass):
     u, history = minimize(system, fixed.ravel(), start, p, TOL, mass, start)
     assert np.array_equal(u, start)
     assert len(history) == 1
-
-
-# -- the certified stationary exit ---------------------------------------------
-
-def energy_and_gradient(u, shape, h, p):
-    """sum_cells h**N |grad u|**p, and the gradient of 1/p times it at every
-    node, by the formula of helpers.step_error_bounds and apart from the
-    lattice code."""
-    ndim = len(shape)
-    v = u.reshape(shape)
-    low = (slice(0, -1),) * ndim
-    fars, diffs = [], []
-    for axis in range(ndim):
-        far = [slice(0, -1)] * ndim
-        far[axis] = slice(1, None)
-        fars.append(tuple(far))
-        diffs.append((v[tuple(far)] - v[low]) / h)
-    gsq = sum(d * d for d in diffs)
-    scale = h ** (ndim - 1) * gsq ** ((p - 2.0) / 2.0)
-    grad = np.zeros(shape)
-    for far, d in zip(fars, diffs):
-        grad[far] += scale * d
-        grad[low] -= scale * d
-    return h ** ndim * float(np.sum(gsq ** (p / 2.0))), grad.ravel()
-
-
-def from_a_stationary_start(shape, h, fixed, u, p, mass, shift):
-    """Minimize, on the system's last factor, the time step from `u` whose
-    previous field makes `u` its minimizer up to round-off, moved by `shift`
-    along cos(node index) on the free nodes.
-
-    Returns whether the exit fired: the call returned `u` with a one-entry
-    history and no triangular solve, while the first solve's residual at `u`
-    exceeds _CG_RTOL times its right-hand side, below which PCG returns the
-    iterate untouched too.  Then the strong-convexity bound
-    p |grad / p|**2 / (2 mass) on the objective's excess at `u` over its
-    minimum, and round-off, 64 eps |objective(u)|.
-    """
-    system = LatticeSystem(shape, h)
-    free = ~fixed
-    energy, grad = energy_and_gradient(u, shape, h, p)
-    previous = u.copy()
-    previous[free] += grad[free] / mass + shift * np.cos(np.arange(u.size))[free]
-    system.solve_dirichlet(np.ones(system.n_cells), fixed, u, mass=mass, previous=previous)
-    lu = count_lu_solves(system)
-    out, history = minimize(system, fixed, u, p, TOL, mass, previous)
-    w = system.weights_from_gsq(system.cell_gradient_sq(u), p, lattice._WEIGHT_FLOOR)
-    a_mat, rhs = dense_block(shape, h, w, fixed, u, mass, previous)
-    exited = (np.array_equal(out, u) and len(history) == 1 and lu.solves == 0
-              and system._factor[1] is lu
-              and np.linalg.norm(rhs - a_mat @ u[free]) > lattice._CG_RTOL * np.linalg.norm(rhs))
-    d = u[free] - previous[free]
-    objective = energy + 0.5 * p * mass * float(d @ d)
-    g = grad[free] + mass * d
-    return (exited, p * float(g @ g) / (2.0 * mass),
-            64.0 * np.finfo(float).eps * abs(objective))
-
-
-@st.composite
-def stationary_steps(draw):
-    """Arguments of from_a_stationary_start: a 2D lattice with fixed box faces
-    and random fixed interior nodes, data in [0, 1], p in [2, 5] and mass > 0,
-    and a shift of 0 or 1e-12 to 1e-3."""
-    shape = tuple(draw(st.lists(st.integers(3, 7), min_size=2, max_size=2)))
-    n = int(np.prod(shape))
-    fixed = np.ones(shape, dtype=bool)
-    fixed[1:-1, 1:-1] = False
-    fixed = fixed.ravel() | draw(hnp.arrays(bool, n))
-    u = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
-    p = draw(st.floats(2.0, 5.0))
-    mass = draw(st.floats(1e-2, 1e2))
-    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    shift = draw(st.one_of(st.just(0.0), st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)))
-    return shape, h, fixed, u, p, mass, shift
-
-
-def tilted_start(flat_cell: bool = False):
-    """Box faces fixed on a 6 x 7 lattice (h = 1/4), u affine plus a small
-    sine on the free nodes; with `flat_cell`, the free cell at (2, 2) flat."""
-    shape, h = (6, 7), 0.25
-    fixed = np.ones(shape, dtype=bool)
-    fixed[1:-1, 1:-1] = False
-    x, y = np.meshgrid(np.arange(6) * h, np.arange(7) * h, indexing="ij")
-    u = 0.3 + 0.7 * x + 1.7 * y + 0.05 * np.where(fixed, 0.0, np.sin(np.arange(42)).reshape(shape))
-    if flat_cell:
-        u[3, 2] = u[2, 3] = u[2, 2]
-    return shape, h, fixed.ravel(), u.ravel()
-
-
-# the excess bound at the start is 0.11 of round-off: the exit fires
-_CERTIFIED_STEP = (*tilted_start(), 3.0, 1.5, 3e-8)
-# 2.06 times round-off, under p = 4 times: an exit that dropped the factor p
-# from its threshold would fire
-_UNCERTIFIED_STEP = (*tilted_start(), 4.0, 1.5, 1.8e-7)
-# 0.02 times round-off, but a free cell is flat, so the weights are floored
-_FLOORED_STEP = (*tilted_start(flat_cell=True), 3.0, 1.5, 3e-8)
-
-
-@example(step=_CERTIFIED_STEP)
-@example(step=_UNCERTIFIED_STEP)
-@settings(max_examples=60, deadline=None)
-@given(stationary_steps())
-def test_certified_exit_fires_only_at_a_minimizer_up_to_round_off(step):
-    # where the solve hands the start back untouched, the excess bound, from
-    # a gradient of the test's own, is at most 64 eps of the objective
-    exited, excess, roundoff = from_a_stationary_start(*step)
-    if exited:
-        assert excess <= roundoff
-
-
-@pytest.mark.parametrize("step, fires", [(_CERTIFIED_STEP, True), (_FLOORED_STEP, False)])
-def test_certified_exit_needs_exact_weights(step, fires):
-    # both starts are the minimizer up to round-off, but on a floored free
-    # cell the solve's residual is not the objective's gradient
-    exited, excess, roundoff = from_a_stationary_start(*step)
-    assert excess <= roundoff
-    assert exited == fires
-
-
-def test_certified_exit_evaluates_the_objective_once(monkeypatch):
-    # the start is handed back bitwise: its objective, known, is not
-    # evaluated again at the full step or at its half
-    solves = count_solves(monkeypatch)
-    evaluations = count_calls(monkeypatch, LatticeSystem, "energy_from_gsq")
-    exited, _, _ = from_a_stationary_start(*_CERTIFIED_STEP)
-    assert exited
-    # the first solve factors the block for the lagged one of `minimize`
-    assert len(solves) == 2
-    assert len(evaluations) == 1
 
 
 # -- the guess of the minimizer -------------------------------------------------

@@ -299,7 +299,8 @@ def test_constant_steps_stay_bitwise_before_the_datum_moves():
 def test_a_step_after_one_that_returned_its_start_offers_no_guess(monkeypatch):
     # the extrapolation from a step that kept its start is the next step's
     # start, which the minimizer would evaluate only to reject: steps 1-3
-    # keep the constant state, and step 4 is the first to move
+    # keep the constant state, 2 and 3 without a minimization, and step 4
+    # is the first to move
     grid = _grid_2d(h=1.0 / 16, T=0.05, steps=8)
     t_move = float(grid.times[3])
 
@@ -314,7 +315,87 @@ def test_a_step_after_one_that_returned_its_start_offers_no_guess(monkeypatch):
 
     monkeypatch.setattr(pde, "minimize", recording)
     cf.solve(grid, cf.BoundaryDatum("late", g), 3.0)
-    assert offered == [False] * 4 + [True] * 4
+    assert offered == [False] * 2 + [True] * 4
+
+
+# -- repeated stationary steps ----------------------------------------------------
+
+def steps_minimized(monkeypatch, grid, g, p=3.0):
+    """Solve with the datum g; return the field and the steps that called
+    `minimize`, each known by the last time at which it evaluated the datum."""
+    seen, steps = [], []
+
+    def recorded(pts, t):
+        seen.append(t)
+        return g(pts, t)
+
+    def recording(*args, **kwargs):
+        steps.append(int(np.searchsorted(grid.times, seen[-1])))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "minimize", recording)
+    return cf.solve(grid, cf.BoundaryDatum("recorded", recorded), p), steps
+
+
+def _steady(pts, t):
+    return np.sin(3.0 * pts[:, 0] + 2.0 * pts[:, 1])
+
+
+def _steady_grid():
+    """A 9 x 9 lattice and steps of tau = 100 / 12: under `_steady` the field
+    reaches its steady state, and step 8 is the first to return its start."""
+    return _grid_2d(T=100.0, steps=12)
+
+
+def _corner(pts):
+    """The box corner (-1/2, -1/2), which shares a cell with no free node."""
+    return np.all(pts == -0.5, axis=1)
+
+
+def test_a_repeated_stationary_step_does_not_call_minimize(monkeypatch):
+    grid = _steady_grid()
+    field, steps = steps_minimized(monkeypatch, grid, _steady)
+    assert steps == list(range(1, 9))
+    assert np.array_equal(field.values[8], field.values[7])
+    # each later row is what `minimize` returns for that step
+    system = LatticeSystem(grid.shape, grid.h)
+    for k in range(9, 13):
+        previous = field.values[k - 1]
+        tau = float(grid.times[k] - grid.times[k - 1])
+        u, _ = minimize(system, ~grid.inside, previous, 3.0, pde._TOL_REL_ENERGY,
+                        mass=grid.h ** 2 / tau, previous=previous)
+        assert np.array_equal(field.values[k], u)
+
+
+def test_a_step_whose_boundary_values_change_after_a_stationary_step_is_solved(monkeypatch):
+    # the box corner moves at step 10 and back at step 11: both steps, and
+    # step 12, whose previous field differs from the one before it at the
+    # corner, are solved, though each returns its start
+    grid = _steady_grid()
+    t_move = float(grid.times[10])
+
+    def g(pts, t):
+        return _steady(pts, t) + (t == t_move) * 0.1 * _corner(pts)
+
+    field, steps = steps_minimized(monkeypatch, grid, g)
+    assert steps == [*range(1, 9), 10, 11, 12]
+    assert np.array_equal(field.values[11], field.values[9])
+
+
+def test_a_step_whose_previous_field_differed_from_its_start_is_solved(monkeypatch):
+    # step 10 moves only the box corner: it returns its start, which
+    # differs from its previous field at that corner, so step 11 is solved,
+    # and step 12 repeats it
+    grid = _steady_grid()
+    t_move = float(grid.times[10])
+
+    def g(pts, t):
+        return _steady(pts, t) + (t >= t_move) * 0.1 * _corner(pts)
+
+    field, steps = steps_minimized(monkeypatch, grid, g)
+    assert steps == [*range(1, 9), 10, 11]
+    assert np.flatnonzero(field.values[10] != field.values[9]).tolist() == [0]
+    assert np.array_equal(field.values[11], field.values[10])
 
 
 @st.composite

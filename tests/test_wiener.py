@@ -37,6 +37,9 @@ def test_profile_validation():
         _profile([-0.1])
     with pytest.raises(ValueError):
         cf.CapacityProfile(1.0, 1.5, 3.0, ())   # c_bar outside (0, 1)
+    for r_o in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="R_o must be positive and finite"):
+            cf.CapacityProfile(r_o, 0.5, 3.0, [0.5])
 
 
 def test_wiener_sum():

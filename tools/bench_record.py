@@ -45,6 +45,8 @@ COUNTERS = {
     "triangular_solves": "solve calls on those factors",
     "failed_lagged": "lagged PCG attempts on a factor that failed, so that the "
                      "solve factored afresh",
+    "time_steps_minimized": "capflow.pde.minimize calls: the time steps that ran the "
+                            "minimizer, and not a repeated stationary step",
 }
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -65,7 +67,7 @@ def count(argv: list[str]) -> dict[str, int]:
     """Call `capflow.cli.main(argv)` once in this process and return the
     counters of `COUNTERS`.  The wrappers are removed afterwards.  Raises
     RuntimeError when a wrapped name is missing or the call fails."""
-    from capflow import cli, lattice
+    from capflow import cli, lattice, pde
 
     counts = dict.fromkeys(COUNTERS, 0)
     lock = threading.Lock()      # the CLI may fan out over threads
@@ -102,7 +104,8 @@ def count(argv: list[str]) -> dict[str, int]:
     wraps = [(system, "energy_from_gsq", functools.partial(counted, "objective_evals")),
              (system, "solve_dirichlet", functools.partial(counted, "solve_dirichlet")),
              (lattice.spla, "splu", factor),
-             (lattice, "_lagged_solve", lagged)]
+             (lattice, "_lagged_solve", lagged),
+             (pde, "minimize", functools.partial(counted, "time_steps_minimized"))]
     missing = [f"{owner.__name__}.{name}" for owner, name, _ in wraps
                if not hasattr(owner, name)]
     if missing:
