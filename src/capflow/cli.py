@@ -137,15 +137,29 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def non_finite(literal: str):
         # json.loads accepts NaN, Infinity and -Infinity, which JSON does not
         raise ConfigError(f"{path}: {literal} is not JSON; numbers must be finite")
 
+    def fitting(convert: Callable) -> Callable:
+        """A json.loads hook that reads a number with `convert` and rejects
+        one that does not fit a float."""
+        def parse(literal: str):
+            try:
+                value = convert(literal)
+                if math.isfinite(float(value)):     # 1e400 reads as inf
+                    return value
+            except (OverflowError, ValueError):     # too large an integer
+                pass
+            raise ConfigError(f"{path}: {literal} does not fit a float")
+        return parse
+
     try:
-        raw = json.loads(text, parse_constant=non_finite)
+        raw = json.loads(text, parse_constant=non_finite, parse_float=fitting(float),
+                         parse_int=fitting(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):

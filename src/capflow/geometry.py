@@ -187,15 +187,21 @@ def _cantor_membership(t: np.ndarray, level: int, ratio: float) -> np.ndarray:
     return inside
 
 
-def _cantor_intervals(level: int, ratio: float) -> np.ndarray:
-    """Endpoints of the 2**level intervals of the prefractal on [0, 1]."""
+def _segments(domain: DomainSpec) -> np.ndarray:
+    """The segments along x0 that make up a thin obstacle, one [left, right]
+    row each, at height anchor[1] in 2D: a slit's one, the single point
+    [a0, a0] in 1D, or the 2**level intervals of a cantor obstacle."""
+    a0 = domain.anchor[0]
+    if domain.kind == "slit":
+        return np.array([[a0, (a0 + domain.params[0]) if domain.ndim == 2 else a0]])
+    level, ratio = int(domain.params[0]), domain.params[1]
     iv = np.array([[0.0, 1.0]])
     for _ in range(level):
         ln = iv[:, 1] - iv[:, 0]
         lo = np.stack([iv[:, 0], iv[:, 0] + ratio * ln], axis=1)
         hi = np.stack([iv[:, 1] - ratio * ln, iv[:, 1]], axis=1)
         iv = np.concatenate([lo, hi])
-    return iv
+    return iv + a0
 
 
 def contains_many(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
@@ -214,11 +220,15 @@ def contains_many(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
         s = domain.params[0]
         in_cube = np.all((pts >= a) & (pts <= a + 2.0 * s), axis=1)
         return ~in_cube
-    if k == "slit":
-        if n == 1:
-            return pts[:, 0] != a[0]
-        length = domain.params[0]
-        on = (pts[:, 1] == a[1]) & (pts[:, 0] >= a[0]) & (pts[:, 0] <= a[0] + length)
+    if k in LOWER_DIMENSIONAL_KINDS:
+        if k == "slit":
+            left, right = _segments(domain)[0]
+            on = (pts[:, 0] >= left) & (pts[:, 0] <= right)
+        else:
+            # exact scaling: the segments' endpoints can round differently
+            on = _cantor_membership(pts[:, 0] - a[0], int(domain.params[0]), domain.params[1])
+        if n == 2:
+            on &= pts[:, 1] == a[1]
         return ~on
     if k == "power_cusp":
         dx = pts[:, 0] - a[0]
@@ -227,12 +237,6 @@ def contains_many(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
         width = np.where(dx >= 0.0, dx, 0.0) ** domain.params[0]
         in_cusp = (dx >= 0.0) & (np.abs(pts[:, 1] - a[1]) <= width)
         return ~in_cusp
-    if k == "cantor_obstacle":
-        level, ratio = int(domain.params[0]), domain.params[1]
-        in_c = _cantor_membership(pts[:, 0] - a[0], level, ratio)
-        if n == 2:
-            in_c &= pts[:, 1] == a[1]
-        return ~in_c
     # custom_mask: scalar predicate applied pointwise
     pred = domain.predicate
     return np.fromiter((bool(pred(tuple(p))) for p in pts), dtype=bool, count=len(pts))
@@ -243,48 +247,26 @@ def contains(domain: DomainSpec, x: Sequence[float]) -> bool:
     return bool(contains_many(domain, np.asarray([as_point(x)]))[0])
 
 
-def _segment_distance(pts: np.ndarray, x0: float, x1: float, y: float | None) -> np.ndarray:
-    """Euclidean distance to the horizontal segment [x0, x1] (at height y if 2D)."""
-    dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
-    if y is None:
-        return dx
-    return np.hypot(dx, pts[:, 1] - y)
-
-
 def obstacle_distance(domain: DomainSpec, pts: np.ndarray, inner: Cube) -> np.ndarray:
-    """Distance from pts to the lower-dimensional obstacle clipped to `inner`."""
+    """Distance from pts to the lower-dimensional obstacle clipped to `inner`:
+    the least distance to its segments, each clipped along x0, and none when
+    its height lies outside `inner`."""
+    if domain.kind not in LOWER_DIMENSIONAL_KINDS:
+        raise ValueError(f"kind {domain.kind!r} has no lower-dimensional obstacle")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.asarray(domain.anchor)
-    n = domain.ndim
     lo = np.asarray(inner.center) - inner.half_edge
     hi = np.asarray(inner.center) + inner.half_edge
-    far = np.full(len(pts), np.inf)
-    if domain.kind == "slit":
-        if n == 1:
-            if not lo[0] <= a[0] <= hi[0]:
-                return far
-            return np.abs(pts[:, 0] - a[0])
-        if not lo[1] <= a[1] <= hi[1]:
-            return far
-        x0 = max(a[0], lo[0])
-        x1 = min(a[0] + domain.params[0], hi[0])
-        if x1 < x0:
-            return far
-        return _segment_distance(pts, x0, x1, a[1])
-    if domain.kind == "cantor_obstacle":
-        if n == 2 and not lo[1] <= a[1] <= hi[1]:
-            return far
-        level, ratio = int(domain.params[0]), domain.params[1]
-        iv = _cantor_intervals(level, ratio) + a[0]
-        best = far.copy()
-        y = a[1] if n == 2 else None
-        for left, right in iv:
-            x0, x1 = max(left, lo[0]), min(right, hi[0])
-            if x1 < x0:
-                continue
-            best = np.minimum(best, _segment_distance(pts, x0, x1, y))
+    best = np.full(len(pts), np.inf)
+    if domain.ndim == 2 and not lo[1] <= a[1] <= hi[1]:
         return best
-    raise ValueError(f"kind {domain.kind!r} has no lower-dimensional obstacle")
+    for left, right in _segments(domain):
+        x0, x1 = max(left, lo[0]), min(right, hi[0])
+        if x1 < x0:
+            continue
+        d = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
+        best = np.minimum(best, d if domain.ndim == 1 else np.hypot(d, pts[:, 1] - a[1]))
+    return best
 
 
 def sup_distance_to_obstacle(domain: DomainSpec, pts: np.ndarray, clip: Cube) -> np.ndarray:

@@ -31,27 +31,30 @@ assembly is one sparse product with a bincount's bits; a 2D solve then
 swaps that data into the block's one sparse matrix.  With positive weights,
 and every group of free nodes joined to a fixed node or held by a mass term,
 the block is a diagonally dominant symmetric M-matrix and so positive
-definite.
+definite.  One loop over the axes, x-axis first, builds the lattice's edges
+and sums the cell gradients, on a chain and on a 2D lattice alike.
 
 On a 1D chain the block, with the free nodes in index order, is tridiagonal:
 LAPACK's dptsv solves it by an LDL^T factorization straight from the
 assembled diagonal and upper off-diagonal, and no solver state is kept.  On
 a 2D lattice SuperLU factors it in symmetric mode, on a minimum-degree
 ordering of A + A^T and without pivoting.  Consecutive reweighted matrices
-of one block differ only through slowly varying weights, so the system's
-last factor, when it is of the same block, preconditions conjugate
-gradients on the next matrix, for at most `_CG_MAXITER` iterations; the
-block is factored afresh when that does not converge.  `minimize`
-passes its iterate u: CG then starts from u and stops at a residual of
-`_FORCING` times that of u, the forcing term of an inexact Newton method
-(Eisenstat & Walker, SIAM J. Sci. Comput. 1996), since each solve only gives
-the direction the backtracking then searches.  A lagged solve that took more
+of one block differ only through slowly varying weights, so each block
+keeps its own last factor, which preconditions conjugate gradients on the
+block's next matrix, for at most `_CG_MAXITER` iterations; the block is
+factored afresh when that does not converge.  `minimize` passes its
+iterate u: CG then starts from u and stops at a residual of `_FORCING`
+times that of u, the forcing term of an inexact Newton method (Eisenstat &
+Walker, SIAM J. Sci. Comput. 1996), since each solve only gives the
+direction the backtracking then searches.  A lagged solve that took more
 than `_REFRESH` iterations marks the factor stale, and the next solve of
-its block factors afresh without trying PCG (see the note on `_REFRESH`).
-A solve given no iterate, or on a system whose factor is of another block
-or none, factors afresh, and a fresh factor solves directly.  Every solve in
-the package is `minimize`'s and gets an iterate; a condenser's p = 2 start
-is a `minimize` call too, whose first solve, its system's first, factors.
+its block factors afresh without trying PCG (see the note on `_REFRESH`);
+each block keeps its own stale mark.  A solve given no iterate, or on a
+block with no factor yet, factors afresh, and a fresh factor solves
+directly; a block drops its old factor before it factors again, so it
+holds at most one.  Every solve in the package is `minimize`'s and gets an
+iterate; a condenser's p = 2 start is a `minimize` call too, whose first
+solve, its block's first, factors.
 Because of this solver state, a `LatticeSystem` on a 2D lattice must not be
 shared across threads.
 
@@ -84,9 +87,10 @@ above, and it passes `folded=True` to each.  A solve trusts `folded` and
 tests no field; unfolded, it runs on every free node, the fold by the
 identity map.  Only the block checks, once when it is built, that a folded
 lattice is square and its mask symmetric, since an asymmetric mask would
-leave a free node without an unknown.  A `LatticeSystem` keeps one factor,
-of the block it factored last, so a system that switches masks or folds
-factors afresh at each switch; the package gives each system a single mask.
+leave a free node without an unknown.  Each block of a `LatticeSystem` keeps
+its own last factor and stale mark, so a system that switches masks or
+folds lags on each block's own factor; the package gives each system a
+single mask.
 """
 
 from __future__ import annotations
@@ -273,6 +277,10 @@ class _Block:
                 (np.zeros(self.nnz), row.astype(np.int32),
                  np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)),
                 shape=(n, n))
+            # the block's last SuperLU factor, and whether a lagged solve on
+            # it took more than _REFRESH iterations, so that the next solve
+            # factors afresh
+            self.lu, self.stale = None, False
         self.inv_mult = 1.0 / self.mult
 
     def norm(self, r: np.ndarray) -> float:
@@ -292,7 +300,7 @@ def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
 def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray,
                   r: np.ndarray, norm) -> tuple[np.ndarray | None, int]:
     """PCG on `a_mat` from `x0`, whose residual rhs - A x0 is `r`,
-    preconditioned by `lu`, the system's last factor; returns (x, iterations).
+    preconditioned by `lu`, the block's last factor; returns (x, iterations).
 
     It stops once ||rhs - A x|| <= max(_FORCING ||r||, _CG_RTOL ||rhs||).
     `norm` measures these vectors.  The recurrence residual decides and the
@@ -336,49 +344,34 @@ class LatticeSystem:
         if self.h <= 0.0:
             raise ValueError(f"spacing must be positive, got {self.h}")
         self.n_nodes = int(np.prod(self.shape))
-        if self.ndim == 1:
-            corner = np.arange(self.shape[0] - 1)
-            self.n_cells = corner.size
-            self.edges_a = corner
-            self.edges_b = corner + 1
-            self.edge_cell = np.arange(self.n_cells)
-        else:
-            n0, n1 = self.shape
-            i0, i1 = np.meshgrid(np.arange(n0 - 1), np.arange(n1 - 1), indexing="ij")
-            corner = (i0 * n1 + i1).ravel()
-            self.n_cells = corner.size
-            cell_ids = np.arange(self.n_cells)
-            # forward x-edge (corner -> corner + n1) and y-edge (corner -> corner + 1)
-            self.edges_a = np.concatenate([corner, corner])
-            self.edges_b = np.concatenate([corner + n1, corner + 1])
-            self.edge_cell = np.concatenate([cell_ids, cell_ids])
+        # cells by their low corner, C-ordered; each axis's forward edge runs
+        # from the corner to the node one step up that axis, x-axis first
+        self._low = (slice(None, -1),) * self.ndim
+        self._high = [self._low[:k] + (slice(1, None),) + self._low[k + 1:]
+                      for k in range(self.ndim)]
+        nodes = np.arange(self.n_nodes).reshape(self.shape)
+        corner = nodes[self._low].ravel()
+        self.n_cells = corner.size
+        self.edges_a = np.tile(corner, self.ndim)
+        self.edges_b = np.concatenate([nodes[high].ravel() for high in self._high])
+        self.edge_cell = np.tile(np.arange(self.n_cells), self.ndim)
         # one block per fixed mask and fold seen, keyed by the mask's bytes
         self._blocks: dict[tuple[bytes, bool], _Block] = {}
-        # the last SuperLU factor and the block it factors; 2D lattices only
-        self._factor: tuple[_Block, object] | None = None
-        # whether a lagged solve on that factor took more than _REFRESH
-        # iterations, so that the next solve of its block factors afresh
-        self._stale = False
 
     def cell_gradient_sq(self, u: np.ndarray) -> np.ndarray:
         """|grad u|^2 per cell (C-ordered over cell corners), in a new array.
 
         ((v1 - v0) / h)**2 summed x-axis first, each operation in place on
-        the output or on the y-axis term.
+        the output or on the later axes' terms.
         """
         v = np.asarray(u, dtype=float).reshape(self.shape)
-        if self.ndim == 1:
-            gsq = np.subtract(v[1:], v[:-1])
-            gsq /= self.h
-            gsq *= gsq
-            return gsq
-        gsq = np.subtract(v[1:, :-1], v[:-1, :-1])
-        gsq /= self.h
-        gsq *= gsq
-        gy = np.subtract(v[:-1, 1:], v[:-1, :-1])
-        gy /= self.h
-        gy *= gy
-        gsq += gy
+        low = v[self._low]
+        gsq = None
+        for high in self._high:
+            g = np.subtract(v[high], low)
+            g /= self.h
+            g *= g
+            gsq = g if gsq is None else np.add(gsq, g, out=gsq)
         return gsq.ravel()
 
     def energy(self, u: np.ndarray, p: float) -> float:
@@ -404,12 +397,13 @@ class LatticeSystem:
 
         `fixed` and `boundary_values` are full-length (flat) arrays; returns the
         full flat solution with the fixed values imposed exactly.  Given the
-        full-length `iterate`, a solve on the system's last factor, when it is
-        of the same block, starts there and stops at `_FORCING` times its
-        residual (see the module docstring).  Once a lagged solve of the
-        block took more than `_REFRESH` iterations, the factor is stale, and
-        the next solve of the block factors afresh.  A 2D solve without
-        `iterate` factors afresh; a 1D solve ignores `iterate`.
+        full-length `iterate`, a 2D solve lags on its block's last factor:
+        it starts there and stops at `_FORCING` times its residual (see the
+        module docstring).  Once a lagged solve of the block took more than
+        `_REFRESH` iterations, the block's factor is stale, and the block's
+        next solve factors afresh.  A 2D solve without `iterate`, or on a
+        block with no factor yet, factors afresh; a 1D solve ignores
+        `iterate`.
         With `folded`, the solve runs on one unknown per mirror pair of free
         nodes and returns a field equal to its transpose (see the module
         docstring).  It trusts the caller that the weights, boundary values,
@@ -453,22 +447,21 @@ class LatticeSystem:
             x = None
             # a non-positive diagonal may make the system singular: leave it
             # to SuperLU, which reports that
-            lagged = (iterate is not None and self._factor is not None
-                      and self._factor[0] is blk and not self._stale)
+            lagged = iterate is not None and blk.lu is not None and not blk.stale
             if lagged and (data[blk.diag_slot] > 0.0).all():
                 x0 = iterate[blk.node]
                 r = rhs - a_mat @ x0
-                x, k = _lagged_solve(self._factor[1], a_mat, rhs, x0, r, blk.norm)
-                self._stale = k > _REFRESH
+                x, k = _lagged_solve(blk.lu, a_mat, rhs, x0, r, blk.norm)
+                blk.stale = k > _REFRESH
             if x is None:
-                self._factor = None             # never two factors at once
+                blk.lu = None                   # never two factors of a block at once
                 try:
-                    lu = spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                   options={"SymmetricMode": True})
+                    blk.lu = spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                       options={"SymmetricMode": True})
                 except RuntimeError as exc:
                     raise ValueError(self._singular(blk, str(exc))) from exc
-                x = lu.solve(rhs)
-                self._factor, self._stale = (blk, lu), False
+                x = blk.lu.solve(rhs)
+                blk.stale = False
         out[blk.free] = x[blk.unknown]
         return out
 
@@ -483,23 +476,6 @@ class LatticeSystem:
     def _singular(self, blk: _Block, why: str) -> str:
         return (f"singular Dirichlet system on the {self.shape} lattice with "
                 f"{blk.free.size} free nodes: {why}")
-
-
-def _relaxed_floors(system: LatticeSystem, fixed: np.ndarray, folded: bool, gsq: np.ndarray,
-                    p: float, floor: float) -> list[float]:
-    """Floors of the continuation stages from the field u whose squared cell
-    gradients `gsq` holds, as `minimize` computed them with u's objective.
-
-    The stages, r * g_max for r in _RELAX above `floor`, g_max the largest
-    cell gradient of u, run only when p > 2 and some cell with a free node,
-    which the block of `fixed` and `folded` marks, has |grad u| <= floor.
-    """
-    if p <= 2.0:
-        return []
-    floored = gsq <= floor * floor
-    if not floored.any() or not floored[system._block(fixed, folded).free_cells].any():
-        return []
-    return _stage_floors(gsq, floor)
 
 
 def _stage_floors(gsq: np.ndarray, floor: float) -> list[float]:
@@ -632,7 +608,14 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         history.append(e_cand)
         return e_prev - e_cand <= tol_rel_energy * max(abs(e_prev), 1e-300)
 
-    for floor in _relaxed_floors(system, fixed, folded, gsq, p, _WEIGHT_FLOOR):
+    # the continuation stages run when p > 2 and some cell with a free node,
+    # which the block marks, is floored at the chosen start
+    stages = []
+    if p > 2.0:
+        floored = gsq <= _WEIGHT_FLOOR * _WEIGHT_FLOOR
+        if floored.any() and floored[system._block(fixed, folded).free_cells].any():
+            stages = _stage_floors(gsq, _WEIGHT_FLOOR)
+    for floor in stages:
         for _ in range(_STAGE_ITERS):
             if iterate(floor):
                 break

@@ -11,6 +11,7 @@ integral of A(s) ds/s, exact for constant A.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -188,12 +189,8 @@ def wiener_integral(profile: CapacityProfile, rho: float) -> float:
                          "deepen the profile")
     rho = min(rho, profile.R_o)
     a_vals = profile.A
-    m = 0
-    for i in range(profile.depth):
-        if radii[i] >= rho * (1.0 - 1e-12):
-            m = i
-        else:
-            break
+    # the radii fall, so those at or above rho are the first m + 1
+    m = int(np.count_nonzero(radii >= rho * (1.0 - 1e-12))) - 1
     total = math.log(1.0 / profile.c_bar) * float(a_vals[:m].sum())
     total += float(a_vals[m]) * math.log(max(radii[m] / rho, 1.0))
     return total
@@ -367,14 +364,9 @@ def oscillation_cascade(mu_o: float, profile: CapacityProfile, params: Structure
         rhs = 2.0 * float(a_vals[[sub.indices[j] for j in range(k + 1)]].sum())
         sub_bd.append(bool(lhs <= rhs * (1.0 + tol)))
 
-    rows = []
-    for i in range(profile.depth):
-        pos = 0
-        for j, i_j in enumerate(sub.indices):
-            if i_j < i:
-                pos = j + 1
-        bound = mu_seq[min(pos, len(mu_seq) - 1)]
-        rows.append((float(radii[i]), float(bound)))
+    # row i carries the bound after the shaves at the selected indices below i
+    rows = [(float(radii[i]), float(mu_seq[bisect_left(sub.indices, i)]))
+            for i in range(profile.depth)]
 
     return CascadeReport(
         branch="cascade", mu_o=float(mu_o), epsilon=float(epsilon), c_bar=profile.c_bar,

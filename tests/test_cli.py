@@ -127,9 +127,13 @@ def test_missing_config_flag_exits_2():
 
 
 def test_unreadable_config(tmp_path, capsys):
-    rc = cli.main(["capacity", "--config", str(tmp_path / "nope.json")])
-    assert rc == 2
-    assert "config error: cannot read config" in capsys.readouterr().err
+    # a missing file, and one that is not UTF-8
+    missing, not_utf8 = tmp_path / "nope.json", tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"schema_version": 1, "p": 3.0, "N": 1\xff}')
+    for path in (missing, not_utf8):
+        rc = cli.main(["capacity", "--config", str(path)])
+        assert rc == 2
+        assert f"config error: cannot read config {path}: " in capsys.readouterr().err
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
@@ -149,20 +153,27 @@ def _with(cfg, section, key, value):
 
 
 @pytest.mark.parametrize("command, cfg, literal", [
-    ("cascade", _with(cascade_cfg(), "profile", "R_o", math.inf), "Infinity"),
-    ("capacity", _with(capacity_cfg(), None, "radii", [0.25, math.nan]), "NaN"),
-    ("solve", _with(solve_cfg(), None, "datum", {"kind": "constant", "value": math.nan}), "NaN"),
-    ("solve", _with(solve_cfg(), None, "datum", {"kind": "constant", "value": -math.inf}),
+    ("cascade", _with(cascade_cfg(), "profile", "R_o", "@"), "Infinity"),
+    ("capacity", _with(capacity_cfg(), None, "radii", [0.25, "@"]), "NaN"),
+    ("solve", _with(solve_cfg(), None, "datum", {"kind": "constant", "value": "@"}), "NaN"),
+    ("solve", _with(solve_cfg(), None, "datum", {"kind": "constant", "value": "@"}),
      "-Infinity"),
+    ("cascade", cascade_cfg(mu_o="@"), "1e400"),
+    ("solve", _with(solve_cfg(), "time", "T", "@"), "1e400"),
+    pytest.param("cascade", cascade_cfg(mu_o="@"), "1" + "0" * 400,
+                 id="cascade-cfg6-401_digits"),
 ])
 def test_non_finite_literals_are_config_errors(tmp_path, capsys, command, cfg, literal):
-    # json.dumps writes them as Python's json.loads reads them, though
-    # they are not JSON; each would otherwise reach a computation
-    rc, out = run(tmp_path, command, cfg)
+    # Python's json.loads reads the literals NaN and Infinity, which are
+    # not JSON, reads 1e400 as inf and a 401-digit integer as an int that
+    # no float holds; each would otherwise reach a computation
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal), encoding="utf-8")
+    out = tmp_path / "run_out"
+    rc = cli.main([command, "--config", str(path), "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert f": {literal} is not JSON" in err
+    why = "is not JSON" if literal.lstrip("-") in ("NaN", "Infinity") else "does not fit a float"
+    assert capsys.readouterr().err.startswith(f"config error: {path}: {literal} {why}")
     assert not out.exists()
 
 

@@ -165,6 +165,105 @@ def test_obstacle_distance_slit():
         cf.obstacle_distance(DomainSpec.half_space((0.0, 0.0)), pts, inner)
 
 
+def _reference_cantor_intervals(level, ratio):
+    iv = np.array([[0.0, 1.0]])
+    for _ in range(level):
+        ln = iv[:, 1] - iv[:, 0]
+        lo = np.stack([iv[:, 0], iv[:, 0] + ratio * ln], axis=1)
+        hi = np.stack([iv[:, 1] - ratio * ln, iv[:, 1]], axis=1)
+        iv = np.concatenate([lo, hi])
+    return iv
+
+
+def _reference_segment_distance(pts, x0, x1, y):
+    dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
+    return dx if y is None else np.hypot(dx, pts[:, 1] - y)
+
+
+def _reference_obstacle_distance(domain, pts, inner):
+    """The distance as written per kind and per dimension."""
+    a = np.asarray(domain.anchor)
+    n = domain.ndim
+    lo = np.asarray(inner.center) - inner.half_edge
+    hi = np.asarray(inner.center) + inner.half_edge
+    far = np.full(len(pts), np.inf)
+    if domain.kind == "slit":
+        if n == 1:
+            return np.abs(pts[:, 0] - a[0]) if lo[0] <= a[0] <= hi[0] else far
+        if not lo[1] <= a[1] <= hi[1]:
+            return far
+        x0, x1 = max(a[0], lo[0]), min(a[0] + domain.params[0], hi[0])
+        return far if x1 < x0 else _reference_segment_distance(pts, x0, x1, a[1])
+    if n == 2 and not lo[1] <= a[1] <= hi[1]:
+        return far
+    best = far.copy()
+    iv = _reference_cantor_intervals(int(domain.params[0]), domain.params[1]) + a[0]
+    for left, right in iv:
+        x0, x1 = max(left, lo[0]), min(right, hi[0])
+        if x1 >= x0:
+            y = a[1] if n == 2 else None
+            best = np.minimum(best, _reference_segment_distance(pts, x0, x1, y))
+    return best
+
+
+@pytest.mark.parametrize("domain, clipped_away", [
+    (DomainSpec.slit((0.25,)), False),
+    (DomainSpec.slit((0.75,)), True),
+    (DomainSpec.slit((-0.7, 0.1), 1.5), False),
+    (DomainSpec.slit((-0.3, 0.1)), False),
+    (DomainSpec.slit((-0.3, 0.7), 0.5), True),
+    (DomainSpec.cantor_obstacle((-0.6,), 3, 0.3), False),
+    (DomainSpec.cantor_obstacle((-0.6, 0.2), 3, 0.3), False),
+    (DomainSpec.cantor_obstacle((-0.6, 0.6), 3, 0.3), True),
+], ids=["slit_1d_inside", "slit_1d_outside", "slit_2d_clipped_both_ends",
+        "slit_2d_infinite", "slit_2d_above", "cantor_1d", "cantor_2d", "cantor_2d_above"])
+def test_obstacle_distance_matches_the_per_kind_reference_bitwise(domain, clipped_away):
+    # the clip cube [-0.5, 0.5]^N cuts the 2D slits at both ends or at the
+    # far end and the cantor obstacles at their left end, and leaves
+    # nothing of an obstacle whose anchor or height lies outside it
+    inner = Cube((0.0,) * domain.ndim, 0.5)
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([cf.geometry.lattice_points(inner, 0.0625),
+                          _sample_points(rng, 200, ndim=domain.ndim)])
+    d = cf.obstacle_distance(domain, pts, inner)
+    ref = _reference_obstacle_distance(domain, pts, inner)
+    assert d.dtype == ref.dtype and d.tobytes() == ref.tobytes()
+    assert np.isinf(d).all() == clipped_away
+    assert np.isfinite(d).all() != clipped_away
+
+
+@pytest.mark.parametrize("domain", [
+    DomainSpec.slit((0.25,)),
+    DomainSpec.slit((-0.3, 0.1), 0.9),
+    DomainSpec.cantor_obstacle((-0.4,), 3, 0.3),
+    DomainSpec.cantor_obstacle((-0.4, 0.2), 3, 0.3),
+], ids=["slit_1d", "slit_2d", "cantor_1d", "cantor_2d"])
+def test_thin_obstacle_membership_at_segment_ends_matches_the_per_kind_predicates(domain):
+    # each segment end, and 1 ulp beyond it either way, on the obstacle's
+    # line and 1 ulp off it in 2D
+    a = np.asarray(domain.anchor)
+    if domain.kind == "slit":
+        ends = [a[0], a[0] + (domain.params[0] if domain.ndim == 2 else 0.0)]
+    else:
+        ends = (_reference_cantor_intervals(3, 0.3) + a[0]).ravel()
+    xs = np.concatenate([[x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)] for x in ends])
+    if domain.ndim == 1:
+        pts = xs[:, None]
+    else:
+        ys = [a[1], np.nextafter(a[1], -np.inf), np.nextafter(a[1], np.inf)]
+        pts = np.array([(x, y) for x in xs for y in ys])
+    x = pts[:, 0]
+    if domain.kind == "slit" and domain.ndim == 1:
+        ref = x != a[0]
+    elif domain.kind == "slit":
+        ref = ~((pts[:, 1] == a[1]) & (x >= a[0]) & (x <= a[0] + domain.params[0]))
+    else:
+        on = cf.geometry._cantor_membership(x - a[0], 3, 0.3)
+        ref = ~(on & (pts[:, 1] == a[1])) if domain.ndim == 2 else ~on
+    assert np.array_equal(cf.contains_many(domain, pts), ref)
+    assert not ref.all() and ref.any()
+
+
 def test_domain_inside_mask_complements_rasterization():
     dom = DomainSpec.exterior_cube((0.0, 0.0), 0.4)
     box = Cube((0.0, 0.0), 0.5)

@@ -288,17 +288,17 @@ class CountingLU:
         return self.lu.solve(rhs)
 
 
-def count_lu_solves(system) -> CountingLU:
-    """Wrap the system's lagged factor, if any, in a CountingLU."""
-    blk, lu = system._factor or (None, None)
-    system._factor = (blk, CountingLU(lu))
-    return system._factor[1]
+def count_lu_solves(system, fixed, folded=False) -> CountingLU:
+    """Wrap the lagged factor of the block of the mask `fixed`, folded or
+    not, in a CountingLU."""
+    blk = system._block(fixed, folded)
+    blk.lu = CountingLU(blk.lu)
+    return blk.lu
 
 
 def factors(system, fixed, folded) -> bool:
-    """Whether the system's factor is of the block of the mask `fixed`,
-    folded or not."""
-    return system._factor[0] is system._block(fixed, folded)
+    """Whether the block of the mask `fixed`, folded or not, holds a factor."""
+    return system._block(fixed, folded).lu is not None
 
 
 def test_lagged_factor_solves_match_dense_solves(factorizations):
@@ -388,7 +388,7 @@ def lagged_after_a_jump(spread):
     system, rng, weights, g, previous = random_problem((13, 12), 0.1, seed=7)
     fixed = boundary_mask((13, 12), rng)
     first = system.solve_dirichlet(weights, fixed, g, mass=0.5, previous=previous)
-    lu = count_lu_solves(system)
+    lu = count_lu_solves(system, fixed)
     jumped = weights * 10.0 ** (spread * rng.uniform(-1, 1, system.n_cells))
     u = system.solve_dirichlet(jumped, fixed, g, mass=0.5, previous=previous, iterate=first)
     return system, fixed, g, previous, jumped, u, lu, rng
@@ -417,6 +417,30 @@ def test_a_slow_lagged_solve_makes_the_next_solve_factor_afresh(spread, slow,
     w = w * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
     system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=v)
     assert len(factorizations) == 1 + slow
+
+
+def test_each_mask_lags_on_its_own_factor(factorizations):
+    # two masks in turn on one system, each solve from the last solution of
+    # its mask: the first solve of each mask factors, and the third, on the
+    # first mask again, lags on that mask's factor, kept while the second
+    # mask factored
+    shape, h = (13, 12), 0.1
+    system, rng, weights, g, previous = random_problem(shape, h, seed=11)
+    masks = [boundary_mask(shape, rng) for _ in range(2)]
+    assert not np.array_equal(*masks)
+    first = system.solve_dirichlet(weights, masks[0], g, mass=0.5, previous=previous)
+    system.solve_dirichlet(weights, masks[1], g, mass=0.5, previous=previous)
+    assert len(factorizations) == 2
+    lu = count_lu_solves(system, masks[0])
+    w = weights * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
+    u = system.solve_dirichlet(w, masks[0], g, mass=0.5, previous=previous, iterate=first)
+    assert len(factorizations) == 2
+    assert 0 < lu.solves <= lattice._CG_MAXITER
+    a_mat, rhs = dense_block(shape, h, w, masks[0], g, 0.5, previous)
+    free = ~masks[0]
+    r_u, r_first = (np.linalg.norm(rhs - a_mat @ v[free]) for v in (u, first))
+    assert r_u <= lattice._FORCING * r_first
+    assert np.array_equal(u[masks[0]], g[masks[0]])
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -493,7 +517,7 @@ def test_folded_solves_match_dense_solves(problem):
     ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
     assert np.allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
     assert factors(system, fixed, True)
-    assert system._factor[1].shape == (mirror_classes(fixed, n),) * 2
+    assert system._block(fixed, True).lu.shape == (mirror_classes(fixed, n),) * 2
     for _ in range(3):
         assert lattice._transpose_symmetric(u, shape)
         assert np.array_equal(u[fixed], g[fixed])
@@ -506,7 +530,7 @@ def test_folded_solves_match_dense_solves(problem):
         assert factors(system, fixed, True)
     ref = dense_dirichlet(shape, h, w, fixed, g, mass, previous)
     ref = 0.5 * (ref + ref.reshape(shape).T.ravel())
-    lu = count_lu_solves(system)
+    lu = count_lu_solves(system, fixed, True)
     out = system.solve_dirichlet(w, fixed, g, mass=mass, previous=previous, iterate=ref,
                                  folded=True)
     assert np.array_equal(out, ref)
@@ -698,7 +722,27 @@ def test_assembly_operator_matches_the_bincount_assembly_bitwise(problem):
     assert same_bits(blk.assembly @ w, ref)
 
 
-@pytest.mark.parametrize("shape", [(11,), (7, 6)])
+@pytest.mark.parametrize("shape", [(3,), (11,), (3, 3), (7, 6), (6, 9)])
+def test_edges_match_the_per_dimension_formulas_bitwise(shape):
+    # the forward edge of each cell along each axis, x-axis first, as the
+    # chain and the 2D lattice each wrote them
+    system = LatticeSystem(shape, 0.5)
+    if len(shape) == 1:
+        corner = np.arange(shape[0] - 1)
+        ref = corner, corner + 1, np.arange(corner.size)
+    else:
+        n0, n1 = shape
+        i0, i1 = np.meshgrid(np.arange(n0 - 1), np.arange(n1 - 1), indexing="ij")
+        corner = (i0 * n1 + i1).ravel()
+        cell_ids = np.arange(corner.size)
+        ref = (np.concatenate([corner, corner]), np.concatenate([corner + n1, corner + 1]),
+               np.concatenate([cell_ids, cell_ids]))
+    assert system.n_cells == corner.size
+    for got, want in zip((system.edges_a, system.edges_b, system.edge_cell), ref):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("shape", [(11,), (7, 6), (3,), (3, 3), (6, 9)])
 @pytest.mark.parametrize("h", [0.1, 1.0 / 3.0])
 def test_cell_gradient_sq_matches_the_formula_bitwise(shape, h):
     rng = np.random.default_rng(17)

@@ -176,8 +176,10 @@ def test_cascade_power_law_branch():
 
 def test_cascade_inequalities_recomputed_seeded():
     # the report's nesting and prefix-bound flags must match a from-scratch
-    # evaluation of the inequalities at 1e-12
+    # evaluation of the inequalities at 1e-12, and its envelope rows a scan
+    # of subsequences that skip indices
     rng = np.random.default_rng(17)
+    skipped = False
     for _ in range(25):
         deltas = rng.uniform(0.05, 1.0, size=12)
         prof = _profile(list(deltas), R_o=0.5)
@@ -196,6 +198,17 @@ def test_cascade_inequalities_recomputed_seeded():
             assert float(a[:idx[k + 1]].sum()) <= \
                 2.0 * float(sum(a[idx[j]] for j in range(k + 1))) * (1.0 + 1e-12)
             assert rep.sub_bd_ok[k]
+        # each radius's bound is mu after the shaves at the selected
+        # indices below it, as a scan of the subsequence finds it
+        for i, (rho, bound) in enumerate(rep.envelope_at):
+            pos = 0
+            for j, i_j in enumerate(idx):
+                if i_j < i:
+                    pos = j + 1
+            assert rho == radii[i]
+            assert bound == mu[min(pos, len(mu) - 1)]
+        skipped |= idx != tuple(range(len(idx)))
+    assert skipped
 
 
 def test_cascade_validation():
