@@ -306,7 +306,7 @@ def parabolic_capacity(time_slices, outer: Cube, p: float) -> float:
     if len(taus) == 1:
         return 0.0
     dts = np.diff(taus)
-    if np.any(dts <= 0.0):
+    if not np.all(dts > 0.0):
         raise ValueError("slice times must be strictly increasing")
     if np.max(dts) - np.min(dts) > 1e-9 * np.max(dts):
         raise ValueError("slice times must be uniformly spaced")

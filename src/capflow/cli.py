@@ -55,34 +55,9 @@ _KINDS = {
 }
 
 
-def _get(obj: dict, key: str, kind, parent: str = "", default=_MISSING):
-    """obj[key] checked and converted by `kind`, or `default` when it is absent.
-
-    `kind` names an entry of `_KINDS`, or is "numbers" (a nonempty array of
-    numbers), or is the dimension N of a point (an array of N numbers).
-    """
-    path = _path(parent, key)
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key '{path}'")
-        return default
-    val = obj[key]
-    accepts, what, convert = _KINDS.get(kind, _KINDS["array"])
-    if not accepts(val):
-        raise ConfigError(f"key '{path}' must be {what}, got {type(val).__name__}")
-    if kind in _KINDS:
-        return convert(val)
-    if kind == "numbers" and (not val or not all(map(_is_number, val))):
-        raise ConfigError(f"key '{path}' must be a nonempty array of numbers")
-    if kind != "numbers" and (len(val) != kind or not all(map(_is_number, val))):
-        raise ConfigError(f"key '{path}' must be an array of {kind} numbers, "
-                          f"got {val!r}")
-    return tuple(float(v) for v in val)
-
-
 class Key(NamedTuple):
-    """A declared config key: its kind (see `_get`; "point" is a point in
-    R^N), its default, and a (test, "must ...") bound on a given value."""
+    """A declared config key: its kind (see `_field`), its default, and a
+    (test, "must ...") bound on a given value."""
 
     kind: str
     default: object = _MISSING
@@ -95,13 +70,33 @@ _OPEN_FRACTION = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _POSITIVE_NUMBER = Key("number", bound=_POSITIVE)
 
 
-def _field(obj: dict, key: str, spec, parent: str, ndim: int):
-    """obj[key] read by `spec`, a Key or a bare kind."""
+def _field(obj: dict, key: str, spec, parent: str = "", ndim: int = 0):
+    """obj[key] read by `spec`, a Key or a bare kind: checked and converted by
+    its kind, then checked against its bound, or its default when absent.
+
+    A kind names an entry of `_KINDS`, or is "numbers" (a nonempty array of
+    numbers) or "point" (an array of `ndim` numbers, a point in R^N).
+    """
     spec = spec if isinstance(spec, Key) else Key(spec)
-    val = _get(obj, key, ndim if spec.kind == "point" else spec.kind, parent,
-               spec.default)
-    if key in obj and spec.bound and not spec.bound[0](val):
-        raise ConfigError(f"{_path(parent, key)} must {spec.bound[1]}, got {val}")
+    path = _path(parent, key)
+    if key not in obj:
+        if spec.default is _MISSING:
+            raise ConfigError(f"missing required key '{path}'")
+        return spec.default
+    val = obj[key]
+    accepts, what, convert = _KINDS.get(spec.kind, _KINDS["array"])
+    if not accepts(val):
+        raise ConfigError(f"key '{path}' must be {what}, got {type(val).__name__}")
+    if spec.kind in _KINDS:
+        val = convert(val)
+    elif spec.kind == "numbers" and (not val or not all(map(_is_number, val))):
+        raise ConfigError(f"key '{path}' must be a nonempty array of numbers")
+    elif spec.kind == "point" and (len(val) != ndim or not all(map(_is_number, val))):
+        raise ConfigError(f"key '{path}' must be an array of {ndim} numbers, got {val!r}")
+    else:
+        val = tuple(float(v) for v in val)
+    if spec.bound and not spec.bound[0](val):
+        raise ConfigError(f"{path} must {spec.bound[1]}, got {val}")
     return val
 
 
@@ -126,8 +121,8 @@ def _build(obj: dict, path: str, keys: dict, build: Callable, ndim: int = 0,
 def _union(raw: dict, name: str, tag: str, variants: dict, ndim: int):
     """The tagged object raw[name]; `variants` maps each value of its `tag`
     key to the (keys, build) pair that `_build` reads it with."""
-    obj = _get(raw, name, "object")
-    value = _get(obj, tag, "string", name)
+    obj = _field(raw, name, "object")
+    value = _field(obj, tag, "string", name)
     if value not in variants:
         raise ConfigError(f"unknown {name} {tag} {value!r}")
     return _build(obj, name, *variants[value], ndim, tag)
@@ -164,7 +159,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    version = _get(raw, "schema_version", "integer")
+    version = _field(raw, "schema_version", "integer")
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}; this build reads 1")
     return raw
@@ -174,11 +169,11 @@ _COMMON_KEYS = {"schema_version", "p", "N", "constants", "solver"}
 
 
 def parse_params(raw: dict) -> StructureParams:
-    p, n = _get(raw, "p", "number"), _get(raw, "N", "integer")
-    cobj = _get(raw, "constants", "object", default={})
+    p, n = _field(raw, "p", "number"), _field(raw, "N", "integer")
+    cobj = _field(raw, "constants", Key("object", {}))
     _no_unknown(cobj, OVERRIDABLE_CONSTANTS, "constants")
     try:
-        return make_params(p, n, **{k: _get(cobj, k, "number", "constants") for k in cobj})
+        return make_params(p, n, **{k: _field(cobj, k, "number", "constants") for k in cobj})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -255,7 +250,7 @@ def _parse_datum(raw: dict, cfg) -> pde.BoundaryDatum:
 
 def _parse_snapshot_steps(raw: dict, cfg) -> list[int]:
     n_steps = len(cfg.values["time"]) - 1
-    steps = _get(raw, "snapshot_steps", "array", default=[n_steps])
+    steps = _field(raw, "snapshot_steps", Key("array", [n_steps]))
     for step in steps:
         if isinstance(step, bool) or not isinstance(step, int):
             raise ConfigError("snapshot_steps must be an array of integers")
@@ -267,7 +262,7 @@ def _parse_snapshot_steps(raw: dict, cfg) -> list[int]:
 
 def _parse_c_bar(raw: dict, cfg) -> tuple[int | None, float]:
     """(lambda, c_bar): the grid ratio given, or the smallest admissible one."""
-    c_bar = _field(raw, "c_bar", Key("number", None, _OPEN_FRACTION), "", 0)
+    c_bar = _field(raw, "c_bar", Key("number", None, _OPEN_FRACTION))
     if c_bar is None:
         return wiener.choose_c_bar(cfg.params)
     return wiener.grid_lambda(c_bar), c_bar
@@ -297,7 +292,7 @@ def _parse_profile(raw: dict, cfg) -> wiener.CapacityProfile:
 def _parse_t_o(raw: dict, cfg) -> float:
     final = float(cfg.values["time"][-1])
     within = (lambda v: 0.0 < v <= final * (1.0 + 1e-12), f"lie in (0, {final}]")
-    return _field(raw, "t_o", Key("number", bound=within), "", 0)
+    return _field(raw, "t_o", Key("number", bound=within))
 
 
 def _parse_realize(raw: dict, cfg) -> dict | None:
@@ -306,7 +301,7 @@ def _parse_realize(raw: dict, cfg) -> dict | None:
         raise ConfigError("give exactly one of 'R_o' and 'realize'")
     if "realize" not in raw:
         return None
-    return _build(_get(raw, "realize", "object"), "realize",
+    return _build(_field(raw, "realize", "object"), "realize",
                   {"r_max": Key("number", 1.0, _POSITIVE),
                    "max_halvings": Key("integer", 20, (lambda v: v >= 0, "be nonnegative"))},
                   dict)
@@ -327,7 +322,7 @@ def _probe_radii(given, r_o: float, c_bar: float, depth: int) -> list[float]:
 def _parse_probe_radii(raw: dict, cfg):
     """The given probe radii or None, checked here when R_o is given and by
     the `realize` stage when it is searched."""
-    given = _get(raw, "probe_radii", "numbers", default=None)
+    given = _field(raw, "probe_radii", Key("numbers", None))
     if cfg.values["R_o"] is not None:
         _probe_radii(given, cfg.values["R_o"], cfg.values["c_bar"][1], cfg.values["depth"])
     return given
@@ -358,9 +353,9 @@ _PROBES = {
 
 def _parse_probes(raw: dict, cfg) -> dict:
     """probe name -> its arguments after the field, for each requested probe."""
-    obj = _get(raw, "probes", "object", default={})
+    obj = _field(raw, "probes", Key("object", {}))
     _no_unknown(obj, _PROBES, "probes")
-    return {name: _build(_get(obj, name, "object", "probes"), f"probes.{name}", keys,
+    return {name: _build(_field(obj, name, "object", "probes"), f"probes.{name}", keys,
                          lambda **kw: tuple(kw.values()), cfg.params.N)
             for name, (_, keys) in _PROBES.items() if name in obj}
 
@@ -385,7 +380,7 @@ def parse_experiment(raw: dict, command: str, out_dir: str, workers: int) -> Exp
     params = parse_params(raw)
     if workers < 1:
         raise ConfigError(f"--workers must be positive, got {workers}")
-    nodes_across = _build(_get(raw, "solver", "object", default={}), "solver",
+    nodes_across = _build(_field(raw, "solver", Key("object", {})), "solver",
                           {"nodes_across": Key("integer", 33)}, capacity.check_nodes_across)
     cfg = ExperimentConfig(raw, params, nodes_across, out_dir, workers, {})
     for key, spec in keys.items():
@@ -489,17 +484,30 @@ def run_stages(handler: Callable, cfg: ExperimentConfig) -> dict:
 _PROFILE_HEADER = ["index", "rho", "delta", "A", "wiener_partial"]
 
 
-def _profile_rows(profile: wiener.CapacityProfile) -> list[tuple]:
-    return [(i, rho, d, a, wiener.wiener_sum(profile, 0, i))
+def _memo(cfg: ExperimentConfig) -> capacity.DeltaMemo:
+    """A fresh delta memo at the config's x_o, for one run."""
+    return capacity.DeltaMemo(cfg.values["domain"], cfg.values["x_o"], cfg.params,
+                              cfg.nodes_across, cfg.workers)
+
+
+def _profile_stage(cfg: ExperimentConfig, stage: Callable, report: dict, r_o: float,
+                   delta_fn) -> tuple[wiener.CapacityProfile, list[tuple]]:
+    """The `profile` stage: the profile down from r_o with deltas from
+    `delta_fn`, recorded in report["profile"]; returns it and its table rows."""
+    values, c_bar = cfg.values, cfg.values["c_bar"][1]
+    profile = stage("profile", lambda: wiener.build_profile(
+        values["domain"], values["x_o"], r_o, c_bar, values["depth"], cfg.params, delta_fn))
+    rows = [(i, rho, d, a, wiener.wiener_sum(profile, 0, i))
             for i, (rho, d, a) in enumerate(zip(profile.radii, profile.deltas, profile.A))]
+    report["profile"] = {"R_o": r_o, "c_bar": c_bar, "entries": [
+        dict(zip(_PROFILE_HEADER, row)) for row in rows]}
+    return profile, rows
 
 
 def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
     """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
     radii = cfg.values["radii"]
-    table = stage("capacity", lambda: capacity.DeltaMemo(
-        cfg.values["domain"], cfg.values["x_o"], cfg.params, cfg.nodes_across,
-        cfg.workers).rows(radii))
+    table = stage("capacity", lambda: _memo(cfg).rows(radii))
     rows = [(rho, cap_obs.value, cap_full.value, val,
              cap_obs.iterations + cap_full.iterations)
             for rho, (val, cap_obs, cap_full) in zip(radii, table)]
@@ -512,18 +520,10 @@ def cmd_delta_profile(cfg: ExperimentConfig, stage: Callable, report: dict):
     """Relative capacity profile down the geometric radius grid, plus the
     finite-sample divergence diagnostic."""
     values = cfg.values
-    lam, c_bar = values["c_bar"]
-    domain, x_o = values["domain"], values["x_o"]
-    profile = stage("profile", lambda: wiener.build_profile(
-        domain, x_o, values["R_o"], c_bar, values["depth"], cfg.params,
-        capacity.DeltaMemo(domain, x_o, cfg.params, cfg.nodes_across, cfg.workers)))
-    rows = _profile_rows(profile)
+    profile, rows = _profile_stage(cfg, stage, report, values["R_o"], _memo(cfg))
     diag = wiener.is_wiener_point(profile) if values["depth"] >= 4 else None
-    report["profile"] = {
-        "R_o": values["R_o"], "c_bar": c_bar, "lambda": lam,
-        "entries": [dict(zip(_PROFILE_HEADER, row)) for row in rows],
-        "wiener_diagnostic": diag and dataclasses.asdict(diag),
-    }
+    report["profile"]["lambda"] = values["c_bar"][0]
+    report["profile"]["wiener_diagnostic"] = diag and dataclasses.asdict(diag)
     return [("profile", _PROFILE_HEADER, rows, True)], None
 
 
@@ -566,8 +566,7 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     values, params, p = cfg.values, cfg.params, cfg.params.p
     domain, x_o, t_o, epsilon = values["domain"], values["x_o"], values["t_o"], values["epsilon"]
     lam, c_bar = values["c_bar"]
-    delta_fn = values["synthetic_delta"] or capacity.DeltaMemo(domain, x_o, params,
-                                                               cfg.nodes_across, cfg.workers)
+    delta_fn = values["synthetic_delta"] or _memo(cfg)
     report["constants"] = stage("constants", lambda: {
         "lambda": lam, "c_bar": c_bar,
         "values": {k: getattr(params.constants, k) for k in OVERRIDABLE_CONSTANTS}})
@@ -582,11 +581,7 @@ def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     r_o, radii = stage("realize", realize)
     report["realize"] = {"R_o": r_o, "epsilon": epsilon,
                          "mode": "explicit" if values["realize"] is None else "searched"}
-    profile = stage("profile", lambda: wiener.build_profile(
-        domain, x_o, r_o, c_bar, values["depth"], params, delta_fn))
-    prof_rows = _profile_rows(profile)
-    report["profile"] = {"R_o": r_o, "c_bar": c_bar, "entries": [
-        dict(zip(_PROFILE_HEADER, row)) for row in prof_rows]}
+    profile, prof_rows = _profile_stage(cfg, stage, report, r_o, delta_fn)
 
     def solve():
         grid = pde.make_grid(domain, values["box"], values["grid_h"], values["time"])
@@ -641,7 +636,7 @@ class Command(NamedTuple):
 
 _SOLVE_KEYS = {
     "domain": _parse_domain,
-    "box": lambda raw, cfg: _build(_get(raw, "box", "object"), "box", {
+    "box": lambda raw, cfg: _build(_field(raw, "box", "object"), "box", {
         "center": "point", "half_edge": "number"}, Cube, cfg.params.N),
     "grid_h": _POSITIVE_NUMBER,
     "time": _parse_times, "datum": _parse_datum, "snapshot_steps": _parse_snapshot_steps,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -127,15 +128,8 @@ class DomainSpec:
         # boundary probe: some nearby point must be inside E
         a = np.asarray(self.anchor)
         scale = max(1.0, float(np.max(np.abs(a))))
-        dirs = []
-        for k in range(self.ndim):
-            e = np.zeros(self.ndim)
-            e[k] = 1.0
-            dirs += [e, -e]
-        if self.ndim == 2:
-            for sx in (1.0, -1.0):
-                for sy in (1.0, -1.0):
-                    dirs.append(np.array([sx, sy]))
+        dirs = [np.array(d) for d in itertools.product((-1.0, 0.0, 1.0), repeat=self.ndim)
+                if any(d)]
         for eps in (1e-2, 1e-5, 1e-8):
             for d in dirs:
                 if contains(self, tuple(a + eps * scale * d)):
@@ -303,8 +297,6 @@ class IndicatorField:
         object.__setattr__(self, "h", float(self.h))
         vals = np.asarray(self.values, dtype=bool)
         object.__setattr__(self, "values", vals)
-        if self.h <= 0.0:
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
         n = lattice_nodes_per_axis(self.cube.half_edge, self.h)
         expected = (n,) * self.cube.ndim
         if vals.shape != expected:
@@ -324,7 +316,7 @@ class IndicatorField:
 
 def lattice_nodes_per_axis(half_edge: float, h: float) -> int:
     """Node count 2m+1 for the lattice of spacing h spanning [-half_edge, half_edge]."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"grid spacing must be positive, got {h}")
     m = round(half_edge / h)
     if m < 1 or abs(m * h - half_edge) > 1e-9 * half_edge:
@@ -361,8 +353,6 @@ def rasterize_obstacle(domain: DomainSpec, inner: Cube, grid_h: float) -> Indica
     if domain.ndim != inner.ndim:
         raise ValueError(f"domain dimension {domain.ndim} != cube dimension {inner.ndim}")
     n = lattice_nodes_per_axis(inner.half_edge, grid_h)
-    if n < 3:
-        raise ValueError("degenerate grid: fewer than 3 nodes per axis")
     pts = lattice_points(inner, grid_h)
     if domain.kind in LOWER_DIMENSIONAL_KINDS:
         marked = obstacle_distance(domain, pts, inner) < grid_h / 2.0

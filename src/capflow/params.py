@@ -8,9 +8,9 @@ from dataclasses import dataclass, fields
 
 def smallest_lambda(p: float, gamma_2: float) -> int:
     """Smallest integer lam >= 1 with 2**(lam*p/(p-2) - 1) >= 3**(1/(p-2)) / (1 - 1/gamma_2)."""
-    if p <= 2.0:
+    if not p > 2.0:
         raise ValueError(f"p must exceed 2, got {p}")
-    if gamma_2 <= 1.0:
+    if not gamma_2 > 1.0:
         raise ValueError(f"gamma_2 must exceed 1, got {gamma_2}")
     rhs = 3.0 ** (1.0 / (p - 2.0)) / (1.0 - 1.0 / gamma_2)
     lam = 1
@@ -44,7 +44,7 @@ class StructuralConstants:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.bar_gamma < 0.0:
+        if not self.bar_gamma >= 0.0:
             # zero is allowed: it switches the envelope's depth tail off
             raise ValueError(f"bar_gamma must be nonnegative, got {self.bar_gamma}")
         for name in ("gamma_1", "gamma_2", "gamma_star", "gamma_3"):

@@ -2,7 +2,8 @@
 obstacle, plus the oscillation measurements used to compare solutions against
 capacity-based decay envelopes.  `solve` stores every time step, so row k of
 the field it returns is step k.  Every measurement, here and in `probes`,
-picks its times with `in_window` and its nodes with `SpaceTimeGrid.nodes_in`.
+picks its times with `in_window` and its nodes with
+`SpaceTimeGrid.inside_nodes_in`.
 
 Each time step solves the proximal problem
 
@@ -72,6 +73,14 @@ class SpaceTimeGrid:
     def nodes_in(self, cube: Cube) -> np.ndarray:
         """Flat mask of the nodes in `cube`, up to a 1e-9 h tolerance."""
         return cube.contains_points(self.node_points(), tol=1e-9 * self.h)
+
+    def inside_nodes_in(self, cube: Cube) -> np.ndarray:
+        """Flat mask of the interior nodes in `cube`; ValueError when it has none."""
+        mask = self.inside & self.nodes_in(cube)
+        if not np.any(mask):
+            raise ValueError(f"no interior nodes in the cube of half-edge {cube.half_edge} "
+                             f"at {cube.center}")
+        return mask
 
     @property
     def n_nodes(self) -> int:
@@ -198,7 +207,7 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
     step index, its message the minimizer's, which states that limit,
     after "time step k".
     """
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"p must be at least 2, got {p}")
     system = LatticeSystem(grid.shape, grid.h)
     pts = grid.node_points()
@@ -261,10 +270,7 @@ def oscillation_over(field: SpaceTimeField, region: Cube, t_lo: float,
     if not np.any(rows):
         raise ValueError(f"no stored time slices in [{t_lo}, {t_hi}]; "
                          "shorten the time step or widen the window")
-    mask = field.grid.inside & field.grid.nodes_in(region)
-    if not np.any(mask):
-        raise ValueError("region contains no interior nodes")
-    sub = field.values[rows][:, mask]
+    sub = field.values[rows][:, field.grid.inside_nodes_in(region)]
     return float(sub.max() - sub.min())
 
 
@@ -298,7 +304,7 @@ def osc_g_on_lateral(grid: SpaceTimeGrid, datum: BoundaryDatum, region: Cube,
     datum linear in time oscillates by exactly the window length.
     """
     t_lo, t_hi = max(t_lo, 0.0), min(t_hi, float(grid.times[-1]))
-    if t_hi < t_lo:
+    if not t_lo <= t_hi:
         raise ValueError(f"window [{t_lo}, {t_hi}] lies outside the grid times")
     mask = lateral_mask(grid, region)
     if not np.any(mask):
@@ -323,7 +329,7 @@ def barenblatt(x, t: float, p: float, mass_scale: float = 1.0) -> np.ndarray:
     with k = 1/(p - 2 + p/N) and q = (p-2)/p * (k/N)**(1/(p-1)).  The support
     edge moves as (C/q)**((p-1)/p) * t**(k/N).
     """
-    if p <= 2.0:
+    if not p > 2.0:
         raise ValueError(f"p must exceed 2, got {p}")
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -372,32 +378,27 @@ def load_snapshot(path: str) -> dict:
     parsed from the '#' lines (h, p, step, time, box geometry).
     """
     meta: dict[str, float] = {}
-    rows = []
-    header = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        if not line.startswith("#"):
+            continue
+        for token in line[1:].split():
+            if "=" not in token:
                 continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, raw = token.partition("=")
-                        if key == "box_center":
-                            meta[key] = tuple(float(v) for v in raw.split(","))
-                        elif key == "step":
-                            meta[key] = int(raw)
-                        else:
-                            meta[key] = float(raw)
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
+            key, _, raw = token.partition("=")
+            if key == "box_center":
+                meta[key] = tuple(float(v) for v in raw.split(","))
+            elif key == "step":
+                meta[key] = int(raw)
+            else:
+                meta[key] = float(raw)
+    # the column header, then one row per node
+    table = [line for line in lines if line and not line.startswith("#")]
+    if len(table) < 2:
         raise ValueError(f"{path} holds no snapshot data")
-    arr = np.array(rows)
-    ndim = len(header) - 2
+    arr = np.loadtxt(table[1:], delimiter=",", ndmin=2)
+    ndim = len(table[0].split(",")) - 2
     return {
         "points": arr[:, :ndim],
         "inside": arr[:, ndim].astype(bool),

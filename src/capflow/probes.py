@@ -65,17 +65,10 @@ class FitReport:
     envelope_ok: tuple[bool, ...]             # osc <= envelope at that radius
 
 
-def _ball_nodes(field: SpaceTimeField, center, half_edge: float) -> np.ndarray:
-    cube = Cube(center, half_edge)
-    mask = field.grid.inside & field.grid.nodes_in(cube)
-    if not np.any(mask):
-        raise ValueError(f"no interior nodes in the cube of half-edge {half_edge} "
-                         f"at {tuple(float(c) for c in cube.center)}")
-    return mask
-
-
 def _nearest_step(field: SpaceTimeField, t: float) -> int:
     """The step whose time is nearest t; row k of the field is step k."""
+    if not math.isfinite(t):
+        raise ValueError(f"probe time must be finite, got {t}")
     return int(np.argmin(np.abs(field.grid.times - t)))
 
 
@@ -103,7 +96,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if harnack_c < 1.0:
+    if not harnack_c >= 1.0:
         raise ValueError(f"the comparison constant is at least 1, got {harnack_c}")
     p = field.p
     _require_inside_box(field, y, 4.0 * rho)
@@ -113,7 +106,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     s_used = float(field.grid.times[row])
     if s_used >= T:
         raise ValueError(f"sample time {s_used} leaves no room before the final time {T}")
-    mask_avg = _ball_nodes(field, y, rho)
+    mask_avg = field.grid.inside_nodes_in(Cube(y, rho))
     vals = field.values[row][mask_avg]
     if float(vals.min()) < 0.0:
         raise ValueError(f"probe requires nonnegative values; found {float(vals.min())} "
@@ -137,7 +130,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
     if not np.any(rows):
         raise ValueError(f"no stored slices in the waiting window [{t_lo}, {t_hi}]; "
                          "shorten the time step")
-    mask_wide = _ball_nodes(field, y, 4.0 * rho)
+    mask_wide = field.grid.inside_nodes_in(Cube(y, 4.0 * rho))
     window_vals = field.values[rows][:, mask_wide]
     if float(window_vals.min()) < 0.0:
         raise ValueError(f"probe requires nonnegative values; found "
@@ -168,7 +161,7 @@ def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float,
     _require_inside_box(field, y, 2.0 * rho)
     row0 = _nearest_step(field, t_bar)
     t_used = float(field.grid.times[row0])
-    mask_hyp = _ball_nodes(field, y, 2.0 * rho)
+    mask_hyp = field.grid.inside_nodes_in(Cube(y, 2.0 * rho))
     base = field.values[row0][mask_hyp]
     if float(base.min()) < k * (1.0 - 1e-12):
         pts = field.grid.node_points()[mask_hyp]
@@ -182,7 +175,7 @@ def spreading_probe(field: SpaceTimeField, y, rho: float, t_bar: float,
     if not sample_rows:
         raise ValueError(f"no stored slices after t_bar={t_used}")
 
-    mask_small = _ball_nodes(field, y, rho)
+    mask_small = field.grid.inside_nodes_in(Cube(y, rho))
     samples = []
     nus = []
     for i in sample_rows:

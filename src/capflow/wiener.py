@@ -38,7 +38,7 @@ class CapacityProfile:
             raise ValueError(f"R_o must be positive and finite, got {self.R_o}")
         if not 0.0 < self.c_bar < 1.0:
             raise ValueError(f"c_bar must lie in (0, 1), got {self.c_bar}")
-        if self.p <= 2.0:
+        if not self.p > 2.0:
             raise ValueError(f"p must exceed 2, got {self.p}")
         if not len(deltas):
             raise ValueError("profile needs at least one delta")
@@ -92,7 +92,7 @@ class EnvelopeParams:
     def __post_init__(self):
         if not self.omega_o > 0.0:
             raise ValueError(f"omega_o must be positive, got {self.omega_o}")
-        if self.osc_g < 0.0:
+        if not self.osc_g >= 0.0:
             raise ValueError(f"osc_g must be nonnegative, got {self.osc_g}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
@@ -182,7 +182,7 @@ def wiener_integral(profile: CapacityProfile, rho: float) -> float:
     grid radius rho_m.
     """
     radii = profile.radii
-    if rho > profile.R_o * (1.0 + 1e-12):
+    if not rho <= profile.R_o * (1.0 + 1e-12):
         raise ValueError(f"rho {rho} exceeds R_o {profile.R_o}")
     if rho < radii[-1] * (1.0 - 1e-12):
         raise ValueError(f"rho {rho} is below the profile's last radius {radii[-1]}; "
@@ -384,7 +384,7 @@ def decay_envelope(env: EnvelopeParams, profile: CapacityProfile, rho: float) ->
     """
     if abs(env.R_o - profile.R_o) > 1e-9 * profile.R_o:
         raise ValueError(f"envelope R_o {env.R_o} does not match profile R_o {profile.R_o}")
-    if rho >= env.R_o:
+    if not rho < env.R_o:
         raise ValueError(f"rho must be below R_o, got rho={rho}, R_o={env.R_o}")
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")

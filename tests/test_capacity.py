@@ -382,8 +382,9 @@ def test_parabolic_capacity_validation():
     with pytest.raises(ValueError, match="empty slice list"):
         capacity.parabolic_capacity([], outer, 3.0)
     assert capacity.parabolic_capacity([(0.0, obstacle)], outer, 3.0) == 0.0
-    with pytest.raises(ValueError, match="strictly increasing"):
-        capacity.parabolic_capacity([(0.0, obstacle), (0.0, obstacle)], outer, 3.0)
+    for t in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            capacity.parabolic_capacity([(0.0, obstacle), (t, obstacle)], outer, 3.0)
     with pytest.raises(ValueError, match="uniformly spaced"):
         capacity.parabolic_capacity(
             [(0.0, obstacle), (0.1, obstacle), (0.3, obstacle)], outer, 3.0)

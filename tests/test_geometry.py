@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import capflow as cf
-from capflow.geometry import Cube, DomainSpec, lattice_nodes_per_axis
+from capflow.geometry import Cube, DomainSpec, IndicatorField, lattice_nodes_per_axis
 from helpers import all_true
 
 
@@ -82,6 +82,9 @@ def test_anchor_validation():
     with pytest.raises(ValueError, match="boundary"):
         DomainSpec.custom_mask((0.0, 0.0),
                                lambda x: abs(x[0]) > 10.0)
+    # a quadrant is reached from its corner only along the diagonal
+    quadrant = DomainSpec.custom_mask((0.5, -0.25), lambda x: x[0] > 0.5 and x[1] > -0.25)
+    assert quadrant.anchor == (0.5, -0.25)
 
 
 def test_domain_param_validation():
@@ -112,8 +115,11 @@ def test_lattice_nodes_per_axis():
     assert lattice_nodes_per_axis(1.0, 0.25) == 9
     with pytest.raises(ValueError, match="does not divide"):
         lattice_nodes_per_axis(0.5, 0.3)
-    with pytest.raises(ValueError, match="must be positive"):
-        lattice_nodes_per_axis(0.5, 0.0)
+    for h in (0.0, math.nan):
+        with pytest.raises(ValueError, match="grid spacing must be positive"):
+            lattice_nodes_per_axis(0.5, h)
+        with pytest.raises(ValueError, match="grid spacing must be positive"):
+            IndicatorField(Cube((0.0,), 0.5), h, np.ones(1, dtype=bool))
 
 
 def test_indicator_field_all_true():

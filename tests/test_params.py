@@ -28,10 +28,12 @@ def test_smallest_lambda_is_smallest():
 
 
 def test_smallest_lambda_validation():
-    with pytest.raises(ValueError, match="p must exceed 2"):
-        smallest_lambda(2.0, 2.0)
-    with pytest.raises(ValueError, match="gamma_2 must exceed 1"):
-        smallest_lambda(3.0, 1.0)
+    for p in (2.0, math.nan):
+        with pytest.raises(ValueError, match="p must exceed 2"):
+            smallest_lambda(p, 2.0)
+    for gamma_2 in (1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma_2 must exceed 1"):
+            smallest_lambda(3.0, gamma_2)
 
 
 def test_default_constants_p3():
@@ -64,8 +66,9 @@ def test_unknown_override_rejected():
 def test_constants_validation():
     with pytest.raises(ValueError, match="gamma must lie in"):
         cf.make_params(3.0, 2, gamma=1.5)
-    with pytest.raises(ValueError, match="bar_gamma must be nonnegative"):
-        cf.make_params(3.0, 2, bar_gamma=-0.1)
+    for bar_gamma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="bar_gamma must be nonnegative"):
+            cf.make_params(3.0, 2, bar_gamma=bar_gamma)
     with pytest.raises(ValueError, match="nu must lie in"):
         cf.make_params(3.0, 2, nu=0.0)
     with pytest.raises(ValueError, match="gamma_2 must exceed 1"):

@@ -124,8 +124,9 @@ def test_solve_keeps_linear_profile_stationary():
 def test_solve_validation():
     grid = _grid_1d()
     datum = cf.BoundaryDatum("c", lambda pts, t: np.zeros(len(pts)))
-    with pytest.raises(ValueError, match="p must be at least 2"):
-        cf.solve(grid, datum, 1.5)
+    for p in (1.5, math.nan):
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            cf.solve(grid, datum, p)
 
 
 def test_solve_max_principle_seeded():
@@ -520,7 +521,8 @@ def test_oscillation_over_errors():
     field = synthetic_field(np.zeros((2, 81)), [0.0, 1.0])
     with pytest.raises(ValueError, match="no stored time slices"):
         cf.oscillation_over(field, Cube((0.0, 0.0), 0.4), 0.4, 0.6)
-    with pytest.raises(ValueError, match="no interior nodes"):
+    with pytest.raises(ValueError, match=r"no interior nodes in the cube of half-edge 0\.1 "
+                                         r"at \(5\.0, 5\.0\)"):
         cf.oscillation_over(field, Cube((5.0, 5.0), 0.1), 0.0, 1.0)
 
 
@@ -609,8 +611,9 @@ def test_osc_g_validation():
         cf.window_depth(P3N2, 1.5, 0.1, 0.5)
     with pytest.raises(ValueError, match=r"epsilon must lie in"):
         cf.window_depth(P3N2, 0.5, 0.1, 1.0)
-    with pytest.raises(ValueError, match="outside the grid times"):
-        cf.osc_g_on_lateral(grid, datum, Cube((0.0, 0.0), 0.2), 0.06, 0.08)
+    for t_lo, t_hi in ((0.06, 0.08), (math.nan, 0.04), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="outside the grid times"):
+            cf.osc_g_on_lateral(grid, datum, Cube((0.0, 0.0), 0.2), t_lo, t_hi)
     plain = cf.make_grid(DomainSpec.full_space(2), Cube((0.0, 0.0), 0.25),
                          0.0625, cf.uniform_times(0.05, 5))
     with pytest.raises(ValueError, match="no lateral boundary nodes"):
@@ -647,8 +650,9 @@ def test_barenblatt_conserves_mass():
 
 
 def test_barenblatt_validation():
-    with pytest.raises(ValueError, match="p must exceed 2"):
-        cf.barenblatt(np.array([0.0]), 1.0, 2.0)
+    for p in (2.0, math.nan):
+        with pytest.raises(ValueError, match="p must exceed 2"):
+            cf.barenblatt(np.array([0.0]), 1.0, p)
     with pytest.raises(ValueError, match="t must be positive"):
         cf.barenblatt(np.array([0.0]), 0.0, 3.0)
 
@@ -691,19 +695,27 @@ def test_barenblatt_in_2d_is_radial_and_conserves_mass(p):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    grid = _grid_1d(steps=3)
-    datum = cf.BoundaryDatum("lin", lambda pts, t: pts[:, 0] + 0.1 * t)
-    field = cf.solve(grid, datum, 3.0)
+    # every value comes back bitwise, in 1D and in 2D: the smallest subnormal,
+    # -0.0, both float extremes and 1/3 among them
     path = tmp_path / "snap.csv"
-    cf.save_snapshot(field, 2, str(path))
-    loaded = cf.load_snapshot(str(path))
-    assert np.array_equal(loaded["values"], field.slice_at_step(2))
-    assert np.array_equal(loaded["points"][:, 0], grid.node_points()[:, 0])
-    assert np.array_equal(loaded["inside"], grid.inside)
-    assert loaded["meta"]["h"] == grid.h
-    assert loaded["meta"]["p"] == 3.0
-    assert loaded["meta"]["step"] == 2
-    assert loaded["meta"]["time"] == float(grid.times[2])
+    extremes = [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
+    for grid in (_grid_1d(steps=3), _grid_2d(steps=3)):
+        values = np.random.default_rng(4).normal(size=(4, grid.n_nodes))
+        values[2, :len(extremes)] = extremes
+        cf.save_snapshot(cf.SpaceTimeField(grid, 3.0, values), 2, str(path))
+        loaded = cf.load_snapshot(str(path))
+        assert loaded["values"].tobytes() == values[2].tobytes()
+        assert loaded["points"].tobytes() == grid.node_points().tobytes()
+        assert np.array_equal(loaded["inside"], grid.inside)
+        assert loaded["meta"] == {"h": grid.h, "p": 3.0, "step": 2,
+                                  "time": float(grid.times[2]), "box_center": grid.box.center,
+                                  "box_half_edge": grid.box.half_edge}
+    # the metadata with the column header, or the metadata alone, hold no data
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for kept in (lines[:4], lines[:3]):
+        path.write_text("".join(kept), encoding="utf-8")
+        with pytest.raises(ValueError, match="holds no snapshot data"):
+            cf.load_snapshot(str(path))
 
 
 @pytest.mark.parametrize("grid", [_grid_1d(steps=3), _grid_2d(steps=3)], ids=["1d", "2d"])

@@ -67,8 +67,11 @@ def test_weak_harnack_validation():
     field = _positive_field(5)
     with pytest.raises(ValueError, match="rho must be positive"):
         cf.weak_harnack_probe(field, (0.0, 0.0), 0.0, 0.0)
-    with pytest.raises(ValueError, match="at least 1"):
-        cf.weak_harnack_probe(field, (0.0, 0.0), 0.0, 0.125, harnack_c=0.5)
+    for c in (0.5, math.nan):
+        with pytest.raises(ValueError, match="at least 1"):
+            cf.weak_harnack_probe(field, (0.0, 0.0), 0.0, 0.125, harnack_c=c)
+    with pytest.raises(ValueError, match="probe time must be finite"):
+        cf.weak_harnack_probe(field, (0.0, 0.0), math.nan, 0.125)
     with pytest.raises(ValueError, match="leaves the computational box"):
         cf.weak_harnack_probe(field, (0.3, 0.0), 0.0, 0.125)
     with pytest.raises(ValueError, match="no room before the final time"):
@@ -79,6 +82,20 @@ def test_weak_harnack_validation():
     zero = synthetic_field(np.zeros((5, 81)), TIMES5)
     with pytest.raises(ValueError, match="vanishes"):
         cf.weak_harnack_probe(zero, (0.0, 0.0), 0.0, 0.125)
+    # the removed square [0, 0.25]^2 holds the one node of K_rho((0.125, 0.125))
+    holed = synthetic_field(np.full((5, 81), 0.003), TIMES5,
+                            domain=cf.DomainSpec.exterior_cube((0.0, 0.0), 0.125))
+    with pytest.raises(ValueError, match="no interior nodes in the cube of half-edge 0.05"):
+        cf.weak_harnack_probe(holed, (0.125, 0.125), 0.0, 0.05)
+
+
+def test_spreading_validation():
+    field = synthetic_field(np.full((5, 81), 0.2), TIMES5)
+    for rho, k in ((0.0, 0.2), (0.125, 0.0), (math.nan, 0.2), (0.125, math.nan)):
+        with pytest.raises(ValueError, match="rho and k must be positive"):
+            cf.spreading_probe(field, (0.0, 0.0), rho, 0.0, k)
+    with pytest.raises(ValueError, match="probe time must be finite"):
+        cf.spreading_probe(field, (0.0, 0.0), 0.125, math.nan, 0.2)
 
 
 def test_spreading_constant_field_caps_nu():

@@ -40,6 +40,9 @@ def test_profile_validation():
     for r_o in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="R_o must be positive and finite"):
             cf.CapacityProfile(r_o, 0.5, 3.0, [0.5])
+    for p in (2.0, math.nan):
+        with pytest.raises(ValueError, match="p must exceed 2"):
+            cf.CapacityProfile(1.0, 0.5, p, [0.5])
 
 
 def test_wiener_sum():
@@ -72,8 +75,9 @@ def test_wiener_integral_matches_sum_at_grid_radii():
 
 def test_wiener_integral_range_errors():
     prof = _profile([0.5, 0.5])
-    with pytest.raises(ValueError, match="exceeds R_o"):
-        wiener.wiener_integral(prof, 1.1)
+    for rho in (1.1, math.nan):
+        with pytest.raises(ValueError, match="exceeds R_o"):
+            wiener.wiener_integral(prof, rho)
     with pytest.raises(ValueError, match="below the profile"):
         wiener.wiener_integral(prof, 0.01)
 
@@ -237,8 +241,9 @@ def test_decay_envelope_value_and_errors():
     assert cf.decay_envelope(env, prof, rho) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(ValueError, match="does not match profile"):
         cf.decay_envelope(cf.EnvelopeParams(2.0, 0.1, 0.5, 2.0, P3N2), prof, rho)
-    with pytest.raises(ValueError, match="below R_o"):
-        cf.decay_envelope(env, prof, 1.0)
+    for rho in (1.0, math.nan):
+        with pytest.raises(ValueError, match="below R_o"):
+            cf.decay_envelope(env, prof, rho)
     with pytest.raises(ValueError, match="rho must be positive"):
         cf.decay_envelope(env, prof, 0.0)
 
@@ -268,8 +273,9 @@ def test_holder_exponent():
 def test_envelope_params_validation():
     with pytest.raises(ValueError, match="omega_o must be positive"):
         cf.EnvelopeParams(0.0, 0.0, 0.5, 1.0, P3N2)
-    with pytest.raises(ValueError, match="osc_g must be nonnegative"):
-        cf.EnvelopeParams(1.0, -0.1, 0.5, 1.0, P3N2)
+    for osc_g in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="osc_g must be nonnegative"):
+            cf.EnvelopeParams(1.0, osc_g, 0.5, 1.0, P3N2)
     with pytest.raises(ValueError, match="epsilon must lie in"):
         cf.EnvelopeParams(1.0, 0.0, 0.0, 1.0, P3N2)
 

@@ -8,9 +8,12 @@ Usage (from anywhere):
 Pair i runs each tree's own `perfbench/run.py --workload W --seed S+i
 --seconds T --trace 0`, from the root of that tree, once per tree: the parent
 first in even pairs and the change first in odd ones, so neither side always
-runs on a warmer or a cooler host.  The runs write no bytecode, so nothing
-is written under either tree's `perfbench/`; `run.py` keeps its scratch files
-under `.bench_out/` at the root of the tree.
+runs on a warmer or a cooler host.  Each run reads and writes bytecode only
+under a fresh, empty temporary directory set as its PYTHONPYCACHEPREFIX and
+removed afterwards.  So neither tree's `__pycache__` is read, and bytecode
+left in one tree by a test run cannot make its imports look faster; nothing
+is written under either tree's `perfbench/`.  `run.py` keeps its scratch
+files under `.bench_out/` at the root of the tree.
 
 For each end-to-end metric of CHANGE_TREE's `BENCHMARK.json` it then prints
 each side's median and quartiles, the number of pairs in which the change
@@ -28,16 +31,20 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
     """The result line of one benchmark run of `tree`, with the run's `env:`
-    record under "env" when it printed one, or None without a result."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    record under "env" when it printed one, or None without a result.  The
+    run's bytecode cache is a fresh, empty temporary directory."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        done = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return None

@@ -7,7 +7,9 @@ Usage (from anywhere):
 
 For each benchmark workload it runs TREE's own `perfbench/run.py --workload W
 --seed S+i --seconds T --trace 0` N times (at least 3), from the root of
-TREE and without writing bytecode, as `tools/bench_pairs.py` runs it.  It
+TREE and through `tools/bench_pairs.py`'s `bench`: each run's bytecode
+cache is a fresh, empty temporary directory, so TREE's `__pycache__` is not
+read.  It
 records each end-to-end metric's median, quartiles and values, each run's
 `host_calib_s` (the host-speed gauge of `run.py`), the first run's `env`
 record, and the runs that gave no result, read `correct: false` or counted a
