@@ -65,7 +65,7 @@ class CondenserProblem:
     p: float
 
     def __post_init__(self):
-        if self.p < 2.0:
+        if not self.p >= 2.0:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.obstacle.cube.ndim != self.outer.ndim:
             raise ValueError("obstacle and outer cube dimensions differ")
@@ -79,7 +79,7 @@ class CapacityValue:
     iterations: int
 
     def __post_init__(self):
-        if self.value < 0.0:
+        if not self.value >= 0.0:
             raise ValueError(f"capacity must be nonnegative, got {self.value}")
 
 

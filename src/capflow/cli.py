@@ -214,9 +214,15 @@ def _parse_datum(raw: dict, cfg) -> pde.BoundaryDatum:
             raise ConfigError(f"datum kind 'ramped_distance' does not support domain "
                               f"kind {domain.kind!r}")
 
+        # the last point array given and its clipped profile: the time loop
+        # passes one array of fixed points at every step
+        seen = profile = None
+
         def ramped(pts, t):
-            dist = sup_distance_to_obstacle(domain, pts, box)
-            profile = np.clip(dist / scale, 0.0, 1.0)
+            nonlocal seen, profile
+            if pts is not seen:
+                profile = np.clip(sup_distance_to_obstacle(domain, pts, box) / scale, 0.0, 1.0)
+                seen = pts
             return profile * (floor + (1.0 - floor) * min(t / ramp_time, 1.0))
 
         return pde.BoundaryDatum("ramped_distance", ramped, modulus="lipschitz in x and t")

@@ -229,44 +229,61 @@ class _Block:
         n_both = int(both.sum())
         scale = system.h ** (system.ndim - 2)
         cell = system.edge_cell
-        rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
-        cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
-        entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
-        entry_coef = np.concatenate([np.full(2 * n_both, scale),
-                                     np.full(2 * n_both, -scale),
-                                     np.full(int(a_only.sum() + b_only.sum()), scale)])
         rhs_free = np.concatenate([pa[a_only], pb[b_only]])
         self.rhs_row = self.unknown[rhs_free]
         self.rhs_cell = np.concatenate([cell[a_only], cell[b_only]])
         self.rhs_node = np.concatenate([system.edges_b[a_only], system.edges_a[b_only]])
         self.rhs_coef = scale
+        pa, pb, both_cell = pa[both], pb[both], cell[both]
+        ua, ub = self.unknown[pa], self.unknown[pb]
+        del pos, both, a_only, b_only
 
         # without a mass term, a group of free nodes joined to no fixed node
         # has the constants in its null space
-        graph = sp.coo_matrix((np.ones(n_both), (pa[both], pb[both])),
-                              shape=(n_free, n_free))
+        graph = sp.coo_matrix((np.ones(n_both), (pa, pb)), shape=(n_free, n_free))
         n_groups, label = csgraph.connected_components(graph, directed=False)
         grounded = np.zeros(n_groups, dtype=bool)
         grounded[label[rhs_free]] = True
         self.n_floating = int(np.count_nonzero(~grounded[label]))
+        del graph, label, rhs_free, pa, pb
 
         n = self.n = self.node.size
-        diag = np.arange(n)
-        # column-major keys give CSC order; every column holds its diagonal
-        keys, slot = np.unique(np.concatenate([diag, self.unknown[cols]]) * n
-                               + np.concatenate([diag, self.unknown[rows]]),
-                               return_inverse=True)
-        # a copy, so that the block does not keep every entry's slot
-        self.diag_slot = slot[:n].copy()
-        entry_slot = slot[n:]
+        # column-major keys col * n + row give CSC order: each unknown's
+        # diagonal, so that every column holds it, then the entries (a, a),
+        # (b, b), (b, a) and (a, b) of each edge between free nodes a and b,
+        # then the diagonal entry of each edge's one free end
+        key = np.empty(n + 4 * n_both + self.rhs_row.size, dtype=np.int64)
+        lo = 0
+        for c, r in ((np.arange(n),) * 2, (ua, ua), (ub, ub), (ub, ua), (ua, ub),
+                     (self.rhs_row,) * 2):
+            np.multiply(c, n, out=key[lo:lo + c.size])
+            key[lo:lo + c.size] += r
+            lo += c.size
+        del ua, ub
+        # one stable sort: slots count the key changes, and restricted to the
+        # entries the order lists each slot's entries in index order, so
+        # each CSR row sums them in bincount's order, duplicate columns apart
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        slot = np.cumsum(new) - 1
+        keys = key[new]
+        del key, new
         self.nnz = keys.size
         row, col = keys % n, keys // n
-        # the CSR product sums each row in its stored order, duplicate
-        # columns apart, so rows in entry order give bincount's bits
-        order = np.argsort(entry_slot, kind="stable")
+        entry = order >= n
+        self.diag_slot = slot[~entry]
+        slot = slot[entry]
+        entry = order[entry] - n
+        del order
+        entry_cell = np.concatenate([both_cell] * 4 + [self.rhs_cell])[entry]
+        # the off-diagonal entries (b, a) and (a, b) subtract the edge weight
+        entry_coef = np.where((entry >= 2 * n_both) & (entry < 4 * n_both), -scale, scale)
         self.assembly = sp.csr_matrix(
-            (entry_coef[order], entry_cell[order],
-             np.concatenate([[0], np.cumsum(np.bincount(entry_slot, minlength=self.nnz))])),
+            (entry_coef, entry_cell,
+             np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=self.nnz))])),
             shape=(self.nnz, system.n_cells))
         if system.ndim == 1:
             self.upper_slot = np.flatnonzero(row == col - 1)

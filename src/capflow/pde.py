@@ -3,7 +3,8 @@ obstacle, plus the oscillation measurements used to compare solutions against
 capacity-based decay envelopes.  `solve` stores every time step, so row k of
 the field it returns is step k.  Every measurement, here and in `probes`,
 picks its times with `in_window` and its nodes with
-`SpaceTimeGrid.inside_nodes_in`.
+`SpaceTimeGrid.inside_nodes_in`, and a window of several steps is read with
+`SpaceTimeField.window`, which copies no whole stored row.
 
 Each time step solves the proximal problem
 
@@ -55,6 +56,9 @@ from .lattice import LatticeSystem, minimize
 # the energy-drop stop of every time step; condensers stop tighter (see
 # capflow.capacity)
 _TOL_REL_ENERGY = 1e-8
+# the rows of a snapshot formatted per call: the file is written block by
+# block, never held whole as text
+_SNAPSHOT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -193,6 +197,11 @@ class SpaceTimeField:
                              f"{self.grid.n_steps}")
         return self.values[step]
 
+    def window(self, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The values at the masks `rows` of steps and `nodes` of nodes, picked
+        in one step: whole stored rows are never copied first."""
+        return self.values[np.ix_(rows, nodes)]
+
 
 def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField:
     """March the implicit scheme over grid.times, starting from g(., 0), and
@@ -270,7 +279,7 @@ def oscillation_over(field: SpaceTimeField, region: Cube, t_lo: float,
     if not np.any(rows):
         raise ValueError(f"no stored time slices in [{t_lo}, {t_hi}]; "
                          "shorten the time step or widen the window")
-    sub = field.values[rows][:, field.grid.inside_nodes_in(region)]
+    sub = field.window(rows, field.grid.inside_nodes_in(region))
     return float(sub.max() - sub.min())
 
 
@@ -364,9 +373,11 @@ def save_snapshot(field: SpaceTimeField, step: int, path: str) -> None:
                f"time={float(grid.times[step]):.17g}")
         yield f"# box_center={center} box_half_edge={grid.box.half_edge:.17g}"
         yield ",".join(cols)
-        # the whole table in one format call, over its columns interleaved
+        # one format call per block of rows, over its columns interleaved
         table = np.column_stack([pts, grid.inside, np.asarray(row, dtype=float)])
-        yield "\n".join([row_format] * len(pts)) % tuple(table.ravel().tolist())
+        for lo in range(0, len(table), _SNAPSHOT_ROWS):
+            block = table[lo:lo + _SNAPSHOT_ROWS]
+            yield "\n".join([row_format] * len(block)) % tuple(block.ravel().tolist())
 
     atomic_write(path, lines())
 

@@ -131,7 +131,7 @@ def weak_harnack_probe(field: SpaceTimeField, y, s: float, rho: float,
         raise ValueError(f"no stored slices in the waiting window [{t_lo}, {t_hi}]; "
                          "shorten the time step")
     mask_wide = field.grid.inside_nodes_in(Cube(y, 4.0 * rho))
-    window_vals = field.values[rows][:, mask_wide]
+    window_vals = field.window(rows, mask_wide)
     if float(window_vals.min()) < 0.0:
         raise ValueError(f"probe requires nonnegative values; found "
                          f"{float(window_vals.min())} in K_4rho during the window")

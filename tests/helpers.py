@@ -55,6 +55,55 @@ def count_solves(monkeypatch) -> list:
     return count_calls(monkeypatch, LatticeSystem, "solve_dirichlet")
 
 
+def reference_block_slots(system: LatticeSystem, fixed: np.ndarray, folded: bool) -> dict:
+    """The slots of the Dirichlet block of `fixed`, built apart from
+    `lattice._Block` by np.unique over the entries' CSC keys, and its
+    assembly rows by a stable sort of the entries' slots.
+
+    "keys" holds the CSC key col * n + row of each slot and "diag_slot" the
+    slot of each unknown's diagonal.  "entry_slot", "entry_cell" and
+    "entry_coef" give each matrix entry's slot, cell and coefficient, in
+    entry order: the (a, a), (b, b), (b, a) and (a, b) entries of each edge
+    between free nodes, then the diagonal entry of each edge's one free
+    end.  "cells", "coefs" and "indptr" are the assembly's rows: each
+    slot's entries, in entry order.
+    """
+    free = np.flatnonzero(~fixed)
+    own = np.arange(free.size)
+    pos = np.full(system.n_nodes, -1, dtype=np.int64)
+    pos[free] = own
+    mirror = own
+    if folded:
+        i, j = np.divmod(free, system.shape[1])
+        mirror = pos[j * system.shape[1] + i]
+    lower = np.minimum(own, mirror)
+    is_rep = lower == own
+    unknown = (np.cumsum(is_rep) - 1)[lower]
+    pa, pb = pos[system.edges_a], pos[system.edges_b]
+    both = (pa >= 0) & (pb >= 0)
+    a_only = (pa >= 0) & (pb < 0)
+    b_only = (pa < 0) & (pb >= 0)
+    n_both = int(both.sum())
+    scale = system.h ** (system.ndim - 2)
+    cell = system.edge_cell
+    rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
+    cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
+    entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
+    entry_coef = np.concatenate([np.full(2 * n_both, scale), np.full(2 * n_both, -scale),
+                                 np.full(int(a_only.sum() + b_only.sum()), scale)])
+    n = int(is_rep.sum())
+    diag = np.arange(n)
+    keys, slot = np.unique(np.concatenate([diag, unknown[cols]]) * n
+                           + np.concatenate([diag, unknown[rows]]), return_inverse=True)
+    entry_slot = slot[n:]
+    order = np.argsort(entry_slot, kind="stable")
+    return {"keys": keys, "diag_slot": slot[:n], "entry_slot": entry_slot,
+            "entry_cell": entry_cell, "entry_coef": entry_coef,
+            "cells": entry_cell[order], "coefs": entry_coef[order],
+            "indptr": np.concatenate([[0], np.cumsum(np.bincount(entry_slot,
+                                                                 minlength=keys.size))])}
+
+
 def step_error_bounds(field: cf.SpaceTimeField) -> np.ndarray:
     """Certified l2 distance of every stored step to the exact minimizer of
     its time step, from the stored step before it.

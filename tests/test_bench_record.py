@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pathlib
 
 import pytest
@@ -52,6 +53,17 @@ def test_a_2d_profile_counts_the_same_work_twice(bench_record, monkeypatch, tmp_
     assert 2 * runs[0]["solve_dirichlet"] == len(solves)
     assert 0 < runs[0]["splu"] < runs[0]["triangular_solves"]
     assert runs[0]["time_steps_minimized"] == 0     # no time loop
+
+
+def test_the_traced_peak_holds_at_least_the_stored_field(bench_record, tmp_path):
+    # a 1D verify run holds (steps + 1) x nodes float64 values of field
+    config = ROOT / "configs/verify_synthetic.json"
+    counts, peak = bench_record.traced_peak(
+        bench_record.count, ["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert set(counts) == set(bench_record.COUNTERS)
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    nodes = round(2 * cfg["box"]["half_edge"] / cfg["grid_h"]) + 1
+    assert peak >= (cfg["time"]["steps"] + 1) * nodes * 8 / 2 ** 20 > 0.0
 
 
 def test_a_failed_call_raises(bench_record, tmp_path):

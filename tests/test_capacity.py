@@ -192,6 +192,20 @@ def test_condenser_potential_in_unit_range():
     assert len(history) >= 1
 
 
+@pytest.mark.parametrize("p", [1.5, float("nan")])
+def test_condenser_problem_rejects_p_below_2_or_nan(p):
+    # a NaN p fails every comparison; it is refused before any solve
+    obstacle = all_true(Cube((0.0, 0.0), 1.0), 2.0 / 16)
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        capacity.CondenserProblem(obstacle, Cube((0.0, 0.0), 1.5), p)
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_capacity_value_rejects_negative_or_nan(value):
+    with pytest.raises(ValueError, match="capacity must be nonnegative"):
+        capacity.CapacityValue(value, 3)
+
+
 def _corner_condenser(nodes_across: int, p: float) -> capacity.CondenserProblem:
     """The unit-lattice condenser of the three quadrants x <= 0 or y <= 0."""
     h = 2.0 / (nodes_across - 1)

@@ -273,6 +273,29 @@ def test_ramped_distance_rejects_power_cusp_before_the_grid(tmp_path, capsys,
         "kind 'power_cusp'\n")
 
 
+def test_ramped_distance_evaluates_the_distance_once_per_point_array(tmp_path,
+                                                                     monkeypatch):
+    # the time loop passes one array at every step; a new array, even with
+    # the same points, is measured afresh, and every value is the formula's
+    values = cli.parse_experiment(verify_cfg(0.5), "verify", str(tmp_path), 1).values
+    datum, domain, box = values["datum"], values["domain"], values["box"]
+    measure = cli.sup_distance_to_obstacle
+    calls = []
+
+    def counted(domain, pts, clip):
+        calls.append(pts)
+        return measure(domain, pts, clip)
+
+    monkeypatch.setattr(cli, "sup_distance_to_obstacle", counted)
+    pts = np.linspace(-0.125, 0.125, 33)[:, None]
+    arrays = [pts, pts, pts, pts.copy(), pts]
+    for k, array in enumerate(arrays):
+        t = 0.001 * k
+        ref = np.clip(measure(domain, array, box) / 0.05, 0.0, 1.0) * min(t / 0.002, 1.0)
+        assert datum(array, t).tobytes() == ref.tobytes()
+    assert [id(a) for a in calls] == [id(pts), id(arrays[3]), id(pts)]
+
+
 def test_wrong_value_type(tmp_path, capsys):
     cfg = capacity_cfg()
     cfg["p"] = "three"

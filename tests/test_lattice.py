@@ -18,7 +18,7 @@ import capflow as cf
 from capflow import lattice, pde
 from capflow.geometry import Cube, DomainSpec
 from capflow.lattice import LatticeSystem, minimize
-from helpers import count_calls, count_solves, step_error_bounds
+from helpers import count_calls, count_solves, reference_block_slots, step_error_bounds
 
 # the energy-drop stop the minimizer tests pass: a time step's
 TOL = pde._TOL_REL_ENERGY
@@ -643,40 +643,6 @@ def test_folded_solve_factors_one_row_per_mirror_class(factorizations):
 
 # -- the assembly operator and the cell gradients -------------------------------
 
-def bincount_entries(system, fixed, folded):
-    """The block's matrix entries, built apart from `_Block` as the
-    reference a bincount sums: (CSC keys col * n + row of the slots, slot of
-    each entry, cell of each entry, coefficient of each entry)."""
-    free = np.flatnonzero(~fixed)
-    own = np.arange(free.size)
-    pos = np.full(system.n_nodes, -1, dtype=np.int64)
-    pos[free] = own
-    mirror = own
-    if folded:
-        i, j = np.divmod(free, system.shape[1])
-        mirror = pos[j * system.shape[1] + i]
-    lower = np.minimum(own, mirror)
-    is_rep = lower == own
-    unknown = (np.cumsum(is_rep) - 1)[lower]
-    pa, pb = pos[system.edges_a], pos[system.edges_b]
-    both = (pa >= 0) & (pb >= 0)
-    a_only = (pa >= 0) & (pb < 0)
-    b_only = (pa < 0) & (pb >= 0)
-    n_both = int(both.sum())
-    scale = system.h ** (system.ndim - 2)
-    cell = system.edge_cell
-    rows = np.concatenate([pa[both], pb[both], pa[both], pb[both], pa[a_only], pb[b_only]])
-    cols = np.concatenate([pa[both], pb[both], pb[both], pa[both], pa[a_only], pb[b_only]])
-    entry_cell = np.concatenate([cell[both]] * 4 + [cell[a_only], cell[b_only]])
-    entry_coef = np.concatenate([np.full(2 * n_both, scale), np.full(2 * n_both, -scale),
-                                 np.full(int(a_only.sum() + b_only.sum()), scale)])
-    n = int(is_rep.sum())
-    diag = np.arange(n)
-    keys, slot = np.unique(np.concatenate([diag, unknown[cols]]) * n
-                           + np.concatenate([diag, unknown[rows]]), return_inverse=True)
-    return keys, slot[n:], entry_cell, entry_coef
-
-
 def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -704,6 +670,14 @@ def assembly_problems(draw):
     return system, fixed.ravel(), folded, weights
 
 
+def all_fixed(shape, folded):
+    """An assembly problem whose every node is fixed: its block is empty."""
+    system = LatticeSystem(shape, 0.5)
+    return system, np.ones(system.n_nodes, dtype=bool), folded, np.ones(system.n_cells)
+
+
+@example(problem=all_fixed((5,), False))
+@example(problem=all_fixed((5, 5), True))
 @settings(max_examples=80, deadline=None)
 @given(assembly_problems())
 def test_assembly_operator_matches_the_bincount_assembly_bitwise(problem):
@@ -711,15 +685,44 @@ def test_assembly_operator_matches_the_bincount_assembly_bitwise(problem):
     # np.bincount adds them, so the product has the same bits
     system, fixed, folded, w = problem
     blk = system._block(fixed, folded)
-    keys, slot, cell, coef = bincount_entries(system, fixed, folded)
+    ref = reference_block_slots(system, fixed, folded)
     if system.ndim == 2:
         # a chain has no matrix: dptsv reads the diagonal and upper slots
         csc = blk.matrix
-        assert np.array_equal(keys, np.repeat(np.arange(blk.n), np.diff(csc.indptr)) * blk.n
-                              + csc.indices)
-    ref = np.bincount(slot, weights=w[cell] * coef, minlength=keys.size).astype(float,
-                                                                                 copy=False)
+        assert np.array_equal(ref["keys"], np.repeat(np.arange(blk.n), np.diff(csc.indptr))
+                              * blk.n + csc.indices)
+    entries = w[ref["entry_cell"]] * ref["entry_coef"]
+    ref = np.bincount(ref["entry_slot"], weights=entries,
+                      minlength=ref["keys"].size).astype(float, copy=False)
     assert same_bits(blk.assembly @ w, ref)
+
+
+@example(problem=all_fixed((5,), False))
+@example(problem=all_fixed((4, 6), False))
+@example(problem=all_fixed((5, 5), True))
+@settings(max_examples=80, deadline=None)
+@given(assembly_problems())
+def test_block_slots_match_the_unique_based_construction(problem):
+    # one stable sort of the keys gives np.unique's slots, and lists each
+    # slot's entries in entry order, as a stable sort of the slots did
+    system, fixed, folded, _ = problem
+    blk = lattice._Block(system, fixed, folded)
+    ref = reference_block_slots(system, fixed, folded)
+    n = blk.n
+    assert blk.nnz == ref["keys"].size
+    assert same_bits(blk.diag_slot, ref["diag_slot"])
+    assembly = blk.assembly
+    assert np.array_equal(assembly.indptr, ref["indptr"])
+    assert np.array_equal(assembly.indices, ref["cells"])
+    assert same_bits(assembly.data, ref["coefs"])
+    row, col = ref["keys"] % n, ref["keys"] // n
+    if system.ndim == 1:
+        assert np.array_equal(blk.upper_slot, np.flatnonzero(row == col - 1))
+        assert np.array_equal(blk.upper_row, row[blk.upper_slot])
+    else:
+        assert np.array_equal(blk.matrix.indices, row)
+        assert np.array_equal(blk.matrix.indptr,
+                              np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))]))
 
 
 @pytest.mark.parametrize("shape", [(3,), (11,), (3, 3), (7, 6), (6, 9)])

@@ -732,6 +732,23 @@ def test_snapshot_bytes_match_a_per_row_formatter(tmp_path, grid):
     assert body == ("\n".join(rows) + "\n").encode().split(b"\n")
 
 
+def test_snapshot_blocks_match_one_format_call(tmp_path):
+    # 33 x 33 = 1089 nodes: one full block of rows and a partial one
+    grid = _grid_2d(h=1.0 / 32, steps=2)
+    assert grid.n_nodes > pde._SNAPSHOT_ROWS and grid.n_nodes % pde._SNAPSHOT_ROWS
+    values = np.random.default_rng(5).normal(size=(3, grid.n_nodes))
+    path = tmp_path / "snap.csv"
+    cf.save_snapshot(cf.SpaceTimeField(grid, 3.0, values), 1, str(path))
+    table = np.column_stack([grid.node_points(), grid.inside, values[1]])
+    one_call = "\n".join(["%.17g,%.17g,%d,%.17g"] * grid.n_nodes) % tuple(table.ravel().tolist())
+    head, _, body = path.read_text(encoding="utf-8").partition("x0,x1,inside,value\n")
+    assert head.count("\n") == 3 and body == one_call + "\n"
+    loaded = cf.load_snapshot(str(path))
+    assert loaded["values"].tobytes() == values[1].tobytes()
+    assert loaded["points"].tobytes() == grid.node_points().tobytes()
+    assert np.array_equal(loaded["inside"], grid.inside)
+
+
 @pytest.mark.parametrize("failure", ["format", "rename"])
 def test_snapshot_write_failure_leaves_no_file(tmp_path, monkeypatch, failure):
     # a row that cannot be formatted mid-table, or a failed final rename:

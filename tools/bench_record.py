@@ -19,8 +19,13 @@ Then it calls TREE's `capflow.cli.main` once per workload in this process,
 on the workload's config at seed C, with the workload's own arguments, and
 records deterministic counters of that call (see `COUNTERS`).  They are
 counted by wrapping library functions for the call, so they show a change of
-solver work when wall-clock time is too noisy to.  The file also records
-`git describe --always --dirty` of TREE, or null outside a git checkout.
+solver work when wall-clock time is too noisy to.  Beside them it records
+`traced_peak_mb`, the `tracemalloc` peak of that call in MB of 2**20 bytes
+(the unit of perfbench's `peak_rss_mb`): the most memory the call's Python
+and NumPy allocations held at once.  It repeats to about 0.01% on a large
+config but moves by up to 40% on a tiny one, so it is not a counter.  The
+file also records `git describe --always --dirty` of TREE, or null outside
+a git checkout.
 Exits 0 when every run was correct and 1 otherwise; the file is written
 either way.
 """
@@ -35,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 
 from bench_pairs import bench, quartiles
 
@@ -125,6 +131,20 @@ def count(argv: list[str]) -> dict[str, int]:
     return counts
 
 
+def traced_peak(fn, *args):
+    """(fn(*args), the `tracemalloc` peak of that call in MB).  Tracing
+    stops afterwards unless it was on before."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def commit(tree: str) -> str | None:
     """`git describe --always --dirty` of `tree`, or None outside a checkout."""
     done = subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
@@ -161,7 +181,8 @@ def record_timings(tree: str, workload: str, seeds: list[int], seconds: float,
 
 
 def record_counters(tree: str, seed: int) -> dict:
-    """The counters of one CLI call per workload of `tree` at `seed`."""
+    """The counters and the traced peak of one CLI call per workload of
+    `tree` at `seed`, as {workload: (counters, traced_peak_mb)}."""
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
     sys.dont_write_bytecode = True
@@ -178,7 +199,7 @@ def record_counters(tree: str, seed: int) -> dict:
             config = os.path.join(tmp, f"{w.name}.json")
             with open(config, "w", encoding="utf-8") as fh:
                 json.dump(w.make_config(seed), fh)
-            out[w.name] = count(w.argv(config, os.path.join(tmp, w.name)))
+            out[w.name] = traced_peak(count, w.argv(config, os.path.join(tmp, w.name)))
     return out
 
 
@@ -203,9 +224,10 @@ def main(argv=None) -> int:
         result["workloads"][w["name"]] = record_timings(
             args.tree, w["name"], seeds, args.seconds, benchmark["end_to_end"])
         print(f"{w['name']}: timed {args.runs} runs", file=sys.stderr)
-    for name, counts in record_counters(args.tree, args.counter_seed).items():
+    for name, (counts, peak) in record_counters(args.tree, args.counter_seed).items():
         result["workloads"][name]["counters"] = counts
-        print(f"{name}: {json.dumps(counts)}", file=sys.stderr)
+        result["workloads"][name]["traced_peak_mb"] = peak
+        print(f"{name}: {json.dumps(counts)}, traced peak {peak:.2f} MB", file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
