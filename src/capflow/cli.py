@@ -511,7 +511,10 @@ def _profile_stage(cfg: ExperimentConfig, stage: Callable, report: dict, r_o: fl
 
 
 def cmd_capacity(cfg: ExperimentConfig, stage: Callable, report: dict):
-    """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius."""
+    """Condenser capacities of K_rho(x_o) \\ E and the full cube, per radius.
+    The `iters` column adds both condensers' iterations on their own
+    lattices, not those of their nested starts, so rows that share a mask
+    repeat them."""
     radii = cfg.values["radii"]
     table = stage("capacity", lambda: _memo(cfg).rows(radii))
     rows = [(rho, cap_obs.value, cap_full.value, val,
@@ -568,7 +571,10 @@ def cmd_solve(cfg: ExperimentConfig, stage: Callable, report: dict):
 
 def cmd_verify(cfg: ExperimentConfig, stage: Callable, report: dict):
     """End-to-end pipeline: capacity profile, PDE solve, oscillation
-    measurements, cascade, and envelope regression at one boundary point."""
+    measurements, cascade, and envelope regression at one boundary point.
+    The `R_o` search and the profile share one delta source, so at a
+    self-similar point (a corner, a half space, a slit) a run with a memo
+    solves two condensers in all."""
     values, params, p = cfg.values, cfg.params, cfg.params.p
     domain, x_o, t_o, epsilon = values["domain"], values["x_o"], values["t_o"], values["epsilon"]
     lam, c_bar = values["c_bar"]

@@ -47,14 +47,14 @@ iterate u: CG then starts from u and stops at a residual of `_FORCING`
 times that of u, the forcing term of an inexact Newton method (Eisenstat &
 Walker, SIAM J. Sci. Comput. 1996), since each solve only gives the
 direction the backtracking then searches.  A lagged solve that took more
-than `_REFRESH` iterations marks the factor stale, and the next solve of
-its block factors afresh without trying PCG (see the note on `_REFRESH`);
-each block keeps its own stale mark.  A solve given no iterate, or on a
-block with no factor yet, factors afresh, and a fresh factor solves
-directly; a block drops its old factor before it factors again, so it
-holds at most one.  Every solve in the package is `minimize`'s and gets an
-iterate; a condenser's p = 2 start is a `minimize` call too, whose first
-solve, its block's first, factors.
+than `_REFRESH` iterations drops its block's factor, so the next solve of
+the block factors afresh without trying PCG (see the note on `_REFRESH`):
+the factor, or its absence, is a block's only lag state.  A solve given no
+iterate, or on a block with no factor, factors afresh, and a fresh factor
+solves directly; a block drops its old factor before it factors again, so
+it holds at most one.  Every solve in the package is `minimize`'s and gets
+an iterate; a condenser's p = 2 start is a `minimize` call too, whose
+first solve, its block's first, factors.
 Because of this solver state, a `LatticeSystem` on a 2D lattice must not be
 shared across threads.
 
@@ -78,7 +78,9 @@ mass term and `previous` carry each unknown's multiplicity, 1 on the
 diagonal x0 = x1 and 2 off it.  PCG measures the lattice residual,
 ||r||**2 = sum (P^T r)**2 / multiplicity, so `_FORCING` and `_CG_RTOL`
 keep their meaning.  On corner_verify's time step this halves the
-unknowns and more than halves the factor (see the note on `_CG_MAXITER`).
+unknowns and more than halves the factor (see the note on `_CG_MAXITER`);
+every 2D solve of corner_verify folds, and so does cantor_profile's
+full-cube denominator.
 `minimize` alone decides the fold, once per call, from the mask, the
 boundary values, `previous` (with a mass term) and its chosen start: from
 symmetric fields it only ever builds symmetric ones, node by node or cell
@@ -88,9 +90,8 @@ tests no field; unfolded, it runs on every free node, the fold by the
 identity map.  Only the block checks, once when it is built, that a folded
 lattice is square and its mask symmetric, since an asymmetric mask would
 leave a free node without an unknown.  Each block of a `LatticeSystem` keeps
-its own last factor and stale mark, so a system that switches masks or
-folds lags on each block's own factor; the package gives each system a
-single mask.
+its own last factor, so a system that switches masks or folds lags on each
+block's own factor; the package gives each system a single mask.
 """
 
 from __future__ import annotations
@@ -114,16 +115,16 @@ from .errors import ConvergenceError
 # instead of 411k: 8 ms instead of 30 ms to factor, 0.3 ms instead of 1.0 ms
 # per triangular solve.  On corner_verify (seed 3), of its 203 solves, all
 # given an iterate, 181 met the forcing bound on the lagged factor, in 2.6
-# iterations on average; 4 lagged attempts failed, 11 solves refreshed a
-# stale factor, 7 were the first solve of their system, and the run
-# factored 22 times and made 518 triangular solves.  Forcing terms 1e-1,
-# 1e-2, 1e-3, 1e-4 and _CG_RTOL gave 16, 22, 27, 40 and 64 factorizations;
-# 1e-1 raised the largest certified step error by 8%, the others left it
-# within 0.1%.
+# iterations on average; 4 lagged attempts failed, 11 solves factored after
+# a slow lagged solve dropped the factor, 7 were the first solve of their
+# system, and the run factored 22 times and made 518 triangular solves.
+# Forcing terms 1e-1, 1e-2, 1e-3, 1e-4 and _CG_RTOL gave 16, 22, 27, 40 and
+# 64 factorizations; 1e-1 raised the largest certified step error by 8%, the
+# others left it within 0.1%.
 #
 # A lagged solve that takes more than _REFRESH iterations shows its factor
-# gone stale, and the next solve of the block factors afresh instead of
-# running PCG, as inexact Newton-Krylov solvers refresh a lagged
+# gone stale and drops it, and the next solve of the block factors afresh
+# instead of running PCG, as inexact Newton-Krylov solvers refresh a lagged
 # preconditioner (Knoll & Keyes, J. Comput. Phys. 2004).  Without it,
 # corner_verify factored 14 times and made 796 triangular solves, many
 # lagged solves limping at 5-8 iterations.  _REFRESH 3, 4, 5, 6 and never:
@@ -195,8 +196,8 @@ class _Block:
     tridiagonal: the slot upper_slot[k] holds its entry (upper_row[k],
     upper_row[k] + 1), the upper off-diagonal being 0 between consecutive
     free nodes that a fixed node separates.  On a 2D lattice the data is
-    that of the CSC `matrix`, which each solve reuses.  `inv_mult` holds
-    1 / mult, exact since mult is 1 or 2.
+    that of the CSC `matrix`, which each solve reuses, and `lu` is the
+    block's last factor.
     """
 
     def __init__(self, system: LatticeSystem, fixed: np.ndarray, folded: bool):
@@ -294,16 +295,15 @@ class _Block:
                 (np.zeros(self.nnz), row.astype(np.int32),
                  np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)),
                 shape=(n, n))
-            # the block's last SuperLU factor, and whether a lagged solve on
-            # it took more than _REFRESH iterations, so that the next solve
-            # factors afresh
-            self.lu, self.stale = None, False
-        self.inv_mult = 1.0 / self.mult
+            # the block's last SuperLU factor, None once a lagged solve on
+            # it took more than _REFRESH iterations
+            self.lu = None
 
     def norm(self, r: np.ndarray) -> float:
         """||P (r / mult)||, the norm of the lattice vector, symmetric when
-        folded, whose image under P^T is `r`."""
-        return math.sqrt(float(r @ (r * self.inv_mult)))
+        folded, whose image under P^T is `r`; r / mult is exact, since mult
+        is 1 or 2."""
+        return math.sqrt(float(r @ (r / self.mult)))
 
 
 def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
@@ -314,37 +314,40 @@ def _transpose_symmetric(values: np.ndarray, shape: tuple[int, ...]) -> bool:
     return np.array_equal(v, v.T)
 
 
-def _lagged_solve(lu, a_mat: sp.csc_matrix, rhs: np.ndarray, x0: np.ndarray,
-                  r: np.ndarray, norm) -> tuple[np.ndarray | None, int]:
-    """PCG on `a_mat` from `x0`, whose residual rhs - A x0 is `r`,
-    preconditioned by `lu`, the block's last factor; returns (x, iterations).
+def _lagged_solve(blk: _Block, rhs: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """PCG on the block's matrix from `x`, which it updates in place,
+    preconditioned by `blk.lu`, the block's last factor; returns x, or None.
 
-    It stops once ||rhs - A x|| <= max(_FORCING ||r||, _CG_RTOL ||rhs||).
-    `norm` measures these vectors.  The recurrence residual decides and the
-    true residual confirms it once.  x is None after _CG_MAXITER iterations,
-    on a direction of non-positive curvature, or on a non-finite result.
+    It stops once ||rhs - A x|| <= max(_FORCING ||rhs - A x0||, _CG_RTOL
+    ||rhs||), x0 the start, measured by `blk.norm`.  The recurrence residual
+    decides and the true residual confirms it once.  It returns None after
+    _CG_MAXITER iterations, on a direction of non-positive curvature, or on a
+    non-finite result.  When it took more than _REFRESH iterations, it drops
+    the factor, so that the block's next solve factors afresh.
     """
-    x = x0.copy()
-    r = r.copy()
+    a_mat, norm = blk.matrix, blk.norm
+    r = rhs - a_mat @ x
     tol = max(_CG_RTOL * norm(rhs), _FORCING * norm(r))
     k = 0
     # a NaN residual ends the loop and fails the confirmation
     while norm(r) > tol:
         if k == _CG_MAXITER:
-            return None, k
-        z = lu.solve(r)
+            return None
+        z = blk.lu.solve(r)
         rz = r @ z
         d = z if k == 0 else z + (rz / rz_old) * d
         q = a_mat @ d
         dq = d @ q
         if not dq > 0.0:
-            return None, k
+            return None
         alpha = rz / dq
         x += alpha * d
         r -= alpha * q
         rz_old = rz
         k += 1
-    return (x if norm(rhs - a_mat @ x) <= tol else None), k
+    if k > _REFRESH:
+        blk.lu = None
+    return x if norm(rhs - a_mat @ x) <= tol else None
 
 
 class LatticeSystem:
@@ -416,10 +419,9 @@ class LatticeSystem:
         full flat solution with the fixed values imposed exactly.  Given the
         full-length `iterate`, a 2D solve lags on its block's last factor:
         it starts there and stops at `_FORCING` times its residual (see the
-        module docstring).  Once a lagged solve of the block took more than
-        `_REFRESH` iterations, the block's factor is stale, and the block's
-        next solve factors afresh.  A 2D solve without `iterate`, or on a
-        block with no factor yet, factors afresh; a 1D solve ignores
+        module docstring).  A lagged solve that took more than `_REFRESH`
+        iterations drops the block's factor.  A 2D solve without `iterate`,
+        or on a block with no factor, factors afresh; a 1D solve ignores
         `iterate`.
         With `folded`, the solve runs on one unknown per mirror pair of free
         nodes and returns a field equal to its transpose (see the module
@@ -459,26 +461,21 @@ class LatticeSystem:
             if info != 0:
                 raise ValueError(self._singular(blk, f"not positive definite (dptsv info {info})"))
         else:
-            a_mat = blk.matrix
-            a_mat.data = data
+            blk.matrix.data = data
             x = None
             # a non-positive diagonal may make the system singular: leave it
             # to SuperLU, which reports that
-            lagged = iterate is not None and blk.lu is not None and not blk.stale
-            if lagged and (data[blk.diag_slot] > 0.0).all():
-                x0 = iterate[blk.node]
-                r = rhs - a_mat @ x0
-                x, k = _lagged_solve(blk.lu, a_mat, rhs, x0, r, blk.norm)
-                blk.stale = k > _REFRESH
+            if (iterate is not None and blk.lu is not None
+                    and (data[blk.diag_slot] > 0.0).all()):
+                x = _lagged_solve(blk, rhs, iterate[blk.node])
             if x is None:
                 blk.lu = None                   # never two factors of a block at once
                 try:
-                    blk.lu = spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                       options={"SymmetricMode": True})
+                    blk.lu = spla.splu(blk.matrix, permc_spec="MMD_AT_PLUS_A",
+                                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
                 except RuntimeError as exc:
                     raise ValueError(self._singular(blk, str(exc))) from exc
                 x = blk.lu.solve(rhs)
-                blk.stale = False
         out[blk.free] = x[blk.unknown]
         return out
 
@@ -518,8 +515,10 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
     solution and halves it, down to 1e-12, while halving lowers the objective
     by more than noise = _ROUNDOFF_REL |e|, e the objective at u.  A step that
     does not lower e by more than noise is not taken and stops its stage, so
-    no step hinges on the sign of round-off; a step whose relative decrease
-    is at most tol_rel_energy is taken and stops its stage.  Each field is
+    no step hinges on the sign of round-off, and a minimizer that a solve
+    reaches exactly, such as a 1D condenser's affine p = 2 start, is
+    returned bitwise; a step whose relative decrease is at most
+    tol_rel_energy is taken and stops its stage.  Each field is
     evaluated once: the objective of a field comes with its squared cell
     gradients, and the weights, stage floors and retry at that field use
     them.
@@ -582,15 +581,19 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
         fields.append(u)
     folded = system.ndim == 2 and all(_transpose_symmetric(v, system.shape) for v in fields)
 
+    def solve(floor: float) -> np.ndarray:
+        """The reweighted solve from u at `floor`."""
+        w = system.weights_from_gsq(gsq, p, floor)
+        return system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
+                                      iterate=u, folded=folded)
+
     def iterate(floor: float) -> bool:
         """One reweighted iteration at `floor`, which advances u, its squared
         cell gradients gsq and history unless it finds u stationary; True
         when its stage stops."""
         nonlocal u, gsq
-        w = system.weights_from_gsq(gsq, p, floor)
         try:
-            u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                           iterate=u, folded=folded)
+            u_hat = solve(floor)
         except ValueError:
             # flat cells of an iterate, not only of the start, weigh
             # floor**(p-2), which can round away against unit weights and,
@@ -598,9 +601,7 @@ def minimize(system: LatticeSystem, fixed: np.ndarray, start: np.ndarray, p: flo
             relaxed = _stage_floors(gsq, floor)
             if not relaxed:
                 raise
-            w = system.weights_from_gsq(gsq, p, relaxed[-1])
-            u_hat = system.solve_dirichlet(w, fixed, start, mass=mass, previous=previous,
-                                           iterate=u, folded=folded)
+            u_hat = solve(relaxed[-1])
         e_prev = history[-1]
         noise = _ROUNDOFF_REL * abs(e_prev)
         cand, alpha = u_hat, 1.0

@@ -1,7 +1,8 @@
 """Backward-Euler solver for u_t = div(|Du|^{p-2} Du) on a box with a removed
 obstacle, plus the oscillation measurements used to compare solutions against
 capacity-based decay envelopes.  `solve` stores every time step, so row k of
-the field it returns is step k.  Every measurement, here and in `probes`,
+the field it returns is step k, and it reads each step's history from those
+rows.  Every measurement, here and in `probes`,
 picks its times with `in_window` and its nodes with
 `SpaceTimeGrid.inside_nodes_in`, and a window of several steps is read with
 `SpaceTimeField.window`, which copies no whole stored row.
@@ -205,7 +206,9 @@ class SpaceTimeField:
 
 def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField:
     """March the implicit scheme over grid.times, starting from g(., 0), and
-    store every step: row k of the field's values is step k.
+    store every step: row k of the field's values is step k.  The stored rows
+    are the loop's only history: step k reads its previous field, and the
+    field and step length before that, from rows k-1 and k-2 and grid.times.
 
     Each step is one `lattice.minimize` that stops at a relative energy drop
     of `_TOL_REL_ENERGY`; the minimizer runs the step's every linear solve
@@ -224,42 +227,40 @@ def solve(grid: SpaceTimeGrid, datum: BoundaryDatum, p: float) -> SpaceTimeField
     fixed = ~free
     fixed_pts = pts[fixed]
 
-    u = datum(pts, 0.0)
-    u_old, tau_old = None, None     # the step before u, once there is one
     n_steps = grid.n_steps
-    # one preallocated array: the field is never held twice
-    stored = np.empty((n_steps + 1, u.size))
-    stored[0] = u
+    # one preallocated array, which is also the loop's history: the field is
+    # never held twice
+    stored = np.empty((n_steps + 1, grid.n_nodes))
+    stored[0] = datum(pts, 0.0)
 
     for k in range(1, n_steps + 1):
+        u = stored[k - 1]
         tau = float(grid.times[k] - grid.times[k - 1])
         bvals = datum(fixed_pts, float(grid.times[k]))
         start = u.copy()
         start[fixed] = bvals
 
         guess = None
-        motion = None if u_old is None else (u - u_old)[free]
+        motion = None if k == 1 else (u - stored[k - 2])[free]
         # after a step that returned its start the guess would be that
         # start, which the minimizer would evaluate only to reject it
         if motion is not None and motion.any():
             # the clipped extrapolation of the module docstring
+            tau_old = float(grid.times[k - 1] - grid.times[k - 2])
             guess = start.copy()
             guess[free] += (tau / tau_old) * motion
             guess.clip(min(bvals.min(), u.min()), max(bvals.max(), u.max()), out=guess)
         elif (motion is not None and np.array_equal(bvals, u[fixed])
-              and np.array_equal(bvals, u_old[fixed])):
+              and np.array_equal(bvals, stored[k - 2][fixed])):
             # a repeated stationary step (see the module docstring)
-            u_old, u, tau_old = u, start, tau
-            stored[k] = u
+            stored[k] = start
             continue
         try:
-            u_new, _ = minimize(system, fixed, start, p, _TOL_REL_ENERGY,
-                                mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)
+            stored[k], _ = minimize(system, fixed, start, p, _TOL_REL_ENERGY,
+                                    mass=grid.h ** len(grid.shape) / tau, previous=u, guess=guess)
         except ConvergenceError as exc:
             raise ConvergenceError(f"time step {k} {exc}", last_energy=exc.last_energy / p,
                                    step_index=k) from None
-        u_old, u, tau_old = u, u_new, tau
-        stored[k] = u
 
     return SpaceTimeField(grid, float(p), stored)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import Cube
 from .pde import SpaceTimeField, in_window
-from .wiener import CapacityProfile, EnvelopeParams, decay_envelope, wiener_integral
+from .wiener import CapacityProfile, EnvelopeParams, decay_envelope, line_fit, wiener_integral
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,6 @@ def envelope_regression(measurements, profile: CapacityProfile,
     if len(xs) < 3:
         raise ValueError(f"need at least 3 measurements above the floor {floor} "
                          f"for a fit, got {len(xs)}")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    if float(np.std(xs)) < 1e-300 or float(np.std(ys)) < 1e-300:
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(xs, ys)[0, 1])
-    return FitReport(points=tuple(points), slope=float(slope),
-                     intercept=float(intercept), correlation=corr,
+    slope, intercept, corr = line_fit(xs, ys)
+    return FitReport(points=tuple(points), slope=slope, intercept=intercept, correlation=corr,
                      n_used=len(xs), dropped=tuple(dropped), envelope_ok=tuple(ok))

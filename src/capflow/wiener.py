@@ -151,7 +151,8 @@ def build_profile(domain: DomainSpec, x_o, R_o: float, c_bar: float, depth: int,
     """Relative capacities of K_rho(x_o) \\ E down the geometric radius grid.
 
     `delta_fn(radii) -> deltas`, such as a `capacity.DeltaMemo` at x_o,
-    computes them, all radii in one call.
+    computes them, all radii in one call.  `domain` and `x_o` are read only
+    to check that x_o is a boundary point.
     """
     if contains(domain, x_o):
         raise ValueError(f"x_o {tuple(x_o)} lies inside E; profiles are built at "
@@ -199,6 +200,16 @@ def wiener_integral(profile: CapacityProfile, rho: float) -> float:
 _TAIL_WINDOW = 8    # profile indices is_wiener_point fits
 
 
+def line_fit(xs, ys) -> tuple[float, float, float]:
+    """(slope, intercept, correlation) of the least-squares line through the
+    points (xs, ys); the correlation is 0 when either coordinate's standard
+    deviation is below 1e-300."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    flat = float(np.std(xs)) < 1e-300 or float(np.std(ys)) < 1e-300
+    corr = 0.0 if flat else float(np.corrcoef(xs, ys)[0, 1])
+    return float(slope), float(intercept), corr
+
+
 def is_wiener_point(profile: CapacityProfile) -> WienerDiagnostic:
     """Finite-sample divergence heuristic: fit log A_i against i over the last
     `_TAIL_WINDOW` indices, or the whole profile when it is shorter.
@@ -217,16 +228,10 @@ def is_wiener_point(profile: CapacityProfile) -> WienerDiagnostic:
     note = "finite-sample heuristic; not a certificate"
     if np.any(tail <= 0.0):
         return WienerDiagnostic("converging", -math.inf, window, note)
-    idx = np.arange(lo, profile.depth, dtype=float)
-    logs = np.log(tail)
-    slope = float(np.polyfit(idx, logs, 1)[0])
+    slope, _, corr = line_fit(np.arange(lo, profile.depth, dtype=float), np.log(tail))
     slope_tol = 0.05
     if slope >= -slope_tol:
         return WienerDiagnostic("diverging", slope, window, note)
-    sd = float(np.std(logs))
-    corr = 0.0
-    if sd > 1e-300:
-        corr = float(np.corrcoef(idx, logs)[0, 1])
     if corr <= -0.7:
         return WienerDiagnostic("converging", slope, window, note)
     return WienerDiagnostic("inconclusive", slope, window, note)

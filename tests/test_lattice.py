@@ -398,14 +398,15 @@ def lagged_after_a_jump(spread):
 def test_a_slow_lagged_solve_makes_the_next_solve_factor_afresh(spread, slow,
                                                                   factorizations):
     # a lagged solve that converged, but in more than _REFRESH iterations,
-    # marks its factor stale: the next solve of the block, a small
+    # drops its block's factor at once: the next solve of the block, a small
     # reweighting, factors afresh and solves directly, with no PCG on the
-    # old factor.  After a fast lagged solve the next one lags too.  A fresh
-    # factor is not stale, so the solve after it lags again.
+    # old factor.  After a fast lagged solve the block keeps its factor and
+    # the next solve lags too.  The solve after a fresh factor lags again.
     system, fixed, g, previous, jumped, u, lu, rng = lagged_after_a_jump(spread)
     assert len(factorizations) == 1
     assert (lu.solves > lattice._REFRESH) == slow
     assert 0 < lu.solves <= lattice._CG_MAXITER
+    assert factors(system, fixed, False) == (not slow)
     w = jumped * (1.0 + 1e-3 * rng.uniform(-1, 1, system.n_cells))
     solves = lu.solves
     v = system.solve_dirichlet(w, fixed, g, mass=0.5, previous=previous, iterate=u)

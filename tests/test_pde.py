@@ -319,6 +319,35 @@ def test_a_step_after_one_that_returned_its_start_offers_no_guess(monkeypatch):
     assert offered == [False] * 2 + [True] * 4
 
 
+def test_the_guess_extrapolates_by_the_ratio_of_non_uniform_steps(monkeypatch):
+    # steps of 0.1, 0.2, 0.05 and 0.25: each step from the second on is
+    # offered the clipped extrapolation of the module docstring, with the
+    # ratio of its own step to the one before, computed from the stored rows
+    times = np.array([0.0, 0.1, 0.3, 0.35, 0.6])
+    grid = cf.make_grid(DomainSpec.full_space(1), Cube((0.0,), 0.5), 0.125, times)
+    datum = cf.BoundaryDatum("wave", lambda pts, t: np.sin(3.0 * pts[:, 0] + 8.0 * t))
+    guesses = []
+
+    def recording(*args, guess=None, **kwargs):
+        guesses.append(None if guess is None else guess.copy())
+        return minimize(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(pde, "minimize", recording)
+    u = cf.solve(grid, datum, 3.0).values
+    free, fixed = grid.inside, ~grid.inside
+    assert len(guesses) == grid.n_steps and guesses[0] is None
+    for k in range(2, grid.n_steps + 1):
+        bvals = datum(grid.node_points()[fixed], float(times[k]))
+        start = u[k - 1].copy()
+        start[fixed] = bvals
+        ratio = float(times[k] - times[k - 1]) / float(times[k - 1] - times[k - 2])
+        want = start.copy()
+        want[free] += ratio * (u[k - 1] - u[k - 2])[free]
+        want.clip(min(bvals.min(), u[k - 1].min()), max(bvals.max(), u[k - 1].max()), out=want)
+        assert np.any(want != start)
+        assert np.array_equal(guesses[k - 1], want)
+
+
 # -- repeated stationary steps ----------------------------------------------------
 
 def steps_minimized(monkeypatch, grid, g, p=3.0):

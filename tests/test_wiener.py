@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,56 @@ def test_is_wiener_point_classification():
     assert diag.verdict == "converging" and diag.tail_slope == -math.inf
     with pytest.raises(ValueError, match="depth >= 4"):
         cf.is_wiener_point(_profile([0.5] * 3))
+
+
+def _wiener_point_fit(idx, logs):
+    """The fit `is_wiener_point` wrote out before `line_fit`: (slope, correlation)."""
+    slope = float(np.polyfit(idx, logs, 1)[0])
+    sd = float(np.std(logs))
+    corr = 0.0
+    if sd > 1e-300:
+        corr = float(np.corrcoef(idx, logs)[0, 1])
+    return slope, corr
+
+
+def _envelope_fit(xs, ys):
+    """The fit `probes.envelope_regression` wrote out before `line_fit`."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    if float(np.std(xs)) < 1e-300 or float(np.std(ys)) < 1e-300:
+        corr = 0.0
+    else:
+        corr = float(np.corrcoef(xs, ys)[0, 1])
+    return float(slope), float(intercept), corr
+
+
+def test_line_fit_repeats_both_fits_it_replaced_bitwise():
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 8, 20):
+        for _ in range(25):
+            xs = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            ys = rng.normal(size=n) + rng.normal() * xs
+            fit = wiener.line_fit(xs, ys)
+            assert fit == _envelope_fit(xs, ys) == _envelope_fit(list(xs), list(ys))
+            assert fit[::2] == _wiener_point_fit(xs, ys)
+            # is_wiener_point's abscissae are consecutive indices
+            idx = np.arange(n, dtype=float) + rng.integers(0, 30)
+            assert wiener.line_fit(idx, ys)[::2] == _wiener_point_fit(idx, ys)
+            assert all(type(v) is float for v in fit)
+
+
+def test_line_fit_gives_no_correlation_on_a_constant_coordinate():
+    xs = np.array([0.5, 1.5, 2.0, 4.0])
+    flat = np.full(4, -1.25)
+    fit = wiener.line_fit(xs, flat)
+    assert fit[2] == 0.0 and fit == _envelope_fit(xs, flat)
+    assert fit[::2] == _wiener_point_fit(xs, flat)
+    # a constant abscissa leaves polyfit rank-deficient: it warns, and the
+    # fit is its minimum-norm solution, bitwise the replaced fit's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit, old = wiener.line_fit(flat, xs), _envelope_fit(flat, xs)
+    assert fit[2] == 0.0
+    assert np.array_equal(fit, old)
 
 
 def test_realize_R_o_epsilon_closed_form():

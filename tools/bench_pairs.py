@@ -17,10 +17,11 @@ files under `.bench_out/` at the root of the tree.
 
 For each end-to-end metric of CHANGE_TREE's `BENCHMARK.json` it then prints
 each side's median and quartiles, the number of pairs in which the change
-was strictly better, and the parent's interquartile range.  Every run whose
-result reads `correct: false`, counts a failed call, or gives no result is
-printed on a line of its own, and its metrics, if any, still count.  Exits 0
-when every run was correct and 1 otherwise.
+was strictly better, the parent's interquartile range, and the metric's
+`verdict` against its bound.  Every run whose result reads `correct:
+false`, counts a failed call, or gives no result is printed on a line of
+its own, and its metrics, if any, still count.  Exits 0 when every run was
+correct and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """How the change's runs of one metric compare with the parent's, given
+    the metric's relative `bound` and whether lower is better: "worse beyond
+    bound" when the change's median is worse than the parent's by more than
+    `bound` times the parent's median, "unresolved" when the parent's
+    interquartile range exceeds that, and "within bound" otherwise."""
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    if (cm - pm if lower else pm - cm) > bound * abs(pm):
+        return "worse beyond bound"
+    if p3 - p1 > bound * abs(pm):
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -112,13 +128,14 @@ def main(argv=None) -> int:
             print(f"{name}: no pair has it")
             continue
         won = sum(1 for a, b in pairs if (b < a if lower else b > a))
-        stats = {side: quartiles([v for v in vals if v is not None])
-                 for side, vals in values.items()}
-        (p1, pm, p3), (c1, cm, c3) = stats["parent"], stats["change"]
+        present = {side: [v for v in vals if v is not None] for side, vals in values.items()}
+        (p1, pm, p3), (c1, cm, c3) = (quartiles(present[side]) for side in ("parent", "change"))
         print(f"{name} ({metric['unit']}, {metric['better']} is better): "
               f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}]; "
               f"change better in {won} of {len(pairs)} pairs; parent IQR {p3 - p1:.3g}, "
-              f"median change {(cm - pm) / pm if pm else float('nan'):+.1%}")
+              f"median change {(cm - pm) / pm if pm else float('nan'):+.1%}; "
+              f"{verdict(present['parent'], present['change'], metric['bound'], lower)} "
+              f"({metric['bound']:.0%})")
     return 1 if bad else 0
 
 

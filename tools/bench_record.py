@@ -102,8 +102,7 @@ def count(argv: list[str]) -> dict[str, int]:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            # x or None, or (x or None, iterations)
-            if (out[0] if isinstance(out, tuple) else out) is None:
+            if out is None:
                 tick("failed_lagged")
             return out
         return wrapper
